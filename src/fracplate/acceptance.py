@@ -19,7 +19,6 @@ import time
 
 import numpy as np
 
-from ._parallel import thread_map
 from .fractional_calculus import (
     TimeGrid,
     TimeSeries,
@@ -31,10 +30,10 @@ from .hidden_regularity import (
     direct_inequality_probe,
     filtered_identity2_residual,
     filtered_identity_residual,
-    normal_trace,
+    filtered_identity_terms,
     static_multiplier_identity_residual,
     static_multiplier_identity_terms,
-    trace_energy,
+    trace_energy_ratios,
 )
 from .report import VerificationReport
 from .solver import (
@@ -49,7 +48,6 @@ from .spectral_domain import (
     Rectangle,
     SpectralCoefficients,
     eigenmodes,
-    fractional_norm,
 )
 from .special_functions import (
     MLParams,
@@ -71,6 +69,13 @@ REGRESSION_LOCKS = {
     "u1_sweep_ratio_n64": 3.5340206000814383e-07,
     "u0_single_mode_ratio": 0.735948079553149,
 }
+
+
+def _gate_runtime(rep: VerificationReport, budget_s: float) -> None:
+    # only the overrun is recorded, so a run within budget writes 0 and the
+    # canonical bytes do not depend on the clock
+    rep.metrics["runtime_over_budget_s"] = max(0.0, rep.runtime_s - budget_s)
+    rep.tolerances["runtime_over_budget_s"] = 0.0
 
 
 def criterion_1_mittag_leffler(quick: bool = False) -> VerificationReport:
@@ -114,8 +119,7 @@ def criterion_1_mittag_leffler(quick: bool = False) -> VerificationReport:
         runtime_s=time.perf_counter() - t0,
     )
     if not quick:
-        rep.metrics["runtime_budget_s"] = rep.runtime_s
-        rep.tolerances["runtime_budget_s"] = 10.0
+        _gate_runtime(rep, 10.0)
     rep.evaluate()
     return rep
 
@@ -154,8 +158,7 @@ def criterion_2_kernel_identities(quick: bool = False) -> VerificationReport:
         runtime_s=time.perf_counter() - t0,
     )
     if not quick:
-        rep.metrics["runtime_budget_s"] = rep.runtime_s
-        rep.tolerances["runtime_budget_s"] = 60.0
+        _gate_runtime(rep, 60.0)
     rep.evaluate()
     return rep
 
@@ -235,7 +238,7 @@ def criterion_4_solver_residuals(quick: bool = False) -> VerificationReport:
     worst_order = math.inf
     d, modes, _ = _interval_solution(alpha, 8, [0.0] * 8, [0.0] * 8)
 
-    def one_mode(n: int) -> tuple[float, float]:
+    for n in range(1, n_active + 1):
         u0 = [0.0] * 8
         u0[n - 1] = 1.0
         u1 = [0.0] * 8
@@ -249,10 +252,7 @@ def criterion_4_solver_residuals(quick: bool = False) -> VerificationReport:
             scale = max(1.0, lam * float(np.max(np.abs(c))))
             res.append(mode_ode_residual(s, n, grid) / scale)
         order = math.log2(res[-2] / res[-1]) if res[-1] > 0 else 2.0
-        return res[-1], order
-
-    for scaled, order in thread_map(one_mode, list(range(1, n_active + 1))):
-        worst_scaled = max(worst_scaled, scaled)
+        worst_scaled = max(worst_scaled, res[-1])
         worst_order = min(worst_order, order)
 
     u0 = [1.0, -0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -337,8 +337,6 @@ def criterion_5_multiplier_identities(quick: bool = False) -> VerificationReport
         grid = TimeGrid.graded(1.0, M, default_grading(alpha))
         f1.append(filtered_identity_residual(s, None, beta, grid, M))
         f2.append(filtered_identity2_residual(s, None, beta, grid, M, M // 2))
-    from .hidden_regularity import filtered_identity_terms
-
     grid = TimeGrid.graded(1.0, Ms[-1], default_grading(alpha))
     terms = filtered_identity_terms(s, beta, grid, Ms[-1])
     fscale = max(abs(terms["lhs_boundary"]), 1e-300)
@@ -365,40 +363,30 @@ def criterion_5_multiplier_identities(quick: bool = False) -> VerificationReport
         runtime_s=time.perf_counter() - t0,
     )
     if not quick:
-        rep.metrics["runtime_budget_s"] = rep.runtime_s
-        rep.tolerances["runtime_budget_s"] = 300.0
+        _gate_runtime(rep, 300.0)
     rep.evaluate()
     return rep
 
 
-def criterion_6_hidden_regularity(quick: bool = False) -> VerificationReport:
+def criterion_6_hidden_regularity(
+    quick: bool = False, seed: int = 42
+) -> VerificationReport:
     """Single-mode sweep table plus bounded growth for the random family.
 
     The trace inequality's constant is never stated numerically by the
     theory, so it is NOT reproduced here; bounded ratio growth across the
     mode schedule is the substitute evidence, and the sweep values are
-    regression locks against the independent quadrature oracle.
+    regression locks against the independent quadrature oracle.  ``seed``
+    draws the random family.
     """
     t0 = time.perf_counter()
     alpha, T = 1.5, 1.0
     d = Interval(math.pi)
     n_sweep = 16 if quick else 64
     grid = TimeGrid.graded(T, 256 if quick else 512, default_grading(alpha))
-    modes = tuple(eigenmodes(d, n_sweep))
-
-    def sweep_ratio(n: int) -> float:
-        u1 = np.zeros(n_sweep)
-        u1[n - 1] = 1.0
-        data = InitialData(
-            SpectralCoefficients(modes, np.zeros(n_sweep)),
-            SpectralCoefficients(modes, u1),
-            "H1",
-        )
-        s = solve(d, n_sweep, alpha, data, T)
-        denom = fractional_norm(data.u1, -0.25) ** 2
-        return trace_energy(normal_trace(s, grid, "u")) / denom
-
-    ratios = thread_map(sweep_ratio, list(range(1, n_sweep + 1)))
+    # member n: u0 = 0, u1 = the n-th unit vector
+    sweep = [(np.zeros(n_sweep), u1) for u1 in np.eye(n_sweep)]
+    (ratios,) = trace_energy_ratios(d, alpha, grid, sweep, [n_sweep])
     sweep_finite = all(math.isfinite(r) for r in ratios)
 
     schedule = [8, 16] if quick else [16, 32, 64, 128, 256]
@@ -408,7 +396,7 @@ def criterion_6_hidden_regularity(quick: bool = False) -> VerificationReport:
         T,
         "decay:1.5",
         schedule,
-        seed=42,
+        seed=seed,
         members=3 if quick else 8,
         time_nodes=256 if quick else 512,
     )
@@ -437,7 +425,7 @@ def criterion_6_hidden_regularity(quick: bool = False) -> VerificationReport:
             "T": T,
             "sweep_modes": n_sweep,
             "schedule": schedule,
-            "seed": 42,
+            "seed": seed,
         },
         metrics=metrics,
         tolerances=tolerances,
@@ -462,5 +450,9 @@ CRITERIA = [
 ]
 
 
-def run_all(quick: bool = False) -> list[VerificationReport]:
-    return [fn(quick) for fn in CRITERIA]
+def run_all(quick: bool = False, seed: int = 42) -> list[VerificationReport]:
+    """Run every criterion; ``seed`` draws criterion 6's random family."""
+    return [
+        fn(quick, seed) if fn is criterion_6_hidden_regularity else fn(quick)
+        for fn in CRITERIA
+    ]

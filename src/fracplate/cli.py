@@ -256,9 +256,10 @@ def _run_solve(opt: dict[str, Any]) -> int:
     grid = TimeGrid.graded(T, M, default_grading(alpha))
     declared, tables = classify(data, d)
     residuals = {}
+    C = s.coefficients(grid.nodes)
     for n in range(1, min(N, 3) + 1):
         lam = s.modes[n - 1].lam
-        c = s.coefficients(grid.nodes)[:, n - 1]
+        c = C[:, n - 1]
         scale = max(1.0, lam * float(np.max(np.abs(c))))
         residuals[f"mode_{n}_scaled"] = mode_ode_residual(s, n, grid) / scale
     v = SpectralCoefficients((modes[0],), [1.0])
@@ -352,7 +353,7 @@ def _run_probe(opt: dict[str, Any]) -> int:
 
 def _run_report(opt: dict[str, Any]) -> int:
     quick = opt["profile"] == "quick"
-    reports = run_all(quick=quick)
+    reports = run_all(quick=quick, seed=int(opt["seed"]))
     ok = all(r.all_passed for r in reports)
     doc = {
         "profile": opt["profile"],

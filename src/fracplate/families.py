@@ -7,9 +7,11 @@ reproduce the streams: member ``m`` of a family seeded with ``s`` draws from
 standard-normal CDF.  The first ``N`` become multipliers for ``u0``, the
 rest for ``u1``; coefficient ``n`` is then ``multiplier * n**(-p)``.
 
-Truncations are nested: requesting the family at a smaller ``N`` yields
-prefixes of the same coefficient vectors, so growth factors across an
-N-schedule compare like with like.
+Only ``u0`` is nested across ``N``: requesting the family at a smaller ``N``
+yields a prefix of the same ``u0``, but ``u1`` takes draws ``[N, 2N)`` and so
+changes with ``N``.  A caller comparing several ``N`` draws once at the
+largest and truncates both vectors, as the direct-inequality probe does, so
+growth factors across an N-schedule compare like with like.
 """
 
 from __future__ import annotations

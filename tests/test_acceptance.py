@@ -7,10 +7,16 @@ artifact.  Criterion 7 (byte-determinism of the CLI report) runs the quick
 profile twice through the real entry point.
 """
 
+import itertools
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import pytest
+
+from fracplate import acceptance
 from fracplate.acceptance import (
+    _gate_runtime,
     criterion_1_mittag_leffler,
     criterion_2_kernel_identities,
     criterion_3_fractional_operators,
@@ -18,6 +24,7 @@ from fracplate.acceptance import (
     criterion_5_multiplier_identities,
     criterion_6_hidden_regularity,
 )
+from fracplate.report import VerificationReport
 
 
 def _announce(report):
@@ -109,3 +116,28 @@ def test_criterion_7_report_determinism(tmp_path):
     print(f"[{'PASS' if identical else 'FAIL'}] criterion_7_report_determinism: "
           f"byte-identical={identical}")
     assert identical
+
+
+@pytest.mark.parametrize(
+    "criterion, quick",
+    [(criterion_1_mittag_leffler, True), (criterion_2_kernel_identities, False)],
+)
+def test_report_bytes_do_not_depend_on_the_clock(monkeypatch, criterion, quick):
+    texts = []
+    for step in (1.0, 7.0):  # both within every runtime budget
+        ticks = itertools.count(0.0, step)
+        clock = SimpleNamespace(perf_counter=lambda: next(ticks))
+        monkeypatch.setattr(acceptance, "time", clock)
+        texts.append(criterion(quick=quick).to_json())
+    assert texts[0] == texts[1]
+
+
+def test_runtime_gate_records_the_overrun():
+    rep = VerificationReport(name="stub", runtime_s=12.5)
+    _gate_runtime(rep, 10.0)
+    assert rep.metrics["runtime_over_budget_s"] == 2.5
+    assert not rep.evaluate()
+    rep = VerificationReport(name="stub", runtime_s=3.0)
+    _gate_runtime(rep, 10.0)
+    assert rep.metrics["runtime_over_budget_s"] == 0.0
+    assert rep.evaluate()

@@ -189,6 +189,17 @@ class TestReportCommand:
         assert doc["all_passed"] is True
         assert len(doc["criteria"]) == 6
 
+    def test_seed_reaches_criterion_6(self, capsys):
+        docs = []
+        for seed in ("1", "2"):
+            code, out = _run(["report", "--profile", "quick", "--seed", seed], capsys)
+            assert code == 0
+            docs.append(json.loads(out)["criteria"])
+        assert docs[0][:5] == docs[1][:5]
+        c6 = [crit[5] for crit in docs]
+        assert [c["inputs"]["seed"] for c in c6] == [1, 2]
+        assert c6[0]["metrics"]["growth_factor_max"] != c6[1]["metrics"]["growth_factor_max"]
+
 
 def test_canonical_json_formatting():
     text = canonical_json({"b": 0.1, "a": [1, 2.5, None, True]})
@@ -204,19 +215,7 @@ class TestExitCodeContract:
             name="stub", metrics={"m": 2.0}, tolerances={"m": 1.0}
         )
         failing.evaluate()
-        monkeypatch.setattr(cli, "run_all", lambda quick: [failing])
+        monkeypatch.setattr(cli, "run_all", lambda quick, seed: [failing])
         code, out = _run(["report", "--profile", "quick"], capsys)
         assert code == 1
         assert json.loads(out)["all_passed"] is False
-
-
-class TestWorkerCap:
-    def test_thread_map_order_independent_of_cap(self, monkeypatch):
-        from fracplate._parallel import thread_map, worker_count
-
-        monkeypatch.setenv("FRACPLATE_THREADS", "4")
-        assert worker_count() == 4
-        items = list(range(20))
-        assert thread_map(lambda x: x * x, items) == [x * x for x in items]
-        monkeypatch.setenv("FRACPLATE_THREADS", "not-a-number")
-        assert worker_count() == 1

@@ -18,6 +18,7 @@ from fracplate.hidden_regularity import (
     static_multiplier_identity_residual,
     static_multiplier_identity_terms,
     trace_energy,
+    trace_energy_ratios,
 )
 from fracplate.solver import InitialData, solve
 from fracplate.spectral_domain import (
@@ -228,9 +229,23 @@ class TestFamilies:
         b = family_members("decay:1.5", 16, seed=42, members=3)
         for (u0a, u1a), (u0b, u1b) in zip(a, b):
             assert np.array_equal(u0a, u0b) and np.array_equal(u1a, u1b)
-        # nested truncation: smaller N is a prefix of larger N
+        # u0 at a smaller N is a prefix of u0 at a larger N; u1 is not,
+        # because it takes the draws after the first N
         c = family_members("decay:1.5", 8, seed=42, members=3)
-        assert np.array_equal(c[0][0], a[0][0][:8])
+        for (u0c, u1c), (u0a, u1a) in zip(c, a):
+            assert np.array_equal(u0c, u0a[:8])
+            assert not np.array_equal(u1c, u1a[:8])
+
+    def test_probe_draws_at_the_largest_N(self):
+        # R(16) depends on the largest N of the schedule through u1
+        d = Interval(math.pi)
+        r16 = [
+            direct_inequality_probe(
+                d, 1.5, 1.0, "decay:1.5", schedule, time_nodes=128
+            ).table[0]["R"]
+            for schedule in ([16, 32], [16, 64])
+        ]
+        assert r16 == pytest.approx([0.34438934270703037, 0.37137662424546686], rel=1e-9)
 
     def test_seed_changes_stream(self):
         a = family_members("decay:1.5", 8, seed=1, members=1)[0][0]
@@ -285,6 +300,37 @@ class TestDirectInequalityProbe:
 
         assert ratio(1.0) == pytest.approx(ratio(7.0), rel=1e-12)
         assert math.isfinite(base.metrics["R_max"])
+
+    @pytest.mark.parametrize("d", [Interval(math.pi), Rectangle(math.pi, math.pi)])
+    def test_equals_per_member_solutions(self, d):
+        # reference: one solve / normal_trace / trace_energy per member and N,
+        # on prefixes of the family drawn at the largest N
+        grid = TimeGrid.graded(1.0, 128, default_grading(1.5))
+        rep = direct_inequality_probe(
+            d, 1.5, 1.0, "decay:1.5", [8, 16], seed=42, members=3, time_nodes=128
+        )
+        family = family_members("decay:1.5", 16, seed=42, members=3)
+        for row in rep.table:
+            N = row["N"]
+            ratios = []
+            for u0, u1 in family:
+                s = _solution(d, tuple(eigenmodes(d, N)), u0[:N], u1[:N])
+                denom = (
+                    fractional_norm(SpectralCoefficients(s.modes, s.u0), 0.25) ** 2
+                    + fractional_norm(SpectralCoefficients(s.modes, s.u1), -0.25) ** 2
+                )
+                ratios.append(trace_energy(normal_trace(s, grid, "u")) / denom)
+            assert row["R"] == max(ratios)
+            assert row["argmax_member"] == int(np.argmax(ratios))
+
+    def test_zero_energy_member_is_skipped(self):
+        d = Interval(math.pi)
+        grid = TimeGrid.graded(1.0, 64, default_grading(1.5))
+        zero = (np.zeros(8), np.zeros(8))
+        live = family_members("decay:1.5", 8, members=1)[0]
+        rows = trace_energy_ratios(d, 1.5, grid, [zero, live], [4, 8])
+        assert [r[0] for r in rows] == [-1.0, -1.0]
+        assert all(r[1] > 0.0 for r in rows)
 
     def test_growth_factor_bounded_small_schedule(self):
         d = Interval(math.pi)

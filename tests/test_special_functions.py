@@ -140,6 +140,21 @@ class TestMLEval:
                     continue
                 assert abs(vi - out[0]) < 5e-11
 
+    def test_asymptotic_estimate_within_contract_is_returned(self):
+        # the asymptotic estimate lands a hair above its 2e-13 bar here and
+        # the extended-precision fallback would need far more than 320 digits
+        got = ml_eval(MLParams(1.0, 1.0), -18560.61)
+        assert got.method is MLMethod.ASYMPTOTIC_EXPANSION
+        assert abs(got.value - math.exp(-18560.61)) <= 1e-12
+        z = -1590.4143366937894
+        got = ml_eval(MLParams(1.0, 2.0), z)
+        assert abs(got.value - (math.exp(z) - 1.0) / z) <= 1e-12
+        for beta in (0.5, 1.0, 1.5, 2.0):
+            for alpha in np.linspace(1.0, 1.02, 11):
+                for z in (-18560.61, z, -2512.2825234898596, -16249.790806068417):
+                    got = ml_eval(MLParams(float(alpha), beta), z)
+                    assert got.est_abs_error <= max(1e-12, 1e-12 * abs(got.value))
+
     def test_monotone_bound_on_negative_axis(self):
         # |E_a(z)| <= 1 for z <= 0, a in (1,2): empirical consequence of the
         # uniform decay bound (checked, not proven)
