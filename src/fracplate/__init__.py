@@ -73,6 +73,7 @@ from .spectral_domain import (
     Domain,
     EigenMode,
     Interval,
+    ModeSet,
     Rectangle,
     SpectralCoefficients,
     apply_power,
@@ -97,6 +98,7 @@ __all__ = [
     "MLEvaluationError",
     "MLMethod",
     "MLParams",
+    "ModeSet",
     "MultiplierField",
     "Rectangle",
     "SpectralCoefficients",

@@ -197,9 +197,10 @@ def _run_ml(opt: dict[str, Any]) -> int:
 def _run_modes(opt: dict[str, Any]) -> int:
     d = parse_domain(opt["domain"])
     lines = ["index,mu,lambda"]
-    for m in eigenmodes(d, int(opt["count"])):
-        idx = "-".join(str(i) for i in m.index)
-        lines.append(f"{idx},{fmt17(m.mu)},{fmt17(m.lam)}")
+    modes = eigenmodes(d, int(opt["count"]))
+    for index, mu, lam in zip(modes.index, modes.mu, modes.lam):
+        idx = "-".join(str(i) for i in index)
+        lines.append(f"{idx},{fmt17(mu)},{fmt17(lam)}")
     _emit("\n".join(lines) + "\n", opt["out"])
     return 0
 
@@ -249,7 +250,7 @@ def _run_solve(opt: dict[str, Any]) -> int:
     alpha = float(opt["alpha"])
     N = int(opt["modes"])
     T = float(opt["horizon"])
-    modes = tuple(eigenmodes(d, N))
+    modes = eigenmodes(d, N)
     data = _load_data(opt["data"], modes, N)
     s = solve(d, N, alpha, data, T)
     M = max(512, int(opt["nodes"]))
@@ -262,7 +263,7 @@ def _run_solve(opt: dict[str, Any]) -> int:
         c = C[:, n - 1]
         scale = max(1.0, lam * float(np.max(np.abs(c))))
         residuals[f"mode_{n}_scaled"] = mode_ode_residual(s, n, grid) / scale
-    v = SpectralCoefficients((modes[0],), [1.0])
+    v = SpectralCoefficients(modes[:1], [1.0])
     residuals["weak_form_e1"] = weak_form_residual(s, v, grid)
     apriori = apriori_estimate_check(s, grid)
     doc = {
@@ -297,7 +298,7 @@ def _run_identities(opt: dict[str, Any]) -> int:
     beta = float(opt["beta"])
     N = int(opt["modes"])
     T = float(opt["horizon"])
-    modes = tuple(eigenmodes(d, N))
+    modes = eigenmodes(d, N)
     n = np.arange(1, N + 1, dtype=float)
     data = InitialData(
         SpectralCoefficients(modes, n**-2.0),

@@ -38,6 +38,7 @@ from .special_functions import ml_profile
 from .spectral_domain import (
     Domain,
     Interval,
+    ModeSet,
     SpectralCoefficients,
     boundary_quadrature,
     domain_quadrature,
@@ -131,9 +132,8 @@ def _check_alignment(
 
 # {{{ traces
 
-def _boundary_order(modes: Sequence) -> int:
-    max_freq = max(max(m.index) for m in modes)
-    return 4 * max_freq + 8
+def _boundary_order(modes: ModeSet) -> int:
+    return 4 * int(modes.index.max()) + 8
 
 
 @dataclass(frozen=True)
@@ -380,9 +380,9 @@ def trace_energy_ratios(
     once at the largest N and sliced; members are contracted one at a time,
     so no members x times x modes array is formed.
     """
-    modes = tuple(eigenmodes(d, max(N_schedule)))
+    modes = eigenmodes(d, max(N_schedule))
     t = grid.nodes
-    Z = -np.outer(t**alpha, [m.lam for m in modes])
+    Z = -np.outer(t**alpha, modes.lam)
     e1 = ml_profile(alpha, 1.0, Z)
     te2 = t[:, None] * ml_profile(alpha, 2.0, Z)
     rows = []

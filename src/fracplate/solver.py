@@ -33,12 +33,12 @@ from .fractional_calculus import (
 from .report import VerificationReport
 from .spectral_domain import (
     Domain,
-    EigenMode,
+    ModeSet,
     SpectralCoefficients,
     eigenmodes,
-    eval_mode,
     fractional_norm,
     mode_gradients,
+    mode_values,
 )
 from .special_functions import ml_profile
 
@@ -90,9 +90,8 @@ class InitialData:
             )
         if len(self.u0) != len(self.u1):
             raise ValueError("u0 and u1 must cover the same modes")
-        for a, b in zip(self.u0.modes, self.u1.modes):
-            if a.index != b.index:
-                raise ValueError("u0 and u1 must be expanded over the same modes")
+        if not np.array_equal(self.u0.modes.index, self.u1.modes.index):
+            raise ValueError("u0 and u1 must be expanded over the same modes")
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class SpectralSolution:
     """Everything needed to evaluate the series solution lazily."""
 
     domain: Domain
-    modes: tuple[EigenMode, ...]
+    modes: ModeSet
     alpha: float
     u0: np.ndarray
     u1: np.ndarray
@@ -111,11 +110,11 @@ class SpectralSolution:
 
     @property
     def lambdas(self) -> np.ndarray:
-        return np.array([m.lam for m in self.modes])
+        return self.modes.lam
 
     @property
     def mus(self) -> np.ndarray:
-        return np.array([m.mu for m in self.modes])
+        return self.modes.mu
 
     def coefficients(self, times: np.ndarray) -> np.ndarray:
         """Per-mode time factors c_n(t); shape (n_times, n_modes)."""
@@ -177,14 +176,13 @@ def solve(
         raise ValueError(f"alpha must lie in (1, 2): {alpha}")
     if T <= 0.0:
         raise ValueError(f"horizon must be positive: {T}")
-    modes = tuple(eigenmodes(d, N))
+    modes = eigenmodes(d, N)
     if len(data.u0) < N:
         raise ValueError(
             f"data covers {len(data.u0)} modes but N={N} were requested"
         )
-    for have, want in zip(data.u0.modes[:N], modes):
-        if have.index != want.index:
-            raise ValueError("data modes do not match the domain's eigenbasis")
+    if not np.array_equal(data.u0.modes.index[:N], modes.index):
+        raise ValueError("data modes do not match the domain's eigenbasis")
     th0, th1 = CLASS_EXPONENTS[data.declared_class]
     lam_all = data.u0.lambdas
     tail0 = float(np.sum(lam_all[N:] ** (2 * th0) * data.u0.values[N:] ** 2))
@@ -217,8 +215,7 @@ def eval_u(s: SpectralSolution, t: float, x) -> float:
     """u(t, x) by summing the truncated series."""
     _check_time(s, t)
     c = s.coefficients(np.array([t]))[0]
-    vals = np.array([eval_mode(m, s.domain, x)[0] for m in s.modes])
-    return float(c @ vals)
+    return float(c @ mode_values(s.modes, s.domain, x)[0])
 
 
 def eval_ut(s: SpectralSolution, t: float, x) -> float:
@@ -227,24 +224,21 @@ def eval_ut(s: SpectralSolution, t: float, x) -> float:
     if t == 0.0 and np.any(s.u0 != 0.0):
         raise ValueError("u_t at t=0 requires zero initial displacement")
     c = s.coefficient_derivatives(np.array([t]))[0]
-    vals = np.array([eval_mode(m, s.domain, x)[0] for m in s.modes])
-    return float(c @ vals)
+    return float(c @ mode_values(s.modes, s.domain, x)[0])
 
 
 def eval_caputo(s: SpectralSolution, t: float, x) -> float:
     """Caputo derivative through the equation: -sum lam_n c_n(t) e_n(x)."""
     _check_time(s, t)
     c = s.coefficients(np.array([t]))[0]
-    vals = np.array([eval_mode(m, s.domain, x)[0] for m in s.modes])
-    return float(-(s.lambdas * c) @ vals)
+    return float(-(s.lambdas * c) @ mode_values(s.modes, s.domain, x)[0])
 
 
 def eval_grad_laplacian(s: SpectralSolution, t: float, x) -> np.ndarray:
     """grad(lap u)(t, x) = sum c_n(t) (-mu_n) grad e_n(x)."""
     _check_time(s, t)
     c = s.coefficients(np.array([t]))[0]
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    grads = mode_gradients(s.modes, s.domain, pts)[0]  # (dim, N)
+    grads = mode_gradients(s.modes, s.domain, x)[0]  # (dim, N)
     return np.asarray(grads @ (-s.mus * c))
 
 
@@ -252,13 +246,6 @@ def eval_grad_laplacian(s: SpectralSolution, t: float, x) -> np.ndarray:
 
 
 # {{{ residual probes
-
-def _mode_position(s: SpectralSolution, n: int) -> int:
-    for i, m in enumerate(s.modes):
-        if m.index == (n,) or m.index == n:
-            return i
-    raise ValueError(f"mode {n} is not part of the solution")
-
 
 def _interior_window(grid: TimeGrid) -> slice:
     """Nodes measured by residual probes: the startup layer is excluded.
@@ -276,14 +263,17 @@ def _interior_window(grid: TimeGrid) -> slice:
 def mode_ode_residual(s: SpectralSolution, n: int, grid: TimeGrid) -> float:
     """max over interior nodes of |dt^alpha c_n + lam_n c_n|.
 
-    The Caputo derivative is the full discrete pipeline (fourth-order
-    differentiation, fractional integral with exact moments, differentiation
-    again) with the exact initial slope c_n'(0) = u1_n supplied.
+    ``n`` is the 1-based position in the solution's mode order.  The Caputo
+    derivative is the full discrete pipeline (fourth-order differentiation,
+    fractional integral with exact moments, differentiation again) with the
+    exact initial slope c_n'(0) = u1_n supplied.
     """
     if len(grid) < 513:
         raise ValueError("mode residuals need a graded grid with >= 512 cells")
-    i = _mode_position(s, n)
-    lam = s.modes[i].lam
+    if not 1 <= n <= len(s.modes):
+        raise ValueError(f"mode {n} is not part of the solution")
+    i = n - 1
+    lam = s.lambdas[i]
     c = s.coefficients(grid.nodes)[:, i]
     dc = caputo_derivative(TimeSeries(grid, c), s.alpha, float(s.u1[i]))
     resid = dc.values + lam * c
@@ -301,22 +291,18 @@ def weak_form_residual(
     """
     if len(grid) < 9:
         raise ValueError("grid too coarse for the differentiation stencils")
-    positions = []
-    weights = []
-    for mode, value in zip(v.modes, v.values):
-        if value == 0.0:
-            continue
-        for i, m in enumerate(s.modes):
-            if m.index == mode.index:
-                positions.append(i)
-                weights.append(value)
-                break
-        else:
-            raise ValueError(f"test mode {mode.index} not active in the solution")
-    if not positions:
+    active = v.values != 0.0
+    tests = v.modes.index[active]
+    # found[i, n]: active test mode i is mode n of the solution
+    found = np.all(tests[:, None, :] == s.modes.index[None, :, :], axis=2)
+    hit = np.any(found, axis=1)
+    if not np.all(hit):
+        missing = tuple(tests[np.argmin(hit)].tolist())
+        raise ValueError(f"test mode {missing} not active in the solution")
+    if not np.any(active):
         return 0.0
-    idx = np.array(positions, dtype=int)
-    w = np.array(weights)
+    idx = np.argmax(found, axis=1)
+    w = v.values[active]
     C = s.coefficients(grid.nodes)[:, idx]
     lam = s.lambdas[idx]
     dC = np.column_stack(

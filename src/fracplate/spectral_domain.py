@@ -29,6 +29,7 @@ __all__ = [
     "Rectangle",
     "Domain",
     "EigenMode",
+    "ModeSet",
     "SpectralCoefficients",
     "eigenmodes",
     "eval_mode",
@@ -119,17 +120,33 @@ class EigenMode:
     norm_const: float
 
 
-def _interval_mode(n: int, L: float) -> EigenMode:
-    mu = (n * math.pi / L) ** 2
-    return EigenMode((n,), mu, mu * mu, math.sqrt(2.0 / L))
+@dataclass(frozen=True, eq=False)
+class ModeSet:
+    """Consecutive eigenpairs of one domain, stored as arrays.
+
+    ``index`` has shape (N, dim); ``mu`` and ``lam = mu * mu`` have shape
+    (N,); ``norm_const`` is shared by every mode of the domain.  A slice is
+    again a ModeSet, an integer gives that mode as an :class:`EigenMode`.
+    :func:`eigenmodes` makes the arrays read-only, since slices share them.
+    """
+
+    index: np.ndarray
+    mu: np.ndarray
+    lam: np.ndarray
+    norm_const: float
+
+    def __len__(self) -> int:
+        return len(self.mu)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            fields = (self.index[key], self.mu[key], self.lam[key])
+            return ModeSet(*fields, self.norm_const)
+        index = tuple(int(i) for i in self.index[key])
+        return EigenMode(index, float(self.mu[key]), float(self.lam[key]), self.norm_const)
 
 
-def _rectangle_mode(j: int, k: int, a: float, b: float) -> EigenMode:
-    mu = (j * math.pi / a) ** 2 + (k * math.pi / b) ** 2
-    return EigenMode((j, k), mu, mu * mu, 2.0 / math.sqrt(a * b))
-
-
-def eigenmodes(d: Domain, N: int) -> list[EigenMode]:
+def eigenmodes(d: Domain, N: int) -> ModeSet:
     """First N modes, sorted by ascending eigenvalue, ties lexicographic.
 
     The square rectangle carries genuine multiplicities (mu_{jk} = mu_{kj});
@@ -138,15 +155,24 @@ def eigenmodes(d: Domain, N: int) -> list[EigenMode]:
     if N < 1:
         raise ValueError(f"N must be >= 1: {N}")
     if isinstance(d, Interval):
-        return [_interval_mode(n, d.length) for n in range(1, N + 1)]
-    # any mode among the N smallest has both indices <= N
-    candidates = [
-        _rectangle_mode(j, k, d.a, d.b)
-        for j in range(1, N + 1)
-        for k in range(1, N + 1)
-    ]
-    candidates.sort(key=lambda m: (m.lam, m.index))
-    return candidates[:N]
+        index = np.arange(1, N + 1)[:, None]
+        mu = (index[:, 0] * math.pi / d.length) ** 2
+        norm_const = math.sqrt(2.0 / d.length)
+    else:
+        # Every (j', k') <= (j, k) componentwise precedes (j, k) in the
+        # (lam, index) order, so (j, k) has rank at least j*k and the first
+        # N modes all satisfy j*k <= N.  Block j holds k = 1 .. N // j.
+        per_j = N // np.arange(1, N + 1)
+        j = np.repeat(np.arange(1, N + 1), per_j)
+        k = np.arange(len(j)) - np.repeat(np.cumsum(per_j) - per_j, per_j) + 1
+        mu = (j * math.pi / d.a) ** 2 + (k * math.pi / d.b) ** 2
+        order = np.lexsort((k, j, mu * mu))[:N]
+        index, mu = np.column_stack([j, k])[order], mu[order]
+        norm_const = 2.0 / math.sqrt(d.a * d.b)
+    arrays = (index, mu, mu * mu)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return ModeSet(*arrays, norm_const)
 
 
 def eval_mode(
@@ -156,17 +182,12 @@ def eval_mode(
 
     The Laplacian is returned through the exact identity ``lap e = -mu e``.
     """
+    xv = [float(axis[0]) for axis in _coordinates(d, x)]
     if isinstance(d, Interval):
-        xv = float(np.asarray(x).reshape(()))
-        if not -1e-12 <= xv <= d.length + 1e-12:
-            raise ValueError(f"x={xv} outside [0, {d.length}]")
         w = m.index[0] * math.pi / d.length
-        value = m.norm_const * math.sin(w * xv)
-        grad = np.array([m.norm_const * w * math.cos(w * xv)])
+        value = m.norm_const * math.sin(w * xv[0])
+        grad = np.array([m.norm_const * w * math.cos(w * xv[0])])
         return value, grad, -m.mu * value
-    xv = np.asarray(x, dtype=float).reshape(2)
-    if not (-1e-12 <= xv[0] <= d.a + 1e-12 and -1e-12 <= xv[1] <= d.b + 1e-12):
-        raise ValueError(f"point {tuple(xv)} outside the rectangle")
     j, k = m.index
     wx = j * math.pi / d.a
     wy = k * math.pi / d.b
@@ -280,54 +301,44 @@ def boundary_quadrature(
     return np.vstack(pts), np.concatenate(wts), np.vstack(nrm)
 
 
-def mode_values(
-    modes: Sequence[EigenMode], d: Domain, pts: np.ndarray
-) -> np.ndarray:
+def _coordinates(d: Domain, pts) -> list[np.ndarray]:
+    """Coordinate columns of points in the closed domain; raises outside it."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, d.dim)
+    sides = (d.length,) if isinstance(d, Interval) else (d.a, d.b)
+    for axis, side in zip(pts.T, sides):
+        if np.any(axis < -1e-12) or np.any(axis > side + 1e-12):
+            raise ValueError(f"points outside {d}")
+    return list(pts.T)
+
+
+def _frequencies(modes: ModeSet, d: Domain) -> list[np.ndarray]:
+    """Per-axis wave numbers ``index * pi / side`` of every mode."""
+    sides = (d.length,) if isinstance(d, Interval) else (d.a, d.b)
+    return [modes.index[:, i] * math.pi / side for i, side in enumerate(sides)]
+
+
+def mode_values(modes: ModeSet, d: Domain, pts: np.ndarray) -> np.ndarray:
     """Matrix of eigenfunction values, shape (n_points, n_modes)."""
-    pts = np.asarray(pts, dtype=float)
-    if isinstance(d, Interval):
-        x = pts[:, 0]
-        cols = [
-            m.norm_const * np.sin(m.index[0] * math.pi / d.length * x) for m in modes
-        ]
-        return np.column_stack(cols)
-    x, y = pts[:, 0], pts[:, 1]
-    cols = []
-    for m in modes:
-        j, k = m.index
-        cols.append(
-            m.norm_const
-            * np.sin(j * math.pi / d.a * x)
-            * np.sin(k * math.pi / d.b * y)
-        )
-    return np.column_stack(cols)
-
-
-def mode_gradients(
-    modes: Sequence[EigenMode], d: Domain, pts: np.ndarray
-) -> np.ndarray:
-    """Gradients of the eigenfunctions, shape (n_points, dim, n_modes)."""
-    pts = np.asarray(pts, dtype=float)
-    n = pts.shape[0]
-    out = np.empty((n, d.dim, len(modes)))
-    if isinstance(d, Interval):
-        x = pts[:, 0]
-        for i, m in enumerate(modes):
-            w = m.index[0] * math.pi / d.length
-            out[:, 0, i] = m.norm_const * w * np.cos(w * x)
-        return out
-    x, y = pts[:, 0], pts[:, 1]
-    for i, m in enumerate(modes):
-        j, k = m.index
-        wx = j * math.pi / d.a
-        wy = k * math.pi / d.b
-        out[:, 0, i] = m.norm_const * wx * np.cos(wx * x) * np.sin(wy * y)
-        out[:, 1, i] = m.norm_const * wy * np.sin(wx * x) * np.cos(wy * y)
+    out = modes.norm_const
+    for x, w in zip(_coordinates(d, pts), _frequencies(modes, d)):
+        out = out * np.sin(np.outer(x, w))
     return out
 
 
+def mode_gradients(modes: ModeSet, d: Domain, pts: np.ndarray) -> np.ndarray:
+    """Gradients of the eigenfunctions, shape (n_points, dim, n_modes)."""
+    waves = _frequencies(modes, d)
+    phases = [np.outer(x, w) for x, w in zip(_coordinates(d, pts), waves)]
+    if isinstance(d, Interval):
+        return ((modes.norm_const * waves[0]) * np.cos(phases[0]))[:, None, :]
+    (wx, wy), (px, py) = waves, phases
+    gx = (modes.norm_const * wx) * np.cos(px) * np.sin(py)
+    gy = (modes.norm_const * wy) * np.sin(px) * np.cos(py)
+    return np.stack([gx, gy], axis=1)
+
+
 def mode_normal_derivatives(
-    modes: Sequence[EigenMode], d: Domain, pts: np.ndarray, normals: np.ndarray
+    modes: ModeSet, d: Domain, pts: np.ndarray, normals: np.ndarray
 ) -> np.ndarray:
     """Normal derivatives at boundary nodes, shape (n_points, n_modes)."""
     grads = mode_gradients(modes, d, pts)
@@ -348,7 +359,7 @@ class SpectralCoefficients:
     same sequence, since finite truncations always live in L^2).
     """
 
-    modes: tuple[EigenMode, ...]
+    modes: ModeSet
     values: np.ndarray
     kind: str = "function"
     theta: float | None = None
@@ -361,12 +372,14 @@ class SpectralCoefficients:
             raise ValueError(
                 f"{len(self.modes)} modes but {len(self.values)} values"
             )
+        if not isinstance(self.modes, ModeSet):
+            raise TypeError(f"modes must be a ModeSet: {type(self.modes).__name__}")
         if self.kind not in ("function", "functional"):
             raise ValueError(f"unknown kind {self.kind!r}")
 
     @property
     def lambdas(self) -> np.ndarray:
-        return np.array([m.lam for m in self.modes])
+        return self.modes.lam
 
     def __len__(self) -> int:
         return len(self.values)
@@ -375,7 +388,7 @@ class SpectralCoefficients:
 def project(
     f: Callable[..., np.ndarray],
     d: Domain,
-    modes: Sequence[EigenMode],
+    modes: ModeSet,
     quad_order: int,
 ) -> SpectralCoefficients:
     """L^2 projection onto the given modes by Gauss-Legendre quadrature.
@@ -384,10 +397,7 @@ def project(
     pointwise.  Refuses orders below two points per half-wave of the highest
     requested mode, where the quadrature would alias.
     """
-    if isinstance(d, Interval):
-        max_wave = max(m.index[0] for m in modes)
-    else:
-        max_wave = max(max(m.index) for m in modes)
+    max_wave = int(modes.index.max())
     if quad_order < 2 * max_wave:
         raise ValueError(
             f"quad_order={quad_order} is below 2 points per half-wave; "
@@ -398,7 +408,7 @@ def project(
     fv = np.asarray(fv, dtype=float)
     basis = mode_values(modes, d, pts)
     coeffs = basis.T @ (w * fv)
-    return SpectralCoefficients(tuple(modes), coeffs)
+    return SpectralCoefficients(modes, coeffs)
 
 
 def fractional_norm(c: SpectralCoefficients, theta: float) -> float:

@@ -1,5 +1,6 @@
 """CLI parsing, outputs, determinism, and exit-code contracts."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -86,6 +87,22 @@ class TestModesCommand:
         assert code == 0
         assert out.splitlines()[1].startswith("1-1,")
 
+    @pytest.mark.parametrize(
+        "domain,count,digest",
+        [
+            ("rectangle:pixpi", "256",
+             "0eebf64c69a90922f09b63eeb288137c166a656abe6c366b0dfc8b76fede0f95"),
+            ("rectangle:1.3x0.7", "300",
+             "8ef7fc1ba29c36304a47e11ce59847978bd02aacc606c4297bf585b41dd6dd20"),
+            ("interval:pi", "1024",
+             "69088daf4776413bb9d801d1c976e8ed7fead9fcf8ab466cfa342abd5fb9e9f7"),
+        ],
+    )
+    def test_output_bytes_pinned(self, domain, count, digest, capsys):
+        code, out = _run(["modes", "--domain", domain, "--count", count], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestFracopsCommand:
     def test_error_column_decreases(self, capsys):
@@ -130,6 +147,18 @@ class TestSolveCommand:
         assert lines[0] == "t,norm_l2,norm_h10,norm_lap,norm_gradlap"
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 0.0 and first[1] == pytest.approx(1.0)
+
+    def test_rectangle_domain(self, tmp_path, capsys):
+        out_file = tmp_path / "report.json"
+        code, _ = _run(
+            ["solve", "--domain", "rectangle:pixpi", "--alpha", "1.5",
+             "--modes", "6", "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 0
+        residuals = json.loads(out_file.read_text())["residuals"]
+        for n in (1, 2, 3):
+            assert 0.0 < residuals[f"mode_{n}_scaled"] < 5e-3
 
     def test_insufficient_data_rejected(self, tmp_path, capsys):
         data = tmp_path / "data.json"

@@ -19,14 +19,19 @@ from fracplate.solver import (
     solve,
     weak_form_residual,
 )
-from fracplate.spectral_domain import Interval, SpectralCoefficients, eigenmodes
+from fracplate.spectral_domain import (
+    Interval,
+    Rectangle,
+    SpectralCoefficients,
+    eigenmodes,
+)
 from fracplate.special_functions import MLParams, ml_eval
 
 
 @pytest.fixture(scope="module")
 def interval_modes():
     d = Interval(math.pi)
-    return d, tuple(eigenmodes(d, 8))
+    return d, eigenmodes(d, 8)
 
 
 def _data(modes, u0, u1, cls="H2"):
@@ -144,6 +149,8 @@ class TestPointwiseEvaluation:
         s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
         with pytest.raises(ValueError):
             eval_u(s, 1.5, 1.0)
+        with pytest.raises(ValueError):
+            eval_u(s, 0.5, 4.0)  # outside (0, pi)
 
 
 class TestResiduals:
@@ -175,22 +182,45 @@ class TestResiduals:
     def test_weak_form_single_mode(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
-        v = SpectralCoefficients((modes[0],), [1.0])
+        v = SpectralCoefficients(modes[:1], [1.0])
         grid = TimeGrid.graded(1.0, 2048, 4.0)
         assert weak_form_residual(s, v, grid) <= 1e-2
 
     def test_weak_form_orthogonal_test_function(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, _data(modes, [1.0, 0.5] + [0] * 6, [0] * 8), 1.0)
-        v = SpectralCoefficients((modes[5],), [1.0])
+        v = SpectralCoefficients(modes[5:6], [1.0])
         grid = TimeGrid.graded(1.0, 512, 4.0)
         assert weak_form_residual(s, v, grid) == 0.0
 
     def test_zero_weak_residual_for_zero_solution(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, _data(modes, [0] * 8, [0] * 8), 1.0)
-        v = SpectralCoefficients((modes[0],), [1.0])
+        v = SpectralCoefficients(modes[:1], [1.0])
         assert weak_form_residual(s, v, TimeGrid.graded(1.0, 512, 4.0)) == 0.0
+
+    def test_weak_form_on_rectangle(self):
+        d = Rectangle(math.pi, math.pi)
+        modes = eigenmodes(d, 6)
+        u0 = [1.0, -0.5, 0.25, 0.0, 0.0, 0.0]
+        u1 = [0.0, 0.3, 0.0, -0.2, 0.0, 0.0]
+        s = solve(d, 6, 1.5, _data(modes, u0, u1), 1.0)
+        v = SpectralCoefficients(modes[1:3], [1.0, -0.5])
+        r1 = weak_form_residual(s, v, TimeGrid.graded(1.0, 1024, 4.0))
+        r2 = weak_form_residual(s, v, TimeGrid.graded(1.0, 2048, 4.0))
+        assert r2 <= 1e-2
+        assert r1 / r2 >= 2.0
+        outside = SpectralCoefficients(eigenmodes(d, 8)[7:8], [1.0])
+        with pytest.raises(ValueError, match="not active"):
+            weak_form_residual(s, outside, TimeGrid.graded(1.0, 512, 4.0))
+
+    def test_mode_position_range_checked(self, interval_modes):
+        d, modes = interval_modes
+        s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
+        grid = TimeGrid.graded(1.0, 512, 4.0)
+        for n in (0, 9):
+            with pytest.raises(ValueError, match="not part of the solution"):
+                mode_ode_residual(s, n, grid)
 
 
 class TestLifting:
@@ -261,6 +291,17 @@ class TestClassification:
         with pytest.raises(ValueError):
             _data(modes, [0] * 8, [0] * 8, "H7")
 
+    def test_mismatched_modes_rejected(self, interval_modes):
+        d, modes = interval_modes
+        square = eigenmodes(Rectangle(math.pi, math.pi), 8)
+        with pytest.raises(ValueError, match="same modes"):
+            InitialData(
+                SpectralCoefficients(modes, [0] * 8),
+                SpectralCoefficients(square, [0] * 8),
+            )
+        with pytest.raises(ValueError, match="eigenbasis"):
+            solve(d, 8, 1.5, _data(square, [1] + [0] * 7, [0] * 8), 1.0)
+
 
 class TestAprioriEstimates:
     def test_vacuous_for_zero_data(self, interval_modes):
@@ -283,7 +324,7 @@ class TestAprioriEstimates:
         d = Interval(math.pi)
         ratios = []
         for N in (16, 32, 64):
-            modes = tuple(eigenmodes(d, N))
+            modes = eigenmodes(d, N)
             vals = np.arange(1, N + 1, dtype=float) ** -2
             data = InitialData(
                 SpectralCoefficients(modes, vals),
@@ -304,7 +345,7 @@ class TestRectangleSolutions:
         from fracplate.spectral_domain import Rectangle
 
         d = Rectangle(1.0, 2.0)
-        modes = tuple(eigenmodes(d, 6))
+        modes = eigenmodes(d, 6)
         rng = np.random.default_rng(31)
         u0 = rng.standard_normal(6) / np.arange(1, 7)
         u1 = rng.standard_normal(6) / np.arange(1, 7)
@@ -342,10 +383,10 @@ class TestRectangleSolutions:
         from fracplate.spectral_domain import Rectangle
 
         d = Rectangle(math.pi, math.pi)
-        modes = tuple(eigenmodes(d, 4))
+        modes = eigenmodes(d, 4)
         u0 = [1.0, 0.0, 0.0, 0.0]
         s = solve(d, 4, 1.5, _data(modes, u0, [0.0] * 4), 1.0)
         grid = TimeGrid.graded(1.0, 1024, 4.0)
         lam = modes[0].lam  # 4 on the pi x pi square
-        r = mode_ode_residual(s, (1, 1), grid)
+        r = mode_ode_residual(s, 1, grid)
         assert r <= 5e-3 * max(1.0, lam)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracplate.spectral_domain import (
+    EigenMode,
     Interval,
+    ModeSet,
     Rectangle,
     SpectralCoefficients,
     apply_power,
@@ -17,6 +19,7 @@ from fracplate.spectral_domain import (
     eigenmodes,
     eval_mode,
     fractional_norm,
+    mode_gradients,
     mode_normal_derivatives,
     mode_values,
     normal_derivative_on_boundary,
@@ -58,6 +61,124 @@ class TestEigenmodes:
         assert ms[0].index == (1, 1)
         assert ms[1].index == (2, 1)
 
+
+def _reference_modes(d, N):
+    """Brute force: every index up to N in each axis, sorted by (lam, index)."""
+    if isinstance(d, Interval):
+        rows = [((n * math.pi / d.length) ** 2, (n,)) for n in range(1, N + 1)]
+    else:
+        rows = [
+            ((j * math.pi / d.a) ** 2 + (k * math.pi / d.b) ** 2, (j, k))
+            for j in range(1, N + 1)
+            for k in range(1, N + 1)
+        ]
+    rows = sorted((mu * mu, index, mu) for mu, index in rows)[:N]
+    return [r[1] for r in rows], [r[2] for r in rows], [r[0] for r in rows]
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize(
+        "d",
+        [
+            Interval(math.pi),
+            Rectangle(math.pi, math.pi),
+            Rectangle(10.0, 1.0),
+            Rectangle(1.0, 10.0),
+            Rectangle(1.3, 0.7),
+            Rectangle(2.0, 1.0),
+            Rectangle(math.pi, 2.0 * math.pi),
+        ],
+        ids=repr,
+    )
+    def test_matches_brute_force_sort(self, d):
+        for N in (1, 2, 3, 4, 5, 16, 30, 64, 100, 256):
+            index, mu, lam = _reference_modes(d, N)
+            ms = eigenmodes(d, N)
+            assert [tuple(int(i) for i in row) for row in ms.index] == index
+            assert ms.mu.tolist() == mu  # bit-equal
+            assert ms.lam.tolist() == lam
+
+    def test_square_at_4096(self):
+        N = 4096
+        ms = eigenmodes(Rectangle(math.pi, math.pi), N)
+        assert len(ms) == N
+        j, k = ms.index.T
+        assert np.all(j * k <= N)
+        assert np.array_equal(ms.lam, ms.mu * ms.mu)
+        keys = list(zip(ms.lam.tolist(), j.tolist(), k.tolist()))
+        assert keys == sorted(keys)
+        # mu_jk = j^2 + k^2 exactly; every lattice point below the last one is in
+        top = int(ms.mu[-1])
+        r = np.arange(1, math.isqrt(top) + 1)
+        J, K = np.meshgrid(r, r, indexing="ij")
+        below = J * J + K * K < top
+        assert set(zip(J[below].tolist(), K[below].tolist())) <= set(
+            zip(j.tolist(), k.tolist())
+        )
+
+    def test_slices_and_items(self):
+        ms = eigenmodes(Rectangle(math.pi, math.pi), 6)
+        head = ms[1:3]
+        assert isinstance(head, ModeSet) and len(head) == 2
+        assert head[0] == ms[1] == EigenMode((1, 2), 5.0, 25.0, ms.norm_const)
+        assert ms[-1].index == tuple(ms.index[-1].tolist())
+        assert [m.index for m in head] == [(1, 2), (2, 1)]
+        with pytest.raises(ValueError):
+            ms.lam[0] = 0.0  # read-only: slices share the arrays
+        with pytest.raises(TypeError):
+            SpectralCoefficients((ms[0],), [1.0])
+
+
+def _loop_values(modes, d, pts):
+    cols = []
+    for m in modes:
+        if isinstance(d, Interval):
+            w = m.index[0] * math.pi / d.length
+            cols.append(m.norm_const * np.sin(w * pts[:, 0]))
+        else:
+            j, k = m.index
+            cols.append(
+                m.norm_const
+                * np.sin(j * math.pi / d.a * pts[:, 0])
+                * np.sin(k * math.pi / d.b * pts[:, 1])
+            )
+    return np.column_stack(cols)
+
+
+def _loop_gradients(modes, d, pts):
+    out = np.empty((len(pts), d.dim, len(modes)))
+    for i, m in enumerate(modes):
+        if isinstance(d, Interval):
+            w = m.index[0] * math.pi / d.length
+            out[:, 0, i] = m.norm_const * w * np.cos(w * pts[:, 0])
+        else:
+            wx = m.index[0] * math.pi / d.a
+            wy = m.index[1] * math.pi / d.b
+            x, y = pts[:, 0], pts[:, 1]
+            out[:, 0, i] = m.norm_const * wx * np.cos(wx * x) * np.sin(wy * y)
+            out[:, 1, i] = m.norm_const * wy * np.sin(wx * x) * np.cos(wy * y)
+    return out
+
+
+class TestModeMatrices:
+    @pytest.mark.parametrize(
+        "d", [Interval(2.7), Rectangle(1.3, 0.7), Rectangle(math.pi, math.pi)]
+    )
+    def test_broadcast_matches_per_mode_loop(self, d):
+        ms = eigenmodes(d, 40)
+        pts, _ = domain_quadrature(d, 12)
+        bpts, _, _ = boundary_quadrature(d, 12)
+        for p in (pts, bpts):
+            assert np.array_equal(mode_values(ms, d, p), _loop_values(ms, d, p))
+            assert np.array_equal(mode_gradients(ms, d, p), _loop_gradients(ms, d, p))
+
+    def test_points_outside_rejected(self):
+        d = Rectangle(1.0, 2.0)
+        ms = eigenmodes(d, 3)
+        with pytest.raises(ValueError):
+            mode_values(ms, d, np.array([[0.5, 2.5]]))
+        with pytest.raises(ValueError):
+            mode_gradients(ms, d, np.array([[-0.1, 1.0]]))
 
 class TestEvalMode:
     def test_peak_of_fundamental(self):
@@ -133,10 +254,7 @@ class TestProjection:
     def test_orthonormality_recovery(self):
         d = Interval(math.pi)
         ms = eigenmodes(d, 5)
-        target = ms[2]
-        c = project(
-            lambda x: mode_values([target], d, x[:, None])[:, 0], d, ms, 64
-        )
+        c = project(lambda x: mode_values(ms[2:3], d, x[:, None])[:, 0], d, ms, 64)
         expect = np.zeros(5)
         expect[2] = 1.0
         assert np.max(np.abs(c.values - expect)) < 1e-10
@@ -184,20 +302,20 @@ class TestFractionalNorms:
     def test_quarter_power_fundamental(self):
         d = Interval(math.pi)
         ms = eigenmodes(d, 2)
-        c = SpectralCoefficients((ms[0],), [1.0])
+        c = SpectralCoefficients(ms[:1], [1.0])
         assert fractional_norm(c, 0.25) == pytest.approx(1.0)
 
     def test_quarter_power_second_mode(self):
         d = Interval(math.pi)
         ms = eigenmodes(d, 2)
-        c = SpectralCoefficients((ms[1],), [1.0])
+        c = SpectralCoefficients(ms[1:2], [1.0])
         assert fractional_norm(c, 0.25) == pytest.approx(2.0)
 
     def test_h10_norm_equals_gradient_quadrature(self):
         # theta=1/4 realizes the gradient norm; compare against quadrature
         d = Interval(math.pi)
         ms = eigenmodes(d, 1)
-        c = SpectralCoefficients(tuple(ms), [1.0])
+        c = SpectralCoefficients(ms, [1.0])
         pts, w = domain_quadrature(d, 64)
         from fracplate.spectral_domain import mode_gradients
 
@@ -209,7 +327,7 @@ class TestFractionalNorms:
         d = Interval(math.pi)
         ms = eigenmodes(d, 8)
         rng = np.random.default_rng(3)
-        c = SpectralCoefficients(tuple(ms), rng.standard_normal(8))
+        c = SpectralCoefficients(ms, rng.standard_normal(8))
         pts, w = domain_quadrature(d, 64)
         f = mode_values(ms, d, pts) @ c.values
         l2 = math.sqrt(float(w @ f**2))
@@ -220,7 +338,7 @@ class TestFractionalNorms:
         d = Interval(math.pi)
         ms = eigenmodes(d, 6)
         rng = np.random.default_rng(5)
-        c = SpectralCoefficients(tuple(ms), rng.standard_normal(6))
+        c = SpectralCoefficients(ms, rng.standard_normal(6))
         thetas = [-0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
         norms = [fractional_norm(c, th) for th in thetas]
         assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
@@ -228,14 +346,14 @@ class TestFractionalNorms:
     def test_apply_power_identity(self):
         d = Interval(math.pi)
         ms = eigenmodes(d, 3)
-        c = SpectralCoefficients(tuple(ms), [1.0, 2.0, 3.0])
+        c = SpectralCoefficients(ms, [1.0, 2.0, 3.0])
         out = apply_power(c, 0.0)
         assert np.array_equal(out.values, c.values)
 
     def test_apply_power_mode2_half_inverse(self):
         d = Interval(math.pi)
         ms = eigenmodes(d, 2)
-        c = SpectralCoefficients((ms[1],), [1.0])
+        c = SpectralCoefficients(ms[1:2], [1.0])
         assert apply_power(c, -0.5).values[0] == pytest.approx(0.25, rel=1e-14)
 
     @given(st.floats(min_value=-1.0, max_value=1.0))
@@ -243,7 +361,7 @@ class TestFractionalNorms:
     def test_apply_power_round_trip(self, theta):
         d = Interval(math.pi)
         ms = eigenmodes(d, 5)
-        c = SpectralCoefficients(tuple(ms), [0.3, -1.2, 0.5, 2.0, -0.7])
+        c = SpectralCoefficients(ms, [0.3, -1.2, 0.5, 2.0, -0.7])
         back = apply_power(apply_power(c, theta), -theta)
         assert np.max(np.abs(back.values - c.values)) < 1e-13 * np.max(
             np.abs(c.values)
