@@ -304,16 +304,14 @@ def _pair_weights(t: np.ndarray, i: int, beta: float) -> np.ndarray:
     return num / (2.0 * beta * p)
 
 
-def gagliardo_seminorm(
-    f: TimeSeries, beta: float, norm_cb: Callable[[np.ndarray], float] | None = None
-) -> float:
+def gagliardo_seminorm(f: TimeSeries, beta: float) -> float:
     """Gagliardo seminorm over [0,T]^2 minus the nearest-neighbor band.
 
     Piecewise-constant cell values (endpoint averages) against exactly
     integrated kernel moments; the excluded band makes the estimator a lower
     bound that converges from below under refinement for Hoelder-continuous
-    inputs.  ``norm_cb`` maps a value difference to its H-norm; default is
-    the Euclidean norm on whatever shape the values carry.
+    inputs.  Value differences are measured in the Euclidean norm on
+    whatever shape the values carry.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1): {beta}")
@@ -322,37 +320,24 @@ def gagliardo_seminorm(
     cells = 0.5 * (vals[1:] + vals[:-1])  # one value per cell
     M = cells.shape[0]
     total = 0.0
-    if norm_cb is None:
-        flat = cells.reshape(M, -1)
-        for i in range(2, M):
-            w = _pair_weights(t, i, beta)
-            diff = flat[i] - flat[: i - 1]
-            total += float(w @ np.sum(diff * diff, axis=1))
-    else:
-        for i in range(2, M):
-            w = _pair_weights(t, i, beta)
-            for j in range(i - 1):
-                total += w[j] * norm_cb(cells[i] - cells[j]) ** 2
+    flat = cells.reshape(M, -1)
+    for i in range(2, M):
+        w = _pair_weights(t, i, beta)
+        diff = flat[i] - flat[: i - 1]
+        total += float(w @ np.sum(diff * diff, axis=1))
     return math.sqrt(2.0 * total)
 
 
-def l2_time_norm(
-    f: TimeSeries, norm_cb: Callable[[np.ndarray], float] | None = None
-) -> float:
+def l2_time_norm(f: TimeSeries) -> float:
     """Trapezoid L^2(0,T;H) norm of a sampled series."""
     t = f.grid.nodes
-    if norm_cb is None:
-        sq = np.sum(f.values.reshape(len(t), -1) ** 2, axis=1)
-    else:
-        sq = np.array([norm_cb(v) ** 2 for v in f.values])
+    sq = np.sum(f.values.reshape(len(t), -1) ** 2, axis=1)
     return math.sqrt(float(np.trapezoid(sq, t)))
 
 
-def hbeta_norm(
-    f: TimeSeries, beta: float, norm_cb: Callable[[np.ndarray], float] | None = None
-) -> float:
+def hbeta_norm(f: TimeSeries, beta: float) -> float:
     """Fractional Sobolev norm in time: L^2 norm plus Gagliardo seminorm."""
-    return l2_time_norm(f, norm_cb) + gagliardo_seminorm(f, beta, norm_cb)
+    return l2_time_norm(f) + gagliardo_seminorm(f, beta)
 
 
 # }}}

@@ -183,6 +183,43 @@ def trace_energy(tr: TraceSeries) -> float:
 
 # {{{ static multiplier identity
 
+def _multiplier_terms(
+    modes: ModeSet,
+    d: Domain,
+    field: MultiplierField,
+    quad_order: int,
+    interior: np.ndarray,
+    boundary: np.ndarray,
+) -> tuple[float, float, float, float]:
+    """(lhs, boundary, jacobian, divergence) of the multiplier identity.
+
+    The three interior integrals are assembled from the eigen-sum with
+    coefficients ``interior``, the boundary integral from ``boundary``.
+    """
+    lam = modes.lam
+    mu = modes.mu
+    pts, qw = domain_quadrature(d, quad_order)
+    basis = mode_values(modes, d, pts)
+    grads = mode_gradients(modes, d, pts)
+    bilap = basis @ (lam * interior)
+    grad_lap = -np.einsum("pdm,m->pd", grads, mu * interior)
+    hv = field.h(pts)
+    jac = field.jacobian(pts)
+    divv = field.divergence(pts)
+
+    lhs = 2.0 * float(qw @ (bilap * np.sum(hv * grad_lap, axis=1)))
+    jac_term = -2.0 * float(qw @ np.einsum("pij,pi,pj->p", jac, grad_lap, grad_lap))
+    div_term = float(qw @ (divv * np.sum(grad_lap**2, axis=1)))
+
+    bpts, bw, normals = boundary_quadrature(d, quad_order)
+    _check_alignment(field, bpts, normals)
+    nd = mode_normal_derivatives(modes, d, bpts, normals)
+    dnu_lap = nd @ (-(mu * boundary))
+    hnu = np.sum(field.h(bpts) * normals, axis=1)
+    bnd_term = float(bw @ (hnu * dnu_lap**2))
+    return lhs, bnd_term, jac_term, div_term
+
+
 def static_multiplier_identity_terms(
     w: SpectralCoefficients,
     d: Domain,
@@ -196,36 +233,12 @@ def static_multiplier_identity_terms(
     Supplying w as an eigen-sum guarantees the boundary conditions exactly.
     """
     field = field or boundary_normal_field(d)
-    modes = w.modes
     if quad_order is None:
-        quad_order = _boundary_order(modes)
-    lam = w.lambdas
-    mu = np.sqrt(lam)
-    pts, qw = domain_quadrature(d, quad_order)
-    basis = mode_values(modes, d, pts)
-    grads = mode_gradients(modes, d, pts)
-    bilap = basis @ (lam * w.values)
-    grad_lap = -np.einsum("pdm,m->pd", grads, mu * w.values)
-    hv = field.h(pts)
-    jac = field.jacobian(pts)
-    divv = field.divergence(pts)
-
-    lhs = 2.0 * float(qw @ (bilap * np.sum(hv * grad_lap, axis=1)))
-    jac_term = -2.0 * float(qw @ np.einsum("pij,pi,pj->p", jac, grad_lap, grad_lap))
-    div_term = float(qw @ (divv * np.sum(grad_lap**2, axis=1)))
-
-    bpts, bw, normals = boundary_quadrature(d, quad_order)
-    _check_alignment(field, bpts, normals)
-    nd = mode_normal_derivatives(modes, d, bpts, normals)
-    dnu_lap = nd @ (-(mu * w.values))
-    hnu = np.sum(field.h(bpts) * normals, axis=1)
-    bnd_term = float(bw @ (hnu * dnu_lap**2))
-    return {
-        "lhs": lhs,
-        "boundary": bnd_term,
-        "jacobian": jac_term,
-        "divergence": div_term,
-    }
+        quad_order = _boundary_order(w.modes)
+    lhs, bnd, jac, div = _multiplier_terms(
+        w.modes, d, field, quad_order, w.values, w.values
+    )
+    return {"lhs": lhs, "boundary": bnd, "jacobian": jac, "divergence": div}
 
 
 def static_multiplier_identity_residual(
@@ -299,36 +312,12 @@ def filtered_identity_terms(
     if tau_index is not None:
         b -= B[tau_index]
         b_exact = b_exact - _filtered_exact(s, beta, float(grid.nodes[tau_index]))
-    lam = s.lambdas
-    mu = s.mus
-    modes = s.modes
-    quad_order = _boundary_order(modes)
-    pts, qw = domain_quadrature(d, quad_order)
-    basis = mode_values(modes, d, pts)
-    grads = mode_gradients(modes, d, pts)
-    filt_caputo = basis @ (-(lam * b))
-    filt_grad_lap = -np.einsum("pdm,m->pd", grads, mu * b)
-    hv = field.h(pts)
-    jac = field.jacobian(pts)
-    divv = field.divergence(pts)
-    term_eq = -2.0 * float(qw @ (filt_caputo * np.sum(hv * filt_grad_lap, axis=1)))
-    term_jac = 2.0 * float(
-        qw @ np.einsum("pij,pi,pj->p", jac, filt_grad_lap, filt_grad_lap)
+    # the filtered Caputo term is -lam b, so the equation term is the static
+    # lhs of b; the Jacobian and divergence terms change sign
+    lhs, bnd, jac, div = _multiplier_terms(
+        s.modes, d, field, _boundary_order(s.modes), b, b_exact
     )
-    term_div = -float(qw @ (divv * np.sum(filt_grad_lap**2, axis=1)))
-
-    bpts, bw, normals = boundary_quadrature(d, quad_order)
-    _check_alignment(field, bpts, normals)
-    nd = mode_normal_derivatives(modes, d, bpts, normals)
-    dnu = nd @ (-(mu * b_exact))
-    hnu = np.sum(field.h(bpts) * normals, axis=1)
-    lhs = float(bw @ (hnu * dnu**2))
-    return {
-        "lhs_boundary": lhs,
-        "equation": term_eq,
-        "jacobian": term_jac,
-        "divergence": term_div,
-    }
+    return {"lhs_boundary": bnd, "equation": lhs, "jacobian": -jac, "divergence": -div}
 
 
 def filtered_identity_residual(

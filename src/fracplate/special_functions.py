@@ -19,14 +19,17 @@ on the negative real axis.  Three strategies cover that axis:
   pair, once its optimal-truncation floor ``exp(-|z|**(1/alpha))`` is below
   the target accuracy.
 
-A vectorized fast path (:func:`ml_profile`) serves the solver, backed by a
-per-``(alpha, beta)`` Chebyshev cache of the intermediate band built from the
-scalar evaluator and verified against it at construction time.
+One array core routes every point: float Taylor and asymptotics run on
+arrays with a per-point stop and error estimate, leftovers one at a time.
+:func:`ml_eval` is the core on one point; :func:`ml_profile` (the solver's
+path) is the core with no accuracy target plus a verified Chebyshev cache of
+the intermediate band.  Non-finite or overflowing arguments raise at once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -217,38 +220,73 @@ def _mp_gammas(alpha: float, beta: float, dps: int, upto: int) -> list:
     return cache
 
 
-def _taylor_float(alpha: float, beta: float, z: float) -> tuple[float, float]:
+# points per pass of the array kernels: a block's working arrays stay small
+# (cache-resident, bounded memory) while per-call overhead stays negligible
+_BLOCK = 1 << 14
+
+
+def _compress(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries of each per-point array that stay in the active set."""
+    return tuple(a[keep] for a in arrays)
+
+
+def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float Taylor sum with a per-point stop; returns (value, est).
+
+    A point stops at the first term past ``k = rho / alpha`` that is below
+    1e-17 of the running sum.  Points stop over a wide range of k, so the
+    stopped ones are dropped only once they are half of the working arrays.
+    """
+    value = np.empty_like(z)
+    est = np.empty_like(z)
     cache = _rgamma_series(alpha, beta, 8)
-    s = 0.0
-    zk = 1.0
-    max_mag = 0.0
-    rho = abs(z) ** (1.0 / alpha) if z != 0.0 else 0.0
-    k = 0
-    t = 0.0
-    while k < 800:
-        if k >= len(cache):
-            _rgamma_series(alpha, beta, k + 16)
-        t = zk * cache[k]
-        s += t
-        mag = abs(t)
-        if mag > max_mag:
-            max_mag = mag
-        if alpha * k > rho and mag <= 1e-17 * (1.0 + abs(s)):
-            break
-        zk *= z
-        k += 1
-    else:
+    for lo in range(0, z.size, _BLOCK):
+        za = z[lo : lo + _BLOCK]
+        idx = np.arange(lo, lo + za.size)
+        live = np.ones(za.size, dtype=bool)
+        rho = np.abs(za) ** (1.0 / alpha)
+        s = np.zeros_like(za)
+        zk = np.ones_like(za)
+        max_mag = np.zeros_like(za)
+        n_live = za.size
+        for k in range(800):
+            if not n_live:
+                break
+            if k >= len(cache):
+                _rgamma_series(alpha, beta, k + 16)
+            t = zk * cache[k]
+            s += t
+            mag = np.abs(t)
+            np.maximum(max_mag, mag, out=max_mag)
+            done = live & (alpha * k > rho) & (mag <= 1e-17 * (1.0 + np.abs(s)))
+            d = np.flatnonzero(done)
+            if d.size:
+                value[idx[d]] = s[d]
+                est[idx[d]] = 4.0 * mag[d] + 1.5e-16 * (k + 3) * (
+                    max_mag[d] + np.abs(s[d])
+                )
+                live[d] = False
+                n_live -= d.size
+                if 2 * n_live <= live.size:
+                    idx, za, rho, s, zk, max_mag = _compress(
+                        live, idx, za, rho, s, zk, max_mag
+                    )
+                    live = np.ones(n_live, dtype=bool)
+            zk *= za
+        if n_live:
+            i = np.flatnonzero(live)[0]
+            raise MLEvaluationError(
+                f"Taylor series did not converge for alpha={alpha}, beta={beta}, "
+                f"z={za[i]}",
+                MLEvaluation(float(s[i]), math.inf, MLMethod.TAYLOR_SERIES),
+            )
+    bad = np.isinf(value)
+    if bad.any():
         raise MLEvaluationError(
-            f"Taylor series did not converge for alpha={alpha}, beta={beta}, z={z}",
-            MLEvaluation(s, math.inf, MLMethod.TAYLOR_SERIES),
+            f"E_{{{alpha},{beta}}}({z[bad][0]}) overflows double precision",
+            MLEvaluation(float(value[bad][0]), math.inf, MLMethod.TAYLOR_SERIES),
         )
-    if math.isinf(s):
-        raise MLEvaluationError(
-            f"E_{{{alpha},{beta}}}({z}) overflows double precision",
-            MLEvaluation(s, math.inf, MLMethod.TAYLOR_SERIES),
-        )
-    est = 4.0 * abs(t) + 1.5e-16 * (k + 3) * (max_mag + abs(s))
-    return s, est
+    return value, est
 
 
 def _taylor_mp(alpha: float, beta: float, z: float) -> tuple[float, float]:
@@ -301,7 +339,7 @@ def _taylor_mp(alpha: float, beta: float, z: float) -> tuple[float, float]:
 
 # {{{ asymptotic expansion (z -> -inf)
 
-def _residue_pair(alpha: float, beta: float, x: float) -> float:
+def _residue_pair(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """Contribution of the conjugate pole pair of the Laplace inversion.
 
     For alpha in (1, 2] the poles at ``x**(1/alpha) * exp(+-i pi/alpha)`` are
@@ -309,65 +347,93 @@ def _residue_pair(alpha: float, beta: float, x: float) -> float:
     alpha = 1 they sit on the cut and contribute half weight; for alpha < 1
     they are off the principal sheet.
     """
+    out = np.zeros_like(x)
     if alpha < 1.0:
-        return 0.0
+        return out
     factor = (1.0 if alpha == 1.0 else 2.0) / alpha
     rho = x ** (1.0 / alpha)
     phi = math.pi / alpha
-    arg = rho * math.cos(phi)
-    if arg < -745.0:
-        return 0.0
-    return (
+    damp = rho * math.cos(phi)
+    live = damp > -745.0
+    rho = rho[live]
+    out[live] = (
         factor
         * rho ** (1.0 - beta)
-        * math.exp(arg)
-        * math.cos(rho * math.sin(phi) + (1.0 - beta) * phi)
+        * np.exp(damp[live])
+        * np.cos(rho * math.sin(phi) + (1.0 - beta) * phi)
     )
+    return out
+
+
+def _tail(env: np.ndarray, env_prev: np.ndarray) -> np.ndarray:
+    # near alpha = 1 the envelope decays slowly and the remainder is a sum of
+    # comparable terms; bound the tail geometrically
+    return env * np.minimum(1.0 / (1.0 - env / env_prev), 1e3)
 
 
 def _asymptotic(
-    alpha: float, beta: float, z: float, target: float
-) -> tuple[float, float] | None:
+    alpha: float, beta: float, z: np.ndarray, target: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residue pair plus the algebraic series -sum z^-k / Gamma(beta - alpha k).
 
     Terms are formed in log space (no Gamma overflow); stopping uses the
     sign-free envelope Gamma(1 + alpha k - beta) / (pi |z|^k), which bounds
-    each term and detects the optimal-truncation floor.  Returns None when
-    the floor exceeds ``target``.
+    each term and detects the optimal-truncation floor.  A point converges
+    once its geometric tail bound is below ``target / 2`` or its envelope
+    is at most 1e-17; it hits the floor when the envelope grows or after
+    199 terms.  Returns ``(value, est, converged)``; a point at the floor
+    keeps the sum up to its smallest term and an infinite estimate.
     """
-    x = -z
-    res = _residue_pair(alpha, beta, x)
-    lnx = math.log(x)
-    s = 0.0
-    env_prev = math.inf
-    max_mag = abs(res)
-    for k in range(1, 200):
-        sign = -1.0 if k % 2 else 1.0
-        w = 1.0 + alpha * k - beta
-        if w > 0.5:
-            env = math.exp(math.lgamma(w) - k * lnx) / math.pi
-            term = sign * _sinpi(beta - alpha * k) * env
-        else:
-            # early terms with beta > 1 + alpha k: reflection would need the
-            # sign of Gamma(w) and degenerates at integer beta - alpha k, so
-            # form the reciprocal gamma directly (its argument is moderate)
-            term = sign * reciprocal_gamma(beta - alpha * k) * math.exp(-k * lnx)
-            env = abs(term)
-        if env >= env_prev:
-            return None
-        s -= term
-        if abs(term) > max_mag:
-            max_mag = abs(term)
-        ratio = env / env_prev
-        env_prev = env
-        # near alpha = 1 the envelope decays slowly and the remainder is a
-        # sum of comparable terms; bound the tail geometrically
-        tail = env * min(1.0 / (1.0 - ratio), 1e3)
-        if tail < 0.5 * target:
-            value = res + s
-            est = 2.0 * tail + 1e-15 + 2e-16 * (max_mag + abs(value))
-            return value, est
-    return None
+    value = np.empty_like(z)
+    est = np.full_like(z, math.inf)
+    converged = np.zeros(z.shape, dtype=bool)
+    for lo in range(0, z.size, _BLOCK):
+        x = -z[lo : lo + _BLOCK]
+        idx = np.arange(lo, lo + x.size)
+        res = _residue_pair(alpha, beta, x)
+        lnx = np.log(x)
+        s = np.zeros_like(x)
+        env_prev = np.full_like(x, math.inf)
+        max_mag = np.abs(res)
+        for k in range(1, 200):
+            if not idx.size:
+                break
+            sign = -1.0 if k % 2 else 1.0
+            w = 1.0 + alpha * k - beta
+            if w > 0.5:
+                env = np.exp(math.lgamma(w) - k * lnx) / math.pi
+                term = sign * _sinpi(beta - alpha * k) * env
+            else:
+                # early terms with beta > 1 + alpha k: reflection would need the
+                # sign of Gamma(w) and degenerates at integer beta - alpha k, so
+                # form the reciprocal gamma directly (its argument is moderate)
+                term = sign * reciprocal_gamma(beta - alpha * k) * np.exp(-k * lnx)
+                env = np.abs(term)
+            floor = ~(env < env_prev)
+            if floor.any():
+                value[idx[floor]] = res[floor] + s[floor]
+                idx, lnx, res, s, env_prev, max_mag, env, term = _compress(
+                    ~floor, idx, lnx, res, s, env_prev, max_mag, env, term
+                )
+            s -= term
+            np.maximum(max_mag, np.abs(term), out=max_mag)
+            conv = env <= 1e-17
+            if target > 0.0:
+                conv |= _tail(env, env_prev) < 0.5 * target
+            d = np.flatnonzero(conv)
+            if d.size:
+                v = res[d] + s[d]
+                value[idx[d]] = v
+                est[idx[d]] = 2.0 * _tail(env[d], env_prev[d]) + 1e-15 + 2e-16 * (
+                    max_mag[d] + np.abs(v)
+                )
+                converged[idx[d]] = True
+                idx, lnx, res, s, env, max_mag = _compress(
+                    ~conv, idx, lnx, res, s, env, max_mag
+                )
+            env_prev = env
+        value[idx] = res + s
+    return value, est, converged
 
 
 # }}}
@@ -441,7 +507,7 @@ def _integral_rep(alpha: float, beta: float, z: float) -> tuple[float, float]:
             epsrel=1e-13,
             limit=200,
         )
-    res = _residue_pair(alpha, beta, x)
+    res = float(_residue_pair(alpha, beta, np.array([x]))[0])
     value = res + (i1 + i2) / math.pi
     # the adaptive estimate can be optimistic when the near-pole ridge gets
     # sharp (alpha close to 1); pad it accordingly
@@ -452,56 +518,88 @@ def _integral_rep(alpha: float, beta: float, z: float) -> tuple[float, float]:
 # }}}
 
 
-# {{{ scalar evaluation
+# {{{ evaluation
 
-def _eval_scalar(alpha: float, beta: float, z: float) -> MLEvaluation:
-    if z == 0.0:
-        v = reciprocal_gamma(beta)
-        return MLEvaluation(v, 4e-16 * abs(v), MLMethod.TAYLOR_SERIES)
+_METHODS = tuple(MLMethod)
+_TAYLOR, _ASYMPTOTIC, _INTEGRAL = range(3)
 
-    if z > 0.0:
-        if z <= _TAYLOR_ZMAX:
-            v, e = _taylor_float(alpha, beta, z)
-        else:
-            v, e = _taylor_mp(alpha, beta, z)
-        return MLEvaluation(v, e, MLMethod.TAYLOR_SERIES)
+# ln E_{a,b}(z) ~ z^(1/a) + ((1-b)/a) ln z - ln a for large z > 0, up to O(1/z)
+# for alpha < 4; a margin of e^2 past DBL_MAX leaves every finite value alone
+_LOG_OVERFLOW = math.log(sys.float_info.max) + 2.0
 
-    x = -z
-    rho = x ** (1.0 / alpha)
-    if x <= _TAYLOR_ZMAX:
-        if rho <= _FLOAT_RHO_MAX:
-            v, e = _taylor_float(alpha, beta, z)
-        else:
-            v, e = _taylor_mp(alpha, beta, z)
-        return MLEvaluation(v, e, MLMethod.TAYLOR_SERIES)
 
-    out = _asymptotic(alpha, beta, z, target=2e-13)
-    if out is not None:
-        v, e = out
-        if e <= max(2e-13, 1e-13 * abs(v)):
-            return MLEvaluation(v, e, MLMethod.ASYMPTOTIC_EXPANSION)
+def _eval(
+    alpha: float, beta: float, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route each point of ``z`` and return ``(value, est, method)``.
 
-    if 1.02 <= alpha <= 2.0:
-        v, e = _integral_rep(alpha, beta, z)
-        return MLEvaluation(v, e, MLMethod.INTEGRAL_REPRESENTATION)
+    ``method`` indexes :data:`_METHODS`.  The float Taylor sum and the
+    asymptotic expansion run on arrays; the extended-precision Taylor sum
+    and the integral representation run one point at a time, only on the
+    points that the float routes leave behind.
+    """
+    if not np.all(np.isfinite(z)):
+        raise ValueError("Mittag-Leffler argument must be finite")
+    value = np.empty_like(z)
+    est = np.empty_like(z)
+    method = np.full(z.shape, _TAYLOR, dtype=np.int8)
+    x = np.abs(z)
+    with np.errstate(over="ignore"):
+        rho = x ** (1.0 / alpha)
 
-    # alpha near or below 1 in the intermediate band: guarded Taylor is
-    # affordable there because rho stays modest
-    try:
-        v, e = _taylor_mp(alpha, beta, z)
-    except MLEvaluationError as exc:
-        # the asymptotic estimate can miss the tighter bar above by its own
-        # 1e-15 floor; it is still returned when it meets the contract
-        if out is not None and out[1] <= max(1e-12, 1e-12 * abs(out[0])):
-            return MLEvaluation(out[0], out[1], MLMethod.ASYMPTOTIC_EXPANSION)
-        partial = None
-        if out is not None:
-            partial = MLEvaluation(out[0], out[1], MLMethod.ASYMPTOTIC_EXPANSION)
-        raise MLEvaluationError(
-            f"no strategy converged for alpha={alpha}, beta={beta}, z={z}",
-            partial or exc.partial,
-        ) from exc
-    return MLEvaluation(v, e, MLMethod.TAYLOR_SERIES)
+    pos = z > 0.0
+    if pos.any():
+        growth = rho[pos] + (1.0 - beta) / alpha * np.log(z[pos]) - math.log(alpha)
+        if np.max(growth) > _LOG_OVERFLOW:
+            raise MLEvaluationError(
+                f"E_{{{alpha},{beta}}}({z[pos][np.argmax(growth)]}) "
+                "overflows double precision"
+            )
+
+    zero = z == 0.0
+    v0 = reciprocal_gamma(beta)
+    value[zero] = v0
+    est[zero] = 4e-16 * abs(v0)
+
+    small = ~zero & (x <= _TAYLOR_ZMAX)
+    flt = small & (pos | (rho <= _FLOAT_RHO_MAX))
+    if flt.any():
+        value[flt], est[flt] = _taylor(alpha, beta, z[flt])
+    for i in np.flatnonzero((small & ~flt) | (pos & ~small)):
+        value[i], est[i] = _taylor_mp(alpha, beta, float(z[i]))
+
+    far = np.flatnonzero(~pos & ~small & ~zero)
+    if not far.size:
+        return value, est, method
+    va, ea, conv = _asymptotic(alpha, beta, z[far], target=2e-13)
+    ok = conv & (ea <= np.maximum(2e-13, 1e-13 * np.abs(va)))
+    value[far[ok]], est[far[ok]], method[far[ok]] = va[ok], ea[ok], _ASYMPTOTIC
+    for j in np.flatnonzero(~ok):
+        i = far[j]
+        if 1.02 <= alpha <= 2.0:
+            value[i], est[i] = _integral_rep(alpha, beta, float(z[i]))
+            method[i] = _INTEGRAL
+            continue
+        # alpha near or below 1 in the intermediate band: guarded Taylor is
+        # affordable there because rho stays modest
+        try:
+            value[i], est[i] = _taylor_mp(alpha, beta, float(z[i]))
+        except MLEvaluationError as exc:
+            # the asymptotic estimate can miss the tighter bar above by its
+            # own 1e-15 floor; it is still returned when it meets the contract
+            if conv[j] and ea[j] <= max(1e-12, 1e-12 * abs(va[j])):
+                value[i], est[i], method[i] = va[j], ea[j], _ASYMPTOTIC
+                continue
+            partial = exc.partial
+            if conv[j]:
+                partial = MLEvaluation(
+                    float(va[j]), float(ea[j]), MLMethod.ASYMPTOTIC_EXPANSION
+                )
+            raise MLEvaluationError(
+                f"no strategy converged for alpha={alpha}, beta={beta}, z={z[i]}",
+                partial,
+            ) from exc
+    return value, est, method
 
 
 def ml_eval(p: MLParams, z: float) -> MLEvaluation:
@@ -510,9 +608,11 @@ def ml_eval(p: MLParams, z: float) -> MLEvaluation:
     Accuracy contract: ``|value - E| <= max(1e-12, 1e-12 |value|)`` for
     real ``z`` in ``[-1e8, 10]`` (alpha in (0, 2]); the recorded
     ``est_abs_error`` is an upper bound for the truncation error of the
-    method actually used.
+    method actually used.  Raises ValueError for a non-finite ``z`` and
+    :class:`MLEvaluationError` when the value overflows double precision.
     """
-    return _eval_scalar(p.alpha, p.beta, float(z))
+    value, est, method = _eval(p.alpha, p.beta, np.array([float(z)]))
+    return MLEvaluation(float(value[0]), float(est[0]), _METHODS[method[0]])
 
 
 # }}}
@@ -543,92 +643,32 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
     n = _CHEB_DEGREE + 1
     tk = np.cos(np.pi * (np.arange(n) + 0.5) / n)
     ys = 0.5 * (ya + yb) + 0.5 * (yb - ya) * tk
-    vals = np.array([_eval_scalar(alpha, beta, -math.exp(y)).value for y in ys])
-    coef = chebyshev.chebfit(tk, vals, _CHEB_DEGREE)
-    # verify the cache against the scalar evaluator before trusting it
-    rng = np.random.default_rng(12345)
-    for y in rng.uniform(ya, yb, 12):
-        ref = _eval_scalar(alpha, beta, -math.exp(y)).value
-        got = chebyshev.chebval((2.0 * y - (ya + yb)) / (yb - ya), coef)
-        if abs(got - ref) > 1e-11 * max(1.0, abs(ref)):
-            raise MLEvaluationError(
-                f"band cache verification failed for alpha={alpha}, beta={beta}"
-            )
+    coef = chebyshev.chebfit(tk, _eval(alpha, beta, -np.exp(ys))[0], _CHEB_DEGREE)
+    # verify the cache against the evaluator before trusting it
+    ys = np.random.default_rng(12345).uniform(ya, yb, 12)
+    ref = _eval(alpha, beta, -np.exp(ys))[0]
+    got = chebyshev.chebval((2.0 * ys - (ya + yb)) / (yb - ya), coef)
+    if np.any(np.abs(got - ref) > 1e-11 * np.maximum(1.0, np.abs(ref))):
+        raise MLEvaluationError(
+            f"band cache verification failed for alpha={alpha}, beta={beta}"
+        )
     _CHEB_CACHE[key] = (ya, yb, coef)
     return _CHEB_CACHE[key]
-
-
-def _profile_taylor(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    s = np.zeros_like(z)
-    zk = np.ones_like(z)
-    cache = _rgamma_series(alpha, beta, 8)
-    rho_max = float(np.max(np.abs(z))) ** (1.0 / alpha) if z.size else 0.0
-    k = 0
-    while True:
-        if k >= len(cache):
-            _rgamma_series(alpha, beta, k + 16)
-        t = zk * cache[k]
-        s += t
-        if alpha * k > rho_max and np.all(np.abs(t) <= 1e-17 * (1.0 + np.abs(s))):
-            break
-        zk *= z
-        k += 1
-        if k > 900:  # pragma: no cover - guarded by band thresholds
-            raise MLEvaluationError("vector Taylor did not converge")
-    out[:] = s
-    return out
-
-
-def _profile_asymptotic(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    x = -z
-    rho = x ** (1.0 / alpha)
-    phi = math.pi / alpha
-    factor = (1.0 if alpha == 1.0 else 2.0) / alpha if alpha >= 1.0 else 0.0
-    res = np.zeros_like(x)
-    if factor:
-        damp = rho * math.cos(phi)
-        mask = damp > -745.0
-        res[mask] = (
-            factor
-            * rho[mask] ** (1.0 - beta)
-            * np.exp(damp[mask])
-            * np.cos(rho[mask] * math.sin(phi) + (1.0 - beta) * phi)
-        )
-    lnx = np.log(x)
-    s = np.zeros_like(x)
-    env_prev = np.full_like(x, np.inf)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(1, 200):
-        if not active.any():
-            break
-        sign = -1.0 if k % 2 else 1.0
-        w = 1.0 + alpha * k - beta
-        if w > 0.5:
-            env = np.exp(math.lgamma(w) - k * lnx) / math.pi
-            term = sign * _sinpi(beta - alpha * k) * env
-        else:
-            term = sign * reciprocal_gamma(beta - alpha * k) * np.exp(-k * lnx)
-            env = np.abs(term)
-        active &= env < env_prev
-        s[active] -= term[active]
-        env_prev = env
-        active &= env > 1e-17
-    return res + s
 
 
 def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """Vectorized E_{alpha,beta} on the closed negative axis (z <= 0).
 
-    Fast path for the spectral solver: float Taylor for small ``|z|``, a
-    verified Chebyshev interpolant of the branch-cut representation in the
-    intermediate band, and the residue-corrected algebraic expansion beyond.
-    Requires alpha in (1, 2]; absolute accuracy ~1e-12.
+    The same float Taylor sum and asymptotic expansion as :func:`ml_eval`,
+    run with no accuracy target so that the asymptotic optimal-truncation
+    floor is accepted, plus a verified Chebyshev interpolant of the
+    evaluator in the intermediate band.  Requires alpha in (1, 2]; absolute
+    accuracy ~1e-12.
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"ml_profile requires alpha in (1, 2]: {alpha}")
     z = np.asarray(z, dtype=float)
-    if z.size and np.max(z) > 0.0:
+    if z.size and not np.max(z) <= 0.0:
         raise ValueError("ml_profile is defined for z <= 0 only")
     flat = z.ravel()
     out = np.empty_like(flat)
@@ -640,13 +680,13 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     big = a > B
     mid = ~small & ~big
     if small.any():
-        out[small] = _profile_taylor(alpha, beta, flat[small])
+        out[small] = _taylor(alpha, beta, flat[small])[0]
     if mid.any():
         ya, yb, coef = _cheb_band(alpha, beta)
         t = (2.0 * np.log(a[mid]) - (ya + yb)) / (yb - ya)
         out[mid] = chebyshev.chebval(t, coef)
     if big.any():
-        out[big] = _profile_asymptotic(alpha, beta, flat[big])
+        out[big] = _asymptotic(alpha, beta, flat[big], target=0.0)[0]
     return out.reshape(z.shape)
 
 
@@ -689,9 +729,10 @@ def ml_series_oracle(p: MLParams, z: float, n_terms: int, dps: int = 50) -> floa
 
 # {{{ derivative identities (fourth-order FD cross-check)
 
-def _fd5(f, t: float, h: float) -> float:
-    """Fourth-order centered first derivative."""
-    return (f(t - 2 * h) - 8 * f(t - h) + 8 * f(t + h) - f(t + 2 * h)) / (12.0 * h)
+def _fd5(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Fourth-order centered first derivative from the rows at t-2h, t-h,
+    t+h, t+2h."""
+    return (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12.0 * h)
 
 
 def ml_derivative_identity_residuals(
@@ -713,47 +754,39 @@ def ml_derivative_identity_residuals(
         raise ValueError(f"alpha must lie in (1, 2): {alpha}")
     if lam < 0.0:
         raise ValueError(f"lam must be non-negative: {lam}")
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.min(times) <= 0.0:
+    t = np.asarray(times, dtype=float)
+    if t.size == 0 or np.min(t) <= 0.0:
         raise ValueError("sample times must be strictly positive")
 
-    e1 = MLParams(alpha, 1.0)
-    ea = MLParams(alpha, alpha)
-    e2 = MLParams(alpha, 2.0)
-    eam1 = MLParams(alpha, alpha - 1.0)
+    h = np.minimum(t / 3.0, (1.0 + lam) ** (-1.0 / alpha)) / 48.0
+    # stencil rows, then the sample times themselves as the last row
+    ts = np.stack([t - 2 * h, t - h, t + h, t + 2 * h, t])
+    z = -lam * ts**alpha
 
-    def f_e1(t: float) -> float:
-        return ml_eval(e1, -lam * t**alpha).value
+    def kernel(beta: float, zr: np.ndarray) -> np.ndarray:
+        return _eval(alpha, beta, zr.ravel())[0].reshape(zr.shape)
 
-    def f_te2(t: float) -> float:
-        return t * ml_eval(e2, -lam * t**alpha).value
-
-    def f_taea(t: float) -> float:
-        return t ** (alpha - 1.0) * ml_eval(ea, -lam * t**alpha).value
-
-    char = (1.0 + lam) ** (-1.0 / alpha)
-    r1 = r2 = r3 = 0.0
-    for t in times:
-        h = min(t / 3.0, char) / 48.0
-        z = -lam * t**alpha
-        d1 = _fd5(f_e1, t, h)
-        rhs1 = -lam * t ** (alpha - 1.0) * ml_eval(ea, z).value
-        r1 = max(r1, abs(d1 - rhs1))
-        d2 = _fd5(f_te2, t, h)
-        rhs2 = ml_eval(e1, z).value
-        r2 = max(r2, abs(d2 - rhs2))
-        d3 = _fd5(f_taea, t, h)
-        rhs3 = t ** (alpha - 2.0) * ml_eval(eam1, z).value
-        r3 = max(r3, abs(d3 - rhs3))
+    e1 = kernel(1.0, z)
+    ea = kernel(alpha, z)
+    e2 = kernel(2.0, z[:4])
+    eam1 = kernel(alpha - 1.0, z[4])
+    d1 = _fd5(e1, h)
+    rhs1 = -lam * t ** (alpha - 1.0) * ea[4]
+    d2 = _fd5(ts[:4] * e2, h)
+    d3 = _fd5(ts[:4] ** (alpha - 1.0) * ea[:4], h)
+    rhs3 = t ** (alpha - 2.0) * eam1
+    r1 = float(np.max(np.abs(d1 - rhs1)))
+    r2 = float(np.max(np.abs(d2 - e1[4])))
+    r3 = float(np.max(np.abs(d3 - rhs3)))
 
     report = VerificationReport(
         name="ml_derivative_identities",
         inputs={
             "alpha": alpha,
             "lam": lam,
-            "t_min": float(times.min()),
-            "t_max": float(times.max()),
-            "n_times": int(times.size),
+            "t_min": float(t.min()),
+            "t_max": float(t.max()),
+            "n_times": int(t.size),
         },
         metrics={
             "residual_dEa": r1,
@@ -847,19 +880,11 @@ def ml_decay_bound_estimate(p: MLParams, sample_count: int) -> MLDecayBound:
     if sample_count < 2:
         raise ValueError("sample_count must be at least 2")
     exps = np.linspace(-8.0, 8.0, sample_count)
-    c_hat = 0.0
-    c_capped = 0.0
-    argmax = 0.0
-    for e in exps:
-        x = 10.0**e
-        val = abs(_eval_scalar(p.alpha, p.beta, -x).value) * (1.0 + x)
-        if val > c_hat:
-            c_hat = val
-            argmax = x
-        if e <= 4.0 and val > c_capped:
-            c_capped = val
-    saturated = c_hat <= 1.25 * c_capped
-    return MLDecayBound(c_hat, argmax, saturated, sample_count)
+    x = 10.0**exps
+    val = np.abs(_eval(p.alpha, p.beta, -x)[0]) * (1.0 + x)
+    top = int(np.argmax(val))
+    saturated = val[top] <= 1.25 * np.max(val[exps <= 4.0], initial=0.0)
+    return MLDecayBound(float(val[top]), float(x[top]), bool(saturated), sample_count)
 
 
 # }}}

@@ -215,14 +215,6 @@ class TestHbetaNorm:
         got = hbeta_norm(TimeSeries(g, g.nodes), 0.5)
         assert got == pytest.approx(math.sqrt(1.0 / 3.0) + 1.0, rel=0.02)
 
-    def test_custom_norm_callback(self):
-        g = TimeGrid.uniform(1.0, 64)
-        vals = np.column_stack([g.nodes, -g.nodes])
-        cb = lambda v: float(np.linalg.norm(v))  # noqa: E731
-        direct = hbeta_norm(TimeSeries(g, vals, "l2"), 0.5)
-        with_cb = hbeta_norm(TimeSeries(g, vals, "l2"), 0.5, cb)
-        assert with_cb == pytest.approx(direct, rel=1e-12)
-
 
 class TestNormEquivalenceProbe:
     def test_fourier_family_spread(self):

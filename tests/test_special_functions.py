@@ -1,6 +1,9 @@
 """Gamma and Mittag-Leffler evaluation against independent oracles."""
 
+import hashlib
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -135,10 +138,10 @@ class TestMLEval:
         for alpha, beta in [(1.2, 1.0), (1.35, 2.0)]:
             for z in (-80.0, -64.0):
                 vi, _ = _integral_rep(alpha, beta, z)
-                out = _asymptotic(alpha, beta, z, target=1e-11)
-                if out is None:
+                va, _, conv = _asymptotic(alpha, beta, np.array([z]), target=1e-11)
+                if not conv[0]:
                     continue
-                assert abs(vi - out[0]) < 5e-11
+                assert abs(vi - va[0]) < 5e-11
 
     def test_asymptotic_estimate_within_contract_is_returned(self):
         # the asymptotic estimate lands a hair above its 2e-13 bar here and
@@ -345,3 +348,120 @@ def test_decay_bound_at_full_sample_scale():
     est_half = ml_decay_bound_estimate(MLParams(1.5, 1.0), 5_000)
     assert est.saturated
     assert abs(est.c_hat - est_half.c_hat) / est_half.c_hat < 0.05
+
+
+class TestOutOfRange:
+    def test_positive_overflow_raises_before_summing(self, monkeypatch):
+        from fracplate import special_functions as sf
+
+        def forbidden(*args):
+            raise AssertionError("extended-precision Taylor must not run")
+
+        monkeypatch.setattr(sf, "_taylor_mp", forbidden)
+        with pytest.raises(sf.MLEvaluationError, match="overflows double precision"):
+            ml_eval(MLParams(1.5, 1.0), 1e8)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            ml_eval(MLParams(1.5, 1.0), z)
+
+    def test_profile_rejects_nan(self):
+        with pytest.raises(ValueError):
+            ml_profile(1.5, 1.0, np.array([-1.0, math.nan]))
+
+    def test_cli_exits_nonzero_on_overflow(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracplate.cli", "ml",
+             "--alpha", "1.5", "--beta", "1", "--z=1e300"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "overflows double precision" in proc.stderr
+
+
+def test_pinned_routes_cli_bytes(capsys):
+    # every non-asymptotic route of the `ml` command, pinned by the sha256 of
+    # its concatenated output (63 TaylorSeries, 22 IntegralRepresentation)
+    from fracplate.cli import main
+
+    kept = []
+    for alpha in (1.2, 1.5, 1.8):
+        for beta in (0.5, 1, 2):
+            for z in (0, 5, 10, -0.5, -5, -9, -20, -40, -60, -100, -1e3, -1e6):
+                assert main(["ml", "--alpha", str(alpha), "--beta", str(beta),
+                             f"--z={z}"]) == 0
+                out = capsys.readouterr().out
+                if not out.rstrip().endswith("AsymptoticExpansion"):
+                    kept.append(out)
+    assert len(kept) == 85
+    assert sum(o.rstrip().endswith("IntegralRepresentation") for o in kept) == 22
+    digest = hashlib.sha256("".join(kept).encode()).hexdigest()
+    assert digest == "ecb75cf2c1a272ddf537359ee1a7e77d3d574d4da5ede7abbb4b1ea2171c102b"
+
+
+_PROFILE_GRIDS = [
+    (alpha, beta, -np.logspace(-6, 7, 160))
+    for alpha, beta in [(1.2, 1.0), (1.5, 2.0), (1.8, 1.5)]
+] + [(1.5, 2.0, np.array([0.0, -1.0]))]
+
+
+@pytest.mark.parametrize("alpha,beta,z", _PROFILE_GRIDS)
+def test_profile_batch_independent(alpha, beta, z):
+    prof = ml_profile(alpha, beta, z)
+    alone = np.array([ml_profile(alpha, beta, z[i : i + 1])[0] for i in range(z.size)])
+    assert np.array_equal(prof, alone)
+
+
+@pytest.mark.parametrize("alpha,beta,z", _PROFILE_GRIDS)
+def test_profile_agrees_with_ml_eval(alpha, beta, z):
+    from fracplate.special_functions import _profile_B, _profile_zf
+
+    prof = ml_profile(alpha, beta, z)
+    a = np.abs(z)
+    taylor = a < _profile_zf(alpha)
+    big = a > _profile_B(alpha)
+    assert taylor.any()
+    for i in np.flatnonzero(taylor):
+        assert prof[i] == ml_eval(MLParams(alpha, beta), float(z[i])).value
+    for i in np.flatnonzero(big):
+        ref = ml_eval(MLParams(alpha, beta), float(z[i]))
+        assert abs(prof[i] - ref.value) <= ref.est_abs_error
+
+
+def _fd5_loop(f, t, h):
+    return (f(t - 2 * h) - 8 * f(t - h) + 8 * f(t + h) - f(t + 2 * h)) / (12.0 * h)
+
+
+@pytest.mark.parametrize("alpha,lam", [(1.5, 1.0), (1.2, 100.0), (1.8, 10.0)])
+def test_derivative_identities_match_pointwise_loop(alpha, lam):
+    # the per-node ml_eval loop the array version replaced; powers of t are
+    # rounded differently, so agreement is to rounding amplified by 1/h
+    times = np.geomspace(0.05, 1.0, 12)
+
+    def e(beta, t):
+        return ml_eval(MLParams(alpha, beta), -lam * t**alpha).value
+
+    r = [0.0, 0.0, 0.0]
+    for t in times:
+        h = min(t / 3.0, (1.0 + lam) ** (-1.0 / alpha)) / 48.0
+        d1 = _fd5_loop(lambda s: e(1.0, s), t, h)
+        d2 = _fd5_loop(lambda s: s * e(2.0, s), t, h)
+        d3 = _fd5_loop(lambda s: s ** (alpha - 1.0) * e(alpha, s), t, h)
+        r[0] = max(r[0], abs(d1 + lam * t ** (alpha - 1.0) * e(alpha, t)))
+        r[1] = max(r[1], abs(d2 - e(1.0, t)))
+        r[2] = max(r[2], abs(d3 - t ** (alpha - 2.0) * e(alpha - 1.0, t)))
+    rep = ml_derivative_identity_residuals(alpha, lam, times)
+    got = [rep.metrics[k] for k in ("residual_dEa", "residual_dtEa2", "residual_dtam1Eaa")]
+    assert np.allclose(got, r, rtol=0.0, atol=1e-10)
+
+
+def test_decay_bound_matches_pointwise_loop():
+    p = MLParams(1.5, 1.0)
+    xs = 10.0 ** np.linspace(-8.0, 8.0, 200)
+    vals = [abs(ml_eval(p, -float(x)).value) * (1.0 + x) for x in xs]
+    est = ml_decay_bound_estimate(p, 200)
+    assert est.c_hat == pytest.approx(max(vals), rel=1e-12)
+    assert est.argmax_abs_z == pytest.approx(xs[int(np.argmax(vals))], rel=1e-12)
