@@ -127,7 +127,7 @@ class TimeSeries:
 
 # {{{ Riemann-Liouville integral (product trapezoidal, exact moments)
 
-_RL_MATRIX_CACHE: dict[tuple[bytes, float], np.ndarray] = {}
+_RL_BLOCK_ROWS = 256  # rl_integral's working set: this many rows of weights
 
 
 def _cell_moments(
@@ -161,38 +161,48 @@ def _cell_moments(
     return H, G
 
 
-def rl_integral_matrix(grid: TimeGrid, beta: float) -> np.ndarray:
-    """Lower-triangular matrix W with (W @ f)(t_n) = I^beta f(t_n).
+def rl_integral_matrix(
+    grid: TimeGrid, beta: float, rows: Sequence[int] | np.ndarray | None = None
+) -> np.ndarray:
+    """Rows of the lower-triangular W with (W @ f)(t_n) = I^beta f(t_n).
 
     Row n carries the exact moments of the kernel against the piecewise
-    linear interpolant.  Cached per (grid, beta): repeated per-mode
-    applications then cost one matvec each.
+    linear interpolant on cells 0..n-1, so it costs O(n).  ``rows`` selects
+    node indices (default: all, the full (M+1)^2 matrix); the result has
+    one row per index.  Nothing is cached: callers that need ``I^beta`` of
+    a whole series use ``rl_integral``, which applies the rows in blocks.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1]: {beta}")
-    key = (grid.nodes.tobytes(), beta)
-    hit = _RL_MATRIX_CACHE.get(key)
-    if hit is not None:
-        return hit
     t = grid.nodes
     M = len(t) - 1
-    W = np.zeros((M + 1, M + 1))
+    rows = np.arange(M + 1) if rows is None else np.asarray(rows, dtype=int).ravel()
+    if np.any(rows < 0) or np.any(rows > M):
+        raise ValueError(f"row indices must lie in [0, {M}]")
+    W = np.zeros((len(rows), M + 1))
     w0 = 1.0 / gamma_fn(beta)
-    for n in range(1, M + 1):
+    for r, n in enumerate(rows):
         dl = t[n] - t[:n]  # distances to left cell edges (b)
         dr = t[n] - t[1 : n + 1]  # distances to right cell edges (a)
         dx = t[1 : n + 1] - t[:n]
         H, G = _cell_moments(dr, dl, dx, beta)
-        W[n, :n] += w0 * H / dx
-        W[n, 1 : n + 1] += w0 * G / dx
-    _RL_MATRIX_CACHE[key] = W
+        W[r, :n] += w0 * H / dx
+        W[r, 1 : n + 1] += w0 * G / dx
     return W
 
 
 def rl_integral(f: TimeSeries, beta: float) -> TimeSeries:
-    """Riemann-Liouville integral of order beta in (0, 1] on the same grid."""
-    W = rl_integral_matrix(f.grid, beta)
-    return TimeSeries(f.grid, W @ f.values, f.space)
+    """Riemann-Liouville integral of order beta in (0, 1] on the same grid.
+
+    Values may carry any trailing shape; each component is integrated.
+    """
+    n = len(f.grid)
+    v = f.values.reshape(n, -1)
+    out = np.empty_like(v)
+    for lo in range(0, n, _RL_BLOCK_ROWS):
+        hi = min(lo + _RL_BLOCK_ROWS, n)
+        out[lo:hi] = rl_integral_matrix(f.grid, beta, np.arange(lo, hi)) @ v
+    return TimeSeries(f.grid, out.reshape(f.values.shape), f.space)
 
 
 # }}}
@@ -200,54 +210,45 @@ def rl_integral(f: TimeSeries, beta: float) -> TimeSeries:
 
 # {{{ grid differentiation (Fornberg weights)
 
-_DIFF_STENCIL_CACHE: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+def _fornberg(x: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
+    """Finite-difference weights for the m-th derivative at x0 on nodes x.
 
-
-def _fornberg(x: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at x0 on nodes x."""
-    n = len(x)
-    C = np.zeros((n, m + 1))
-    C[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
+    Vectorized over stencils: ``x`` has shape (k, n) and ``x0`` shape (k,);
+    row i of the result holds the n weights of stencil i.
+    """
+    stencils, n = x.shape
+    C = np.zeros((stencils, n, m + 1))
+    C[:, 0, 0] = 1.0
+    c1 = np.ones(stencils)
+    c4 = x[:, 0] - x0
     for i in range(1, n):
         mn = min(i, m)
-        c2 = 1.0
+        c2 = np.ones(stencils)
         c5 = c4
-        c4 = x[i] - x0
+        c4 = x[:, i] - x0
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[:, i] - x[:, j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    C[i, k] = c1 * (k * C[i - 1, k - 1] - c5 * C[i - 1, k]) / c2
-                C[i, 0] = -c1 * c5 * C[i - 1, 0] / c2
+                    C[:, i, k] = c1 * (k * C[:, i - 1, k - 1] - c5 * C[:, i - 1, k]) / c2
+                C[:, i, 0] = -c1 * c5 * C[:, i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                C[j, k] = (c4 * C[j, k] - k * C[j, k - 1]) / c3
-            C[j, 0] = c4 * C[j, 0] / c3
+                C[:, j, k] = (c4 * C[:, j, k] - k * C[:, j, k - 1]) / c3
+            C[:, j, 0] = c4 * C[:, j, 0] / c3
         c1 = c2
-    return C[:, m]
+    return C[:, :, m]
 
 
 def _derivative_stencils(
     nodes: np.ndarray, width: int = 5
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node 5-point Fornberg weights and stencil start offsets."""
-    key = nodes.tobytes()
-    hit = _DIFF_STENCIL_CACHE.get(key)
-    if hit is not None:
-        return hit
     n = len(nodes)
     if n < width:
         raise ValueError(f"need at least {width} nodes for the stencil")
-    W = np.zeros((n, width))
-    lo = np.zeros(n, dtype=int)
-    half = width // 2
-    for i in range(n):
-        start = min(max(i - half, 0), n - width)
-        lo[i] = start
-        W[i] = _fornberg(nodes[start : start + width], nodes[i], 1)
-    _DIFF_STENCIL_CACHE[key] = (W, lo)
+    lo = np.clip(np.arange(n) - width // 2, 0, n - width)
+    W = _fornberg(nodes[lo[:, None] + np.arange(width)], nodes, 1)
     return W, lo
 
 
@@ -258,31 +259,35 @@ def grid_derivative(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     annihilate constants, and subtracting the node value first keeps the
     rounding error proportional to the local variation instead of
     ``eps * max|w| * |f|``, which would drown the tiny graded cells near 0.
+    Values may carry any trailing shape; each component is differentiated.
     """
     v = np.asarray(values, dtype=float)
     W, lo = _derivative_stencils(grid.nodes)
-    idx = lo[:, None] + np.arange(W.shape[1])[None, :]
-    gathered = v[idx] - v[:, None]
-    return np.einsum("iw,iw->i", W, gathered)
+    n, width = W.shape
+    cols = v.reshape(n, -1).T
+    gathered = cols[:, lo[:, None] + np.arange(width)] - cols[:, :, None]
+    # one 5-term row per (component, node): with extra axes einsum sums in
+    # another order, and components would not be bit-equal to 1-D inputs
+    d = np.einsum("iw,iw->i", np.tile(W, (len(cols), 1)), gathered.reshape(-1, width))
+    return d.reshape(len(cols), n).T.reshape(v.shape)
 
 
 def caputo_derivative(f: TimeSeries, alpha: float, f1_0: float | np.ndarray) -> TimeSeries:
     """Caputo derivative of order alpha in (1, 2) via d/dt I^(2-alpha)(f'-f'(0)).
 
     ``f1_0`` is the caller-supplied exact initial slope: estimating it from
-    the samples would dominate the error budget.  The first node of the
-    output is NaN (the derivative there is not formed); remaining nodes carry
-    the full stencil accuracy.
+    the samples would dominate the error budget; for values of shape
+    (M+1, k) it holds one slope per column.  The first node of the output is
+    NaN (the derivative there is not formed); remaining nodes carry the full
+    stencil accuracy.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2): {alpha}")
     if len(f.grid) < 7:
         raise ValueError("need at least 7 nodes for a stable second difference")
-    fp = grid_derivative(f.grid, f.values)
-    fp = fp - np.asarray(f1_0, dtype=float)
+    fp = grid_derivative(f.grid, f.values) - np.asarray(f1_0, dtype=float)
     inner = rl_integral(TimeSeries(f.grid, fp, f.space), 2.0 - alpha)
     out = grid_derivative(f.grid, inner.values)
-    out = np.asarray(out, dtype=float)
     out[0] = np.nan
     return TimeSeries(f.grid, out, f.space)
 

@@ -257,15 +257,6 @@ def static_multiplier_identity_residual(
 
 # {{{ filtered identities
 
-def _filtered_discrete(
-    s: SpectralSolution, beta: float, grid: TimeGrid
-) -> np.ndarray:
-    """Product-trapezoidal I^beta of every mode coefficient; (n_t, n_modes)."""
-    W = rl_integral_matrix(grid, beta)
-    C = s.coefficients(grid.nodes)
-    return W @ C
-
-
 def _filtered_exact(s: SpectralSolution, beta: float, t: float) -> np.ndarray:
     """Exact I^beta of the mode coefficients at one time.
 
@@ -296,9 +287,10 @@ def filtered_identity_terms(
 
     The boundary side is assembled from the exactly filtered coefficients
     (closed-form kernels), the interior side from the product-trapezoidal
-    filtering ``b_n = I^beta(c_n)`` on the grid, with the filtered Caputo
-    term evaluated through the equation as ``-lam_n b_n`` (exact for the
-    series solution).  The identity holds exactly for any coefficient
+    filtering ``b_n = I^beta(c_n)`` at the one or two nodes used (exact
+    weight rows, O(M) each), with the filtered Caputo term evaluated
+    through the equation as ``-lam_n b_n`` (exact for the series
+    solution).  The identity holds exactly for any coefficient
     vector, so the mismatch isolates the time-discretization error of the
     quadrature route and must vanish under grid refinement.
     """
@@ -306,11 +298,12 @@ def filtered_identity_terms(
         raise ValueError(f"beta must lie in (0, 1): {beta}")
     d = s.domain
     field = field or boundary_normal_field(d)
-    B = _filtered_discrete(s, beta, grid)
-    b = B[t_index].copy()
+    rows = [t_index] if tau_index is None else [t_index, tau_index]
+    B = rl_integral_matrix(grid, beta, rows) @ s.coefficients(grid.nodes)
+    b = B[0]
     b_exact = _filtered_exact(s, beta, float(grid.nodes[t_index]))
     if tau_index is not None:
-        b -= B[tau_index]
+        b = b - B[1]
         b_exact = b_exact - _filtered_exact(s, beta, float(grid.nodes[tau_index]))
     # the filtered Caputo term is -lam b, so the equation term is the static
     # lhs of b; the Jacobian and divergence terms change sign

@@ -116,6 +116,17 @@ class TestFracopsCommand:
         errs = [float(r[1]) for r in rows]
         assert errs[0] > errs[1] > errs[2]
 
+    def test_refinement_output_bytes_pinned(self, capsys):
+        code, out = _run(
+            ["fracops", "--beta", "0.5", "--gamma", "2", "--grading", "3",
+             "--nodes", "1024,2048,4096"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d5b68281c840da3d3baebffadeba2a89228a2d6e70c92c9e398bab37652aea77"
+        )
+
 
 class TestSolveCommand:
     def test_json_report_with_data_file(self, tmp_path, capsys):

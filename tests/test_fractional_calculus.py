@@ -1,6 +1,7 @@
 """Fractional integrals, Caputo pipeline, and time-Sobolev seminorms."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -18,7 +19,9 @@ from fracplate.fractional_calculus import (
     hbeta_norm,
     norm_equivalence_probe,
     rl_integral,
+    rl_integral_matrix,
 )
+from fracplate.fractional_calculus import _derivative_stencils
 from fracplate.special_functions import gamma_fn
 
 
@@ -101,18 +104,56 @@ class TestRLIntegral:
         assert min(factors) >= 2.0 ** 1.5
 
     def test_vector_valued_matches_componentwise(self):
-        g = TimeGrid.uniform(1.0, 128)
-        vals = np.column_stack([np.cos(g.nodes), g.nodes**2])
-        joint = rl_integral(TimeSeries(g, vals, "l2"), 0.5).values
-        split = np.column_stack(
-            [rl_integral(TimeSeries(g, vals[:, j]), 0.5).values for j in range(2)]
-        )
-        assert np.max(np.abs(joint - split)) < 1e-15
+        for M in (128, 600):  # 600: more than one row block
+            g = TimeGrid.uniform(1.0, M)
+            vals = np.column_stack([np.cos(g.nodes), g.nodes**2])
+            joint = rl_integral(TimeSeries(g, vals, "l2"), 0.5).values
+            split = np.column_stack(
+                [rl_integral(TimeSeries(g, vals[:, j]), 0.5).values for j in range(2)]
+            )
+            assert np.max(np.abs(joint - split)) < 1e-15
 
     def test_invalid_order(self):
         g = TimeGrid.uniform(1.0, 8)
         with pytest.raises(ValueError):
             rl_integral(TimeSeries(g, g.nodes), 1.5)
+
+    def test_many_trailing_axes_match_componentwise(self):
+        g = TimeGrid.graded(1.0, 16, 2.0)
+        vals = g.nodes[:, None, None] ** np.arange(3) * np.array([[1.0], [2.0]])
+        out = rl_integral(TimeSeries(g, vals, "boundary"), 0.5).values
+        assert out.shape == (17, 2, 3)
+        for j in range(2):
+            for k in range(3):
+                ref = rl_integral(TimeSeries(g, vals[:, j, k]), 0.5).values
+                assert np.max(np.abs(out[:, j, k] - ref)) < 1e-15
+
+    @pytest.mark.parametrize("M,gamma", [(64, 1.0), (600, 3.0)])
+    def test_selected_rows_equal_full_matrix_rows(self, M, gamma):
+        g = TimeGrid.graded(1.0, M, gamma)
+        full = rl_integral_matrix(g, 0.3)
+        rows = [M, 0, 1, M // 2, M // 2]
+        assert np.array_equal(rl_integral_matrix(g, 0.3, rows), full[rows])
+
+    def test_row_index_range_checked(self):
+        g = TimeGrid.uniform(1.0, 8)
+        for rows in ([-1], [9]):
+            with pytest.raises(ValueError, match="row indices"):
+                rl_integral_matrix(g, 0.5, rows)
+
+    def test_memory_bounded_at_4096_cells(self):
+        # a (grid, beta) no other test uses, so no earlier call can have
+        # prepared anything for it
+        g = TimeGrid.graded(1.0, 4096, 2.5)
+        f = TimeSeries(g, np.cos(g.nodes))
+        tracemalloc.start()
+        try:
+            rl_integral(f, 0.45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense (M+1)^2 matrix alone would take 134 MB
+        assert peak < 32e6
 
 
 class TestCaputoDerivative:
@@ -151,12 +192,65 @@ class TestCaputoDerivative:
         with pytest.raises(ValueError):
             caputo_derivative(TimeSeries(g, g.nodes), 1.5, 1.0)
 
+    def test_block_matches_columns(self):
+        alpha = 1.5
+        g = TimeGrid.graded(1.0, 600, default_grading(alpha))
+        vals = np.column_stack([g.nodes**2, g.nodes + np.cos(g.nodes)])
+        block = caputo_derivative(TimeSeries(g, vals), alpha, np.array([0.0, 1.0]))
+        assert block.values.shape == (601, 2)
+        for j, slope in enumerate((0.0, 1.0)):
+            ref = caputo_derivative(TimeSeries(g, vals[:, j]), alpha, slope).values
+            assert np.isnan(block.values[0, j])
+            np.testing.assert_allclose(block.values[1:, j], ref[1:], rtol=1e-9, atol=1e-12)
+
+    def test_grid_derivative_block_bit_equal_to_columns(self):
+        g = TimeGrid.graded(1.0, 600, 4.0)
+        vals = np.column_stack([np.cos(g.nodes), g.nodes**1.5, np.exp(-g.nodes)])
+        cols = np.column_stack([grid_derivative(g, vals[:, j]) for j in range(3)])
+        assert np.array_equal(grid_derivative(g, vals), cols)
+
+    @pytest.mark.parametrize("M", [64, 512, 4096])
+    def test_stencils_bit_equal_to_per_node_fornberg(self, M):
+        nodes = TimeGrid.graded(1.0, M, 3.0).nodes
+        W, lo = _derivative_stencils(nodes)
+        for i in range(M + 1):
+            start = min(max(i - 2, 0), M + 1 - 5)
+            assert lo[i] == start
+            ref = _fornberg_reference(nodes[start : start + 5], nodes[i], 1)
+            assert np.array_equal(W[i], ref)
+
     def test_grid_derivative_exact_for_quartics(self):
         g = TimeGrid.graded(1.0, 64, 2.0)
         vals = g.nodes**4 - 2 * g.nodes**2 + 3
         d = grid_derivative(g, vals)
         exact = 4 * g.nodes**3 - 4 * g.nodes
         assert np.max(np.abs(d - exact)) < 1e-10
+
+
+def _fornberg_reference(x, x0, m):
+    """Per-node Fornberg weights for the m-th derivative at x0 on nodes x."""
+    n = len(x)
+    C = np.zeros((n, m + 1))
+    C[0, 0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - x0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    C[i, k] = c1 * (k * C[i - 1, k - 1] - c5 * C[i - 1, k]) / c2
+                C[i, 0] = -c1 * c5 * C[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                C[j, k] = (c4 * C[j, k] - k * C[j, k - 1]) / c3
+            C[j, 0] = c4 * C[j, 0] / c3
+        c1 = c2
+    return C[:, m]
 
 
 class TestGagliardo:

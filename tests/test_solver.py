@@ -218,9 +218,20 @@ class TestResiduals:
         d, modes = interval_modes
         s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
         grid = TimeGrid.graded(1.0, 512, 4.0)
-        for n in (0, 9):
+        for n in (0, 9, [1, 9]):
             with pytest.raises(ValueError, match="not part of the solution"):
                 mode_ode_residual(s, n, grid)
+
+    def test_positions_block_matches_scalar_calls(self, interval_modes):
+        d, modes = interval_modes
+        u0 = [1.0, -0.5, 0.25] + [0.0] * 5
+        u1 = [0.0, 0.3, -0.2] + [0.0] * 5
+        s = solve(d, 8, 1.5, _data(modes, u0, u1), 1.0)
+        grid = TimeGrid.graded(1.0, 1024, 4.0)
+        block = mode_ode_residual(s, [1, 2, 3], grid)
+        scalar = [mode_ode_residual(s, n, grid) for n in (1, 2, 3)]
+        assert all(isinstance(r, float) for r in block + scalar)
+        assert block == pytest.approx(scalar, rel=1e-6)
 
 
 class TestLifting:
