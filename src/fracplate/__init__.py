@@ -31,7 +31,6 @@ from .hidden_regularity import (
     TraceSeries,
     boundary_normal_field,
     direct_inequality_probe,
-    filtered_identity2_residual,
     filtered_identity_residual,
     normal_trace,
     static_multiplier_identity_residual,
@@ -40,7 +39,6 @@ from .hidden_regularity import (
 from .report import VerificationReport, canonical_json
 from .solver import (
     InitialData,
-    LiftedSolution,
     SpectralSolution,
     apriori_estimate_check,
     classify,
@@ -92,7 +90,6 @@ __all__ = [
     "EigenMode",
     "InitialData",
     "Interval",
-    "LiftedSolution",
     "MLDecayBound",
     "MLEvaluation",
     "MLEvaluationError",
@@ -121,7 +118,6 @@ __all__ = [
     "eval_mode",
     "eval_u",
     "eval_ut",
-    "filtered_identity2_residual",
     "filtered_identity_residual",
     "fractional_norm",
     "gagliardo_seminorm",

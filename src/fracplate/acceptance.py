@@ -29,7 +29,6 @@ from .fractional_calculus import (
 )
 from .hidden_regularity import (
     direct_inequality_probe,
-    filtered_identity2_residual,
     filtered_identity_residual,
     filtered_identity_terms,
     static_multiplier_identity_residual,
@@ -275,7 +274,7 @@ def criterion_4_solver_residuals(quick: bool = False) -> VerificationReport:
         alpha, 8, np.array(u0) * lam**-0.5, np.array(u1) * lam**-0.5
     )
     ts = np.linspace(0.0, 1.0, 9)
-    ca = lift(s, -0.5).solution.coefficients(ts)
+    ca = lift(s, -0.5).coefficients(ts)
     cb = s_lifted_data.coefficients(ts)
     denom = np.maximum(np.abs(cb), 1e-300)
     lift_rel = float(np.max(np.abs(ca - cb) / denom))
@@ -334,8 +333,8 @@ def criterion_5_multiplier_identities(quick: bool = False) -> VerificationReport
     f2 = []
     for M in Ms:
         grid = TimeGrid.graded(1.0, M, default_grading(alpha))
-        f1.append(filtered_identity_residual(s, None, beta, grid, M))
-        f2.append(filtered_identity2_residual(s, None, beta, grid, M, M // 2))
+        f1.append(filtered_identity_residual(s, beta, grid, M))
+        f2.append(filtered_identity_residual(s, beta, grid, M, M // 2))
     grid = TimeGrid.graded(1.0, Ms[-1], default_grading(alpha))
     terms = filtered_identity_terms(s, beta, grid, Ms[-1])
     fscale = max(abs(terms["lhs_boundary"]), 1e-300)

@@ -106,7 +106,6 @@ class TimeSeries:
 
     grid: TimeGrid
     values: np.ndarray
-    space: str = "scalar"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -114,8 +113,6 @@ class TimeSeries:
             raise ValueError(
                 f"{self.values.shape[0]} values for {len(self.grid.nodes)} nodes"
             )
-        if self.space not in ("scalar", "l2", "boundary"):
-            raise ValueError(f"unknown value space {self.space!r}")
 
     @classmethod
     def sample(cls, grid: TimeGrid, f: Callable[[np.ndarray], np.ndarray]) -> "TimeSeries":
@@ -202,7 +199,7 @@ def rl_integral(f: TimeSeries, beta: float) -> TimeSeries:
     for lo in range(0, n, _RL_BLOCK_ROWS):
         hi = min(lo + _RL_BLOCK_ROWS, n)
         out[lo:hi] = rl_integral_matrix(f.grid, beta, np.arange(lo, hi)) @ v
-    return TimeSeries(f.grid, out.reshape(f.values.shape), f.space)
+    return TimeSeries(f.grid, out.reshape(f.values.shape))
 
 
 # }}}
@@ -286,10 +283,10 @@ def caputo_derivative(f: TimeSeries, alpha: float, f1_0: float | np.ndarray) -> 
     if len(f.grid) < 7:
         raise ValueError("need at least 7 nodes for a stable second difference")
     fp = grid_derivative(f.grid, f.values) - np.asarray(f1_0, dtype=float)
-    inner = rl_integral(TimeSeries(f.grid, fp, f.space), 2.0 - alpha)
+    inner = rl_integral(TimeSeries(f.grid, fp), 2.0 - alpha)
     out = grid_derivative(f.grid, inner.values)
     out[0] = np.nan
-    return TimeSeries(f.grid, out, f.space)
+    return TimeSeries(f.grid, out)
 
 
 # }}}
@@ -375,7 +372,7 @@ def norm_equivalence_probe(
         num = hbeta_norm(rl_integral(f, beta), beta)
         ratios_fine.append(num / denom)
         coarse_grid = f.grid.coarsen()
-        coarse = TimeSeries(coarse_grid, f.values[::2], f.space)
+        coarse = TimeSeries(coarse_grid, f.values[::2])
         cd = l2_time_norm(coarse)
         ratios_coarse.append(hbeta_norm(rl_integral(coarse, beta), beta) / cd)
     if not ratios_fine:

@@ -59,7 +59,6 @@ __all__ = [
     "static_multiplier_identity_residual",
     "filtered_identity_terms",
     "filtered_identity_residual",
-    "filtered_identity2_residual",
     "trace_energy_ratios",
     "direct_inequality_probe",
 ]
@@ -115,10 +114,8 @@ def boundary_normal_field(d: Domain) -> MultiplierField:
     return MultiplierField(d, h2, jac2, div2)
 
 
-def _check_alignment(
-    field: MultiplierField, pts: np.ndarray, normals: np.ndarray
-) -> None:
-    hv = field.h(pts)
+def _check_alignment(mf: MultiplierField, pts: np.ndarray, normals: np.ndarray) -> None:
+    hv = mf.h(pts)
     mismatch = np.max(np.abs(np.sum(hv * normals, axis=1) - 1.0))
     if mismatch > 1e-12:
         raise ValueError(
@@ -142,9 +139,7 @@ class TraceSeries:
 
     grid: TimeGrid
     samples: np.ndarray  # (n_times, n_boundary_nodes)
-    points: np.ndarray
     weights: np.ndarray
-    which: str
 
 
 def normal_trace(s: SpectralSolution, grid: TimeGrid, which: str = "u") -> TraceSeries:
@@ -169,7 +164,7 @@ def normal_trace(s: SpectralSolution, grid: TimeGrid, which: str = "u") -> Trace
             )
         C = C * factor[None, :]
     samples = C @ nd.T
-    return TraceSeries(grid, samples, pts, w, which)
+    return TraceSeries(grid, samples, w)
 
 
 def trace_energy(tr: TraceSeries) -> float:
@@ -186,16 +181,17 @@ def trace_energy(tr: TraceSeries) -> float:
 def _multiplier_terms(
     modes: ModeSet,
     d: Domain,
-    field: MultiplierField,
     quad_order: int,
     interior: np.ndarray,
     boundary: np.ndarray,
 ) -> tuple[float, float, float, float]:
     """(lhs, boundary, jacobian, divergence) of the multiplier identity.
 
-    The three interior integrals are assembled from the eigen-sum with
-    coefficients ``interior``, the boundary integral from ``boundary``.
+    The multiplier is ``boundary_normal_field(d)``.  The three interior
+    integrals are assembled from the eigen-sum with coefficients
+    ``interior``, the boundary integral from ``boundary``.
     """
+    field = boundary_normal_field(d)
     lam = modes.lam
     mu = modes.mu
     pts, qw = domain_quadrature(d, quad_order)
@@ -221,10 +217,7 @@ def _multiplier_terms(
 
 
 def static_multiplier_identity_terms(
-    w: SpectralCoefficients,
-    d: Domain,
-    field: MultiplierField | None = None,
-    quad_order: int | None = None,
+    w: SpectralCoefficients, d: Domain, quad_order: int | None = None
 ) -> dict[str, float]:
     """The four integrals of the multiplier identity for an eigen-sum w.
 
@@ -232,23 +225,17 @@ def static_multiplier_identity_terms(
     Jacobian contraction (with its -2 sign), and the divergence term.
     Supplying w as an eigen-sum guarantees the boundary conditions exactly.
     """
-    field = field or boundary_normal_field(d)
     if quad_order is None:
         quad_order = _boundary_order(w.modes)
-    lhs, bnd, jac, div = _multiplier_terms(
-        w.modes, d, field, quad_order, w.values, w.values
-    )
+    lhs, bnd, jac, div = _multiplier_terms(w.modes, d, quad_order, w.values, w.values)
     return {"lhs": lhs, "boundary": bnd, "jacobian": jac, "divergence": div}
 
 
 def static_multiplier_identity_residual(
-    w: SpectralCoefficients,
-    d: Domain,
-    field: MultiplierField | None = None,
-    quad_order: int | None = None,
+    w: SpectralCoefficients, d: Domain, quad_order: int | None = None
 ) -> float:
     """|lhs - rhs| of the static multiplier identity."""
-    t = static_multiplier_identity_terms(w, d, field, quad_order)
+    t = static_multiplier_identity_terms(w, d, quad_order)
     return abs(t["lhs"] - (t["boundary"] + t["jacobian"] + t["divergence"]))
 
 
@@ -281,7 +268,6 @@ def filtered_identity_terms(
     grid: TimeGrid,
     t_index: int,
     tau_index: int | None = None,
-    field: MultiplierField | None = None,
 ) -> dict[str, float]:
     """Terms of the fractional-filtered multiplier identity.
 
@@ -296,8 +282,6 @@ def filtered_identity_terms(
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1): {beta}")
-    d = s.domain
-    field = field or boundary_normal_field(d)
     rows = [t_index] if tau_index is None else [t_index, tau_index]
     B = rl_integral_matrix(grid, beta, rows) @ s.coefficients(grid.nodes)
     b = B[0]
@@ -308,37 +292,27 @@ def filtered_identity_terms(
     # the filtered Caputo term is -lam b, so the equation term is the static
     # lhs of b; the Jacobian and divergence terms change sign
     lhs, bnd, jac, div = _multiplier_terms(
-        s.modes, d, field, _boundary_order(s.modes), b, b_exact
+        s.modes, s.domain, _boundary_order(s.modes), b, b_exact
     )
     return {"lhs_boundary": bnd, "equation": lhs, "jacobian": -jac, "divergence": -div}
 
 
 def filtered_identity_residual(
     s: SpectralSolution,
-    field: MultiplierField | None,
     beta: float,
     grid: TimeGrid,
     t_index: int,
+    tau_index: int | None = None,
 ) -> float:
-    """|lhs - rhs| of the single-time filtered identity; 0 exactly at t=0."""
-    if t_index == 0:
-        return 0.0  # all fractional integrals vanish at t=0
-    t = filtered_identity_terms(s, beta, grid, t_index, None, field)
-    return abs(t["lhs_boundary"] - (t["equation"] + t["jacobian"] + t["divergence"]))
+    """|lhs - rhs| of the filtered identity at ``t_index``, or of its
+    difference between ``t_index`` and ``tau_index``.
 
-
-def filtered_identity2_residual(
-    s: SpectralSolution,
-    field: MultiplierField | None,
-    beta: float,
-    grid: TimeGrid,
-    t_index: int,
-    tau_index: int,
-) -> float:
-    """|lhs - rhs| of the two-time differenced identity; 0 exactly at t=tau."""
-    if t_index == tau_index:
+    0 exactly at t = 0 for one time and at t = tau for two times, where every
+    filtered term vanishes.
+    """
+    if t_index == (0 if tau_index is None else tau_index):
         return 0.0
-    t = filtered_identity_terms(s, beta, grid, t_index, tau_index, field)
+    t = filtered_identity_terms(s, beta, grid, t_index, tau_index)
     return abs(t["lhs_boundary"] - (t["equation"] + t["jacobian"] + t["divergence"]))
 
 
@@ -381,7 +355,7 @@ def trace_energy_ratios(
                 ratios.append(-1.0)  # zero-energy member: skipped
                 continue
             C = u0.values[None, :] * e1[:, :N] + te2[:, :N] * u1.values[None, :]
-            tr = TraceSeries(grid, C @ nd.T, pts, w, "u")
+            tr = TraceSeries(grid, C @ nd.T, w)
             ratios.append(trace_energy(tr) / denom)
         rows.append(ratios)
     return rows

@@ -19,7 +19,7 @@ numerical meaning of "solves the equation".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ from .special_functions import ml_profile
 __all__ = [
     "InitialData",
     "SpectralSolution",
-    "LiftedSolution",
     "CLASS_EXPONENTS",
     "solve",
     "lift",
@@ -138,30 +137,6 @@ class SpectralSolution:
         ] * e1
 
 
-@dataclass(frozen=True)
-class LiftedSolution:
-    """A solution viewed through a fractional power of the operator."""
-
-    base: SpectralSolution
-    power: float
-
-    @property
-    def solution(self) -> SpectralSolution:
-        lam = self.base.lambdas
-        scale = np.exp(self.power * np.log(lam))
-        return SpectralSolution(
-            self.base.domain,
-            self.base.modes,
-            self.base.alpha,
-            self.base.u0 * scale,
-            self.base.u1 * scale,
-            self.base.T,
-            self.base.declared_class,
-            self.base.tail_u0,
-            self.base.tail_u1,
-        )
-
-
 def solve(
     d: Domain, N: int, alpha: float, data: InitialData, T: float
 ) -> SpectralSolution:
@@ -199,8 +174,10 @@ def solve(
     )
 
 
-def lift(s: SpectralSolution, power: float) -> LiftedSolution:
-    return LiftedSolution(s, power)
+def lift(s: SpectralSolution, power: float) -> SpectralSolution:
+    """The solution viewed through the operator power: data scaled by lam^power."""
+    scale = np.exp(power * np.log(s.lambdas))
+    return replace(s, u0=s.u0 * scale, u1=s.u1 * scale)
 
 
 # {{{ pointwise evaluation

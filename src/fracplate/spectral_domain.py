@@ -354,15 +354,13 @@ def mode_normal_derivatives(
 class SpectralCoefficients:
     """A function or functional represented in the shared eigenbasis.
 
-    ``values[i]`` is the pairing with ``modes[i]``; for ``kind='functional'``
-    the pairing is the duality bracket of strength ``theta`` (numerically the
-    same sequence, since finite truncations always live in L^2).
+    ``values[i]`` is the pairing with ``modes[i]``; for a functional it is the
+    duality bracket (numerically the same sequence, since finite truncations
+    always live in L^2).
     """
 
     modes: ModeSet
     values: np.ndarray
-    kind: str = "function"
-    theta: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -374,8 +372,6 @@ class SpectralCoefficients:
             )
         if not isinstance(self.modes, ModeSet):
             raise TypeError(f"modes must be a ModeSet: {type(self.modes).__name__}")
-        if self.kind not in ("function", "functional"):
-            raise ValueError(f"unknown kind {self.kind!r}")
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -430,7 +426,7 @@ def apply_power(c: SpectralCoefficients, theta: float) -> SpectralCoefficients:
         scale = 1.0
     else:
         scale = np.exp(theta * np.log(c.lambdas))
-    return SpectralCoefficients(c.modes, c.values * scale, c.kind, c.theta)
+    return SpectralCoefficients(c.modes, c.values * scale)
 
 
 # }}}

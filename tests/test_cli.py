@@ -6,10 +6,15 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from fracplate import fractional_calculus
 from fracplate.cli import RunConfig, main, parse_config
+from fracplate.fractional_calculus import TimeGrid, default_grading
 from fracplate.report import canonical_json
+from fracplate.solver import InitialData, solve, weak_form_residual
+from fracplate.spectral_domain import Interval, SpectralCoefficients, eigenmodes
 
 
 def _run(argv, capsys):
@@ -182,7 +187,48 @@ class TestSolveCommand:
             )
 
 
+    @pytest.mark.parametrize("nodes", ["100", "300", "511"])
+    def test_nodes_below_512_rejected(self, nodes, capsys):
+        with pytest.raises(SystemExit, match="512"):
+            _run(["solve", "--nodes", nodes], capsys)
+
+    def test_one_caputo_block(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        inner = fractional_calculus.rl_integral
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(fractional_calculus, "rl_integral", counting)
+        out_file = tmp_path / "report.json"
+        code, _ = _run(["solve", "--modes", "8", "--out", str(out_file)], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        # the weak-form defect against e_1 is read from mode 1's column
+        residuals = json.loads(out_file.read_text())["residuals"]
+        d = Interval(math.pi)
+        modes = eigenmodes(d, 8)
+        data = InitialData(
+            SpectralCoefficients(modes, np.arange(1, 9, dtype=float) ** -2.0),
+            SpectralCoefficients(modes, np.zeros(8)),
+        )
+        s = solve(d, 8, 1.5, data, 1.0)
+        grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
+        e1 = SpectralCoefficients(modes[:1], [1.0])
+        assert residuals["weak_form_e1"] == pytest.approx(
+            weak_form_residual(s, e1, grid), rel=1e-9
+        )
+
+
 class TestIdentitiesCommand:
+    def test_output_bytes_pinned(self, capsys):
+        code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "19691ddad40677d4804749d23ac1caeafbe2c1e8c55cf0c450570a2f2604773e"
+        )
+
     def test_residuals_decrease(self, capsys):
         code, out = _run(
             ["identities", "--beta", "0.25", "--modes", "4",

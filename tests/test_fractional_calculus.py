@@ -107,7 +107,7 @@ class TestRLIntegral:
         for M in (128, 600):  # 600: more than one row block
             g = TimeGrid.uniform(1.0, M)
             vals = np.column_stack([np.cos(g.nodes), g.nodes**2])
-            joint = rl_integral(TimeSeries(g, vals, "l2"), 0.5).values
+            joint = rl_integral(TimeSeries(g, vals), 0.5).values
             split = np.column_stack(
                 [rl_integral(TimeSeries(g, vals[:, j]), 0.5).values for j in range(2)]
             )
@@ -121,7 +121,7 @@ class TestRLIntegral:
     def test_many_trailing_axes_match_componentwise(self):
         g = TimeGrid.graded(1.0, 16, 2.0)
         vals = g.nodes[:, None, None] ** np.arange(3) * np.array([[1.0], [2.0]])
-        out = rl_integral(TimeSeries(g, vals, "boundary"), 0.5).values
+        out = rl_integral(TimeSeries(g, vals), 0.5).values
         assert out.shape == (17, 2, 3)
         for j in range(2):
             for k in range(3):

@@ -11,7 +11,6 @@ from fracplate.fractional_calculus import TimeGrid, default_grading
 from fracplate.hidden_regularity import (
     boundary_normal_field,
     direct_inequality_probe,
-    filtered_identity2_residual,
     filtered_identity_residual,
     filtered_identity_terms,
     normal_trace,
@@ -163,19 +162,19 @@ class TestFilteredIdentities:
         d, modes = interval_setup
         s = _solution(d, modes, [1.0] + [0.0] * 7, [0.0] * 8)
         grid = TimeGrid.graded(1.0, 512, 4.0)
-        assert filtered_identity_residual(s, None, 0.25, grid, 0) == 0.0
+        assert filtered_identity_residual(s, 0.25, grid, 0) == 0.0
 
     def test_zero_data(self, interval_setup):
         d, modes = interval_setup
         s = _solution(d, modes, [0.0] * 8, [0.0] * 8)
         grid = TimeGrid.graded(1.0, 512, 4.0)
-        assert filtered_identity_residual(s, None, 0.25, grid, 512) < 1e-300
+        assert filtered_identity_residual(s, 0.25, grid, 512) < 1e-300
 
     def test_single_mode_within_contract(self, interval_setup):
         d, modes = interval_setup
         s = _solution(d, modes, [1.0] + [0.0] * 7, [0.0] * 8)
         grid = TimeGrid.graded(1.0, 2048, 4.0)
-        r = filtered_identity_residual(s, None, 0.25, grid, 2048)
+        r = filtered_identity_residual(s, 0.25, grid, 2048)
         terms = filtered_identity_terms(s, 0.25, grid, 2048)
         assert r <= 1e-3 * max(abs(terms["lhs_boundary"]), 1e-300)
 
@@ -187,7 +186,7 @@ class TestFilteredIdentities:
         res = []
         for M in (512, 1024, 2048):
             grid = TimeGrid.graded(1.0, M, 4.0)
-            res.append(filtered_identity_residual(s, None, 0.25, grid, M))
+            res.append(filtered_identity_residual(s, 0.25, grid, M))
         assert res[0] > res[1] > res[2]
         assert math.log2(res[1] / res[2]) >= 1.0
 
@@ -195,9 +194,9 @@ class TestFilteredIdentities:
         d, modes = interval_setup
         s = _solution(d, modes, [0.5, -0.3] + [0.0] * 6, [0.1, 0.2] + [0.0] * 6)
         grid = TimeGrid.graded(1.0, 1024, 4.0)
-        assert filtered_identity2_residual(s, None, 0.25, grid, 700, 700) == 0.0
-        r = filtered_identity2_residual(s, None, 0.25, grid, 1024, 512)
-        r_swap = filtered_identity2_residual(s, None, 0.25, grid, 512, 1024)
+        assert filtered_identity_residual(s, 0.25, grid, 700, 700) == 0.0
+        r = filtered_identity_residual(s, 0.25, grid, 1024, 512)
+        r_swap = filtered_identity_residual(s, 0.25, grid, 512, 1024)
         assert r == pytest.approx(r_swap, rel=1e-12)
         assert r < 1e-2
 
@@ -206,7 +205,7 @@ class TestFilteredIdentities:
         s = _solution(d, modes, [1.0] + [0.0] * 7, [0.0] * 8)
         grid = TimeGrid.graded(1.0, 512, 4.0)
         with pytest.raises(ValueError):
-            filtered_identity_residual(s, None, 1.5, grid, 10)
+            filtered_identity_residual(s, 1.5, grid, 10)
 
 
 class TestFamilies:
@@ -431,7 +430,7 @@ class TestRectangleDomain:
         res = []
         for M in (512, 1024):
             grid = TimeGrid.graded(1.0, M, 4.0)
-            res.append(filtered_identity_residual(s, None, 0.25, grid, M))
+            res.append(filtered_identity_residual(s, 0.25, grid, M))
         terms = filtered_identity_terms(s, 0.25, TimeGrid.graded(1.0, 1024, 4.0), 1024)
         assert res[1] <= 1e-3 * max(abs(terms["lhs_boundary"]), 1e-300)
         assert res[0] > res[1]

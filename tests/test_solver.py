@@ -241,7 +241,7 @@ class TestLifting:
         s = solve(
             d, 8, 1.5, _data(modes, rng.standard_normal(8), rng.standard_normal(8)), 1.0
         )
-        back = lift(lift(s, -0.5).solution, 0.5).solution
+        back = lift(lift(s, -0.5), 0.5)
         assert np.max(np.abs(back.u0 - s.u0)) < 1e-13 * np.max(np.abs(s.u0))
 
     def test_lift_commutes_with_solve(self, interval_modes):
@@ -253,7 +253,7 @@ class TestLifting:
         lam = s.lambdas
         s_pre = solve(d, 8, 1.5, _data(modes, u0 * lam**-0.5, u1 * lam**-0.5), 1.0)
         ts = np.linspace(0.0, 1.0, 9)
-        a = lift(s, -0.5).solution.coefficients(ts)
+        a = lift(s, -0.5).coefficients(ts)
         b = s_pre.coefficients(ts)
         denom = np.maximum(np.abs(b), 1e-300)
         assert np.max(np.abs(a - b) / denom) < 1e-14
@@ -382,7 +382,7 @@ class TestRectangleSolutions:
         lam = s.lambdas
         s_pre = solve(d, 6, 1.7, _data(modes, u0 * lam**-0.5, u1 * lam**-0.5), 0.8)
         ts = np.linspace(0.0, 0.8, 5)
-        a = lift(s, -0.5).solution.coefficients(ts)
+        a = lift(s, -0.5).coefficients(ts)
         b = s_pre.coefficients(ts)
         assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)) < 1e-14
 
