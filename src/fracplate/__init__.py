@@ -27,9 +27,7 @@ from .fractional_calculus import (
     rl_integral,
 )
 from .hidden_regularity import (
-    MultiplierField,
     TraceSeries,
-    boundary_normal_field,
     direct_inequality_probe,
     filtered_identity_residual,
     normal_trace,
@@ -96,7 +94,6 @@ __all__ = [
     "MLMethod",
     "MLParams",
     "ModeSet",
-    "MultiplierField",
     "Rectangle",
     "SpectralCoefficients",
     "SpectralSolution",
@@ -106,7 +103,6 @@ __all__ = [
     "VerificationReport",
     "apply_power",
     "apriori_estimate_check",
-    "boundary_normal_field",
     "canonical_json",
     "caputo_derivative",
     "classify",

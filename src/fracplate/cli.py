@@ -164,6 +164,8 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     if "alpha" in options and sub in ("solve", "identities", "probe"):
         if not 1.0 < float(options["alpha"]) < 2.0:
             raise SystemExit(f"alpha must lie in (1, 2): {options['alpha']}")
+    if sub == "probe" and int(options["members"]) < 1:
+        raise SystemExit(f"probe needs --members >= 1: {options['members']}")
     return RunConfig(sub, options)
 
 
@@ -179,6 +181,11 @@ def _int_list(spec: str | Sequence[int]) -> list[int]:
     if isinstance(spec, str):
         return [int(tok) for tok in spec.split(",") if tok.strip()]
     return [int(x) for x in spec]
+
+
+def _refines(values: Sequence[float]) -> bool:
+    """No refinement step grows a value, unless the value is at round-off."""
+    return not any(b > a and b > 1e-13 for a, b in zip(values, values[1:]))
 
 
 def _run_ml(opt: dict[str, Any]) -> int:
@@ -205,30 +212,34 @@ def _run_fracops(opt: dict[str, Any]) -> int:
     g_exp = float(opt["gamma"])
     grading = float(opt["grading"])
     lines = ["nodes,rel_error_at_T"]
-    prev = math.inf
-    decreasing = True
+    errors = []
     for M in _int_list(opt["nodes"]):
         grid = TimeGrid.graded(1.0, M, grading)
         at_T = float(rl_integral_matrix(grid, beta, [M])[0] @ grid.nodes**g_exp)
         exact = gamma_fn(g_exp + 1.0) / gamma_fn(g_exp + 1.0 + beta)
-        err = abs(at_T - exact) / abs(exact)
-        if err > prev and err > 1e-13:
-            decreasing = False
-        prev = err
-        lines.append(f"{M},{fmt17(err)}")
+        errors.append(abs(at_T - exact) / abs(exact))
+        lines.append(f"{M},{fmt17(errors[-1])}")
     _emit("\n".join(lines) + "\n", opt["out"])
-    return 0 if decreasing else 1
+    return 0 if _refines(errors) else 1
 
 
 def _load_data(path: str, modes, N: int) -> InitialData:
     if path:
-        with open(path) as fh:
-            raw = json.load(fh)
-        u0 = np.asarray(raw.get("u0", []), dtype=float)
-        u1 = np.asarray(raw.get("u1", []), dtype=float)
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError("not a JSON object")
+            u0, u1 = (np.asarray(raw.get(k, []), dtype=float) for k in ("u0", "u1"))
+            if u0.ndim != 1 or u1.ndim != 1:
+                raise ValueError("u0 and u1 must be flat lists")
+            if not (np.isfinite(u0).all() and np.isfinite(u1).all()):
+                raise ValueError("coefficients must be finite")
+        except (TypeError, ValueError) as exc:
+            raise SystemExit(f"data file {path}: {exc}")
         if len(u0) < N or len(u1) < N:
             raise SystemExit(
-                f"data file supplies {len(u0)}/{len(u1)} coefficients, need {N}"
+                f"data file {path} supplies {len(u0)}/{len(u1)} coefficients, need {N}"
             )
     else:
         n = np.arange(1, N + 1, dtype=float)
@@ -304,18 +315,16 @@ def _run_identities(opt: dict[str, Any]) -> int:
     )
     s = solve(d, N, alpha, data, T)
     lines = ["nodes,filtered_identity,filtered_identity2"]
-    prev1 = prev2 = math.inf
-    decreasing = True
+    cols = ([], [])
     for M in _int_list(opt["nodes"]):
         grid = TimeGrid.graded(T, M, default_grading(alpha))
         r1 = filtered_identity_residual(s, beta, grid, M)
         r2 = filtered_identity_residual(s, beta, grid, M, M // 2)
-        if (r1 > prev1 and r1 > 1e-13) or (r2 > prev2 and r2 > 1e-13):
-            decreasing = False
-        prev1, prev2 = r1, r2
+        cols[0].append(r1)
+        cols[1].append(r2)
         lines.append(f"{M},{fmt17(r1)},{fmt17(r2)}")
     _emit("\n".join(lines) + "\n", opt["out"])
-    return 0 if decreasing else 1
+    return 0 if all(_refines(col) for col in cols) else 1
 
 
 def _run_probe(opt: dict[str, Any]) -> int:

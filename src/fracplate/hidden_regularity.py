@@ -1,9 +1,11 @@
 r"""Boundary traces, multiplier identities, and the direct-inequality probe.
 
 The multiplier method pairs the equation with ``h . grad(lap w)`` for a
-vector field ``h`` that agrees with the outward normal on the boundary
-(numerically: ``h . nu = 1`` at every boundary node; explicit polynomial
-fields per domain).  For ``w`` with ``w = lap w = 0`` on the boundary,
+vector field ``h`` whose normal component is 1 on the boundary.  On an
+interval or a rectangle with side lengths ``s`` the field is affine per
+axis, ``h_i = (2 x_i - s_i) / s_i``, so its Jacobian ``diag(2 / s)``, its
+divergence ``sum(2 / s)`` and ``h . nu = 1`` are closed forms of the side
+lengths.  For ``w`` with ``w = lap w = 0`` on the boundary,
 
     2 int lap^2 w (h . grad lap w)
         = int_bnd (h . nu) |d_nu lap w|^2
@@ -26,7 +28,7 @@ proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .solver import SpectralSolution
 from .special_functions import ml_profile
 from .spectral_domain import (
     Domain,
-    Interval,
     ModeSet,
     SpectralCoefficients,
     boundary_quadrature,
@@ -50,9 +51,7 @@ from .spectral_domain import (
 )
 
 __all__ = [
-    "MultiplierField",
     "TraceSeries",
-    "boundary_normal_field",
     "normal_trace",
     "trace_energy",
     "static_multiplier_identity_terms",
@@ -62,69 +61,6 @@ __all__ = [
     "trace_energy_ratios",
     "direct_inequality_probe",
 ]
-
-
-# {{{ multiplier fields
-
-@dataclass(frozen=True)
-class MultiplierField:
-    """C^1 vector field with unit normal component on the boundary.
-
-    ``h``, ``jacobian`` and ``divergence`` are vectorized callbacks over
-    point arrays of shape (n, dim).
-    """
-
-    domain: Domain
-    h: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    divergence: Callable[[np.ndarray], np.ndarray]
-
-
-def boundary_normal_field(d: Domain) -> MultiplierField:
-    """The canonical polynomial multiplier: affine per axis, h.nu = 1 on bnd."""
-    if isinstance(d, Interval):
-        L = d.length
-
-        def h(p: np.ndarray) -> np.ndarray:
-            return (2.0 * p - L) / L
-
-        def jac(p: np.ndarray) -> np.ndarray:
-            n = p.shape[0]
-            return np.full((n, 1, 1), 2.0 / L)
-
-        def div(p: np.ndarray) -> np.ndarray:
-            return np.full(p.shape[0], 2.0 / L)
-
-        return MultiplierField(d, h, jac, div)
-    a, b = d.a, d.b
-
-    def h2(p: np.ndarray) -> np.ndarray:
-        return np.column_stack([(2.0 * p[:, 0] - a) / a, (2.0 * p[:, 1] - b) / b])
-
-    def jac2(p: np.ndarray) -> np.ndarray:
-        n = p.shape[0]
-        out = np.zeros((n, 2, 2))
-        out[:, 0, 0] = 2.0 / a
-        out[:, 1, 1] = 2.0 / b
-        return out
-
-    def div2(p: np.ndarray) -> np.ndarray:
-        return np.full(p.shape[0], 2.0 / a + 2.0 / b)
-
-    return MultiplierField(d, h2, jac2, div2)
-
-
-def _check_alignment(mf: MultiplierField, pts: np.ndarray, normals: np.ndarray) -> None:
-    hv = mf.h(pts)
-    mismatch = np.max(np.abs(np.sum(hv * normals, axis=1) - 1.0))
-    if mismatch > 1e-12:
-        raise ValueError(
-            f"multiplier field is not normal-aligned on the boundary "
-            f"(max |h.nu - 1| = {mismatch:.2e})"
-        )
-
-
-# }}}
 
 
 # {{{ traces
@@ -142,28 +78,12 @@ class TraceSeries:
     weights: np.ndarray
 
 
-def normal_trace(s: SpectralSolution, grid: TimeGrid, which: str = "u") -> TraceSeries:
-    """Per-mode boundary trace series.
-
-    ``which='u'`` gives ``d_nu u``; ``which='delta_lifted'`` gives
-    ``d_nu lap w`` for the lifted solution ``w`` (operator power -1/2).  Per
-    mode the lifted factor is ``-mu_n lam_n^(-1/2) = -1`` exactly, so the two
-    traces coincide up to sign; that identity is asserted here.
-    """
-    if which not in ("u", "delta_lifted"):
-        raise ValueError(f"unknown trace kind {which!r}")
+def normal_trace(s: SpectralSolution, grid: TimeGrid) -> TraceSeries:
+    """Boundary trace series of ``d_nu u``, assembled per mode."""
     order = _boundary_order(s.modes)
     pts, w, normals = boundary_quadrature(s.domain, order)
     nd = mode_normal_derivatives(s.modes, s.domain, pts, normals)
-    C = s.coefficients(grid.nodes)
-    if which == "delta_lifted":
-        factor = -s.mus / np.sqrt(s.lambdas)
-        if np.max(np.abs(factor + 1.0)) > 1e-12:
-            raise AssertionError(
-                "per-mode algebra violated: mu/sqrt(lam) deviates from 1"
-            )
-        C = C * factor[None, :]
-    samples = C @ nd.T
+    samples = s.coefficients(grid.nodes) @ nd.T
     return TraceSeries(grid, samples, w)
 
 
@@ -187,32 +107,28 @@ def _multiplier_terms(
 ) -> tuple[float, float, float, float]:
     """(lhs, boundary, jacobian, divergence) of the multiplier identity.
 
-    The multiplier is ``boundary_normal_field(d)``.  The three interior
+    The multiplier is affine per axis, ``h = (2 x - s) / s`` for side
+    lengths ``s``: its Jacobian is ``diag(2 / s)``, its divergence
+    ``sum(2 / s)`` and ``h . nu = 1`` on every edge.  The three interior
     integrals are assembled from the eigen-sum with coefficients
     ``interior``, the boundary integral from ``boundary``.
     """
-    field = boundary_normal_field(d)
-    lam = modes.lam
-    mu = modes.mu
+    s = np.array(d.sides)
     pts, qw = domain_quadrature(d, quad_order)
     basis = mode_values(modes, d, pts)
     grads = mode_gradients(modes, d, pts)
-    bilap = basis @ (lam * interior)
-    grad_lap = -np.einsum("pdm,m->pd", grads, mu * interior)
-    hv = field.h(pts)
-    jac = field.jacobian(pts)
-    divv = field.divergence(pts)
+    bilap = basis @ (modes.lam * interior)
+    grad_lap = -np.einsum("pdm,m->pd", grads, modes.mu * interior)
+    h = (2.0 * pts - s) / s
 
-    lhs = 2.0 * float(qw @ (bilap * np.sum(hv * grad_lap, axis=1)))
-    jac_term = -2.0 * float(qw @ np.einsum("pij,pi,pj->p", jac, grad_lap, grad_lap))
-    div_term = float(qw @ (divv * np.sum(grad_lap**2, axis=1)))
+    lhs = 2.0 * float(qw @ (bilap * np.sum(h * grad_lap, axis=1)))
+    jac_term = -2.0 * float(qw @ np.sum((2.0 / s) * grad_lap * grad_lap, axis=1))
+    div_term = float(qw @ (np.sum(2.0 / s) * np.sum(grad_lap**2, axis=1)))
 
     bpts, bw, normals = boundary_quadrature(d, quad_order)
-    _check_alignment(field, bpts, normals)
     nd = mode_normal_derivatives(modes, d, bpts, normals)
-    dnu_lap = nd @ (-(mu * boundary))
-    hnu = np.sum(field.h(bpts) * normals, axis=1)
-    bnd_term = float(bw @ (hnu * dnu_lap**2))
+    dnu_lap = nd @ (-(modes.mu * boundary))
+    bnd_term = float(bw @ dnu_lap**2)
     return lhs, bnd_term, jac_term, div_term
 
 
@@ -387,6 +303,8 @@ def direct_inequality_probe(
     schedule = sorted(int(n) for n in N_schedule)
     grid = TimeGrid.graded(T, time_nodes, default_grading(alpha))
     members_full = family_members(family_spec, schedule[-1], seed=seed, members=members)
+    if not members_full:
+        raise ValueError(f"family {family_spec!r} has no members (members={members})")
     table = []
     r_values = []
     for N, ratios in zip(

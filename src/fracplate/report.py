@@ -82,9 +82,9 @@ class VerificationReport:
 
     ``tolerances`` maps metric names to inclusive upper bounds; ``evaluate``
     fills ``passes`` with an explicit verdict for each such metric.  Metrics
-    without a declared tolerance are informational only.  ``runtime_s`` is
-    excluded from canonical serialization so that repeated runs stay
-    byte-identical.
+    without a declared tolerance are informational only.  ``runtime_s`` feeds
+    the acceptance runtime gate and is never serialized, so that repeated
+    runs stay byte-identical.
     """
 
     name: str
@@ -111,8 +111,8 @@ class VerificationReport:
             self.evaluate()
         return all(self.passes.values())
 
-    def to_dict(self, include_runtime: bool = False) -> dict[str, Any]:
-        out: dict[str, Any] = {
+    def to_dict(self) -> dict[str, Any]:
+        return {
             "name": self.name,
             "inputs": self.inputs,
             "metrics": self.metrics,
@@ -121,9 +121,6 @@ class VerificationReport:
             "passes": self.passes,
             "notes": self.notes,
         }
-        if include_runtime:
-            out["runtime_s"] = self.runtime_s
-        return out
 
-    def to_json(self, include_runtime: bool = False) -> str:
-        return canonical_json(self.to_dict(include_runtime=include_runtime))
+    def to_json(self) -> str:
+        return canonical_json(self.to_dict())

@@ -60,6 +60,10 @@ class Interval:
     def dim(self) -> int:
         return 1
 
+    @property
+    def sides(self) -> tuple[float, ...]:
+        return (self.length,)
+
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -73,6 +77,10 @@ class Rectangle:
     @property
     def dim(self) -> int:
         return 2
+
+    @property
+    def sides(self) -> tuple[float, ...]:
+        return (self.a, self.b)
 
 
 Domain = Interval | Rectangle
@@ -255,15 +263,9 @@ def domain_quadrature(d: Domain, order: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1: {order}")
-    if isinstance(d, Interval):
-        x, w = _gauss_on(0.0, d.length, order)
-        return x[:, None], w
-    x, wx = _gauss_on(0.0, d.a, order)
-    y, wy = _gauss_on(0.0, d.b, order)
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    w = np.outer(wx, wy).ravel()
-    return pts, w
+    xs, ws = zip(*(_gauss_on(0.0, side, order) for side in d.sides))
+    pts = np.column_stack([x.ravel() for x in np.meshgrid(*xs, indexing="ij")])
+    return pts, np.prod(np.meshgrid(*ws, indexing="ij"), axis=0).ravel()
 
 
 def boundary_quadrature(
@@ -304,8 +306,7 @@ def boundary_quadrature(
 def _coordinates(d: Domain, pts) -> list[np.ndarray]:
     """Coordinate columns of points in the closed domain; raises outside it."""
     pts = np.asarray(pts, dtype=float).reshape(-1, d.dim)
-    sides = (d.length,) if isinstance(d, Interval) else (d.a, d.b)
-    for axis, side in zip(pts.T, sides):
+    for axis, side in zip(pts.T, d.sides):
         if np.any(axis < -1e-12) or np.any(axis > side + 1e-12):
             raise ValueError(f"points outside {d}")
     return list(pts.T)
@@ -313,8 +314,7 @@ def _coordinates(d: Domain, pts) -> list[np.ndarray]:
 
 def _frequencies(modes: ModeSet, d: Domain) -> list[np.ndarray]:
     """Per-axis wave numbers ``index * pi / side`` of every mode."""
-    sides = (d.length,) if isinstance(d, Interval) else (d.a, d.b)
-    return [modes.index[:, i] * math.pi / side for i, side in enumerate(sides)]
+    return [modes.index[:, i] * math.pi / side for i, side in enumerate(d.sides)]
 
 
 def mode_values(modes: ModeSet, d: Domain, pts: np.ndarray) -> np.ndarray:
@@ -329,12 +329,13 @@ def mode_gradients(modes: ModeSet, d: Domain, pts: np.ndarray) -> np.ndarray:
     """Gradients of the eigenfunctions, shape (n_points, dim, n_modes)."""
     waves = _frequencies(modes, d)
     phases = [np.outer(x, w) for x, w in zip(_coordinates(d, pts), waves)]
-    if isinstance(d, Interval):
-        return ((modes.norm_const * waves[0]) * np.cos(phases[0]))[:, None, :]
-    (wx, wy), (px, py) = waves, phases
-    gx = (modes.norm_const * wx) * np.cos(px) * np.sin(py)
-    gy = (modes.norm_const * wy) * np.sin(px) * np.cos(py)
-    return np.stack([gx, gy], axis=1)
+    grads = []
+    for i, w in enumerate(waves):
+        g = modes.norm_const * w
+        for k, p in enumerate(phases):
+            g = g * (np.cos(p) if k == i else np.sin(p))
+        grads.append(g)
+    return np.stack(grads, axis=1)
 
 
 def mode_normal_derivatives(

@@ -186,6 +186,24 @@ class TestSolveCommand:
                 capsys,
             )
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"u0": [NaN, 0.1, 0.1, 0.1], "u1": [0.0, 0.0, 0.0, 0.0]}',
+            '{"u0": [1.0, 0.1, 0.1, 0.1], "u1": [0.0, Infinity, 0.0, 0.0]}',
+            '[[1.0, 0.1, 0.1, 0.1], [0.0, 0.0, 0.0, 0.0]]',
+            '{"u0": [[1.0, 0.1], [0.1, 0.1]], "u1": [0.0, 0.0, 0.0, 0.0]}',
+            '{"u0": ["one", 0.1, 0.1, 0.1], "u1": [0.0, 0.0, 0.0, 0.0]}',
+            '{"u0": [1.0, 0.1, 0.1, 0.1], "u1": [0.0, 0.0',
+        ],
+        ids=["nan", "inf", "list", "nested", "string", "truncated"],
+    )
+    def test_malformed_data_rejected(self, text, tmp_path, capsys):
+        data = tmp_path / "data.json"
+        data.write_text(text)
+        with pytest.raises(SystemExit, match="data.json"):
+            _run(["solve", "--modes", "4", "--data", str(data)], capsys)
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("nodes", ["100", "300", "511"])
     def test_nodes_below_512_rejected(self, nodes, capsys):
@@ -254,6 +272,12 @@ class TestProbeCommand:
         assert out1 == out2  # byte-identical
         doc = json.loads(out1)
         assert set(doc["per_N"]) == {"8", "16"}
+
+
+    @pytest.mark.parametrize("members", ["0", "-2"])
+    def test_empty_family_rejected(self, members, capsys):
+        with pytest.raises(SystemExit, match="members"):
+            _run(["probe", "--modes", "8,16", "--members", members], capsys)
 
 
 class TestReportCommand:

@@ -1,6 +1,7 @@
 """Traces, multiplier identities, and the direct-inequality probe."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.integrate import quad
 from fracplate.families import family_members, parse_family
 from fracplate.fractional_calculus import TimeGrid, default_grading
 from fracplate.hidden_regularity import (
-    boundary_normal_field,
     direct_inequality_probe,
     filtered_identity_residual,
     filtered_identity_terms,
@@ -19,7 +19,7 @@ from fracplate.hidden_regularity import (
     trace_energy,
     trace_energy_ratios,
 )
-from fracplate.solver import InitialData, solve
+from fracplate.solver import InitialData, lift, solve
 from fracplate.spectral_domain import (
     Interval,
     Rectangle,
@@ -45,14 +45,23 @@ def _solution(d, modes, u0, u1, alpha=1.5, T=1.0):
     return solve(d, len(modes), alpha, data, T)
 
 
+def _lifted_laplacian(s):
+    """lap w for the lifted solution w = A^(-1/2) u: data times -mu_n."""
+    w = lift(s, -0.5)
+    return replace(w, u0=-w.mus * w.u0, u1=-w.mus * w.u1)
+
+
 class TestMultiplierField:
+    # _multiplier_terms drops h . nu from the boundary term: the affine field
+    # h = (2x - s)/s built from d.sides must have unit normal component at
+    # every node boundary_quadrature returns
     @pytest.mark.parametrize(
         "d", [Interval(math.pi), Interval(2.0), Rectangle(math.pi, math.pi), Rectangle(1.0, 2.5)]
     )
     def test_normal_alignment(self, d):
-        field = boundary_normal_field(d)
         pts, _, normals = boundary_quadrature(d, 24)
-        hv = field.h(pts)
+        s = np.array(d.sides)
+        hv = (2.0 * pts - s) / s
         assert np.max(np.abs(np.sum(hv * normals, axis=1) - 1.0)) < 1e-12
 
 
@@ -60,7 +69,7 @@ class TestNormalTrace:
     def test_zero_solution(self, interval_setup):
         d, modes = interval_setup
         s = _solution(d, modes, [0.0] * 8, [0.0] * 8)
-        tr = normal_trace(s, TimeGrid.graded(1.0, 512, 4.0), "u")
+        tr = normal_trace(s, TimeGrid.graded(1.0, 512, 4.0))
         assert np.max(np.abs(tr.samples)) == 0.0
         assert trace_energy(tr) == 0.0
 
@@ -68,20 +77,20 @@ class TestNormalTrace:
         d, modes = interval_setup
         s = _solution(d, modes, [1.0] + [0.0] * 7, [0.0] * 8)
         grid = TimeGrid.graded(1.0, 512, 4.0)
-        tr = normal_trace(s, grid, "u")
+        tr = normal_trace(s, grid)
         i = 300
         t = grid.nodes[i]
         expect = -math.sqrt(2 / math.pi) * ml_eval(MLParams(1.5, 1.0), -(t**1.5)).value
         assert tr.samples[i, 0] == pytest.approx(expect, rel=1e-11)
 
     def test_lifted_sign_identity(self, interval_setup):
-        # per-mode mu/sqrt(lam) = 1, so the lifted trace is exactly -trace(u)
+        # per-mode -mu lam^(-1/2) = -1, so d_nu lap w is exactly -trace(u)
         d, modes = interval_setup
         rng = np.random.default_rng(8)
         s = _solution(d, modes, rng.standard_normal(8), rng.standard_normal(8))
         grid = TimeGrid.graded(1.0, 256, 4.0)
-        tr_u = normal_trace(s, grid, "u")
-        tr_d = normal_trace(s, grid, "delta_lifted")
+        tr_u = normal_trace(s, grid)
+        tr_d = normal_trace(_lifted_laplacian(s), grid)
         scale = np.max(np.abs(tr_u.samples))
         assert np.max(np.abs(tr_d.samples + tr_u.samples)) < 1e-13 * scale
 
@@ -92,7 +101,7 @@ class TestTraceEnergy:
         d, modes = interval_setup
         s = _solution(d, modes, [1.0] + [0.0] * 7, [0.0] * 8)
         grid = TimeGrid.graded(1.0, 2048, 4.0)
-        got = trace_energy(normal_trace(s, grid, "u"))
+        got = trace_energy(normal_trace(s, grid))
         oracle = (4 / math.pi) * quad(
             lambda t: ml_eval(MLParams(1.5, 1.0), -(t**1.5)).value ** 2,
             0.0,
@@ -106,9 +115,9 @@ class TestTraceEnergy:
         rng = np.random.default_rng(13)
         u0, u1 = rng.standard_normal(8), rng.standard_normal(8)
         grid = TimeGrid.graded(1.0, 256, 4.0)
-        e1 = trace_energy(normal_trace(_solution(d, modes, u0, u1), grid, "u"))
+        e1 = trace_energy(normal_trace(_solution(d, modes, u0, u1), grid))
         e2 = trace_energy(
-            normal_trace(_solution(d, modes, 3.0 * u0, 3.0 * u1), grid, "u")
+            normal_trace(_solution(d, modes, 3.0 * u0, 3.0 * u1), grid)
         )
         assert e2 == pytest.approx(9.0 * e1, rel=1e-12)
 
@@ -129,6 +138,33 @@ class TestStaticIdentity:
         assert terms["jacobian"] == pytest.approx(-2.0, abs=1e-12)
         assert terms["divergence"] == pytest.approx(1.0, abs=1e-12)
         assert static_multiplier_identity_residual(w, d) < 1e-10
+
+    @pytest.mark.parametrize(
+        "d, i, c",
+        [
+            (Interval(math.pi), 0, math.sqrt(math.pi / 2.0)),  # w = sin(x)
+            (Interval(2.0), 2, 0.7),
+            (Rectangle(math.pi, math.pi), 1, -1.3),
+            (Rectangle(1.0, 2.5), 0, 1.0),
+            (Rectangle(1.3, 0.7), 1, 0.4),
+        ],
+        ids=["interval-pi", "interval-2", "square", "rect-1x2.5", "rect-1.3x0.7"],
+    )
+    def test_single_mode_closed_form(self, d, i, c):
+        # w = c e with -lap e = mu e, h = (2x - s)/s: every term is closed form,
+        # lhs = divergence = mu^3 c^2 sum(2/s_i) and
+        # boundary = -jacobian = 4 mu^2 c^2 sum(p_i^2/s_i), p_i = index_i pi/s_i
+        modes = eigenmodes(d, i + 1)[i:]
+        terms = static_multiplier_identity_terms(SpectralCoefficients(modes, [c]), d)
+        s = np.array(d.sides)
+        mu = modes.mu[0]
+        p = modes.index[0] * math.pi / s
+        interior = mu**3 * c**2 * np.sum(2.0 / s)
+        edge = 4.0 * mu**2 * c**2 * np.sum(p**2 / s)
+        assert terms["lhs"] == pytest.approx(interior, rel=1e-12)
+        assert terms["divergence"] == pytest.approx(interior, rel=1e-12)
+        assert terms["boundary"] == pytest.approx(edge, rel=1e-12)
+        assert terms["jacobian"] == pytest.approx(-edge, rel=1e-12)
 
     def test_sixteen_mode_interval(self):
         d = Interval(math.pi)
@@ -266,7 +302,7 @@ class TestDirectInequalityProbe:
         )
         s = solve(d, 4, 1.5, data, 1.0)
         grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
-        ratio = trace_energy(normal_trace(s, grid, "u"))
+        ratio = trace_energy(normal_trace(s, grid))
         assert ratio == pytest.approx(REGRESSION_LOCKS["u0_single_mode_ratio"], rel=1e-6)
         oracle = (4 / math.pi) * quad(
             lambda t: ml_eval(MLParams(1.5, 1.0), -(t**1.5)).value ** 2, 0, 1, limit=200
@@ -295,7 +331,7 @@ class TestDirectInequalityProbe:
                 fractional_norm(data.u0, 0.25) ** 2
                 + fractional_norm(data.u1, -0.25) ** 2
             )
-            return trace_energy(normal_trace(s, grid, "u")) / den
+            return trace_energy(normal_trace(s, grid)) / den
 
         assert ratio(1.0) == pytest.approx(ratio(7.0), rel=1e-12)
         assert math.isfinite(base.metrics["R_max"])
@@ -318,7 +354,7 @@ class TestDirectInequalityProbe:
                     fractional_norm(SpectralCoefficients(s.modes, s.u0), 0.25) ** 2
                     + fractional_norm(SpectralCoefficients(s.modes, s.u1), -0.25) ** 2
                 )
-                ratios.append(trace_energy(normal_trace(s, grid, "u")) / denom)
+                ratios.append(trace_energy(normal_trace(s, grid)) / denom)
             assert row["R"] == max(ratios)
             assert row["argmax_member"] == int(np.argmax(ratios))
 
@@ -330,6 +366,11 @@ class TestDirectInequalityProbe:
         rows = trace_energy_ratios(d, 1.5, grid, [zero, live], [4, 8])
         assert [r[0] for r in rows] == [-1.0, -1.0]
         assert all(r[1] > 0.0 for r in rows)
+
+    @pytest.mark.parametrize("spec, members", [("decay:1.5", 0), ("worst:0", 8)])
+    def test_empty_family_rejected(self, spec, members):
+        with pytest.raises(ValueError, match="no members"):
+            direct_inequality_probe(Interval(math.pi), 1.5, 1.0, spec, [4, 8], members=members)
 
     def test_growth_factor_bounded_small_schedule(self):
         d = Interval(math.pi)
@@ -347,14 +388,14 @@ class TestTraceInvariants:
         grid = TimeGrid.graded(1.0, 128, 4.0)
         u0 = np.array([0.5, -0.3, 0.2, 0.0, 0.1, 0.0, 0.0, -0.05])
         u1 = np.array([0.1, 0.0, -0.2, 0.3, 0.0, 0.0, 0.05, 0.0])
-        total = normal_trace(_solution(d, modes, u0, u1), grid, "u").samples
+        total = normal_trace(_solution(d, modes, u0, u1), grid).samples
         acc = np.zeros_like(total)
         for i in range(8):
             sel0 = np.zeros(8)
             sel1 = np.zeros(8)
             sel0[i] = u0[i]
             sel1[i] = u1[i]
-            acc += normal_trace(_solution(d, modes, sel0, sel1), grid, "u").samples
+            acc += normal_trace(_solution(d, modes, sel0, sel1), grid).samples
         assert np.max(np.abs(total - acc)) < 1e-13 * max(np.max(np.abs(total)), 1.0)
 
     def test_probe_ratio_stable_under_time_refinement(self):
@@ -389,8 +430,8 @@ class TestRectangleDomain:
         )
         s = solve(d, 6, 1.5, data, 1.0)
         grid = TimeGrid.graded(1.0, 128, 4.0)
-        tr_u = normal_trace(s, grid, "u")
-        tr_d = normal_trace(s, grid, "delta_lifted")
+        tr_u = normal_trace(s, grid)
+        tr_d = normal_trace(_lifted_laplacian(s), grid)
         scale = np.max(np.abs(tr_u.samples))
         assert np.max(np.abs(tr_d.samples + tr_u.samples)) < 1e-12 * scale
 
@@ -408,7 +449,7 @@ class TestRectangleDomain:
         )
         s = solve(d, 6, 1.5, data, 1.0)
         grid = TimeGrid.graded(1.0, 2048, 4.0)
-        got = trace_energy(normal_trace(s, grid, "u"))
+        got = trace_energy(normal_trace(s, grid))
         lam = modes[0].lam
         oracle = (8.0 / math.pi) * quad(
             lambda t: (t * ml_eval(MLParams(1.5, 2.0), -lam * t**1.5).value) ** 2,

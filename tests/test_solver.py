@@ -388,7 +388,7 @@ class TestRectangleSolutions:
 
         # finite positive trace energy
         grid = TimeGrid.graded(0.8, 256, 4.0)
-        assert trace_energy(normal_trace(s, grid, "u")) > 0.0
+        assert trace_energy(normal_trace(s, grid)) > 0.0
 
     def test_mode_residual_on_rectangle(self):
         from fracplate.spectral_domain import Rectangle
