@@ -36,7 +36,6 @@ from .hidden_regularity import (
 )
 from .report import VerificationReport, canonical_json
 from .solver import (
-    InitialData,
     SpectralSolution,
     apriori_estimate_check,
     classify,
@@ -86,7 +85,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Domain",
     "EigenMode",
-    "InitialData",
     "Interval",
     "MLDecayBound",
     "MLEvaluation",

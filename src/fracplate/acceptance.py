@@ -36,13 +36,7 @@ from .hidden_regularity import (
     trace_energy_ratios,
 )
 from .report import VerificationReport
-from .solver import (
-    InitialData,
-    lift,
-    mode_ode_residual,
-    solve,
-    weak_form_residual,
-)
+from .solver import lift, mode_ode_residual, solve, weak_form_residual
 from .spectral_domain import (
     Interval,
     Rectangle,
@@ -218,13 +212,8 @@ def criterion_3_fractional_operators(quick: bool = False) -> VerificationReport:
     return rep
 
 
-def _interval_solution(alpha: float, n_modes: int, u0, u1, T: float = 1.0):
-    d = Interval(math.pi)
-    modes = eigenmodes(d, n_modes)
-    data = InitialData(
-        SpectralCoefficients(modes, u0), SpectralCoefficients(modes, u1)
-    )
-    return d, modes, solve(d, n_modes, alpha, data, T)
+def _interval_solution(alpha: float, u0, u1):
+    return solve(Interval(math.pi), len(u0), alpha, u0, u1, 1.0)
 
 
 def criterion_4_solver_residuals(quick: bool = False) -> VerificationReport:
@@ -236,12 +225,11 @@ def criterion_4_solver_residuals(quick: bool = False) -> VerificationReport:
     Ms = (512, 1024) if quick else (512, 1024, 2048)
     worst_scaled = 0.0
     worst_order = math.inf
-    d, modes, _ = _interval_solution(alpha, 8, [0.0] * 8, [0.0] * 8)
 
     # mode n's residual depends only on (u0_n, u1_n, lam_n): one solution
     # carries every tested mode, one Caputo block per grid
     active = [1.0] * n_active + [0.0] * (8 - n_active)
-    _, _, s = _interval_solution(alpha, 8, active, [0.5 * a for a in active])
+    s = _interval_solution(alpha, active, [0.5 * a for a in active])
     res = []
     for M in Ms:
         grid = TimeGrid.graded(1.0, M, gamma)
@@ -255,8 +243,8 @@ def criterion_4_solver_residuals(quick: bool = False) -> VerificationReport:
 
     u0 = [1.0, -0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0]
     u1 = [0.0, 0.3, -0.2, 0.1, 0.0, 0.0, 0.0, 0.0]
-    _, _, s = _interval_solution(alpha, 8, u0, u1)
-    v = SpectralCoefficients(modes[:2], [1.0, -0.5])
+    s = _interval_solution(alpha, u0, u1)
+    v = SpectralCoefficients(s.modes[:2], [1.0, -0.5])
     weak = []
     for M in Ms:
         grid = TimeGrid.graded(1.0, M, gamma)
@@ -265,13 +253,13 @@ def criterion_4_solver_residuals(quick: bool = False) -> VerificationReport:
 
     c0 = s.coefficients(np.array([0.0]))[0]
     init_u0 = float(np.max(np.abs(c0 - np.array(u0))))
-    _, _, s_vel = _interval_solution(alpha, 8, [0.0] * 8, u1)
+    s_vel = _interval_solution(alpha, [0.0] * 8, u1)
     cvel = s_vel.coefficient_derivatives(np.array([0.0]))[0]
     init_u1 = float(np.max(np.abs(cvel - np.array(u1))))
 
     lam = s.lambdas
-    _, _, s_lifted_data = _interval_solution(
-        alpha, 8, np.array(u0) * lam**-0.5, np.array(u1) * lam**-0.5
+    s_lifted_data = _interval_solution(
+        alpha, np.array(u0) * lam**-0.5, np.array(u1) * lam**-0.5
     )
     ts = np.linspace(0.0, 1.0, 9)
     ca = lift(s, -0.5).coefficients(ts)
@@ -327,7 +315,7 @@ def criterion_5_multiplier_identities(quick: bool = False) -> VerificationReport
     alpha, beta = 1.5, 0.25
     u0 = np.array([0.9, -0.5, 0.3, -0.2, 0.15, -0.1, 0.08, -0.05])
     u1 = np.array([0.2, 0.1, -0.3, 0.2, -0.1, 0.05, -0.04, 0.03])
-    _, _, s = _interval_solution(alpha, 8, u0, u1)
+    s = _interval_solution(alpha, u0, u1)
     Ms = (512, 1024) if quick else (512, 1024, 2048)
     f1 = []
     f2 = []

@@ -26,14 +26,8 @@ from .families import parse_family
 from .fractional_calculus import TimeGrid, default_grading, rl_integral_matrix
 from .hidden_regularity import direct_inequality_probe, filtered_identity_residual
 from .report import canonical_json, fmt17
-from .solver import (
-    InitialData,
-    apriori_estimate_check,
-    classify,
-    mode_ode_residual,
-    solve,
-)
-from .spectral_domain import SpectralCoefficients, eigenmodes, parse_domain
+from .solver import apriori_estimate_check, classify, mode_ode_residual, solve
+from .spectral_domain import eigenmodes, parse_domain
 from .special_functions import MLParams, gamma_fn, ml_eval
 
 __all__ = ["main", "parse_config", "RunConfig"]
@@ -223,7 +217,8 @@ def _run_fracops(opt: dict[str, Any]) -> int:
     return 0 if _refines(errors) else 1
 
 
-def _load_data(path: str, modes, N: int) -> InitialData:
+def _load_data(path: str, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The data file's u0 and u1, every coefficient kept; else u0_n = n^-2, u1 = 0."""
     if path:
         try:
             with open(path) as fh:
@@ -245,9 +240,7 @@ def _load_data(path: str, modes, N: int) -> InitialData:
         n = np.arange(1, N + 1, dtype=float)
         u0 = n**-2.0
         u1 = np.zeros(N)
-    return InitialData(
-        SpectralCoefficients(modes, u0[:N]), SpectralCoefficients(modes, u1[:N])
-    )
+    return u0, u1
 
 
 def _run_solve(opt: dict[str, Any]) -> int:
@@ -255,18 +248,16 @@ def _run_solve(opt: dict[str, Any]) -> int:
     alpha = float(opt["alpha"])
     N = int(opt["modes"])
     T = float(opt["horizon"])
-    modes = eigenmodes(d, N)
-    data = _load_data(opt["data"], modes, N)
-    s = solve(d, N, alpha, data, T)
+    u0, u1 = _load_data(opt["data"], N)
+    s = solve(d, N, alpha, u0, u1, T)
     M = int(opt["nodes"])
     if M < 512:
         raise SystemExit(f"solve needs --nodes >= 512 for its mode residuals: {M}")
     grid = TimeGrid.graded(T, M, default_grading(alpha))
-    declared, tables = classify(data, d)
     # one Caputo block on the first k modes; their coefficient columns equal
     # the full solution's, and against e_1 the weak-form defect is mode 1's
     k = min(N, 3)
-    head = solve(d, k, alpha, data, T)
+    head = solve(d, k, alpha, u0, u1, T)
     C = head.coefficients(grid.nodes)
     raw = mode_ode_residual(head, range(1, k + 1), grid)
     residuals = {}
@@ -276,8 +267,7 @@ def _run_solve(opt: dict[str, Any]) -> int:
     residuals["weak_form_e1"] = raw[0]
     apriori = apriori_estimate_check(s, grid)
     doc = {
-        "declared_class": declared,
-        "norm_tables": tables,
+        "norm_tables": classify(s),
         "truncation_tail": {"u0": s.tail_u0, "u1": s.tail_u1},
         "residuals": residuals,
         "apriori": apriori.metrics,
@@ -307,13 +297,8 @@ def _run_identities(opt: dict[str, Any]) -> int:
     beta = float(opt["beta"])
     N = int(opt["modes"])
     T = float(opt["horizon"])
-    modes = eigenmodes(d, N)
     n = np.arange(1, N + 1, dtype=float)
-    data = InitialData(
-        SpectralCoefficients(modes, n**-2.0),
-        SpectralCoefficients(modes, 0.5 * n**-2.0),
-    )
-    s = solve(d, N, alpha, data, T)
+    s = solve(d, N, alpha, n**-2.0, 0.5 * n**-2.0, T)
     lines = ["nodes,filtered_identity,filtered_identity2"]
     cols = ([], [])
     for M in _int_list(opt["nodes"]):
@@ -340,10 +325,10 @@ def _run_probe(opt: dict[str, Any]) -> int:
         members=int(opt["members"]),
         time_nodes=int(opt["time_nodes"]),
     )
-    rs = {int(row["N"]): row["R"] for row in rep.table}
-    ns = sorted(rs)
     growth = {
-        f"{n}->{2*n}": rs[2 * n] / rs[n] for n in ns if 2 * n in rs and rs[n] > 0
+        f"{row['N']}->{2 * row['N']}": row["growth"]
+        for row in rep.table
+        if "growth" in row
     }
     doc = {
         "per_N": {

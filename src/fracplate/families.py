@@ -25,8 +25,9 @@ __all__ = ["family_members", "parse_family"]
 def parse_family(spec: str) -> tuple[str, dict[str, float]]:
     """Parse a family spec string.
 
-    Recognized forms: ``single-u0``, ``single-u1``, ``decay:p``,
-    ``worst:K[:p]`` (K random members of decay p, default 1.5).
+    Recognized forms: ``single-u0`` and ``single-u1`` (one member per mode,
+    so N members at N modes) and ``decay:p`` (``members`` random members with
+    coefficients decaying like ``n**(-p)``).
     """
     parts = spec.split(":")
     kind = parts[0].strip().lower()
@@ -36,13 +37,6 @@ def parse_family(spec: str) -> tuple[str, dict[str, float]]:
         if len(parts) != 2:
             raise ValueError(f"decay family needs an exponent: {spec!r}")
         return kind, {"p": float(parts[1])}
-    if kind == "worst":
-        if len(parts) < 2:
-            raise ValueError(f"worst-of-K family needs K: {spec!r}")
-        params = {"K": float(parts[1]), "p": 1.5}
-        if len(parts) > 2:
-            params["p"] = float(parts[2])
-        return kind, params
     raise ValueError(f"unknown family spec {spec!r}")
 
 
@@ -71,8 +65,6 @@ def family_members(
             u1[n] = 1.0
             out.append((np.zeros(N), u1))
         return out
-    if kind == "worst":
-        members = int(params["K"])
     p = params["p"]
     decay = np.arange(1, N + 1, dtype=float) ** (-p)
     out = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -113,10 +113,6 @@ class TimeSeries:
             raise ValueError(
                 f"{self.values.shape[0]} values for {len(self.grid.nodes)} nodes"
             )
-
-    @classmethod
-    def sample(cls, grid: TimeGrid, f: Callable[[np.ndarray], np.ndarray]) -> "TimeSeries":
-        return cls(grid, np.asarray(f(grid.nodes), dtype=float))
 
 
 # }}}

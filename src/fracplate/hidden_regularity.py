@@ -290,11 +290,13 @@ def direct_inequality_probe(
     """Trace energy against data energy across a mode schedule.
 
     For each N the probe reports ``R(N) = max over the family of
-    trace_energy / (||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2)`` and the growth
-    factors R(2N)/R(N) between consecutive schedule entries.  Bounded R is
-    evidence for the hidden-regularity inequality; the constant itself is
-    never claimed (it is not numerically pinned by the theory).  The family
-    is drawn once at the largest N, so every N sees prefixes of the same data.
+    trace_energy / (||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2)``.  The row of every N
+    whose 2N is also scheduled carries the growth factor R(2N)/R(N) as
+    ``growth``; ``growth_factor_max`` is their max, 1.0 if there is none.
+    Bounded R is evidence for the hidden-regularity inequality; the constant
+    itself is never claimed (it is not numerically pinned by the theory).  The
+    family is drawn once at the largest N, so every N sees prefixes of the
+    same data; ``inputs["members"]`` records how many members were probed.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2): {alpha}")
@@ -306,7 +308,6 @@ def direct_inequality_probe(
     if not members_full:
         raise ValueError(f"family {family_spec!r} has no members (members={members})")
     table = []
-    r_values = []
     for N, ratios in zip(
         schedule, trace_energy_ratios(d, alpha, grid, members_full, schedule)
     ):
@@ -317,11 +318,11 @@ def direct_inequality_probe(
                 best = ratio
                 best_member = mi
         table.append({"N": N, "R": best, "argmax_member": best_member})
-        r_values.append(best)
-    growth = []
-    for i in range(len(schedule) - 1):
-        if schedule[i + 1] == 2 * schedule[i] and r_values[i] > 0.0:
-            growth.append(r_values[i + 1] / r_values[i])
+    rs = {row["N"]: row["R"] for row in table}
+    for row in table:
+        if 2 * row["N"] in rs and row["R"] > 0.0:
+            row["growth"] = rs[2 * row["N"]] / row["R"]
+    growth = [row["growth"] for row in table if "growth" in row]
     report = VerificationReport(
         name="direct_inequality_probe",
         inputs={
@@ -330,13 +331,13 @@ def direct_inequality_probe(
             "T": T,
             "family": family_spec,
             "seed": seed,
-            "members": members,
+            "members": len(members_full),
             "time_nodes": time_nodes,
             "schedule": list(schedule),
         },
         table=table,
         metrics={
-            "R_max": max(r_values),
+            "R_max": max(rs.values()),
             "growth_factor_max": max(growth) if growth else 1.0,
         },
         notes=[

@@ -42,9 +42,7 @@ from .spectral_domain import (
 from .special_functions import ml_profile
 
 __all__ = [
-    "InitialData",
     "SpectralSolution",
-    "CLASS_EXPONENTS",
     "solve",
     "lift",
     "eval_u",
@@ -58,40 +56,6 @@ __all__ = [
 ]
 
 
-# data-class name -> (theta for u0, theta for u1)
-CLASS_EXPONENTS: dict[str, tuple[float, float]] = {
-    "H1": (0.25, -0.25),
-    "H2": (0.5, 0.0),
-    "H3": (0.75, 0.25),
-    "Strong": (1.0, 0.5),
-}
-
-
-@dataclass(frozen=True)
-class InitialData:
-    """Initial displacement and velocity in the eigenbasis.
-
-    ``declared_class`` is metadata selecting which estimates apply; every
-    finite truncation satisfies all hypothesis sets, so it never gates
-    anything numerically.
-    """
-
-    u0: SpectralCoefficients
-    u1: SpectralCoefficients
-    declared_class: str = "H2"
-
-    def __post_init__(self) -> None:
-        if self.declared_class not in CLASS_EXPONENTS:
-            raise ValueError(
-                f"unknown class {self.declared_class!r}; "
-                f"expected one of {sorted(CLASS_EXPONENTS)}"
-            )
-        if len(self.u0) != len(self.u1):
-            raise ValueError("u0 and u1 must cover the same modes")
-        if not np.array_equal(self.u0.modes.index, self.u1.modes.index):
-            raise ValueError("u0 and u1 must be expanded over the same modes")
-
-
 @dataclass(frozen=True)
 class SpectralSolution:
     """Everything needed to evaluate the series solution lazily."""
@@ -102,7 +66,6 @@ class SpectralSolution:
     u0: np.ndarray
     u1: np.ndarray
     T: float
-    declared_class: str = "H2"
     tail_u0: float = 0.0
     tail_u1: float = 0.0
 
@@ -138,39 +101,27 @@ class SpectralSolution:
 
 
 def solve(
-    d: Domain, N: int, alpha: float, data: InitialData, T: float
+    d: Domain, N: int, alpha: float, u0: np.ndarray, u1: np.ndarray, T: float
 ) -> SpectralSolution:
     """Assemble the truncated series solution; no discretization happens here.
 
-    ``data`` must cover at least the first N modes of ``d``; any extra modes
-    are dropped and their mass in the declared-class norms is recorded as the
-    truncation tail.
+    ``u0`` and ``u1`` are coefficient arrays in ``eigenmodes(d, .)`` order
+    that cover at least the first N modes.  Further coefficients are dropped
+    and their mass in H^2 x L^2, ``sum lam_n u0_n^2`` and ``sum u1_n^2`` over
+    n > N, is recorded as the truncation tail.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2): {alpha}")
     if T <= 0.0:
         raise ValueError(f"horizon must be positive: {T}")
-    modes = eigenmodes(d, N)
-    if len(data.u0) < N:
-        raise ValueError(
-            f"data covers {len(data.u0)} modes but N={N} were requested"
-        )
-    if not np.array_equal(data.u0.modes.index[:N], modes.index):
-        raise ValueError("data modes do not match the domain's eigenbasis")
-    th0, th1 = CLASS_EXPONENTS[data.declared_class]
-    lam_all = data.u0.lambdas
-    tail0 = float(np.sum(lam_all[N:] ** (2 * th0) * data.u0.values[N:] ** 2))
-    tail1 = float(np.sum(lam_all[N:] ** (2 * th1) * data.u1.values[N:] ** 2))
+    u0, u1 = (np.asarray(u, dtype=float).reshape(-1) for u in (u0, u1))
+    if not 1 <= N <= min(len(u0), len(u1)):
+        raise ValueError(f"data covers {len(u0)}/{len(u1)} modes; N={N} requested")
+    modes = eigenmodes(d, max(len(u0), len(u1)))
+    tail0 = float(np.sum(modes.lam[N : len(u0)] * u0[N:] ** 2))
+    tail1 = float(np.sum(u1[N:] ** 2))
     return SpectralSolution(
-        d,
-        modes,
-        alpha,
-        data.u0.values[:N].copy(),
-        data.u1.values[:N].copy(),
-        T,
-        data.declared_class,
-        tail0,
-        tail1,
+        d, modes[:N], alpha, u0[:N].copy(), u1[:N].copy(), T, tail0, tail1
     )
 
 
@@ -302,29 +253,22 @@ def weak_form_residual(
 
 # {{{ classification and a-priori estimates
 
-def classify(data: InitialData, d: Domain) -> tuple[str, dict[str, dict[str, float]]]:
-    """Norm table of the data across the fractional power scale.
+def classify(s: SpectralSolution) -> dict[str, dict[str, float]]:
+    """Norm table of the solution's data across the fractional power scale.
 
     u0 is measured at theta in {1/4, 1/2, 3/4, 1} and u1 at
     {-1/4, 0, 1/4, 1/2}; for finite truncations every norm is finite, so the
     table is the informative output (it normalizes the estimate ratios).
     """
-    u0_table = {
-        f"theta={th}": fractional_norm(data.u0, th) for th in (0.25, 0.5, 0.75, 1.0)
-    }
-    u1_table = {
-        f"theta={th}": fractional_norm(data.u1, th) for th in (-0.25, 0.0, 0.25, 0.5)
-    }
-    satisfied = [
-        name
-        for name, (t0, t1) in CLASS_EXPONENTS.items()
-        if math.isfinite(fractional_norm(data.u0, t0))
-        and math.isfinite(fractional_norm(data.u1, t1))
-    ]
-    return data.declared_class, {
-        "u0": u0_table,
-        "u1": u1_table,
-        "satisfies": {name: 1.0 for name in satisfied},
+    u0 = SpectralCoefficients(s.modes, s.u0)
+    u1 = SpectralCoefficients(s.modes, s.u1)
+    return {
+        "u0": {
+            f"theta={th}": fractional_norm(u0, th) for th in (0.25, 0.5, 0.75, 1.0)
+        },
+        "u1": {
+            f"theta={th}": fractional_norm(u1, th) for th in (-0.25, 0.0, 0.25, 0.5)
+        },
     }
 
 

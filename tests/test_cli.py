@@ -13,8 +13,8 @@ from fracplate import fractional_calculus
 from fracplate.cli import RunConfig, main, parse_config
 from fracplate.fractional_calculus import TimeGrid, default_grading
 from fracplate.report import canonical_json
-from fracplate.solver import InitialData, solve, weak_form_residual
-from fracplate.spectral_domain import Interval, SpectralCoefficients, eigenmodes
+from fracplate.solver import solve, weak_form_residual
+from fracplate.spectral_domain import Interval, SpectralCoefficients
 
 
 def _run(argv, capsys):
@@ -145,7 +145,8 @@ class TestSolveCommand:
         )
         assert code == 0
         doc = json.loads(out_file.read_text())
-        assert doc["declared_class"] == "H2"
+        assert set(doc["norm_tables"]) == {"u0", "u1"}
+        assert doc["truncation_tail"] == {"u0": 0.0, "u1": 0.0}
         assert doc["residuals"]["mode_1_scaled"] < 5e-3
         assert doc["norm_tables"]["u0"]["theta=0.25"] == pytest.approx(1.0)
 
@@ -205,6 +206,32 @@ class TestSolveCommand:
             _run(["solve", "--modes", "4", "--data", str(data)], capsys)
         assert capsys.readouterr().out == ""
 
+    def test_extra_coefficients_count_toward_the_tail(self, tmp_path, capsys):
+        # interval:pi has lam_n = n^4; the tail is sum_{n > 8} of lam_n u0_n^2
+        # and of u1_n^2
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"u0": [1.0] * 16, "u1": [0.5] * 16}))
+        code, out = _run(["solve", "--modes", "8", "--data", str(data)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["truncation_tail"] == {"u0": 235076.0, "u1": 2.0}
+        assert doc["norm_tables"]["u1"]["theta=0.0"] == pytest.approx(math.sqrt(2.0))
+
+    def test_output_bytes_pinned(self, tmp_path, capsys):
+        csv_file = tmp_path / "norms.csv"
+        code, out = _run(
+            ["solve", "--domain", "interval:pi", "--modes", "8", "--nodes", "512",
+             "--csv-out", str(csv_file)],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4f5a044b465e07eb21a1b7e68973174b8f104291609475d3ff0b942bd8f15bdb"
+        )
+        assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
+            "016ca5bddc8d6790337d6ca2ad191d81a2d95e5735c5e2a2b26d273da4ad7ca1"
+        )
+
     @pytest.mark.parametrize("nodes", ["100", "300", "511"])
     def test_nodes_below_512_rejected(self, nodes, capsys):
         with pytest.raises(SystemExit, match="512"):
@@ -225,15 +252,10 @@ class TestSolveCommand:
         assert len(calls) == 1
         # the weak-form defect against e_1 is read from mode 1's column
         residuals = json.loads(out_file.read_text())["residuals"]
-        d = Interval(math.pi)
-        modes = eigenmodes(d, 8)
-        data = InitialData(
-            SpectralCoefficients(modes, np.arange(1, 9, dtype=float) ** -2.0),
-            SpectralCoefficients(modes, np.zeros(8)),
-        )
-        s = solve(d, 8, 1.5, data, 1.0)
+        u0 = np.arange(1, 9, dtype=float) ** -2.0
+        s = solve(Interval(math.pi), 8, 1.5, u0, np.zeros(8), 1.0)
         grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
-        e1 = SpectralCoefficients(modes[:1], [1.0])
+        e1 = SpectralCoefficients(s.modes[:1], [1.0])
         assert residuals["weak_form_e1"] == pytest.approx(
             weak_form_residual(s, e1, grid), rel=1e-9
         )
@@ -273,6 +295,31 @@ class TestProbeCommand:
         doc = json.loads(out1)
         assert set(doc["per_N"]) == {"8", "16"}
 
+    def test_growth_factors_agree_with_their_max(self, capsys):
+        # 16 -> 32 is the schedule's only doubling, though not consecutive
+        code, out = _run(
+            ["probe", "--modes", "16,24,32", "--time-nodes", "64", "--members", "2"],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        growth = doc["growth_factors"]
+        assert list(growth) == ["16->32"]
+        assert growth["16->32"] == doc["per_N"]["32"]["R"] / doc["per_N"]["16"]["R"]
+        assert doc["growth_factor_max"] == growth["16->32"] < 1.0
+
+    def test_single_family_ignores_members(self, capsys):
+        outs = []
+        for members in ("1", "5"):
+            code, out = _run(
+                ["probe", "--family", "single-u0", "--modes", "8,16",
+                 "--members", members, "--time-nodes", "64"],
+                capsys,
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["inputs"]["members"] == 16
 
     @pytest.mark.parametrize("members", ["0", "-2"])
     def test_empty_family_rejected(self, members, capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from fracplate.fractional_calculus import TimeGrid
 from fracplate.solver import (
-    InitialData,
     apriori_estimate_check,
     classify,
     eval_caputo,
@@ -34,16 +33,10 @@ def interval_modes():
     return d, eigenmodes(d, 8)
 
 
-def _data(modes, u0, u1, cls="H2"):
-    return InitialData(
-        SpectralCoefficients(modes, u0), SpectralCoefficients(modes, u1), cls
-    )
-
-
 class TestSolve:
     def test_single_mode_collapse(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         t, x = 0.6, 0.9
         expect = (
             ml_eval(MLParams(1.5, 1.0), -(t**1.5)).value
@@ -54,7 +47,7 @@ class TestSolve:
 
     def test_zero_data_zero_solution(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [0] * 8, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [0] * 8, [0] * 8, 1.0)
         assert eval_u(s, 0.5, 1.0) == 0.0
 
     def test_velocity_mode_collapse(self, interval_modes):
@@ -62,7 +55,7 @@ class TestSolve:
         d, modes = interval_modes
         u1 = [0.0] * 8
         u1[1] = 1.0
-        s = solve(d, 8, 1.5, _data(modes, [0] * 8, u1), 1.0)
+        s = solve(d, 8, 1.5, [0] * 8, u1, 1.0)
         t, x = 0.4, 0.7
         expect = (
             t
@@ -75,16 +68,16 @@ class TestSolve:
     def test_alpha_out_of_range(self, interval_modes):
         d, modes = interval_modes
         with pytest.raises(ValueError):
-            solve(d, 8, 2.5, _data(modes, [1] + [0] * 7, [0] * 8), 1.0)
+            solve(d, 8, 2.5, [1] + [0] * 7, [0] * 8, 1.0)
 
     def test_linearity_in_data(self, interval_modes):
         d, modes = interval_modes
         rng = np.random.default_rng(11)
         u0a, u1a = rng.standard_normal(8), rng.standard_normal(8)
         u0b, u1b = rng.standard_normal(8), rng.standard_normal(8)
-        sa = solve(d, 8, 1.5, _data(modes, u0a, u1a), 1.0)
-        sb = solve(d, 8, 1.5, _data(modes, u0b, u1b), 1.0)
-        sc = solve(d, 8, 1.5, _data(modes, 2 * u0a - u0b, 2 * u1a - u1b), 1.0)
+        sa = solve(d, 8, 1.5, u0a, u1a, 1.0)
+        sb = solve(d, 8, 1.5, u0b, u1b, 1.0)
+        sc = solve(d, 8, 1.5, 2 * u0a - u0b, 2 * u1a - u1b, 1.0)
         ts = np.linspace(0, 1, 5)
         assert np.allclose(
             sc.coefficients(ts),
@@ -96,26 +89,39 @@ class TestSolve:
     def test_truncation_tail_report(self, interval_modes):
         d, modes = interval_modes
         vals = np.array([1.0, 0.5, 0.25, 0.125, 0.1, 0.05, 0.02, 0.01])
-        data = _data(modes, vals, np.zeros(8), "H3")
-        s = solve(d, 4, 1.5, data, 1.0)
-        lam = np.array([m.lam for m in modes])
-        expect = float(np.sum(lam[4:] ** 1.5 * vals[4:] ** 2))
+        s = solve(d, 4, 1.5, vals, 0.5 * vals, 1.0)
+        expect = float(np.sum(modes.lam[4:] * vals[4:] ** 2))
         assert s.tail_u0 == pytest.approx(expect, rel=1e-13)
-        assert s.tail_u1 == 0.0
+        assert s.tail_u1 == pytest.approx(0.25 * np.sum(vals[4:] ** 2), rel=1e-13)
+        assert len(s.modes) == len(s.u0) == len(s.u1) == 4
+
+    def test_modes_are_the_prefix_of_the_data_modes(self):
+        d = Rectangle(1.3, 0.7)
+        s = solve(d, 5, 1.5, np.ones(40), np.ones(12), 1.0)
+        assert np.array_equal(s.modes.index, eigenmodes(d, 5).index)
+        assert np.array_equal(s.lambdas, eigenmodes(d, 5).lam)
+        assert s.tail_u0 == pytest.approx(float(np.sum(eigenmodes(d, 40).lam[5:])))
+        assert s.tail_u1 == 7.0
+
+    @pytest.mark.parametrize("n0, n1", [(3, 8), (8, 3), (3, 3)])
+    def test_short_data_rejected(self, interval_modes, n0, n1):
+        d, _ = interval_modes
+        with pytest.raises(ValueError, match="N=4"):
+            solve(d, 4, 1.5, np.ones(n0), np.ones(n1), 1.0)
 
 
 class TestPointwiseEvaluation:
     def test_initial_displacement_reproduced(self, interval_modes):
         d, modes = interval_modes
         u0 = [0.3, -0.2, 0.5, 0.0, 0.1, 0.0, 0.0, 0.2]
-        s = solve(d, 8, 1.5, _data(modes, u0, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, u0, [0] * 8, 1.0)
         c0 = s.coefficients(np.array([0.0]))[0]
         assert np.max(np.abs(c0 - np.array(u0))) < 1e-12
 
     def test_initial_velocity_reproduced(self, interval_modes):
         d, modes = interval_modes
         u1 = [0.4, 0.1, -0.2, 0.0, 0.0, 0.3, 0.0, 0.0]
-        s = solve(d, 8, 1.5, _data(modes, [0] * 8, u1), 1.0)
+        s = solve(d, 8, 1.5, [0] * 8, u1, 1.0)
         x = 1.3
         expect = sum(
             u1[i] * math.sqrt(2 / math.pi) * math.sin((i + 1) * x)
@@ -125,20 +131,20 @@ class TestPointwiseEvaluation:
 
     def test_ut_at_zero_with_displacement_refused(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         with pytest.raises(ValueError):
             eval_ut(s, 0.0, 1.0)
 
     def test_caputo_equals_minus_u_for_fundamental(self, interval_modes):
         # lam_1 = 1 on Interval(pi), so dt^alpha u = -u exactly
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         t, x = 0.35, 2.0
         assert eval_caputo(s, t, x) == pytest.approx(-eval_u(s, t, x), rel=1e-13)
 
     def test_grad_laplacian_direction(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         t, x = 0.5, 0.9
         c = s.coefficients(np.array([t]))[0][0]
         expect = -c * math.sqrt(2 / math.pi) * math.cos(x)
@@ -146,7 +152,7 @@ class TestPointwiseEvaluation:
 
     def test_time_domain_enforced(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         with pytest.raises(ValueError):
             eval_u(s, 1.5, 1.0)
         with pytest.raises(ValueError):
@@ -156,13 +162,13 @@ class TestPointwiseEvaluation:
 class TestResiduals:
     def test_zero_data_zero_residual(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [0] * 8, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [0] * 8, [0] * 8, 1.0)
         grid = TimeGrid.graded(1.0, 512, 4.0)
         assert mode_ode_residual(s, 1, grid) == 0.0
 
     def test_fundamental_mode_contract(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         r1 = mode_ode_residual(s, 1, TimeGrid.graded(1.0, 1024, 4.0))
         r2 = mode_ode_residual(s, 1, TimeGrid.graded(1.0, 2048, 4.0))
         assert r2 <= 5e-3
@@ -172,7 +178,7 @@ class TestResiduals:
         d, modes = interval_modes
         u0 = [0.0] * 8
         u0[4] = 1.0  # lam = 625
-        s = solve(d, 8, 1.5, _data(modes, u0, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, u0, [0] * 8, 1.0)
         grid = TimeGrid.graded(1.0, 2048, 4.0)
         lam = modes[4].lam
         c = s.coefficients(grid.nodes)[:, 4]
@@ -181,21 +187,21 @@ class TestResiduals:
 
     def test_weak_form_single_mode(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         v = SpectralCoefficients(modes[:1], [1.0])
         grid = TimeGrid.graded(1.0, 2048, 4.0)
         assert weak_form_residual(s, v, grid) <= 1e-2
 
     def test_weak_form_orthogonal_test_function(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [1.0, 0.5] + [0] * 6, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [1.0, 0.5] + [0] * 6, [0] * 8, 1.0)
         v = SpectralCoefficients(modes[5:6], [1.0])
         grid = TimeGrid.graded(1.0, 512, 4.0)
         assert weak_form_residual(s, v, grid) == 0.0
 
     def test_zero_weak_residual_for_zero_solution(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [0] * 8, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [0] * 8, [0] * 8, 1.0)
         v = SpectralCoefficients(modes[:1], [1.0])
         assert weak_form_residual(s, v, TimeGrid.graded(1.0, 512, 4.0)) == 0.0
 
@@ -204,7 +210,7 @@ class TestResiduals:
         modes = eigenmodes(d, 6)
         u0 = [1.0, -0.5, 0.25, 0.0, 0.0, 0.0]
         u1 = [0.0, 0.3, 0.0, -0.2, 0.0, 0.0]
-        s = solve(d, 6, 1.5, _data(modes, u0, u1), 1.0)
+        s = solve(d, 6, 1.5, u0, u1, 1.0)
         v = SpectralCoefficients(modes[1:3], [1.0, -0.5])
         r1 = weak_form_residual(s, v, TimeGrid.graded(1.0, 1024, 4.0))
         r2 = weak_form_residual(s, v, TimeGrid.graded(1.0, 2048, 4.0))
@@ -216,7 +222,7 @@ class TestResiduals:
 
     def test_mode_position_range_checked(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         grid = TimeGrid.graded(1.0, 512, 4.0)
         for n in (0, 9, [1, 9]):
             with pytest.raises(ValueError, match="not part of the solution"):
@@ -226,7 +232,7 @@ class TestResiduals:
         d, modes = interval_modes
         u0 = [1.0, -0.5, 0.25] + [0.0] * 5
         u1 = [0.0, 0.3, -0.2] + [0.0] * 5
-        s = solve(d, 8, 1.5, _data(modes, u0, u1), 1.0)
+        s = solve(d, 8, 1.5, u0, u1, 1.0)
         grid = TimeGrid.graded(1.0, 1024, 4.0)
         block = mode_ode_residual(s, [1, 2, 3], grid)
         scalar = [mode_ode_residual(s, n, grid) for n in (1, 2, 3)]
@@ -239,7 +245,7 @@ class TestLifting:
         d, modes = interval_modes
         rng = np.random.default_rng(2)
         s = solve(
-            d, 8, 1.5, _data(modes, rng.standard_normal(8), rng.standard_normal(8)), 1.0
+            d, 8, 1.5, rng.standard_normal(8), rng.standard_normal(8), 1.0
         )
         back = lift(lift(s, -0.5), 0.5)
         assert np.max(np.abs(back.u0 - s.u0)) < 1e-13 * np.max(np.abs(s.u0))
@@ -249,9 +255,9 @@ class TestLifting:
         d, modes = interval_modes
         rng = np.random.default_rng(4)
         u0, u1 = rng.standard_normal(8), rng.standard_normal(8)
-        s = solve(d, 8, 1.5, _data(modes, u0, u1), 1.0)
+        s = solve(d, 8, 1.5, u0, u1, 1.0)
         lam = s.lambdas
-        s_pre = solve(d, 8, 1.5, _data(modes, u0 * lam**-0.5, u1 * lam**-0.5), 1.0)
+        s_pre = solve(d, 8, 1.5, u0 * lam**-0.5, u1 * lam**-0.5, 1.0)
         ts = np.linspace(0.0, 1.0, 9)
         a = lift(s, -0.5).coefficients(ts)
         b = s_pre.coefficients(ts)
@@ -265,7 +271,7 @@ class TestLifting:
         from fracplate.special_functions import ml_decay_bound_estimate
 
         c_hat = ml_decay_bound_estimate(P(1.5, 2.0), 200).c_hat
-        s = solve(d, 8, 1.5, _data(modes, [0.7] + [0] * 7, [0.3] + [0] * 7), 1.0)
+        s = solve(d, 8, 1.5, [0.7] + [0] * 7, [0.3] + [0] * 7, 1.0)
         ts = np.linspace(0.0, 1.0, 33)
         c = s.coefficients(ts)[:, 0]
         bound = 0.7 + ts * 0.3 * c_hat
@@ -275,8 +281,8 @@ class TestLifting:
 class TestClassification:
     def test_fundamental_mode_unit_norms(self, interval_modes):
         d, modes = interval_modes
-        data = _data(modes, [1.0] + [0] * 7, [0] * 8)
-        _, tables = classify(data, d)
+        tables = classify(solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0))
+        assert set(tables) == {"u0", "u1"}
         for v in tables["u0"].values():
             assert v == pytest.approx(1.0)
 
@@ -284,46 +290,28 @@ class TestClassification:
         d, modes = interval_modes
         u1 = [0.0] * 8
         u1[1] = 1.0
-        data = _data(modes, [0] * 8, u1)
-        _, tables = classify(data, d)
+        tables = classify(solve(d, 8, 1.5, [0] * 8, u1, 1.0))
         assert tables["u1"]["theta=-0.25"] == pytest.approx(0.5)
 
     def test_decaying_data_finite_table(self, interval_modes):
         d, modes = interval_modes
         rng = np.random.default_rng(9)
         vals = rng.standard_normal(8) * np.arange(1, 9, dtype=float) ** -3
-        data = _data(modes, vals, vals)
-        _, tables = classify(data, d)
+        tables = classify(solve(d, 8, 1.5, vals, vals, 1.0))
         assert all(math.isfinite(v) for v in tables["u0"].values())
-        assert set(tables["satisfies"]) == {"H1", "H2", "H3", "Strong"}
-
-    def test_unknown_class_rejected(self, interval_modes):
-        d, modes = interval_modes
-        with pytest.raises(ValueError):
-            _data(modes, [0] * 8, [0] * 8, "H7")
-
-    def test_mismatched_modes_rejected(self, interval_modes):
-        d, modes = interval_modes
-        square = eigenmodes(Rectangle(math.pi, math.pi), 8)
-        with pytest.raises(ValueError, match="same modes"):
-            InitialData(
-                SpectralCoefficients(modes, [0] * 8),
-                SpectralCoefficients(square, [0] * 8),
-            )
-        with pytest.raises(ValueError, match="eigenbasis"):
-            solve(d, 8, 1.5, _data(square, [1] + [0] * 7, [0] * 8), 1.0)
+        assert all(math.isfinite(v) for v in tables["u1"].values())
 
 
 class TestAprioriEstimates:
     def test_vacuous_for_zero_data(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [0] * 8, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [0] * 8, [0] * 8, 1.0)
         rep = apriori_estimate_check(s, TimeGrid.graded(1.0, 512, 4.0))
         assert rep.metrics.get("vacuous") == 1.0
 
     def test_single_mode_ratio_finite(self, interval_modes):
         d, modes = interval_modes
-        s = solve(d, 8, 1.5, _data(modes, [1.0] + [0] * 7, [0] * 8), 1.0)
+        s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         rep = apriori_estimate_check(s, TimeGrid.graded(1.0, 1024, 4.0))
         assert 0.0 < rep.metrics["ratio_dtalpha_l2"] < 10.0
         assert 0.0 < rep.metrics["ratio_gradlap_dtheta"] < 10.0
@@ -335,14 +323,8 @@ class TestAprioriEstimates:
         d = Interval(math.pi)
         ratios = []
         for N in (16, 32, 64):
-            modes = eigenmodes(d, N)
             vals = np.arange(1, N + 1, dtype=float) ** -2
-            data = InitialData(
-                SpectralCoefficients(modes, vals),
-                SpectralCoefficients(modes, np.zeros(N)),
-                "H3",
-            )
-            s = solve(d, N, 1.5, data, 1.0)
+            s = solve(d, N, 1.5, vals, np.zeros(N), 1.0)
             rep = apriori_estimate_check(s, TimeGrid.graded(1.0, 1024, 4.0))
             ratios.append(rep.metrics["ratio_dtalpha_l2"])
         assert ratios[0] >= ratios[1] >= ratios[2] > 0.0
@@ -360,7 +342,7 @@ class TestRectangleSolutions:
         rng = np.random.default_rng(31)
         u0 = rng.standard_normal(6) / np.arange(1, 7)
         u1 = rng.standard_normal(6) / np.arange(1, 7)
-        s = solve(d, 6, 1.7, _data(modes, u0, u1), 0.8)
+        s = solve(d, 6, 1.7, u0, u1, 0.8)
 
         # initial data reproduced coefficientwise
         c0 = s.coefficients(np.array([0.0]))[0]
@@ -380,7 +362,7 @@ class TestRectangleSolutions:
 
         # lifting identity on the rectangle
         lam = s.lambdas
-        s_pre = solve(d, 6, 1.7, _data(modes, u0 * lam**-0.5, u1 * lam**-0.5), 0.8)
+        s_pre = solve(d, 6, 1.7, u0 * lam**-0.5, u1 * lam**-0.5, 0.8)
         ts = np.linspace(0.0, 0.8, 5)
         a = lift(s, -0.5).coefficients(ts)
         b = s_pre.coefficients(ts)
@@ -396,7 +378,7 @@ class TestRectangleSolutions:
         d = Rectangle(math.pi, math.pi)
         modes = eigenmodes(d, 4)
         u0 = [1.0, 0.0, 0.0, 0.0]
-        s = solve(d, 4, 1.5, _data(modes, u0, [0.0] * 4), 1.0)
+        s = solve(d, 4, 1.5, u0, [0.0] * 4, 1.0)
         grid = TimeGrid.graded(1.0, 1024, 4.0)
         lam = modes[0].lam  # 4 on the pi x pi square
         r = mode_ode_residual(s, 1, grid)
