@@ -229,7 +229,7 @@ class TestSolveCommand:
             "4f5a044b465e07eb21a1b7e68973174b8f104291609475d3ff0b942bd8f15bdb"
         )
         assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
-            "016ca5bddc8d6790337d6ca2ad191d81a2d95e5735c5e2a2b26d273da4ad7ca1"
+            "e9ceca37ea8f273fa9998829c9b3833c18e37fd928980efdd8ed0c3057e196f6"
         )
 
     @pytest.mark.parametrize("nodes", ["100", "300", "511"])
@@ -266,7 +266,7 @@ class TestIdentitiesCommand:
         code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "19691ddad40677d4804749d23ac1caeafbe2c1e8c55cf0c450570a2f2604773e"
+            "c572ebe87debd91604eeaed8bd9657045373c33309a782b943c2c0ce529bbfda"
         )
 
     def test_residuals_decrease(self, capsys):

@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -19,3 +21,41 @@ def test_all_names_resolve(mod_name):
     assert names, f"{mod_name} declares no __all__"
     missing = [name for name in names if not hasattr(module, name)]
     assert missing == []
+
+
+# Every CLI subcommand but `report` runs without scipy.integrate: only
+# `ml_laplace_check` (report criterion 2) imports it.
+_IMPORT_GRAPH = """
+import sys
+
+from fracplate import cli
+
+assert "scipy.integrate" not in sys.modules, "import"
+for argv in ARGVS:
+    assert cli.main(argv) == 0, argv
+    assert "scipy.integrate" not in sys.modules, argv
+
+from fracplate.special_functions import MLParams, ml_laplace_check
+
+ml_laplace_check(MLParams(1.5, 1.0), 1.0, 2.0)
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_cli_start_up_leaves_scipy_integrate_out(tmp_path):
+    argvs = [
+        ["fracops"],
+        ["modes"],
+        ["ml", "--alpha", "1.5", "--beta", "1", "--z=-60"],
+        ["solve", "--nodes", "512", "--out", str(tmp_path / "solve.json")],
+        ["identities", "--nodes", "512", "--out", str(tmp_path / "identities.csv")],
+        ["probe", "--modes", "8,16", "--time-nodes", "64", "--members", "2",
+         "--out", str(tmp_path / "probe.json")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"ARGVS = {argvs!r}\n{_IMPORT_GRAPH}"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

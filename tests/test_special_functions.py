@@ -135,13 +135,11 @@ class TestMLEval:
         # asymptotic and integral representation overlap on moderate arguments
         from fracplate.special_functions import _asymptotic, _integral_rep
 
+        z = np.array([-80.0, -64.0])
         for alpha, beta in [(1.2, 1.0), (1.35, 2.0)]:
-            for z in (-80.0, -64.0):
-                vi, _ = _integral_rep(alpha, beta, z)
-                va, _, conv = _asymptotic(alpha, beta, np.array([z]), target=1e-11)
-                if not conv[0]:
-                    continue
-                assert abs(vi - va[0]) < 5e-11
+            vi, _ = _integral_rep(alpha, beta, z)
+            va, _, conv = _asymptotic(alpha, beta, z, target=1e-11)
+            assert np.all(np.abs(vi - va)[conv] < 5e-11)
 
     def test_asymptotic_estimate_within_contract_is_returned(self):
         # the asymptotic estimate lands a hair above its 2e-13 bar here and
@@ -399,7 +397,7 @@ def test_pinned_routes_cli_bytes(capsys):
     assert len(kept) == 85
     assert sum(o.rstrip().endswith("IntegralRepresentation") for o in kept) == 22
     digest = hashlib.sha256("".join(kept).encode()).hexdigest()
-    assert digest == "ecb75cf2c1a272ddf537359ee1a7e77d3d574d4da5ede7abbb4b1ea2171c102b"
+    assert digest == "03c5dc8329397838c3f96be3ffb830f4ad383de015dd766d9fe133ce0b4a57bb"
 
 
 _PROFILE_GRIDS = [
@@ -465,3 +463,78 @@ def test_decay_bound_matches_pointwise_loop():
     est = ml_decay_bound_estimate(p, 200)
     assert est.c_hat == pytest.approx(max(vals), rel=1e-12)
     assert est.argmax_abs_z == pytest.approx(xs[int(np.argmax(vals))], rel=1e-12)
+
+
+# {{{ the array branch-cut rule
+
+_RULE_PAIRS = [
+    (1.02, 1.0), (1.2, 2.0), (1.5, 1.0), (1.5, 2.0), (1.5, 1.25), (1.5, 2.25),
+    (1.9, 1.0),
+    (1.5, 3.0),  # beta >= 1 + alpha: lowered by alpha first
+]
+
+
+def _cheb_band_nodes(alpha):
+    # the arguments the band cache of `alpha` evaluates
+    from fracplate.special_functions import _CHEB_DEGREE, _profile_B, _profile_zf
+
+    ya = math.log(0.97 * _profile_zf(alpha))
+    yb = math.log(1.03 * _profile_B(alpha))
+    n = _CHEB_DEGREE + 1
+    tk = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    return -np.exp(0.5 * (ya + yb) + 0.5 * (yb - ya) * tk)
+
+
+@pytest.mark.parametrize("alpha,beta", _RULE_PAIRS)
+def test_integral_rule_against_oracle_at_band_nodes(alpha, beta):
+    from fracplate.special_functions import _integral_rep
+
+    z = _cheb_band_nodes(alpha)
+    value, est = _integral_rep(alpha, beta, z)
+    for i in range(z.size):
+        ref = ml_series_oracle(MLParams(alpha, beta), float(z[i]), 400)
+        err = abs(value[i] - ref)
+        assert err <= max(1e-13, 1e-13 * abs(ref)), (z[i], value[i], ref)
+        assert err <= est[i], (z[i], err, est[i])
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.02, 1.0), (1.5, 2.25), (1.5, 3.0)])
+def test_integral_rule_batch_independent(alpha, beta):
+    from fracplate.special_functions import _integral_rep
+
+    # 300 points: more than one block of rows of the quadrature matrix
+    z = -np.geomspace(1.0, -_cheb_band_nodes(alpha)[0], 300)
+    value, est = _integral_rep(alpha, beta, z)
+    for i in range(z.size):
+        v1, e1 = _integral_rep(alpha, beta, z[i : i + 1])
+        assert v1[0] == value[i] and e1[0] == est[i]
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.2, 1.0), (1.8, 2.0)])
+def test_band_build_values_equal_ml_eval(alpha, beta, monkeypatch):
+    # the Chebyshev build and ml_eval are the same array code: every value
+    # the build fits or verifies equals ml_eval at the same argument
+    from fracplate import special_functions as sf
+
+    seen = []
+    inner = sf._eval
+
+    def recording(a, b, z):
+        out = inner(a, b, z)
+        seen.append((z.copy(), out))
+        return out
+
+    monkeypatch.delitem(sf._CHEB_CACHE, (alpha, beta), raising=False)
+    monkeypatch.setattr(sf, "_eval", recording)
+    sf._cheb_band(alpha, beta)
+    monkeypatch.setattr(sf, "_eval", inner)
+    assert len(seen) == 1
+    z, (value, est, method) = seen[0]
+    assert (method == sf._INTEGRAL).sum() > 0
+    for i in range(z.size):
+        got = ml_eval(MLParams(alpha, beta), float(z[i]))
+        assert (got.value, got.est_abs_error) == (value[i], est[i])
+        assert got.method is sf._METHODS[method[i]]
+
+
+# }}}
