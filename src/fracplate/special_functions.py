@@ -32,9 +32,9 @@ the intermediate band.  Non-finite or overflowing arguments raise at once.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,6 +52,7 @@ __all__ = [
     "MLDecayBound",
     "gamma_fn",
     "reciprocal_gamma",
+    "gauss_legendre",
     "ml_eval",
     "ml_profile",
     "ml_series_oracle",
@@ -442,10 +443,66 @@ def _asymptotic(
 # }}}
 
 
+# {{{ Gauss-Legendre rule
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(P_n(x), P_{n-1}(x))`` by the three-term recurrence, for n >= 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, p0
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the ``order``-point rule on [-1, 1].
+
+    Newton on the three-term recurrence, for the nonnegative half of the
+    nodes at once, from Tricomi's asymptotic guesses; the weights are
+    ``2 / ((1 - x^2) P_n'(x)^2)`` with ``(1 - x^2) P_n' = n (P_{n-1} - x P_n)``,
+    which keeps the ``x P_n`` term that corrects for the rounded node, and
+    both halves are mirrored, so the rule is exactly symmetric.  O(order^2)
+    work; cached by order, and the arrays are read-only because every
+    caller shares them.
+    """
+    if order < 1:
+        raise ValueError(f"Gauss-Legendre order must be >= 1: {order}")
+    n = order
+    m = (n + 1) // 2
+    theta = np.pi * (4.0 * np.arange(1, m + 1) - 1.0) / (4.0 * n + 2.0)
+    x = np.cos(theta) * (
+        1.0
+        - (n - 1.0) / (8.0 * n**3)
+        - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
+    )
+    # quadratic convergence: a step below 1e-12 leaves an error far below
+    # rounding (at most about n^2 * 1e-24)
+    for _ in range(32):
+        pn, pm = _legendre_pair(n, x)
+        dx = pn * (1.0 - x) * (1.0 + x) / (n * (pm - x * pn))
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-12:
+            break
+    if n % 2:
+        x[-1] = 0.0
+    pn, pm = _legendre_pair(n, x)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (pm - x * pn)) ** 2
+    nodes, weights = np.empty(n), np.empty(n)
+    nodes[:m], weights[:m] = -x, w
+    # for odd n the middle entry is written twice, the second time as +0.0
+    nodes[n - m:], weights[n - m:] = x[::-1], w[::-1]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+# }}}
+
+
 # {{{ branch-cut integral representation
 
 # Gauss-Legendre rule on each panel of the cut integral
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(16)
 # rows of the (points, nodes) quadrature matrix formed at once
 _CUT_ROWS = 256
 
@@ -692,7 +749,14 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
         ]
     )
     vals = _eval(alpha, beta, -np.exp(ys))[0]
-    coef = chebyshev.chebfit(tk, vals[:n], _CHEB_DEGREE)
+    # interpolation at the Chebyshev nodes in closed form,
+    # c_k = (2/n) sum_j f_j cos(k pi (j + 1/2) / n) with c_0 halved; the
+    # angle index k (2j + 1) is reduced mod 4n in integers, so every cosine
+    # is taken of an exact multiple of pi / 2n in [0, 2 pi)
+    k = np.arange(n)
+    cos_kj = np.cos(np.pi / (2 * n) * (np.outer(k, 2 * k + 1) % (4 * n)))
+    coef = (2.0 / n) * (cos_kj @ vals[:n])
+    coef[0] *= 0.5
     got = chebyshev.chebval((2.0 * ys[n:] - (ya + yb)) / (yb - ya), coef)
     ref = vals[n:]
     if np.any(np.abs(got - ref) > 1e-11 * np.maximum(1.0, np.abs(ref))):
@@ -855,18 +919,22 @@ def ml_derivative_identity_residuals(
 
 # {{{ Laplace-transform cross-check
 
+# Gauss-Legendre points per panel and panel halvings toward t = 0
+_LAPLACE_ORDER = 20
+_LAPLACE_HALVINGS = 60
+
+
 def ml_laplace_check(p: MLParams, lam: float, z: float) -> float:
     """Residual of the Laplace pair for the relaxation kernel.
 
-    Compares adaptive quadrature of ``int_0^inf exp(-z t) t^(beta-1)
-    E_{alpha,beta}(-lam t^alpha) dt`` (tail truncated where the exponential
-    weight is below 1e-14) against ``z^(alpha-beta) / (z^alpha + lam)``.
-    Requires z > lam**(1/alpha).
+    Compares ``int_0^inf exp(-z t) t^(beta-1) E_{alpha,beta}(-lam t^alpha) dt``
+    (tail truncated where the exponential weight is below 1e-14) against
+    ``z^(alpha-beta) / (z^alpha + lam)``.  The quadrature is a fixed
+    composite Gauss-Legendre rule on panels that halve from the cutoff toward
+    0, in the variable ``u = t^beta`` when beta < 1 (which removes the
+    endpoint singularity), and the kernel is evaluated at all of its nodes
+    with one array call.  Requires z > lam**(1/alpha).
     """
-    # the only scipy.integrate user: imported here to keep it off every
-    # other code path's start-up
-    from scipy.integrate import IntegrationWarning, quad
-
     alpha, beta = p.alpha, p.beta
     if lam <= 0.0:
         raise ValueError(f"lam must be positive: {lam}")
@@ -880,28 +948,21 @@ def ml_laplace_check(p: MLParams, lam: float, z: float) -> float:
     for _ in range(3):
         t_cut = (34.0 + max(beta - 1.0, 0.0) * math.log(max(t_cut, 1.0))) / z
 
-    def integrand(t: float) -> float:
-        return math.exp(-z * t) * t ** (beta - 1.0) * ml_eval(p, -lam * t**alpha).value
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if beta < 1.0:
-            # u = t^beta removes the endpoint singularity
-            def sub(u: float) -> float:
-                t = u ** (1.0 / beta)
-                return math.exp(-z * t) * ml_eval(p, -lam * t**alpha).value / beta
-
-            val, _ = quad(sub, 0.0, t_cut**beta, epsabs=1e-12, epsrel=1e-12, limit=300)
-        else:
-            val, _ = quad(
-                integrand,
-                0.0,
-                t_cut,
-                points=[min(1.0 / z, t_cut * 0.5)],
-                epsabs=1e-12,
-                epsrel=1e-12,
-                limit=300,
-            )
+    # geometric grading resolves the t^(beta-1) and t^alpha endpoint
+    # behaviour; the innermost panel has width end * 2^-60 ~ 1e-18 end
+    end = t_cut**beta if beta < 1.0 else t_cut
+    breaks = np.append(0.0, end * 0.5 ** np.arange(_LAPLACE_HALVINGS, -1, -1))
+    x, w = gauss_legendre(_LAPLACE_ORDER)
+    h = 0.5 * np.diff(breaks)[:, None]
+    s = (breaks[:-1, None] + h * (1.0 + x)).ravel()
+    ws = (h * w).ravel()
+    if beta < 1.0:
+        t = s ** (1.0 / beta)
+        weight = np.exp(-z * t) / beta
+    else:
+        t = s
+        weight = np.exp(-z * t) * t ** (beta - 1.0)
+    val = float(np.sum(ws * weight * _eval(alpha, beta, -lam * t**alpha)[0]))
     exact = z ** (alpha - beta) / (z**alpha + lam)
     return abs(val - exact)
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
+
+from .special_functions import gauss_legendre
 
 __all__ = [
     "Interval",
@@ -252,7 +253,7 @@ def normal_derivative_on_boundary(
 # {{{ quadrature
 
 def _gauss_on(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(order)
+    x, w = gauss_legendre(order)
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 

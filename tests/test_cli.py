@@ -226,10 +226,10 @@ class TestSolveCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "4f5a044b465e07eb21a1b7e68973174b8f104291609475d3ff0b942bd8f15bdb"
+            "d96193e3a99f7531d89e7f135556f3db64c3f62e7707aa3354d40eb0d900523d"
         )
         assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
-            "e9ceca37ea8f273fa9998829c9b3833c18e37fd928980efdd8ed0c3057e196f6"
+            "83f2c159b9086a814e1dc71353cb303198018537b08b5b206ca3f6d367395a82"
         )
 
     @pytest.mark.parametrize("nodes", ["100", "300", "511"])
@@ -266,7 +266,7 @@ class TestIdentitiesCommand:
         code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c572ebe87debd91604eeaed8bd9657045373c33309a782b943c2c0ce529bbfda"
+            "68d87332a0a23b5abf141580e85739650d89904160aab8bf5baa06a65910040a"
         )
 
     def test_residuals_decrease(self, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracplate.families import family_members, parse_family
+from fracplate.families import _ndtri, family_members, parse_family
 from fracplate.fractional_calculus import TimeGrid, default_grading
 from fracplate.hidden_regularity import (
     direct_inequality_probe,
@@ -283,6 +283,47 @@ class TestFamilies:
         a = family_members("decay:1.5", 8, seed=1, members=1)[0][0]
         b = family_members("decay:1.5", 8, seed=2, members=1)[0][0]
         assert not np.array_equal(a, b)
+
+
+class TestInverseNormal:
+    # the clipped range of the family draws, including both clip ends, the
+    # AS 241 branch points (|p - 1/2| = 0.425, r = 5) and deep tails
+    _P = np.concatenate(
+        [
+            np.clip(
+                np.random.Generator(np.random.Philox(key=[7, 0])).random(20000),
+                1e-300,
+                1.0 - 1e-16,
+            ),
+            np.geomspace(1e-300, 0.5, 4000),
+            1.0 - np.geomspace(1e-16, 0.5, 4000),
+            [1e-300, 0.075, 0.925, math.exp(-25.0), 0.5 + 2**-53, 1.0 - 1e-16],
+        ]
+    )
+
+    def test_against_scipy(self):
+        from scipy.special import ndtri
+
+        got, ref = _ndtri(self._P), ndtri(self._P)
+        assert np.all(np.abs(got - ref) <= 2e-15 * np.abs(ref))
+
+    def test_odd_symmetry_in_the_central_region(self):
+        # 1 - p is exact for p in [1/2, 1], so the pair is exactly symmetric
+        p = np.linspace(0.5, 0.925, 10001)
+        assert np.array_equal(_ndtri(1.0 - p), -_ndtri(p))
+
+    def test_monotone(self):
+        p = np.sort(
+            np.concatenate(
+                [
+                    self._P,
+                    np.linspace(0.07, 0.08, 20001),
+                    np.linspace(0.92, 0.93, 20001),
+                    math.exp(-25.0) * np.linspace(0.999, 1.001, 20001),
+                ]
+            )
+        )
+        assert np.all(np.diff(_ndtri(p)) >= 0.0)
 
 
 class TestDirectInequalityProbe:

@@ -15,6 +15,7 @@ from fracplate.special_functions import (
     MLMethod,
     MLParams,
     gamma_fn,
+    gauss_legendre,
     max_beta,
     ml_decay_bound_estimate,
     ml_derivative_identity_residuals,
@@ -224,6 +225,77 @@ class TestDerivativeIdentities:
             ml_derivative_identity_residuals(1.5, 1.0, np.array([0.0, 0.5, 1.0]))
 
 
+# every order up to 64, then a spread to 1032 (four times the largest mode
+# index of a 4096-mode square, plus 8)
+_GL_ORDERS = list(range(1, 65)) + list(range(65, 1032, 61)) + [1032]
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("order", _GL_ORDERS)
+    def test_against_scipy(self, order):
+        from scipy.special import roots_legendre
+
+        x, w = gauss_legendre(order)
+        xs, ws = roots_legendre(order)
+        assert np.max(np.abs(x - xs)) <= 4.5e-16
+        # scipy's own weights are off by up to 1.9e-13 near the endpoints at
+        # orders 900-1000; test_weights_against_extended_precision shows
+        # this rule is the accurate one there
+        assert np.max(np.abs(w - ws)) <= 2.5e-13
+
+    @pytest.mark.parametrize("order", _GL_ORDERS)
+    def test_exact_through_degree_2n_minus_1(self, order):
+        x, w = gauss_legendre(order)
+        # int P_k = 0 for k >= 1; P_k by the three-term recurrence
+        p0, p1 = np.ones_like(x), x.copy()
+        worst = abs(w @ p1)
+        for k in range(2, 2 * order):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            worst = max(worst, abs(w @ p1))
+        assert worst <= 2e-13
+        assert abs(w.sum() - 2.0) <= 2e-13
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 136, 1031])
+    def test_symmetric_and_ascending(self, order):
+        x, w = gauss_legendre(order)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        if order % 2:
+            assert x[order // 2] == 0.0 and math.copysign(1.0, x[order // 2]) == 1.0
+
+    def test_weights_against_extended_precision(self):
+        # 40-digit Newton on the recurrence at the outermost and central
+        # nodes, where scipy's weights err most (orders 932 and 1032)
+        def node_and_weight(n, guess):
+            with mpmath.workdps(40):
+                r = mpmath.mpf(guess)
+                for _ in range(4):
+                    p0, p1 = mpmath.mpf(1), r
+                    for j in range(2, n + 1):
+                        p0, p1 = p1, ((2 * j - 1) * r * p1 - (j - 1) * p0) / j
+                    dp = n * (p0 - r * p1)
+                    r, w = r - p1 * (1 - r * r) / dp, 2 * (1 - r * r) / dp**2
+                return float(r), float(w)
+
+        for n in (932, 1032):
+            x, w = gauss_legendre(n)
+            for i in (0, 1, n // 2):
+                rx, rw = node_and_weight(n, x[i])
+                assert abs(x[i] - rx) <= 1.2e-16
+                assert abs(w[i] - rw) <= 1e-15
+
+    def test_cached_arrays_are_read_only(self):
+        x, w = gauss_legendre(12)
+        assert gauss_legendre(12)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_rejects_order_below_one(self):
+        with pytest.raises(ValueError):
+            gauss_legendre(0)
+
+
 class TestLaplaceCheck:
     def test_classic_exponential_pair(self):
         # alpha=beta=1 reduces to the transform of exp(-t)
@@ -397,7 +469,7 @@ def test_pinned_routes_cli_bytes(capsys):
     assert len(kept) == 85
     assert sum(o.rstrip().endswith("IntegralRepresentation") for o in kept) == 22
     digest = hashlib.sha256("".join(kept).encode()).hexdigest()
-    assert digest == "03c5dc8329397838c3f96be3ffb830f4ad383de015dd766d9fe133ce0b4a57bb"
+    assert digest == "70cc49046fb523dc6cc94a6e82cce3fcd502bdf5fca0239b6df55723f4932778"
 
 
 _PROFILE_GRIDS = [
