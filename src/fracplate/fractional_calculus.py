@@ -30,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .report import VerificationReport
 from .special_functions import gamma_fn
 
 __all__ = [
@@ -42,9 +41,6 @@ __all__ = [
     "caputo_derivative",
     "grid_derivative",
     "gagliardo_seminorm",
-    "hbeta_norm",
-    "l2_time_norm",
-    "norm_equivalence_probe",
 ]
 
 
@@ -82,12 +78,6 @@ class TimeGrid:
     @classmethod
     def uniform(cls, T: float, M: int) -> "TimeGrid":
         return cls.graded(T, M, 1.0)
-
-    def coarsen(self) -> "TimeGrid":
-        """Drop every other node (M must be even); preserves the grading law."""
-        if (len(self.nodes) - 1) % 2:
-            raise ValueError("coarsening requires an even number of cells")
-        return TimeGrid(self.T, self.nodes[::2], self.grading)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -288,7 +278,7 @@ def caputo_derivative(f: TimeSeries, alpha: float, f1_0: float | np.ndarray) -> 
 # }}}
 
 
-# {{{ Gagliardo seminorm and fractional Sobolev norm in time
+# {{{ Gagliardo seminorm in time
 
 def _pair_weights(t: np.ndarray, i: int, beta: float) -> np.ndarray:
     """Exact integral of |t-tau|^(-1-2 beta) over cell i against cells < i-1."""
@@ -324,80 +314,6 @@ def gagliardo_seminorm(f: TimeSeries, beta: float) -> float:
         diff = flat[i] - flat[: i - 1]
         total += float(w @ np.sum(diff * diff, axis=1))
     return math.sqrt(2.0 * total)
-
-
-def l2_time_norm(f: TimeSeries) -> float:
-    """Trapezoid L^2(0,T;H) norm of a sampled series."""
-    t = f.grid.nodes
-    sq = np.sum(f.values.reshape(len(t), -1) ** 2, axis=1)
-    return math.sqrt(float(np.trapezoid(sq, t)))
-
-
-def hbeta_norm(f: TimeSeries, beta: float) -> float:
-    """Fractional Sobolev norm in time: L^2 norm plus Gagliardo seminorm."""
-    return l2_time_norm(f) + gagliardo_seminorm(f, beta)
-
-
-# }}}
-
-
-# {{{ forward norm-equivalence probe
-
-def norm_equivalence_probe(
-    beta: float, family: Sequence[TimeSeries]
-) -> VerificationReport:
-    """Probe the two-sided equivalence of ||I^beta f||_{H^beta} and ||f||_{L^2}.
-
-    For each member the ratio of the two norms is computed on the member's
-    grid and on its 2x coarsening; a stable min/max spread across the family
-    under that refinement step is the numerical signature of equivalence.
-    The hidden constants are reported, never asserted as universal.
-
-    Note: at beta = 1/2 the range of I^beta carries an additional
-    t^(-1)-weighted integrability condition; that endpoint is documented
-    here and deliberately not probed.
-    """
-    ratios_fine: list[float] = []
-    ratios_coarse: list[float] = []
-    skipped = 0
-    for f in family:
-        denom = l2_time_norm(f)
-        if denom == 0.0:
-            skipped += 1
-            continue
-        num = hbeta_norm(rl_integral(f, beta), beta)
-        ratios_fine.append(num / denom)
-        coarse_grid = f.grid.coarsen()
-        coarse = TimeSeries(coarse_grid, f.values[::2])
-        cd = l2_time_norm(coarse)
-        ratios_coarse.append(hbeta_norm(rl_integral(coarse, beta), beta) / cd)
-    if not ratios_fine:
-        raise ValueError("family contains no nonzero member")
-    rf = np.array(ratios_fine)
-    rc = np.array(ratios_coarse)
-    spread_fine = float(rf.max() / rf.min())
-    spread_coarse = float(rc.max() / rc.min())
-    report = VerificationReport(
-        name="rl_norm_equivalence",
-        inputs={"beta": beta, "members": len(family), "skipped_zero": skipped},
-        metrics={
-            "ratio_min": float(rf.min()),
-            "ratio_max": float(rf.max()),
-            "spread": spread_fine,
-            "spread_coarse": spread_coarse,
-            "spread_rel_change": abs(spread_fine - spread_coarse)
-            / max(spread_fine, 1e-300),
-        },
-        tolerances={"spread_rel_change": 0.10},
-        table=[
-            {"member": i, "ratio": float(r), "ratio_coarse": float(q)}
-            for i, (r, q) in enumerate(zip(rf, rc))
-        ],
-    )
-    if skipped:
-        report.notes.append(f"skipped {skipped} zero-norm member(s)")
-    report.evaluate()
-    return report
 
 
 # }}}

@@ -36,8 +36,6 @@ from .spectral_domain import (
     SpectralCoefficients,
     eigenmodes,
     fractional_norm,
-    mode_gradients,
-    mode_values,
 )
 from .special_functions import ml_profile
 
@@ -45,10 +43,6 @@ __all__ = [
     "SpectralSolution",
     "solve",
     "lift",
-    "eval_u",
-    "eval_ut",
-    "eval_caputo",
-    "eval_grad_laplacian",
     "mode_ode_residual",
     "weak_form_residual",
     "classify",
@@ -129,47 +123,6 @@ def lift(s: SpectralSolution, power: float) -> SpectralSolution:
     """The solution viewed through the operator power: data scaled by lam^power."""
     scale = np.exp(power * np.log(s.lambdas))
     return replace(s, u0=s.u0 * scale, u1=s.u1 * scale)
-
-
-# {{{ pointwise evaluation
-
-def _check_time(s: SpectralSolution, t: float) -> None:
-    if not 0.0 <= t <= s.T:
-        raise ValueError(f"t={t} outside [0, {s.T}]")
-
-
-def eval_u(s: SpectralSolution, t: float, x) -> float:
-    """u(t, x) by summing the truncated series."""
-    _check_time(s, t)
-    c = s.coefficients(np.array([t]))[0]
-    return float(c @ mode_values(s.modes, s.domain, x)[0])
-
-
-def eval_ut(s: SpectralSolution, t: float, x) -> float:
-    """u_t(t, x); for nonzero u0 the formula carries t^(alpha-1), so t > 0."""
-    _check_time(s, t)
-    if t == 0.0 and np.any(s.u0 != 0.0):
-        raise ValueError("u_t at t=0 requires zero initial displacement")
-    c = s.coefficient_derivatives(np.array([t]))[0]
-    return float(c @ mode_values(s.modes, s.domain, x)[0])
-
-
-def eval_caputo(s: SpectralSolution, t: float, x) -> float:
-    """Caputo derivative through the equation: -sum lam_n c_n(t) e_n(x)."""
-    _check_time(s, t)
-    c = s.coefficients(np.array([t]))[0]
-    return float(-(s.lambdas * c) @ mode_values(s.modes, s.domain, x)[0])
-
-
-def eval_grad_laplacian(s: SpectralSolution, t: float, x) -> np.ndarray:
-    """grad(lap u)(t, x) = sum c_n(t) (-mu_n) grad e_n(x)."""
-    _check_time(s, t)
-    c = s.coefficients(np.array([t]))[0]
-    grads = mode_gradients(s.modes, s.domain, x)[0]  # (dim, N)
-    return np.asarray(grads @ (-s.mus * c))
-
-
-# }}}
 
 
 # {{{ residual probes

@@ -49,7 +49,6 @@ __all__ = [
     "MLMethod",
     "MLEvaluation",
     "MLEvaluationError",
-    "MLDecayBound",
     "gamma_fn",
     "reciprocal_gamma",
     "gauss_legendre",
@@ -58,8 +57,6 @@ __all__ = [
     "ml_series_oracle",
     "ml_derivative_identity_residuals",
     "ml_laplace_check",
-    "ml_decay_bound_estimate",
-    "max_beta",
 ]
 
 
@@ -965,56 +962,6 @@ def ml_laplace_check(p: MLParams, lam: float, z: float) -> float:
     val = float(np.sum(ws * weight * _eval(alpha, beta, -lam * t**alpha)[0]))
     exact = z ** (alpha - beta) / (z**alpha + lam)
     return abs(val - exact)
-
-
-# }}}
-
-
-# {{{ uniform decay bound estimate
-
-@dataclass(frozen=True)
-class MLDecayBound:
-    """Empirical constant for |E_{alpha,beta}(z)| <= C / (1 + |z|) on z <= 0."""
-
-    c_hat: float
-    argmax_abs_z: float
-    saturated: bool
-    sample_count: int
-
-
-def ml_decay_bound_estimate(p: MLParams, sample_count: int) -> MLDecayBound:
-    """Estimate sup |E(z)|(1+|z|) over a log-uniform grid |z| in [1e-8, 1e8].
-
-    The bound is a property of alpha < 2 only; for alpha = 2 the product
-    grows with the sample range, which the ``saturated`` flag reports by
-    comparing against the same estimate capped at |z| <= 1e4.
-    """
-    if sample_count < 2:
-        raise ValueError("sample_count must be at least 2")
-    exps = np.linspace(-8.0, 8.0, sample_count)
-    x = 10.0**exps
-    val = np.abs(_eval(p.alpha, p.beta, -x)[0]) * (1.0 + x)
-    top = int(np.argmax(val))
-    saturated = val[top] <= 1.25 * np.max(val[exps <= 4.0], initial=0.0)
-    return MLDecayBound(float(val[top]), float(x[top]), bool(saturated), sample_count)
-
-
-# }}}
-
-
-# {{{ elementary maximum of x^beta / (1 + x)
-
-def max_beta(beta: float) -> tuple[float, float]:
-    """Arg-max and maximum of x^beta / (1+x) on [0, inf) for beta in (0,1).
-
-    The maximum sits at beta/(1-beta) and equals beta^beta (1-beta)^(1-beta);
-    evaluated through exp/log for stability near the endpoints.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1): {beta}")
-    argmax = beta / (1.0 - beta)
-    maxval = math.exp(beta * math.log(beta) + (1.0 - beta) * math.log1p(-beta))
-    return argmax, maxval
 
 
 # }}}

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
 import numpy as np
 
 from .special_functions import gauss_legendre
@@ -29,15 +27,10 @@ __all__ = [
     "Interval",
     "Rectangle",
     "Domain",
-    "EigenMode",
     "ModeSet",
     "SpectralCoefficients",
     "eigenmodes",
-    "eval_mode",
-    "normal_derivative_on_boundary",
-    "project",
     "fractional_norm",
-    "apply_power",
     "domain_quadrature",
     "boundary_quadrature",
     "mode_values",
@@ -115,28 +108,14 @@ def parse_domain(spec: str) -> Domain:
 
 # {{{ eigenmodes
 
-@dataclass(frozen=True)
-class EigenMode:
-    """One hinged-biharmonic eigenpair.
-
-    ``mu`` is the Dirichlet-Laplacian eigenvalue and ``lam = mu**2`` the
-    biharmonic one (stored as the exact square of the stored ``mu``).
-    """
-
-    index: tuple[int, ...]
-    mu: float
-    lam: float
-    norm_const: float
-
-
 @dataclass(frozen=True, eq=False)
 class ModeSet:
     """Consecutive eigenpairs of one domain, stored as arrays.
 
     ``index`` has shape (N, dim); ``mu`` and ``lam = mu * mu`` have shape
-    (N,); ``norm_const`` is shared by every mode of the domain.  A slice is
-    again a ModeSet, an integer gives that mode as an :class:`EigenMode`.
-    :func:`eigenmodes` makes the arrays read-only, since slices share them.
+    (N,); ``norm_const`` is shared by every mode of the domain.  Only slices
+    index it, giving again a ModeSet; :func:`eigenmodes` makes the arrays
+    read-only, since slices share them.
     """
 
     index: np.ndarray
@@ -147,12 +126,10 @@ class ModeSet:
     def __len__(self) -> int:
         return len(self.mu)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            fields = (self.index[key], self.mu[key], self.lam[key])
-            return ModeSet(*fields, self.norm_const)
-        index = tuple(int(i) for i in self.index[key])
-        return EigenMode(index, float(self.mu[key]), float(self.lam[key]), self.norm_const)
+    def __getitem__(self, key: slice) -> "ModeSet":
+        if not isinstance(key, slice):
+            raise TypeError(f"ModeSet indices must be slices: {type(key).__name__}")
+        return ModeSet(self.index[key], self.mu[key], self.lam[key], self.norm_const)
 
 
 def eigenmodes(d: Domain, N: int) -> ModeSet:
@@ -182,69 +159,6 @@ def eigenmodes(d: Domain, N: int) -> ModeSet:
     for arr in arrays:
         arr.flags.writeable = False
     return ModeSet(*arrays, norm_const)
-
-
-def eval_mode(
-    m: EigenMode, d: Domain, x: float | Sequence[float]
-) -> tuple[float, np.ndarray, float]:
-    """Value, gradient and Laplacian of one eigenfunction at a point.
-
-    The Laplacian is returned through the exact identity ``lap e = -mu e``.
-    """
-    xv = [float(axis[0]) for axis in _coordinates(d, x)]
-    if isinstance(d, Interval):
-        w = m.index[0] * math.pi / d.length
-        value = m.norm_const * math.sin(w * xv[0])
-        grad = np.array([m.norm_const * w * math.cos(w * xv[0])])
-        return value, grad, -m.mu * value
-    j, k = m.index
-    wx = j * math.pi / d.a
-    wy = k * math.pi / d.b
-    sx, cx = math.sin(wx * xv[0]), math.cos(wx * xv[0])
-    sy, cy = math.sin(wy * xv[1]), math.cos(wy * xv[1])
-    value = m.norm_const * sx * sy
-    grad = np.array([m.norm_const * wx * cx * sy, m.norm_const * wy * sx * cy])
-    return value, grad, -m.mu * value
-
-
-def normal_derivative_on_boundary(
-    m: EigenMode, d: Domain, s: float | Sequence[float]
-) -> float:
-    """Outward normal derivative of an eigenfunction at a boundary point.
-
-    Rectangle corners (where the normal is undefined) return 0, which is also
-    the exact limit of the gradient there; they carry no boundary measure.
-    """
-    tol = 1e-10
-    if isinstance(d, Interval):
-        sv = float(np.asarray(s).reshape(()))
-        L = d.length
-        w = m.index[0] * math.pi / L
-        if abs(sv) <= tol * max(1.0, L):
-            return -m.norm_const * w * math.cos(0.0)
-        if abs(sv - L) <= tol * max(1.0, L):
-            return m.norm_const * w * math.cos(w * L)
-        raise ValueError(f"s={sv} is not a boundary point of [0, {L}]")
-    sv = np.asarray(s, dtype=float).reshape(2)
-    a, b = d.a, d.b
-    on_x0 = abs(sv[0]) <= tol * max(1.0, a)
-    on_xa = abs(sv[0] - a) <= tol * max(1.0, a)
-    on_y0 = abs(sv[1]) <= tol * max(1.0, b)
-    on_yb = abs(sv[1] - b) <= tol * max(1.0, b)
-    if not (on_x0 or on_xa or on_y0 or on_yb):
-        raise ValueError(f"point {tuple(sv)} is not on the rectangle boundary")
-    if (on_x0 or on_xa) and (on_y0 or on_yb):
-        return 0.0  # corner: gradient vanishes, zero boundary measure
-    _, grad, _ = eval_mode(m, d, sv)
-    if on_x0:
-        nu = np.array([-1.0, 0.0])
-    elif on_xa:
-        nu = np.array([1.0, 0.0])
-    elif on_y0:
-        nu = np.array([0.0, -1.0])
-    else:
-        nu = np.array([0.0, 1.0])
-    return float(grad @ nu)
 
 
 # }}}
@@ -383,32 +297,6 @@ class SpectralCoefficients:
         return len(self.values)
 
 
-def project(
-    f: Callable[..., np.ndarray],
-    d: Domain,
-    modes: ModeSet,
-    quad_order: int,
-) -> SpectralCoefficients:
-    """L^2 projection onto the given modes by Gauss-Legendre quadrature.
-
-    ``f`` receives coordinate arrays (one per axis) and must evaluate
-    pointwise.  Refuses orders below two points per half-wave of the highest
-    requested mode, where the quadrature would alias.
-    """
-    max_wave = int(modes.index.max())
-    if quad_order < 2 * max_wave:
-        raise ValueError(
-            f"quad_order={quad_order} is below 2 points per half-wave; "
-            f"use at least {2 * max_wave} for these modes"
-        )
-    pts, w = domain_quadrature(d, quad_order)
-    fv = f(*(pts[:, i] for i in range(d.dim)))
-    fv = np.asarray(fv, dtype=float)
-    basis = mode_values(modes, d, pts)
-    coeffs = basis.T @ (w * fv)
-    return SpectralCoefficients(modes, coeffs)
-
-
 def fractional_norm(c: SpectralCoefficients, theta: float) -> float:
     """Norm of the fractional power space of exponent ``theta``.
 
@@ -420,15 +308,6 @@ def fractional_norm(c: SpectralCoefficients, theta: float) -> float:
         return 0.0
     weights = np.exp(2.0 * theta * np.log(lam)) if theta != 0.0 else 1.0
     return float(np.sqrt(np.sum(weights * c.values**2)))
-
-
-def apply_power(c: SpectralCoefficients, theta: float) -> SpectralCoefficients:
-    """Apply the fractional power of the operator: values scaled by lam^theta."""
-    if theta == 0.0:
-        scale = 1.0
-    else:
-        scale = np.exp(theta * np.log(c.lambdas))
-    return SpectralCoefficients(c.modes, c.values * scale)
 
 
 # }}}

@@ -468,7 +468,7 @@ class TestRectangleDomain:
         s = solve(d, 6, 1.5, np.zeros(6), u1, 1.0)
         grid = TimeGrid.graded(1.0, 2048, 4.0)
         got = trace_energy(normal_trace(s, grid))
-        lam = modes[0].lam
+        lam = modes.lam[0]
         oracle = (8.0 / math.pi) * quad(
             lambda t: (t * ml_eval(MLParams(1.5, 2.0), -lam * t**1.5).value) ** 2,
             0.0,

@@ -23,6 +23,18 @@ def test_all_names_resolve(mod_name):
     assert missing == []
 
 
+def test_package_exports_come_from_one_submodule_each():
+    # the package re-exports names; each one is declared by exactly one
+    # submodule and is the very object found there
+    submodules = [importlib.import_module(m) for m in MODULES[1:]]
+    for name in fracplate.__all__:
+        if name == "__version__":
+            continue
+        owners = [m for m in submodules if name in getattr(m, "__all__", [])]
+        assert len(owners) == 1, (name, [m.__name__ for m in owners])
+        assert getattr(owners[0], name) is getattr(fracplate, name), name
+
+
 # No scipy module is loaded by the CLI: Gauss-Legendre rules, the inverse
 # normal CDF and the Laplace-pair quadrature are the package's own, and scipy
 # serves only as a test oracle.

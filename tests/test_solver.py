@@ -5,14 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fracplate.fractional_calculus import TimeGrid
+from fracplate.fractional_calculus import TimeGrid, TimeSeries, caputo_derivative
 from fracplate.solver import (
     apriori_estimate_check,
     classify,
-    eval_caputo,
-    eval_grad_laplacian,
-    eval_u,
-    eval_ut,
     lift,
     mode_ode_residual,
     solve,
@@ -23,8 +19,15 @@ from fracplate.spectral_domain import (
     Rectangle,
     SpectralCoefficients,
     eigenmodes,
+    mode_gradients,
+    mode_values,
 )
-from fracplate.special_functions import MLParams, ml_eval
+from fracplate.special_functions import MLParams, ml_eval, ml_profile
+
+
+def _u(s, t, x):
+    """u(t, x): the coefficient row at t against the mode values at x."""
+    return float(s.coefficients([t])[0] @ mode_values(s.modes, s.domain, [x])[0])
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +46,12 @@ class TestSolve:
             * math.sqrt(2 / math.pi)
             * math.sin(x)
         )
-        assert eval_u(s, t, x) == pytest.approx(expect, abs=1e-13)
+        assert _u(s, t, x) == pytest.approx(expect, abs=1e-13)
 
     def test_zero_data_zero_solution(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [0] * 8, [0] * 8, 1.0)
-        assert eval_u(s, 0.5, 1.0) == 0.0
+        assert _u(s, 0.5, 1.0) == 0.0
 
     def test_velocity_mode_collapse(self, interval_modes):
         # u1 = e_2: u(t,x) = t E_{a,2}(-16 t^a) e_2(x)
@@ -63,7 +66,7 @@ class TestSolve:
             * math.sqrt(2 / math.pi)
             * math.sin(2 * x)
         )
-        assert eval_u(s, t, x) == pytest.approx(expect, abs=1e-13)
+        assert _u(s, t, x) == pytest.approx(expect, abs=1e-13)
 
     def test_alpha_out_of_range(self, interval_modes):
         d, modes = interval_modes
@@ -127,36 +130,34 @@ class TestPointwiseEvaluation:
             u1[i] * math.sqrt(2 / math.pi) * math.sin((i + 1) * x)
             for i in range(8)
         )
-        assert eval_ut(s, 0.0, x) == pytest.approx(expect, abs=1e-12)
-
-    def test_ut_at_zero_with_displacement_refused(self, interval_modes):
-        d, modes = interval_modes
-        s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
-        with pytest.raises(ValueError):
-            eval_ut(s, 0.0, 1.0)
+        ut = s.coefficient_derivatives([0.0])[0] @ mode_values(modes, d, [x])[0]
+        assert ut == pytest.approx(expect, abs=1e-12)
 
     def test_caputo_equals_minus_u_for_fundamental(self, interval_modes):
-        # lam_1 = 1 on Interval(pi), so dt^alpha u = -u exactly
+        # lam_1 = 1 on Interval(pi), so dt^alpha u = -u: the discrete Caputo
+        # derivative of u(., x) on graded grids, past the start-up layer
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
-        t, x = 0.35, 2.0
-        assert eval_caputo(s, t, x) == pytest.approx(-eval_u(s, t, x), rel=1e-13)
+        e = mode_values(modes, d, [2.0])[0]
+        ut0 = s.coefficient_derivatives([0.0])[0] @ e
+        defects = []
+        for M in (1024, 2048):
+            grid = TimeGrid.graded(1.0, M, 4.0)
+            u = s.coefficients(grid.nodes) @ e
+            dt_u = caputo_derivative(TimeSeries(grid, u), 1.5, ut0).values
+            defects.append(np.max(np.abs(dt_u + u)[M // 32 :]))
+        assert defects[1] <= 1e-4
+        assert defects[0] / defects[1] >= 3.0  # second order
 
     def test_grad_laplacian_direction(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         t, x = 0.5, 0.9
-        c = s.coefficients(np.array([t]))[0][0]
-        expect = -c * math.sqrt(2 / math.pi) * math.cos(x)
-        assert eval_grad_laplacian(s, t, x)[0] == pytest.approx(expect, rel=1e-12)
-
-    def test_time_domain_enforced(self, interval_modes):
-        d, modes = interval_modes
-        s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
-        with pytest.raises(ValueError):
-            eval_u(s, 1.5, 1.0)
-        with pytest.raises(ValueError):
-            eval_u(s, 0.5, 4.0)  # outside (0, pi)
+        c = s.coefficients(np.array([t]))[0]
+        # grad lap u = sum c_n (-mu_n) grad e_n
+        grad_lap = mode_gradients(s.modes, d, [x])[0] @ (-s.mus * c)
+        expect = -c[0] * math.sqrt(2 / math.pi) * math.cos(x)
+        assert grad_lap[0] == pytest.approx(expect, rel=1e-12)
 
 
 class TestResiduals:
@@ -180,7 +181,7 @@ class TestResiduals:
         u0[4] = 1.0  # lam = 625
         s = solve(d, 8, 1.5, u0, [0] * 8, 1.0)
         grid = TimeGrid.graded(1.0, 2048, 4.0)
-        lam = modes[4].lam
+        lam = modes.lam[4]
         c = s.coefficients(grid.nodes)[:, 4]
         scale = max(1.0, lam * float(np.max(np.abs(c))))
         assert mode_ode_residual(s, 5, grid) <= 5e-3 * scale
@@ -266,11 +267,10 @@ class TestLifting:
 
     def test_single_mode_decay_envelope(self, interval_modes):
         # |c_n(t)| <= |u0_n| + t |u1_n| sup|E_{a,2}| with the empirical bound
+        # c_hat = max |E_{a,2}(z)| (1 + |z|) over a log-uniform sample of z < 0
         d, modes = interval_modes
-        from fracplate.special_functions import MLParams as P
-        from fracplate.special_functions import ml_decay_bound_estimate
-
-        c_hat = ml_decay_bound_estimate(P(1.5, 2.0), 200).c_hat
+        x = 10.0 ** np.linspace(-8.0, 8.0, 200)
+        c_hat = float(np.max(np.abs(ml_profile(1.5, 2.0, -x)) * (1.0 + x)))
         s = solve(d, 8, 1.5, [0.7] + [0] * 7, [0.3] + [0] * 7, 1.0)
         ts = np.linspace(0.0, 1.0, 33)
         c = s.coefficients(ts)[:, 0]
@@ -350,15 +350,15 @@ class TestRectangleSolutions:
 
         # pointwise value against a direct per-mode sum
         t, x = 0.37, (0.4, 1.1)
-        from fracplate.spectral_domain import eval_mode
-        from fracplate.special_functions import MLParams, ml_eval
-
         expect = 0.0
-        for i, m in enumerate(modes):
-            e1 = ml_eval(MLParams(1.7, 1.0), -m.lam * t**1.7).value
-            e2 = ml_eval(MLParams(1.7, 2.0), -m.lam * t**1.7).value
-            expect += (u0[i] * e1 + u1[i] * t * e2) * eval_mode(m, d, x)[0]
-        assert eval_u(s, t, x) == pytest.approx(expect, abs=1e-12)
+        for i, ((j, k), lam) in enumerate(zip(modes.index.tolist(), modes.lam)):
+            e1 = ml_eval(MLParams(1.7, 1.0), -lam * t**1.7).value
+            e2 = ml_eval(MLParams(1.7, 2.0), -lam * t**1.7).value
+            # e_jk = (2 / sqrt(a b)) sin(j pi x / a) sin(k pi y / b), a = 1, b = 2
+            e_jk = math.sqrt(2.0) * math.sin(j * math.pi * x[0])
+            e_jk *= math.sin(k * math.pi * x[1] / 2.0)
+            expect += (u0[i] * e1 + u1[i] * t * e2) * e_jk
+        assert _u(s, t, x) == pytest.approx(expect, abs=1e-12)
 
         # lifting identity on the rectangle
         lam = s.lambdas
@@ -380,6 +380,6 @@ class TestRectangleSolutions:
         u0 = [1.0, 0.0, 0.0, 0.0]
         s = solve(d, 4, 1.5, u0, [0.0] * 4, 1.0)
         grid = TimeGrid.graded(1.0, 1024, 4.0)
-        lam = modes[0].lam  # 4 on the pi x pi square
+        lam = modes.lam[0]  # 4 on the pi x pi square
         r = mode_ode_residual(s, 1, grid)
         assert r <= 5e-3 * max(1.0, lam)

@@ -8,16 +8,12 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fracplate.special_functions import (
     MLMethod,
     MLParams,
     gamma_fn,
     gauss_legendre,
-    max_beta,
-    ml_decay_bound_estimate,
     ml_derivative_identity_residuals,
     ml_eval,
     ml_laplace_check,
@@ -313,55 +309,6 @@ class TestLaplaceCheck:
             ml_laplace_check(MLParams(1.5, 1.0), 8.0, 1.0)
 
 
-class TestDecayBound:
-    def test_finite_and_stable_for_subdiffusive_range(self):
-        est1 = ml_decay_bound_estimate(MLParams(1.5, 1.0), 400)
-        est2 = ml_decay_bound_estimate(MLParams(1.5, 1.0), 800)
-        assert math.isfinite(est1.c_hat) and est1.saturated
-        assert abs(est2.c_hat - est1.c_hat) / est1.c_hat < 0.05
-
-    def test_beta_two_also_saturates(self):
-        est = ml_decay_bound_estimate(MLParams(1.5, 2.0), 400)
-        assert est.saturated and math.isfinite(est.c_hat)
-
-    def test_wave_limit_flagged_unsaturated(self):
-        # alpha=2 oscillates without decay: the product grows with |z|
-        est = ml_decay_bound_estimate(MLParams(2.0, 1.0), 400)
-        assert not est.saturated
-
-
-class TestMaxBeta:
-    def test_half(self):
-        argmax, maxval = max_beta(0.5)
-        assert argmax == pytest.approx(1.0)
-        assert maxval == pytest.approx(0.5)
-
-    def test_limit_toward_zero(self):
-        _, maxval = max_beta(1e-9)
-        assert maxval == pytest.approx(1.0, abs=1e-6)
-
-    def test_three_quarters_against_grid_search(self):
-        argmax, maxval = max_beta(0.75)
-        xs = np.linspace(0.0, 100.0, 200_001)
-        grid_max = np.max(xs**0.75 / (1.0 + xs))
-        assert argmax == pytest.approx(3.0)
-        assert maxval == pytest.approx(0.75**0.75 * 0.25**0.25)
-        assert maxval >= grid_max - 1e-9
-
-    @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
-    @settings(max_examples=40, deadline=None)
-    def test_dominates_the_function(self, beta):
-        _, maxval = max_beta(beta)
-        xs = np.linspace(0.0, 1e4, 10_001)
-        assert np.all(xs**beta / (1.0 + xs) <= maxval + 1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            max_beta(1.0)
-        with pytest.raises(ValueError):
-            max_beta(0.0)
-
-
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
 def test_oracle_agreement_alpha_dependent_betas(alpha):
     # beta in {1, 2, alpha, alpha-1, 3} across the oracle-convergent range
@@ -410,14 +357,6 @@ def test_error_estimate_honest_near_order_one(alpha, beta, z):
     got = ml_eval(MLParams(alpha, beta), z)
     ref = ml_series_oracle(MLParams(alpha, beta), z, 4000)
     assert abs(got.value - ref) <= max(got.est_abs_error, 2e-15)
-
-
-def test_decay_bound_at_full_sample_scale():
-    # 1e4 log-uniform samples: the documented operating point
-    est = ml_decay_bound_estimate(MLParams(1.5, 1.0), 10_000)
-    est_half = ml_decay_bound_estimate(MLParams(1.5, 1.0), 5_000)
-    assert est.saturated
-    assert abs(est.c_hat - est_half.c_hat) / est_half.c_hat < 0.05
 
 
 class TestOutOfRange:
@@ -526,15 +465,6 @@ def test_derivative_identities_match_pointwise_loop(alpha, lam):
     rep = ml_derivative_identity_residuals(alpha, lam, times)
     got = [rep.metrics[k] for k in ("residual_dEa", "residual_dtEa2", "residual_dtam1Eaa")]
     assert np.allclose(got, r, rtol=0.0, atol=1e-10)
-
-
-def test_decay_bound_matches_pointwise_loop():
-    p = MLParams(1.5, 1.0)
-    xs = 10.0 ** np.linspace(-8.0, 8.0, 200)
-    vals = [abs(ml_eval(p, -float(x)).value) * (1.0 + x) for x in xs]
-    est = ml_decay_bound_estimate(p, 200)
-    assert est.c_hat == pytest.approx(max(vals), rel=1e-12)
-    assert est.argmax_abs_z == pytest.approx(xs[int(np.argmax(vals))], rel=1e-12)
 
 
 # {{{ the array branch-cut rule

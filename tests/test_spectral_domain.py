@@ -1,65 +1,55 @@
-"""Eigenpairs, projections, and fractional power norms."""
+"""Eigenpairs, their value and gradient matrices, and fractional power norms."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fracplate.spectral_domain import (
-    EigenMode,
     Interval,
     ModeSet,
     Rectangle,
     SpectralCoefficients,
-    apply_power,
     boundary_quadrature,
     domain_quadrature,
     eigenmodes,
-    eval_mode,
     fractional_norm,
     mode_gradients,
     mode_normal_derivatives,
     mode_values,
-    normal_derivative_on_boundary,
     parse_domain,
-    project,
 )
 
 
 class TestEigenmodes:
     def test_interval_pi(self):
         ms = eigenmodes(Interval(math.pi), 3)
-        assert [m.mu for m in ms] == [1.0, 4.0, 9.0]
-        assert [m.lam for m in ms] == [1.0, 16.0, 81.0]
+        assert ms.mu.tolist() == [1.0, 4.0, 9.0]
+        assert ms.lam.tolist() == [1.0, 16.0, 81.0]
 
     def test_square_multiplicity_kept(self):
         ms = eigenmodes(Rectangle(math.pi, math.pi), 4)
-        assert [m.index for m in ms] == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        assert [round(m.mu, 12) for m in ms] == [2.0, 5.0, 5.0, 8.0]
+        assert ms.index.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
+        assert np.round(ms.mu, 12).tolist() == [2.0, 5.0, 5.0, 8.0]
 
     def test_unit_interval_fundamental(self):
-        m = eigenmodes(Interval(1.0), 1)[0]
-        assert m.mu == pytest.approx(math.pi**2, rel=1e-15)
-        assert m.lam == pytest.approx(math.pi**4, rel=1e-15)
+        ms = eigenmodes(Interval(1.0), 1)
+        assert ms.mu[0] == pytest.approx(math.pi**2, rel=1e-15)
+        assert ms.lam[0] == pytest.approx(math.pi**4, rel=1e-15)
 
     def test_lambda_is_exact_square(self):
-        for m in eigenmodes(Interval(2.7), 20):
-            assert m.lam == m.mu * m.mu  # bit-exact
-
-        for m in eigenmodes(Rectangle(1.3, 0.7), 20):
-            assert m.lam == m.mu * m.mu
+        for d in (Interval(2.7), Rectangle(1.3, 0.7)):
+            ms = eigenmodes(d, 20)
+            assert np.array_equal(ms.lam, ms.mu * ms.mu)  # bit-exact
 
     def test_sorted_ascending(self):
-        lams = [m.lam for m in eigenmodes(Rectangle(2.0, 1.0), 30)]
+        lams = eigenmodes(Rectangle(2.0, 1.0), 30).lam.tolist()
         assert lams == sorted(lams)
 
     def test_anisotropic_ordering(self):
         # long thin rectangle: many x-modes come first
         ms = eigenmodes(Rectangle(10.0, 1.0), 3)
-        assert ms[0].index == (1, 1)
-        assert ms[1].index == (2, 1)
+        assert ms.index[:2].tolist() == [[1, 1], [2, 1]]
 
 
 def _reference_modes(d, N):
@@ -120,25 +110,31 @@ class TestEnumeration:
         ms = eigenmodes(Rectangle(math.pi, math.pi), 6)
         head = ms[1:3]
         assert isinstance(head, ModeSet) and len(head) == 2
-        assert head[0] == ms[1] == EigenMode((1, 2), 5.0, 25.0, ms.norm_const)
-        assert ms[-1].index == tuple(ms.index[-1].tolist())
-        assert [m.index for m in head] == [(1, 2), (2, 1)]
+        assert head.index.tolist() == [[1, 2], [2, 1]]
+        assert head.mu.tolist() == [5.0, 5.0] and head.lam.tolist() == [25.0, 25.0]
+        assert head.norm_const == ms.norm_const
+        assert ms[-1:].index.tolist() == [ms.index[-1].tolist()]
+        with pytest.raises(TypeError):
+            ms[0]  # one mode is the slice ms[i:i + 1]
         with pytest.raises(ValueError):
             ms.lam[0] = 0.0  # read-only: slices share the arrays
         with pytest.raises(TypeError):
-            SpectralCoefficients((ms[0],), [1.0])
+            SpectralCoefficients((ms[:1],), [1.0])
 
 
 def _loop_values(modes, d, pts):
+    """Eigenfunction values, one mode at a time from its index."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, d.dim)
+    c = modes.norm_const
     cols = []
-    for m in modes:
+    for index in modes.index.tolist():
         if isinstance(d, Interval):
-            w = m.index[0] * math.pi / d.length
-            cols.append(m.norm_const * np.sin(w * pts[:, 0]))
+            w = index[0] * math.pi / d.length
+            cols.append(c * np.sin(w * pts[:, 0]))
         else:
-            j, k = m.index
+            j, k = index
             cols.append(
-                m.norm_const
+                c
                 * np.sin(j * math.pi / d.a * pts[:, 0])
                 * np.sin(k * math.pi / d.b * pts[:, 1])
             )
@@ -146,18 +142,27 @@ def _loop_values(modes, d, pts):
 
 
 def _loop_gradients(modes, d, pts):
+    """Eigenfunction gradients, one mode at a time from its index."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, d.dim)
+    c = modes.norm_const
     out = np.empty((len(pts), d.dim, len(modes)))
-    for i, m in enumerate(modes):
+    for i, index in enumerate(modes.index.tolist()):
         if isinstance(d, Interval):
-            w = m.index[0] * math.pi / d.length
-            out[:, 0, i] = m.norm_const * w * np.cos(w * pts[:, 0])
+            w = index[0] * math.pi / d.length
+            out[:, 0, i] = c * w * np.cos(w * pts[:, 0])
         else:
-            wx = m.index[0] * math.pi / d.a
-            wy = m.index[1] * math.pi / d.b
+            wx = index[0] * math.pi / d.a
+            wy = index[1] * math.pi / d.b
             x, y = pts[:, 0], pts[:, 1]
-            out[:, 0, i] = m.norm_const * wx * np.cos(wx * x) * np.sin(wy * y)
-            out[:, 1, i] = m.norm_const * wy * np.sin(wx * x) * np.cos(wy * y)
+            out[:, 0, i] = c * wx * np.cos(wx * x) * np.sin(wy * y)
+            out[:, 1, i] = c * wy * np.sin(wx * x) * np.cos(wy * y)
     return out
+
+
+def _project(f, d, modes, order):
+    """L^2 coefficients of f by Gauss-Legendre quadrature on the mode matrix."""
+    pts, w = domain_quadrature(d, order)
+    return mode_values(modes, d, pts).T @ (w * f(*pts.T))
 
 
 class TestModeMatrices:
@@ -183,103 +188,88 @@ class TestModeMatrices:
 class TestEvalMode:
     def test_peak_of_fundamental(self):
         d = Interval(math.pi)
-        m = eigenmodes(d, 1)[0]
-        v, g, lap = eval_mode(m, d, math.pi / 2)
+        ms = eigenmodes(d, 1)
+        v = mode_values(ms, d, [math.pi / 2])[0, 0]
+        g = mode_gradients(ms, d, [math.pi / 2])[0, 0, 0]
         assert v == pytest.approx(math.sqrt(2 / math.pi), rel=1e-14)
-        assert g[0] == pytest.approx(0.0, abs=1e-15)
-        assert lap == pytest.approx(-v, rel=1e-14)
+        assert g == pytest.approx(0.0, abs=1e-15)
 
     def test_node_of_second_mode(self):
         d = Interval(math.pi)
-        m = eigenmodes(d, 2)[1]
-        v, _, _ = eval_mode(m, d, math.pi / 2)
+        v = mode_values(eigenmodes(d, 2), d, [math.pi / 2])[0, 1]
         assert v == pytest.approx(0.0, abs=1e-15)
 
     def test_rectangle_center_value(self):
         d = Rectangle(math.pi, math.pi)
-        m = eigenmodes(d, 1)[0]
-        v, g, lap = eval_mode(m, d, (math.pi / 2, math.pi / 2))
+        ms = eigenmodes(d, 1)
+        v = mode_values(ms, d, [(math.pi / 2, math.pi / 2)])[0, 0]
         assert v == pytest.approx(2 / math.pi, rel=1e-14)
-        assert lap == pytest.approx(-2.0 * v, rel=1e-14)
+        assert ms.mu[0] == pytest.approx(2.0, rel=1e-14)  # lap e = -2 e
 
     def test_laplacian_identity_against_finite_differences(self):
+        # lap e_n = -mu_n e_n: the eigenvalue the solver pairs with each column
         d = Interval(math.pi)
-        m = eigenmodes(d, 3)[2]
+        ms = eigenmodes(d, 3)
         x, h = 1.234, 1e-5
-        v0 = eval_mode(m, d, x)[0]
-        fd = (eval_mode(m, d, x + h)[0] - 2 * v0 + eval_mode(m, d, x - h)[0]) / h**2
-        assert eval_mode(m, d, x)[2] == pytest.approx(fd, rel=1e-5)
+        v = mode_values(ms, d, [x - h, x, x + h])[:, 2]
+        fd = (v[2] - 2 * v[1] + v[0]) / h**2
+        assert -ms.mu[2] * v[1] == pytest.approx(fd, rel=1e-5)
 
     def test_outside_domain_rejected(self):
         d = Interval(1.0)
-        m = eigenmodes(d, 1)[0]
+        ms = eigenmodes(d, 1)
         with pytest.raises(ValueError):
-            eval_mode(m, d, 2.0)
+            mode_values(ms, d, [2.0])
 
 
 class TestNormalDerivative:
     def test_interval_left_endpoint(self):
         d = Interval(math.pi)
-        m = eigenmodes(d, 1)[0]
-        assert normal_derivative_on_boundary(m, d, 0.0) == pytest.approx(
-            -math.sqrt(2 / math.pi), rel=1e-14
-        )
+        nd = mode_normal_derivatives(eigenmodes(d, 1), d, [[0.0]], [[-1.0]])
+        assert nd[0, 0] == pytest.approx(-math.sqrt(2 / math.pi), rel=1e-14)
 
     def test_interval_right_endpoint(self):
         d = Interval(math.pi)
-        m = eigenmodes(d, 1)[0]
-        assert normal_derivative_on_boundary(m, d, math.pi) == pytest.approx(
-            -math.sqrt(2 / math.pi), rel=1e-14
-        )
+        nd = mode_normal_derivatives(eigenmodes(d, 1), d, [[math.pi]], [[1.0]])
+        assert nd[0, 0] == pytest.approx(-math.sqrt(2 / math.pi), rel=1e-14)
 
     def test_rectangle_edge(self):
         d = Rectangle(math.pi, math.pi)
-        m = eigenmodes(d, 1)[0]
-        got = normal_derivative_on_boundary(m, d, (0.0, math.pi / 2))
-        assert got == pytest.approx(-2 / math.pi, rel=1e-14)
+        ms = eigenmodes(d, 1)
+        nd = mode_normal_derivatives(ms, d, [[0.0, math.pi / 2]], [[-1.0, 0.0]])
+        assert nd[0, 0] == pytest.approx(-2 / math.pi, rel=1e-14)
 
     def test_corner_returns_zero(self):
+        # the gradient vanishes at a corner, whichever normal is taken there
         d = Rectangle(1.0, 1.0)
-        m = eigenmodes(d, 1)[0]
-        assert normal_derivative_on_boundary(m, d, (0.0, 0.0)) == 0.0
-
-    def test_interior_point_rejected(self):
-        d = Interval(1.0)
-        m = eigenmodes(d, 1)[0]
-        with pytest.raises(ValueError):
-            normal_derivative_on_boundary(m, d, 0.5)
+        ms = eigenmodes(d, 1)
+        for normal in ([-1.0, 0.0], [0.0, -1.0]):
+            assert mode_normal_derivatives(ms, d, [[0.0, 0.0]], [normal])[0, 0] == 0.0
 
 
 class TestProjection:
     def test_orthonormality_recovery(self):
         d = Interval(math.pi)
         ms = eigenmodes(d, 5)
-        c = project(lambda x: mode_values(ms[2:3], d, x[:, None])[:, 0], d, ms, 64)
+        c = _project(lambda x: mode_values(ms[2:3], d, x)[:, 0], d, ms, 64)
         expect = np.zeros(5)
         expect[2] = 1.0
-        assert np.max(np.abs(c.values - expect)) < 1e-10
+        assert np.max(np.abs(c - expect)) < 1e-10
 
     def test_zero_function(self):
         d = Interval(1.0)
         ms = eigenmodes(d, 4)
-        c = project(lambda x: np.zeros_like(x), d, ms, 32)
-        assert np.max(np.abs(c.values)) == 0.0
+        c = _project(lambda x: np.zeros_like(x), d, ms, 32)
+        assert np.max(np.abs(c)) == 0.0
 
     def test_parabola_against_closed_form(self):
         # f(x) = x (pi - x): c_n = sqrt(2/pi) * (2/n^3) * (1 - (-1)^n)
         d = Interval(math.pi)
         ms = eigenmodes(d, 6)
-        c = project(lambda x: x * (math.pi - x), d, ms, 80)
-        for i, m in enumerate(ms):
-            n = m.index[0]
-            expect = math.sqrt(2 / math.pi) * (2.0 / n**3) * (1 - (-1) ** n)
-            assert c.values[i] == pytest.approx(expect, abs=1e-10)
-
-    def test_undersampling_refused_with_hint(self):
-        d = Interval(1.0)
-        ms = eigenmodes(d, 10)
-        with pytest.raises(ValueError, match="half-wave"):
-            project(lambda x: x, d, ms, 8)
+        c = _project(lambda x: x * (math.pi - x), d, ms, 80)
+        n = np.arange(1, 7)
+        expect = math.sqrt(2 / math.pi) * (2.0 / n**3) * (1 - (-1.0) ** n)
+        assert np.max(np.abs(c - expect)) < 1e-10
 
     def test_gram_matrix_identity_interval(self):
         d = Interval(math.pi)
@@ -343,30 +333,6 @@ class TestFractionalNorms:
         norms = [fractional_norm(c, th) for th in thetas]
         assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
 
-    def test_apply_power_identity(self):
-        d = Interval(math.pi)
-        ms = eigenmodes(d, 3)
-        c = SpectralCoefficients(ms, [1.0, 2.0, 3.0])
-        out = apply_power(c, 0.0)
-        assert np.array_equal(out.values, c.values)
-
-    def test_apply_power_mode2_half_inverse(self):
-        d = Interval(math.pi)
-        ms = eigenmodes(d, 2)
-        c = SpectralCoefficients(ms[1:2], [1.0])
-        assert apply_power(c, -0.5).values[0] == pytest.approx(0.25, rel=1e-14)
-
-    @given(st.floats(min_value=-1.0, max_value=1.0))
-    @settings(max_examples=30, deadline=None)
-    def test_apply_power_round_trip(self, theta):
-        d = Interval(math.pi)
-        ms = eigenmodes(d, 5)
-        c = SpectralCoefficients(ms, [0.3, -1.2, 0.5, 2.0, -0.7])
-        back = apply_power(apply_power(c, theta), -theta)
-        assert np.max(np.abs(back.values - c.values)) < 1e-13 * np.max(
-            np.abs(c.values)
-        )
-
 
 class TestBoundaryQuadrature:
     def test_interval_counting_measure(self):
@@ -385,10 +351,12 @@ class TestBoundaryQuadrature:
         ms = eigenmodes(d, 4)
         pts, _, normals = boundary_quadrature(d, 8)
         nd = mode_normal_derivatives(ms, d, pts, normals)
-        for i in (0, 11, 17):
-            for j in (0, 3):
-                ref = normal_derivative_on_boundary(ms[j], d, pts[i])
-                assert nd[i, j] == pytest.approx(ref, abs=1e-12)
+        # the outward normal read off the edge each node lies on (no corners)
+        x, y = pts.T
+        on_x, on_y = (np.isin(c, (0.0, 1.0)) for c in (x, y))
+        nu = np.column_stack([np.sign(x - 0.5) * on_x, np.sign(y - 0.5) * on_y])
+        ref = np.einsum("pdm,pd->pm", _loop_gradients(ms, d, pts), nu)
+        assert np.max(np.abs(nd - ref)) <= 1e-12
 
 
 class TestParseDomain:
