@@ -2,8 +2,8 @@
 
 Module map:
 
-* :mod:`fracplate.special_functions` -- Gamma and E_{alpha,beta} evaluation
-  with method-tagged error estimates.
+* :mod:`fracplate.special_functions` -- reciprocal Gamma, Gauss-Legendre
+  rules and E_{alpha,beta} evaluation with method-tagged error estimates.
 * :mod:`fracplate.spectral_domain` -- explicit hinged-biharmonic eigenpairs
   on intervals and rectangles, their value and gradient matrices at
   quadrature nodes, fractional power norms.
@@ -48,7 +48,6 @@ from .special_functions import (
     MLEvaluationError,
     MLMethod,
     MLParams,
-    gamma_fn,
     ml_derivative_identity_residuals,
     ml_eval,
     ml_laplace_check,
@@ -94,7 +93,6 @@ __all__ = [
     "filtered_identity_residual",
     "fractional_norm",
     "gagliardo_seminorm",
-    "gamma_fn",
     "lift",
     "ml_derivative_identity_residuals",
     "ml_eval",

@@ -45,7 +45,6 @@ from .spectral_domain import (
 )
 from .special_functions import (
     MLParams,
-    gamma_fn,
     ml_derivative_identity_residuals,
     ml_eval,
     ml_laplace_check,
@@ -170,8 +169,8 @@ def criterion_3_fractional_operators(quick: bool = False) -> VerificationReport:
     for g_exp in (0.0, 1.0, 2.0):
         got = float(at_T @ grid.nodes**g_exp)
         exact = (
-            gamma_fn(g_exp + 1.0)
-            / gamma_fn(g_exp + 1.0 + beta)
+            math.gamma(g_exp + 1.0)
+            / math.gamma(g_exp + 1.0 + beta)
             * grid.T ** (g_exp + beta)
         )
         worst_power = max(worst_power, abs(got - exact) / abs(exact))

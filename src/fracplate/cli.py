@@ -28,7 +28,7 @@ from .hidden_regularity import direct_inequality_probe, filtered_identity_residu
 from .report import canonical_json, fmt17
 from .solver import apriori_estimate_check, classify, mode_ode_residual, solve
 from .spectral_domain import eigenmodes, parse_domain
-from .special_functions import MLParams, gamma_fn, ml_eval
+from .special_functions import MLParams, ml_eval
 
 __all__ = ["main", "parse_config", "RunConfig"]
 
@@ -210,7 +210,7 @@ def _run_fracops(opt: dict[str, Any]) -> int:
     for M in _int_list(opt["nodes"]):
         grid = TimeGrid.graded(1.0, M, grading)
         at_T = float(rl_integral_matrix(grid, beta, [M])[0] @ grid.nodes**g_exp)
-        exact = gamma_fn(g_exp + 1.0) / gamma_fn(g_exp + 1.0 + beta)
+        exact = math.gamma(g_exp + 1.0) / math.gamma(g_exp + 1.0 + beta)
         errors.append(abs(at_T - exact) / abs(exact))
         lines.append(f"{M},{fmt17(errors[-1])}")
     _emit("\n".join(lines) + "\n", opt["out"])

@@ -30,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .special_functions import gamma_fn
 
 __all__ = [
     "TimeGrid",
@@ -163,7 +162,7 @@ def rl_integral_matrix(
     if np.any(rows < 0) or np.any(rows > M):
         raise ValueError(f"row indices must lie in [0, {M}]")
     W = np.zeros((len(rows), M + 1))
-    w0 = 1.0 / gamma_fn(beta)
+    w0 = 1.0 / math.gamma(beta)
     for r, n in enumerate(rows):
         dl = t[n] - t[:n]  # distances to left cell edges (b)
         dr = t[n] - t[1 : n + 1]  # distances to right cell edges (a)

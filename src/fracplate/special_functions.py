@@ -1,4 +1,4 @@
-r"""Gamma and two-parameter Mittag-Leffler evaluation on the real line.
+r"""Reciprocal Gamma and two-parameter Mittag-Leffler evaluation on the real line.
 
 The Mittag-Leffler function
 
@@ -49,7 +49,6 @@ __all__ = [
     "MLMethod",
     "MLEvaluation",
     "MLEvaluationError",
-    "gamma_fn",
     "reciprocal_gamma",
     "gauss_legendre",
     "ml_eval",
@@ -60,33 +59,12 @@ __all__ = [
 ]
 
 
-# {{{ gamma
-
-# Lanczos coefficients for g = 607/128, n = 15 (Godfrey's set); relative
-# error below 2e-15 on the positive axis in double precision.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
+# {{{ reciprocal gamma
 
 def _sinpi(x: float) -> float:
-    """sin(pi*x) with argument reduction (exact zeros at integers)."""
-    n = math.floor(x)
+    """sin(pi*x) reduced to the nearest integer: exact zeros at integers and
+    full relative accuracy next to them."""
+    n = round(x)
     r = x - n
     if r == 0.0:
         return 0.0
@@ -94,54 +72,28 @@ def _sinpi(x: float) -> float:
     return -s if n % 2 else s
 
 
-def _lanczos_positive(x: float) -> float:
-    # requires x >= 0.5
-    xm = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, 15):
-        acc += _LANCZOS_C[i] / (xm + i)
-    t = xm + _LANCZOS_G + 0.5
-    # split the power so that Gamma(170) stays below the overflow threshold
-    u = t ** (0.5 * xm + 0.25) * math.exp(-0.5 * t)
-    return math.sqrt(2.0 * math.pi) * u * u * acc
-
-
-def gamma_fn(x: float) -> float:
-    """Euler Gamma via Lanczos rational approximation, reflection for x < 1/2.
-
-    Raises ValueError at the poles (0, -1, -2, ...) and OverflowError past
-    the double-precision range (x > 171.62).
-    """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at non-positive integer x={x}")
-    if x >= 0.5:
-        if x > 171.7:
-            raise OverflowError(f"gamma({x}) overflows double precision")
-        return _lanczos_positive(x)
-    s = _sinpi(x)
-    return math.pi / (s * _lanczos_positive(1.0 - x))
-
-
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x); exact zero at the poles, safe for very negative x."""
+    """1/Gamma(x) from :func:`math.gamma`; exact zero at the poles.
+
+    Where Gamma(x) overflows, ``math.lgamma`` takes over: the value
+    underflows smoothly to zero for large x, and for very negative x it
+    leaves the double range (a signed infinity) except next to the poles.
+    """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         return 0.0
     if x >= 0.5:
-        if x > 171.7:
-            # underflows to zero well before lgamma loses meaning
-            lg = math.lgamma(x)
-            return math.exp(-lg) if lg < 745.0 else 0.0
-        return 1.0 / _lanczos_positive(x)
+        try:
+            return 1.0 / math.gamma(x)
+        except OverflowError:
+            return math.exp(-math.lgamma(x))
     # reflection: 1/Gamma(x) = sin(pi x) * Gamma(1-x) / pi
     s = _sinpi(x)
-    lg = math.lgamma(1.0 - x)
-    if lg > 700.0:
-        return s * math.exp(lg - math.log(math.pi)) if lg < 705.0 else math.copysign(
-            math.inf, s
-        )
-    return s * math.exp(lg) / math.pi
+    try:
+        return s * math.gamma(1.0 - x) / math.pi
+    except OverflowError:
+        lg = math.lgamma(1.0 - x) + math.log(abs(s) / math.pi)
+        return math.copysign(math.exp(lg) if lg < 709.78 else math.inf, s)
 
 
 # }}}

@@ -129,7 +129,7 @@ class TestFracopsCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d5b68281c840da3d3baebffadeba2a89228a2d6e70c92c9e398bab37652aea77"
+            "de0c98a2b46e7a681e8ff36dad94dcc437a7f8bd14ed50a7b294a3dc019f1459"
         )
 
 
@@ -226,10 +226,10 @@ class TestSolveCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d96193e3a99f7531d89e7f135556f3db64c3f62e7707aa3354d40eb0d900523d"
+            "4b287061e60b40bca856ad1d615a5a260ee5292503c80a7f1556220c279b4cc9"
         )
         assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
-            "83f2c159b9086a814e1dc71353cb303198018537b08b5b206ca3f6d367395a82"
+            "543e2e05ef023b1d754a4b24f411c2db89bd1667f289b62af2db7d7e01449a69"
         )
 
     @pytest.mark.parametrize("nodes", ["100", "300", "511"])
@@ -266,7 +266,7 @@ class TestIdentitiesCommand:
         code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "68d87332a0a23b5abf141580e85739650d89904160aab8bf5baa06a65910040a"
+            "69849837b06e1ebb588b101df3a06d66a2793dd0fb5731deb7dfbcc78ef26e13"
         )
 
     def test_residuals_decrease(self, capsys):

@@ -1,4 +1,4 @@
-"""Gamma and Mittag-Leffler evaluation against independent oracles."""
+"""Reciprocal Gamma and Mittag-Leffler evaluation against independent oracles."""
 
 import hashlib
 import math
@@ -12,7 +12,6 @@ import pytest
 from fracplate.special_functions import (
     MLMethod,
     MLParams,
-    gamma_fn,
     gauss_legendre,
     ml_derivative_identity_residuals,
     ml_eval,
@@ -24,27 +23,56 @@ from fracplate.special_functions import (
 
 class TestGamma:
     def test_one(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, abs=1e-14)
+        assert reciprocal_gamma(1.0) == 1.0
 
     def test_half_is_sqrt_pi(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        ref = 1.0 / math.sqrt(math.pi)
+        assert reciprocal_gamma(0.5) == pytest.approx(ref, rel=1e-15)
 
     def test_against_high_precision_oracle(self):
         # product/Stirling oracle at 50-digit working precision
         with mpmath.workdps(50):
-            ref = float(mpmath.gamma(mpmath.mpf("7.3")))
-        assert abs(gamma_fn(7.3) - ref) / ref < 1e-13
+            ref = float(mpmath.rgamma(mpmath.mpf("7.3")))
+        assert abs(reciprocal_gamma(7.3) - ref) / ref < 1e-15
 
     @pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 1.5, 10.0, 42.42, 99.9, 170.0])
     def test_relative_error_over_contract_range(self, x):
         with mpmath.workdps(40):
-            ref = float(mpmath.gamma(x))
-        assert abs(gamma_fn(x) - ref) / abs(ref) < 1e-13
+            ref = float(mpmath.rgamma(x))
+        assert abs(reciprocal_gamma(x) - ref) / abs(ref) < 1e-15
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -7.0])
-    def test_pole_raises(self, x):
-        with pytest.raises(ValueError):
-            gamma_fn(x)
+    def test_integers_exact(self):
+        assert reciprocal_gamma(3.0) == 0.5
+        assert reciprocal_gamma(5.0) == 1.0 / 24.0
+
+    def test_past_the_gamma_overflow(self):
+        # Gamma(x) leaves the double range at x = 171.6244: 1/Gamma continues
+        # as a subnormal number through lgamma, then underflows to zero
+        with mpmath.workdps(40):
+            ref = float(mpmath.rgamma(171.65))
+        got = reciprocal_gamma(171.65)
+        assert 0.0 < ref < sys.float_info.min
+        assert abs(got - ref) <= 1e-12 * ref
+        assert reciprocal_gamma(171.62) == pytest.approx(
+            float(mpmath.rgamma(171.62)), rel=1e-15
+        )
+        assert reciprocal_gamma(400.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "x", [1e-17, -1e-17, -1e-10, 0.99, 1.5, 1.999, 2.5, 2.9999999999]
+    )
+    def test_sinpi_relative_accuracy(self, x):
+        # reduced to the nearest integer, so accurate next to every integer
+        from fracplate.special_functions import _sinpi
+
+        with mpmath.workdps(40):
+            ref = float(mpmath.sinpi(x))
+        assert abs(_sinpi(x) - ref) <= 2e-16 * abs(ref)
+
+    def test_reciprocal_gamma_next_to_zero(self):
+        # 1/Gamma(x) = x + euler_gamma x^2 + ...: the reflection keeps all digits
+        assert reciprocal_gamma(-1e-17) == pytest.approx(-1e-17, rel=1e-15)
+        assert reciprocal_gamma(1e-17) == pytest.approx(1e-17, rel=1e-15)
 
     def test_reciprocal_gamma_zero_at_poles(self):
         assert reciprocal_gamma(0.0) == 0.0
@@ -86,7 +114,7 @@ class TestMLEval:
         for alpha in (1.1, 1.5, 1.9):
             for beta in (0.5, 1.0, 2.0, 3.0):
                 v = ml_eval(MLParams(alpha, beta), 0.0).value
-                assert v * gamma_fn(beta) == pytest.approx(1.0, rel=1e-13)
+                assert v * math.gamma(beta) == pytest.approx(1.0, rel=1e-13)
 
     def test_oracle_agreement_deep_negative(self):
         # alpha=1.8, beta=2, z=-50: the oracle IS the partial Taylor sum
@@ -195,7 +223,7 @@ class TestProfile:
 
     def test_zero_argument(self):
         out = ml_profile(1.5, 2.0, np.array([0.0, -1.0]))
-        assert out[0] == pytest.approx(1.0 / gamma_fn(2.0), abs=1e-14)
+        assert out[0] == pytest.approx(1.0 / math.gamma(2.0), abs=1e-14)
 
     def test_positive_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -408,7 +436,7 @@ def test_pinned_routes_cli_bytes(capsys):
     assert len(kept) == 85
     assert sum(o.rstrip().endswith("IntegralRepresentation") for o in kept) == 22
     digest = hashlib.sha256("".join(kept).encode()).hexdigest()
-    assert digest == "70cc49046fb523dc6cc94a6e82cce3fcd502bdf5fca0239b6df55723f4932778"
+    assert digest == "340fa572dac180494fd3e58d347c73e38554f4e7f13f8e0d884e0599142333e4"
 
 
 _PROFILE_GRIDS = [
