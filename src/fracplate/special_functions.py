@@ -8,23 +8,21 @@ The Mittag-Leffler function
 
 is the time kernel of fractional relaxation; everything downstream (the
 spectral solver, the boundary-trace probes) evaluates it at ``z = -lam * t**alpha``
-on the negative real axis.  Three strategies cover that axis:
+on the negative real axis.  One rule routes each point there, for every
+alpha (``rho = |z|**(1/alpha)``):
 
-* a Taylor sum for small ``|z|`` (in float when alternating cancellation is
-  mild, otherwise in guarded extended precision, since the sum loses roughly
-  ``|z|**(1/alpha) * log10(e)`` digits);
-* a branch-cut integral representation (conjugate-pole residue pair plus a
-  smooth Laplace-type kernel) for the intermediate band when
-  ``1.02 <= alpha <= 2``: one fixed composite Gauss rule, graded toward 0
-  and the near-pole ridge, evaluated for all such points at once (below
-  1.02 the guarded Taylor sum serves the band);
-* the algebraic large-argument expansion, augmented with the same residue
-  pair, once its optimal-truncation floor ``exp(-|z|**(1/alpha))`` is below
-  the target accuracy.
+* the float Taylor sum while its alternating cancellation is mild
+  (``rho <= ln 100``);
+* else the algebraic large-argument expansion plus the conjugate-pole
+  residue pair, where its optimal-truncation floor ``exp(-rho)`` is below
+  the target accuracy;
+* else, for ``1.02 <= alpha <= 2``, a branch-cut integral representation
+  (the residue pair plus a smooth Laplace-type kernel): one fixed composite
+  Gauss rule, graded toward 0 and the near-pole ridge, for all such points
+  at once; for other orders the Taylor sum in guarded extended precision
+  (it loses about ``rho * log10(e)`` digits), one point at a time, as for
+  positive ``z`` past 25.  Every route gives a per-point error estimate.
 
-One array core routes every point: float Taylor, asymptotics and the
-integral representation run on arrays with a per-point error estimate; only
-the extended-precision Taylor sum runs one point at a time.
 :func:`ml_eval` is the core on one point; :func:`ml_profile` (the solver's
 path) is the core with no accuracy target plus a verified Chebyshev cache of
 the intermediate band.  Non-finite or overflowing arguments raise at once.
@@ -75,8 +73,8 @@ def _sinpi(x: float) -> float:
 def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x) from :func:`math.gamma`; exact zero at the poles.
 
-    Where Gamma(x) overflows, ``math.lgamma`` takes over: the value
-    underflows smoothly to zero for large x, and for very negative x it
+    Where Gamma(x) overflows, the subnormal values divide 1/Gamma(x - k) by
+    its k factors and are 0.0 past x = 178.5; for very negative x the value
     leaves the double range (a signed infinity) except next to the poles.
     """
     x = float(x)
@@ -86,7 +84,12 @@ def reciprocal_gamma(x: float) -> float:
         try:
             return 1.0 / math.gamma(x)
         except OverflowError:
-            return math.exp(-math.lgamma(x))
+            if x > 178.5:  # below half the smallest subnormal
+                return math.exp(-math.lgamma(x))
+            # Gamma(x - k) is finite (below 171.6244), the factors x - j are
+            # exact, so the result is within one subnormal spacing
+            k = math.ceil(x - 171.62)
+            return 1.0 / math.gamma(x - k) / math.prod(x - j for j in range(1, k + 1))
     # reflection: 1/Gamma(x) = sin(pi x) * Gamma(1-x) / pi
     s = _sinpi(x)
     try:
@@ -579,10 +582,8 @@ def _eval(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Route each point of ``z`` and return ``(value, est, method)``.
 
-    ``method`` indexes :data:`_METHODS`.  The float Taylor sum, the
-    asymptotic expansion and the integral representation run on arrays;
-    the extended-precision Taylor sum runs one point at a time, only on the
-    points that the float routes leave behind.
+    ``method`` indexes :data:`_METHODS`; the routes are those of the module
+    docstring, with the asymptotic expansion accepted where it meets 2e-13.
     """
     if not np.all(np.isfinite(z)):
         raise ValueError("Mittag-Leffler argument must be finite")
@@ -607,14 +608,13 @@ def _eval(
     value[zero] = v0
     est[zero] = 4e-16 * abs(v0)
 
-    small = ~zero & (x <= _TAYLOR_ZMAX)
-    flt = small & (pos | (rho <= _FLOAT_RHO_MAX))
+    flt = ~zero & np.where(pos, x <= _TAYLOR_ZMAX, rho <= _FLOAT_RHO_MAX)
     if flt.any():
         value[flt], est[flt] = _taylor(alpha, beta, z[flt])
-    for i in np.flatnonzero((small & ~flt) | (pos & ~small)):
+    for i in np.flatnonzero(pos & ~flt):
         value[i], est[i] = _taylor_mp(alpha, beta, float(z[i]))
 
-    far = np.flatnonzero(~pos & ~small & ~zero)
+    far = np.flatnonzero(~pos & ~zero & ~flt)
     if not far.size:
         return value, est, method
     va, ea, conv = _asymptotic(alpha, beta, z[far], target=2e-13)
@@ -669,7 +669,7 @@ def ml_eval(p: MLParams, z: float) -> MLEvaluation:
 
 # band edges: float Taylor below _profile_zf, asymptotic above _profile_B
 def _profile_zf(alpha: float) -> float:
-    return min(_TAYLOR_ZMAX, _FLOAT_RHO_MAX**alpha)
+    return _FLOAT_RHO_MAX**alpha
 
 
 def _profile_B(alpha: float) -> float:

@@ -229,7 +229,7 @@ class TestSolveCommand:
             "4b287061e60b40bca856ad1d615a5a260ee5292503c80a7f1556220c279b4cc9"
         )
         assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
-            "543e2e05ef023b1d754a4b24f411c2db89bd1667f289b62af2db7d7e01449a69"
+            "c3d40c0418bcad3ebbdea26ca0b2ebe398abf965be340182c6467d16f9c82524"
         )
 
     @pytest.mark.parametrize("nodes", ["100", "300", "511"])
@@ -266,7 +266,7 @@ class TestIdentitiesCommand:
         code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "69849837b06e1ebb588b101df3a06d66a2793dd0fb5731deb7dfbcc78ef26e13"
+            "670ea3330de5cf26b978aefba31a0adfc7249eff77f6abf86eecbd0a3ce07741"
         )
 
     def test_residuals_decrease(self, capsys):

@@ -47,7 +47,7 @@ class TestGamma:
 
     def test_past_the_gamma_overflow(self):
         # Gamma(x) leaves the double range at x = 171.6244: 1/Gamma continues
-        # as a subnormal number through lgamma, then underflows to zero
+        # as a subnormal number, then underflows to zero
         with mpmath.workdps(40):
             ref = float(mpmath.rgamma(171.65))
         got = reciprocal_gamma(171.65)
@@ -57,6 +57,18 @@ class TestGamma:
             float(mpmath.rgamma(171.62)), rel=1e-15
         )
         assert reciprocal_gamma(400.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "x", [171.63, 171.65, 171.7, 172.0, 172.7, 175.0, 177.9]
+    )
+    def test_subnormal_band_to_one_spacing(self, x):
+        # 1/Gamma(x - k) divided by its k factors: no lgamma rounding
+        with mpmath.workdps(40):
+            ref = float(mpmath.rgamma(x))
+        assert abs(reciprocal_gamma(x) - ref) <= 5e-324
+
+    def test_far_past_the_overflow_is_zero(self):
+        assert reciprocal_gamma(1e6) == 0.0
 
     @pytest.mark.parametrize(
         "x", [1e-17, -1e-17, -1e-10, 0.99, 1.5, 1.999, 2.5, 2.9999999999]
@@ -357,7 +369,11 @@ def test_overflow_raises_evaluation_error():
 
 @pytest.mark.parametrize(
     "alpha,beta,z",
-    [(0.8, 1.0, -30.0), (1.0, 1.0, -30.0), (2.0, 1.5, -50.0), (0.5, 2.0, -10.0)],
+    [
+        (0.8, 1.0, -30.0), (1.0, 1.0, -30.0), (2.0, 1.5, -50.0), (0.5, 2.0, -10.0),
+        # served by the asymptotics below |z| = 25
+        (0.8, 0.5, -17.92), (0.9, 3.0, -18.38), (1.01, 3.0, -25.0),
+    ],
 )
 def test_order_domain_edges(alpha, beta, z):
     # orders at and below the solver range still meet the value contract
@@ -421,7 +437,7 @@ class TestOutOfRange:
 
 def test_pinned_routes_cli_bytes(capsys):
     # every non-asymptotic route of the `ml` command, pinned by the sha256 of
-    # its concatenated output (63 TaylorSeries, 22 IntegralRepresentation)
+    # its concatenated output (51 TaylorSeries, 34 IntegralRepresentation)
     from fracplate.cli import main
 
     kept = []
@@ -434,9 +450,9 @@ def test_pinned_routes_cli_bytes(capsys):
                 if not out.rstrip().endswith("AsymptoticExpansion"):
                     kept.append(out)
     assert len(kept) == 85
-    assert sum(o.rstrip().endswith("IntegralRepresentation") for o in kept) == 22
+    assert sum(o.rstrip().endswith("IntegralRepresentation") for o in kept) == 34
     digest = hashlib.sha256("".join(kept).encode()).hexdigest()
-    assert digest == "340fa572dac180494fd3e58d347c73e38554f4e7f13f8e0d884e0599142333e4"
+    assert digest == "be339bcd7ea66ef984e8838b91b5ff193cd759f52da6244326edcc050a223d72"
 
 
 _PROFILE_GRIDS = [
@@ -501,6 +517,9 @@ _RULE_PAIRS = [
     (1.02, 1.0), (1.2, 2.0), (1.5, 1.0), (1.5, 2.0), (1.5, 1.25), (1.5, 2.25),
     (1.9, 1.0),
     (1.5, 3.0),  # beta >= 1 + alpha: lowered by alpha first
+    # edge shapes: close to order 1 with beta past 1 + alpha, and order 2
+    # with beta below 1
+    (1.03, 2.5), (1.04, 3.43), (2.0, 0.5),
 ]
 
 
@@ -526,6 +545,21 @@ def test_integral_rule_against_oracle_at_band_nodes(alpha, beta):
         err = abs(value[i] - ref)
         assert err <= max(1e-13, 1e-13 * abs(ref)), (z[i], value[i], ref)
         assert err <= est[i], (z[i], err, est[i])
+
+
+def test_band_build_needs_no_extended_precision(monkeypatch):
+    # every band node the float Taylor sum refuses goes to the array routes
+    from fracplate import special_functions as sf
+
+    def forbidden(*args):
+        raise AssertionError("extended-precision Taylor must not run")
+
+    monkeypatch.setattr(sf, "_taylor_mp", forbidden)
+    monkeypatch.setattr(sf, "_CHEB_CACHE", {})
+    for alpha, beta in [(1.5, 1.0), (1.5, 2.0), (1.5, 1.25), (1.5, 2.25),
+                        (1.02, 1.0), (2.0, 1.5)]:
+        sf._cheb_band(alpha, beta)
+    assert len(sf._CHEB_CACHE) == 6
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.02, 1.0), (1.5, 2.25), (1.5, 3.0)])

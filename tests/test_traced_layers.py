@@ -1,27 +1,51 @@
-"""The traced benchmark run wraps named package functions; they must exist."""
+"""The traced benchmark run wraps named package functions and counts
+ml_profile's bands; both must match the package."""
 
 import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def _layers():
+def _spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
 @pytest.mark.parametrize(
     "mod_name, attr",
-    [target for targets in _layers().values() for target in targets],
+    [target for targets in _spans().LAYERS.values() for target in targets],
 )
 def test_layer_target_resolves(mod_name, attr):
     obj = importlib.import_module(f"fracplate.{mod_name}")
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+def test_ml_profile_hook_counts_match_the_band_edges(alpha):
+    # the traced run's band counters use the edges ml_profile routes by
+    from fracplate.special_functions import _profile_B, _profile_zf
+
+    zf, big_edge = _profile_zf(alpha), _profile_B(alpha)
+    z = np.concatenate([-np.geomspace(1e-3, 1e5, 400), [0.0, -zf, -big_edge]])
+    rec = SimpleNamespace(counters=defaultdict(float), _pairs=set())
+    _spans()._ml_profile_hook(rec, 0.0, (alpha, 1.0, z), {})
+    # ml_profile's split: Taylor up to zf, the band up to big_edge
+    a = np.abs(z)
+    big = np.count_nonzero(a > big_edge)
+    mid = np.count_nonzero((a > zf) & (a <= big_edge))
+    assert big > 0 and mid > 0
+    name = "special_functions.ml_profile"
+    assert rec.counters[f"{name}.points"] == z.size
+    assert rec.counters[f"{name}.points_big"] == big
+    assert rec.counters[f"{name}.points_mid"] == mid
