@@ -10,7 +10,13 @@ The Riemann-Liouville integral
 is discretized by the product-trapezoidal rule: on each cell ``f`` is
 replaced by its linear interpolant and the weakly singular moments are
 integrated exactly.  Naive sampling of the kernel near ``tau = t`` would
-destroy the rule's second-order accuracy, so never do that.
+destroy the rule's second-order accuracy, so never do that.  The weight rows
+are formed in 2-D tiles of requested rows, at most ``_RL_TILE_CELLS`` cells
+each: one numpy pass per formula step covers the tile, the closed-form
+moments run only on the columns where some row of the tile needs them, and
+cells above the diagonal are formed and then zeroed.  Every cell's
+arithmetic, and its order, is that of building one row at a time, so the
+weights do not depend on the tiling.
 
 The Caputo derivative of order ``alpha`` in (1, 2) is realized through
 ``d/dt I^(2-alpha)(f' - f'(0))``: differentiate the samples (fourth order,
@@ -110,37 +116,75 @@ class TimeSeries:
 # {{{ Riemann-Liouville integral (product trapezoidal, exact moments)
 
 _RL_BLOCK_ROWS = 256  # rl_integral's working set: this many rows of weights
+_RL_TILE_CELLS = 1 << 16  # rl_integral_matrix's tile: rows x cells, 512 KB a buffer
 
 
-def _cell_moments(
+def _closed_moments(
     a: np.ndarray, b: np.ndarray, d: np.ndarray, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact moments H = int_a^b u^(beta-1)(u-a) du, G = int u^(beta-1)(b-u) du.
 
-    The closed forms difference two nearly equal powers when the cell is far
-    from the evaluation point (d << a), so those are built from expm1/log1p
-    and switched to an interior Taylor expansion once d/a drops below 1e-4.
+    The closed forms difference two nearly equal powers, Q_p = b^p - a^p,
+    which is evaluated as -b^p * expm1(p * log(a/b)); exact at a = 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Q_p = b^p - a^p evaluated as -b^p * expm1(p * log(a/b)); exact at a=0
-        logr = np.log1p(-d / b)
-        qb = -np.expm1(beta * logr) * b**beta
-        qb1 = -np.expm1((beta + 1.0) * logr) * b ** (beta + 1.0)
-    H = qb1 / (beta + 1.0) - a * qb / beta
-    G = b * qb / beta - qb1 / (beta + 1.0)
-    series = d < 1e-4 * a
-    if np.any(series):
-        aa = a[series]
-        dd = d[series]
-        lead = aa ** (beta - 1.0) * dd**2
-        r = dd / aa
-        H[series] = lead * (
-            0.5 + (beta - 1.0) * r / 3.0 + (beta - 1.0) * (beta - 2.0) * r**2 / 8.0
-        )
-        G[series] = lead * (
-            0.5 + (beta - 1.0) * r / 6.0 + (beta - 1.0) * (beta - 2.0) * r**2 / 24.0
-        )
-    return H, G
+    logr = np.log1p(-d / b)
+    qb = -np.expm1(beta * logr) * b**beta
+    qb1 = -np.expm1((beta + 1.0) * logr) * b ** (beta + 1.0)
+    q1 = qb1 / (beta + 1.0)
+    return q1 - a * qb / beta, b * qb / beta - q1
+
+
+def _series_moments(
+    a: np.ndarray, d: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The moments of ``_closed_moments`` for cells far from the evaluation
+    point (d < 1e-4 a), where the closed forms cancel: the interior Taylor
+    expansion in d/a."""
+    lead = a ** (beta - 1.0) * d**2
+    r = d / a
+    r1 = (beta - 1.0) * r
+    r2 = (beta - 1.0) * (beta - 2.0) * r**2
+    return lead * (0.5 + r1 / 3.0 + r2 / 8.0), lead * (0.5 + r1 / 6.0 + r2 / 24.0)
+
+
+def _weight_tile(W: np.ndarray, t: np.ndarray, n: np.ndarray, beta: float) -> None:
+    """Fill the zeroed weight rows ``W`` of nodes ``n`` as one 2-D tile.
+
+    Cell j of row n has the edges t_j, t_(j+1) at distances b = t_n - t_j
+    and a = t_n - t_(j+1).  The tile spans the widest row's m cells; a
+    shorter row's cells j >= n lie above the diagonal, where a < 0, and are
+    zeroed after the moments are formed.
+    """
+    m = int(n.max())
+    if m == 0:
+        return
+    a = t[n, None] - t[1 : m + 1]
+    d = t[1 : m + 1] - t[:m]
+    series = d < 1e-4 * a  # never above the diagonal
+    # a row's first non-series cell starts its closed-form cells (row 0 has
+    # none), so columns before c0 hold series cells only; the closed form
+    # runs from c0 on, and the series overwrites it where it is used
+    c0 = int(np.argmin(series[n > 0], axis=1).min())
+    series_cols = np.flatnonzero(series.any(axis=0))
+    s1 = int(series_cols[-1]) + 1 if series_cols.size else 0
+    b = t[n, None] - t[c0:m]
+    w0 = 1.0 / math.gamma(beta)
+    Wg = np.empty(a.shape)  # the G weights, added one node to the right
+    # cells above the diagonal or served by the other form may divide by
+    # zero or go NaN; their exceptions stay here
+    with np.errstate(all="ignore"):
+        H, G = _closed_moments(a[:, c0:], b, d[c0:], beta)
+        np.divide(w0 * H, d[c0:], out=W[:, c0:m])
+        np.divide(w0 * G, d[c0:], out=Wg[:, c0:])
+        if s1:
+            H, G = _series_moments(a[:, :s1], d[:s1], beta)
+            np.copyto(W[:, :s1], w0 * H / d[:s1], where=series[:, :s1])
+            np.copyto(Wg[:, :s1], w0 * G / d[:s1], where=series[:, :s1])
+    k = int(n.min())  # columns before k lie below the diagonal in every row
+    dead = np.arange(k, m) >= n[:, None]
+    W[:, k:m][dead] = 0.0
+    Wg[:, k:][dead] = 0.0
+    W[:, 1 : m + 1] += Wg
 
 
 def rl_integral_matrix(
@@ -153,6 +197,11 @@ def rl_integral_matrix(
     node indices (default: all, the full (M+1)^2 matrix); the result has
     one row per index.  Nothing is cached: callers that need ``I^beta`` of
     a whole series use ``rl_integral``, which applies the rows in blocks.
+
+    Consecutive requested rows are built together, as tiles of at most
+    ``_RL_TILE_CELLS`` cells (one row when a row alone is longer).  Each
+    cell's arithmetic, and its order, is that of one row at a time, so the
+    weights are the same bits for any tiling and any row selection.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1]: {beta}")
@@ -162,14 +211,9 @@ def rl_integral_matrix(
     if np.any(rows < 0) or np.any(rows > M):
         raise ValueError(f"row indices must lie in [0, {M}]")
     W = np.zeros((len(rows), M + 1))
-    w0 = 1.0 / math.gamma(beta)
-    for r, n in enumerate(rows):
-        dl = t[n] - t[:n]  # distances to left cell edges (b)
-        dr = t[n] - t[1 : n + 1]  # distances to right cell edges (a)
-        dx = t[1 : n + 1] - t[:n]
-        H, G = _cell_moments(dr, dl, dx, beta)
-        W[r, :n] += w0 * H / dx
-        W[r, 1 : n + 1] += w0 * G / dx
+    step = max(1, _RL_TILE_CELLS // (M + 1))
+    for lo in range(0, len(rows), step):
+        _weight_tile(W[lo : lo + step], t, rows[lo : lo + step], beta)
     return W
 
 

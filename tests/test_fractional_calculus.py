@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,7 +20,8 @@ from fracplate.fractional_calculus import (
     rl_integral,
     rl_integral_matrix,
 )
-from fracplate.fractional_calculus import _derivative_stencils
+from fracplate.fractional_calculus import _RL_BLOCK_ROWS, _derivative_stencils
+from fracplate import fractional_calculus
 
 
 class TestTimeGrid:
@@ -45,6 +47,65 @@ class TestTimeGrid:
         c = TimeGrid(1.0, g.nodes[::2], 2.0)
         ref = TimeGrid.graded(1.0, 8, 2.0)
         assert np.allclose(c.nodes, ref.nodes, rtol=0, atol=0)
+
+
+def _reference_moments(a, b, d, beta):
+    """The exact cell moments, one row at a time: the closed form on every
+    cell, overwritten by the series where d < 1e-4 a."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logr = np.log1p(-d / b)
+        qb = -np.expm1(beta * logr) * b**beta
+        qb1 = -np.expm1((beta + 1.0) * logr) * b ** (beta + 1.0)
+    H = qb1 / (beta + 1.0) - a * qb / beta
+    G = b * qb / beta - qb1 / (beta + 1.0)
+    series = d < 1e-4 * a
+    if np.any(series):
+        aa = a[series]
+        dd = d[series]
+        lead = aa ** (beta - 1.0) * dd**2
+        r = dd / aa
+        H[series] = lead * (
+            0.5 + (beta - 1.0) * r / 3.0 + (beta - 1.0) * (beta - 2.0) * r**2 / 8.0
+        )
+        G[series] = lead * (
+            0.5 + (beta - 1.0) * r / 6.0 + (beta - 1.0) * (beta - 2.0) * r**2 / 24.0
+        )
+    return H, G
+
+
+def _reference_rows(grid, beta, rows):
+    """rl_integral_matrix built by a Python loop over the requested rows."""
+    t = grid.nodes
+    W = np.zeros((len(rows), len(t)))
+    w0 = 1.0 / math.gamma(beta)
+    for r, n in enumerate(rows):
+        dl = t[n] - t[:n]
+        dr = t[n] - t[1 : n + 1]
+        dx = t[1 : n + 1] - t[:n]
+        H, G = _reference_moments(dr, dl, dx, beta)
+        W[r, :n] += w0 * H / dx
+        W[r, 1 : n + 1] += w0 * G / dx
+    return W
+
+
+def _oracle_grids():
+    grids = {
+        f"graded{gamma}-M{M}": TimeGrid.graded(1.0, M, gamma)
+        for gamma in (1.0, 2.5, 4.0)
+        for M in (5, 31, 33, 700, 1500)
+    }
+    grids["uniform-T2"] = TimeGrid.uniform(2.0, 300)
+    inner = np.sort(np.random.default_rng(11).random(399))
+    grids["irregular"] = TimeGrid(1.0, np.concatenate([[0.0], inner, [1.0]]))
+    return grids
+
+
+_ORACLE_GRIDS = _oracle_grids()
+
+
+def _row_sets(M):
+    """All rows; unsorted with duplicates, 0 and M; one row; none."""
+    return [np.arange(M + 1), [M, 0, M // 2, 1, M, 0, M // 3, M - 1], [M // 2], []]
 
 
 class TestRLIntegral:
@@ -138,6 +199,69 @@ class TestRLIntegral:
         for rows in ([-1], [9]):
             with pytest.raises(ValueError, match="row indices"):
                 rl_integral_matrix(g, 0.5, rows)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("name", sorted(_ORACLE_GRIDS))
+    def test_tiled_rows_bit_equal_to_row_loop(self, name, beta):
+        g = _ORACLE_GRIDS[name]
+        for rows in _row_sets(len(g) - 1):
+            assert np.array_equal(
+                rl_integral_matrix(g, beta, rows), _reference_rows(g, beta, rows)
+            )
+
+    @pytest.mark.parametrize("cells", [1, 100, 2000])
+    def test_rows_independent_of_the_tile_size(self, monkeypatch, cells):
+        # one row per tile, short tiles, and rows longer than a tile
+        monkeypatch.setattr(fractional_calculus, "_RL_TILE_CELLS", cells)
+        for name in ("graded4.0-M700", "irregular"):
+            g = _ORACLE_GRIDS[name]
+            for rows in _row_sets(len(g) - 1):
+                assert np.array_equal(
+                    rl_integral_matrix(g, 0.25, rows), _reference_rows(g, 0.25, rows)
+                )
+
+    @pytest.mark.parametrize("shape", [(), (64,)])
+    def test_rl_integral_bit_equal_to_reference_blocks(self, shape):
+        g = TimeGrid.graded(1.0, 700, 4.0)
+        n = len(g)
+        v = np.random.default_rng(5).standard_normal((n, *shape))
+        ref = np.concatenate([
+            _reference_rows(g, 0.5, np.arange(lo, min(lo + _RL_BLOCK_ROWS, n)))
+            @ v.reshape(n, -1)
+            for lo in range(0, n, _RL_BLOCK_ROWS)
+        ]).reshape(v.shape)
+        assert np.array_equal(rl_integral(TimeSeries(g, v), 0.5).values, ref)
+
+    @pytest.mark.parametrize("name", ["graded4.0-M700", "uniform-T2", "irregular"])
+    def test_no_floating_point_exception_escapes(self, name):
+        # tiles form throwaway values above the diagonal (divisions by zero,
+        # powers of negative distances); none may reach the caller
+        g = _ORACLE_GRIDS[name]
+        M = len(g) - 1
+        f = TimeSeries(g, np.cos(g.nodes))
+        calls = [
+            lambda: rl_integral_matrix(g, 0.5),
+            lambda: rl_integral_matrix(g, 0.05, _row_sets(M)[1]),
+            lambda: rl_integral(f, 0.5).values,
+            lambda: rl_integral(f, 1.0).values,
+        ]
+        quiet = [call().tobytes() for call in calls]
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = [call().tobytes() for call in calls]
+        assert strict == quiet
+
+    def test_tiles_stay_small_at_4096_cells(self):
+        # the 256-row block of weights is 8.4 MB; the tile's buffers add to it
+        g = TimeGrid.graded(1.0, 4096, 4.0)
+        f = TimeSeries(g, np.cos(g.nodes))
+        tracemalloc.start()
+        try:
+            rl_integral(f, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_memory_bounded_at_4096_cells(self):
         # a (grid, beta) no other test uses, so no earlier call can have

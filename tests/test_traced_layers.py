@@ -3,6 +3,9 @@ ml_profile's bands; both must match the package."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -49,3 +52,28 @@ def test_ml_profile_hook_counts_match_the_band_edges(alpha):
     assert rec.counters[f"{name}.points"] == z.size
     assert rec.counters[f"{name}.points_big"] == big
     assert rec.counters[f"{name}.points_mid"] == mid
+
+
+def test_rl_integral_counts_its_row_blocks_not_its_tiles():
+    # the traced counters see one rl_integral_matrix call per 256-row block
+    # and one (grid, beta); run in a child so this process stays unwrapped
+    code = f"""
+import json, sys
+sys.path.insert(0, {str(SPANS.parent)!r})
+import numpy as np
+from fracplate import cli, fractional_calculus as fc
+from spans import Recorder
+recorder = Recorder()
+recorder.install()
+g = fc.TimeGrid.graded(1.0, 4096, 4.0)
+fc.rl_integral(fc.TimeSeries(g, np.cos(g.nodes)), 0.5)
+print(json.dumps(recorder.metrics()))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    name = "fractional_calculus.rl_integral_matrix"
+    assert metrics[f"{name}.calls"] == 17
+    assert metrics[f"{name}.distinct"] == 1
