@@ -3,13 +3,16 @@
 import hashlib
 import json
 import math
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from fracplate import fractional_calculus
+from fracplate import cli, fractional_calculus
 from fracplate.cli import RunConfig, main, parse_config
 from fracplate.fractional_calculus import TimeGrid, default_grading
 from fracplate.report import canonical_json
@@ -57,6 +60,147 @@ class TestParseConfig:
         decoded = json.loads(text)
         again = RunConfig(decoded["subcommand"], decoded["options"])
         assert again.to_canonical_json() == text
+
+
+def _config(tmp_path, options):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(options))
+    return ["--config", str(path)]
+
+
+class TestConfigValuesObeyFlagRules:
+    @pytest.mark.parametrize(
+        "sub,options,name",
+        [
+            ("report", {"profile": "quik"}, "profile"),
+            ("modes", {"count": 2.7}, "count"),
+            ("modes", {"count": True}, "count"),
+            ("solve", {"modes": "abc"}, "modes"),
+            ("solve", {"nodes": [512, 1024]}, "nodes"),
+            ("solve", {"alpha": "x"}, "alpha"),
+            ("identities", {"nodes": "512,abc"}, "nodes"),
+            ("fracops", {"nodes": [512, 2.5]}, "nodes"),
+            ("probe", {"modes": ""}, "modes"),
+            ("modes", {"domain": "disk:1"}, "domain"),
+            ("probe", {"family": "gauss"}, "family"),
+        ],
+    )
+    def test_refused_value_names_the_option(self, sub, options, name, tmp_path):
+        with pytest.raises(SystemExit, match=f"{sub} option '{name}'"):
+            parse_config(_config(tmp_path, options) + [sub])
+
+    @pytest.mark.parametrize("sub", ["identities", "fracops"])
+    def test_nodes_take_a_json_list(self, sub, tmp_path):
+        cfg = parse_config(_config(tmp_path, {"nodes": [512, 1024]}) + [sub])
+        assert cfg.options["nodes"] == [512, 1024]
+        assert parse_config([sub, "--nodes", "512,1024"]).options["nodes"] == [512, 1024]
+
+    def test_probe_modes_take_a_json_list(self, tmp_path):
+        cfg = parse_config(_config(tmp_path, {"modes": [8, 16], "seed": "7"}) + ["probe"])
+        assert cfg.options["modes"] == [8, 16]
+        assert cfg.options["seed"] == 7
+
+    def test_defaults_are_typed(self):
+        opt = parse_config(["probe"]).options
+        assert opt["modes"] == [16, 32, 64]
+        assert isinstance(opt["horizon"], float) and opt["horizon"] == 1.0
+        assert opt["family"] == "decay:1.5" and opt["domain"] == "interval:pi"
+
+    def test_help_shows_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["solve", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "--csv-out" in text and "default: 'interval:pi'" in text
+        with pytest.raises(SystemExit):
+            parse_config(["ml", "--help"])
+        assert "required" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["modes", "--domain", "disk:1"],
+            ["modes", "--domain", "rectangle:1"],
+            ["probe", "--family", "gauss"],
+            ["modes", "--count", "2.7"],
+            ["report", "--profile", "quik"],
+        ],
+    )
+    def test_bad_flag_is_an_argparse_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
+
+    def test_missing_data_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        with pytest.raises(SystemExit, match="missing.json"):
+            main(["solve", "--modes", "2", "--data", str(path)])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", [None, "{", "[1, 2]"], ids=["missing", "bad", "list"])
+    def test_unusable_config_file(self, text, tmp_path):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit, match="config file"):
+            parse_config(["--config", str(path), "modes"])
+
+    def test_range_checks_run_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        with pytest.raises(SystemExit, match="512"):
+            main(["solve", "--nodes", "511"])
+
+
+class _Recording(dict):
+    """An option map that records the keys a runner reads."""
+
+    def __init__(self, options):
+        super().__init__(options)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+_SMALL = {
+    "ml": ["--alpha", "1.5", "--beta", "1", "--z", "0"],
+    "modes": ["--count", "3"],
+    "fracops": ["--nodes", "64,128"],
+    "solve": ["--modes", "2"],
+    "identities": ["--modes", "2", "--nodes", "64,128"],
+    "probe": ["--modes", "4,8", "--members", "2", "--time-nodes", "32"],
+    "report": ["--profile", "quick"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_SMALL))
+def test_every_option_is_read(sub, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_all", lambda quick, seed: [])
+    options = parse_config([sub] + _SMALL[sub]).options
+    for name in ("out", "csv_out"):
+        if name in options:
+            options[name] = str(tmp_path / name)
+    recorded = _Recording(options)
+    cli.run(RunConfig(sub, recorded))
+    assert recorded.read == set(cli._OPTIONS[sub])
+
+
+def test_readme_examples_parse():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in commands if line.startswith("fracplate ")]
+    assert len(examples) >= 7
+    for argv in examples:
+        assert set(parse_config(argv).options) == set(cli._OPTIONS[argv[0]])
 
 
 class TestMLCommand:
