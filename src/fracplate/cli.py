@@ -169,8 +169,16 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         raise SystemExit(f"missing required options for {sub!r}: {', '.join(missing)}")
     if sub in ("solve", "identities", "probe") and not 1.0 < options["alpha"] < 2.0:
         raise SystemExit(f"alpha must lie in (1, 2): {options['alpha']}")
-    if sub == "probe" and options["members"] < 1:
-        raise SystemExit(f"probe needs --members >= 1: {options['members']}")
+    if sub == "ml" and not 0.0 < options["alpha"] <= 2.0:
+        raise SystemExit(f"ml needs --alpha in (0, 2]: {options['alpha']}")
+    if sub == "ml" and not options["beta"] > 0.0:
+        raise SystemExit(f"ml needs --beta > 0: {options['beta']}")
+    if "horizon" in options and not options["horizon"] > 0.0:
+        raise SystemExit(f"{sub} needs --horizon > 0: {options['horizon']}")
+    for name in ("count", "modes", "nodes", "time_nodes", "members"):
+        value = options.get(name)
+        if value is not None and min(value if isinstance(value, list) else [value]) < 1:
+            raise SystemExit(f"{sub} needs --{name.replace('_', '-')} >= 1: {value}")
     if sub == "solve" and options["nodes"] < 512:
         raise SystemExit(f"solve needs --nodes >= 512: {options['nodes']}")
     return RunConfig(sub, options)

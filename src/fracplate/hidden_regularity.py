@@ -249,31 +249,39 @@ def trace_energy_ratios(
     Entry ``[i][m]`` is ``trace_energy / (||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2)``
     on the first ``N_schedule[i]`` modes with member ``m``'s data cut to that
     prefix, or -1 for zero data energy.  Modes and kernel tables are built
-    once at the largest N and sliced; members are contracted one at a time,
-    so no members x times x modes array is formed.
+    once at the largest N, and the boundary normal derivatives once per N.
+    Members are the outer loop: each member's coefficient table
+    ``C = u0 e1 + (t e2) u1`` is formed once at the largest N, in two reused
+    buffers, and every N contracts its first N columns, so no
+    members x times x modes array is formed.  Each entry is computed by the
+    same operations as a call with that N alone.
     """
-    modes = eigenmodes(d, max(N_schedule))
+    n_max = max(N_schedule)
+    modes = eigenmodes(d, n_max)
     t = grid.nodes
     Z = -np.outer(t**alpha, modes.lam)
     e1 = ml_profile(alpha, 1.0, Z)
     te2 = t[:, None] * ml_profile(alpha, 2.0, Z)
-    rows = []
+    traces = []
     for N in N_schedule:
         sub = modes[:N]
         pts, w, normals = boundary_quadrature(d, _boundary_order(sub))
-        nd = mode_normal_derivatives(sub, d, pts, normals)
-        ratios = []
-        for u0_full, u1_full in members:
+        traces.append((sub, mode_normal_derivatives(sub, d, pts, normals), w))
+    rows: list[list[float]] = [[] for _ in N_schedule]
+    C, u1_te2 = np.empty_like(e1), np.empty_like(te2)
+    for u0_full, u1_full in members:
+        np.multiply(e1, u0_full[:n_max], out=C)
+        np.multiply(te2, u1_full[:n_max], out=u1_te2)
+        np.add(C, u1_te2, out=C)
+        for ratios, N, (sub, nd, w) in zip(rows, N_schedule, traces):
             u0 = SpectralCoefficients(sub, u0_full[:N])
             u1 = SpectralCoefficients(sub, u1_full[:N])
             denom = fractional_norm(u0, 0.25) ** 2 + fractional_norm(u1, -0.25) ** 2
             if denom == 0.0:
                 ratios.append(-1.0)  # zero-energy member: skipped
                 continue
-            C = u0.values[None, :] * e1[:, :N] + te2[:, :N] * u1.values[None, :]
-            tr = TraceSeries(grid, C @ nd.T, w)
+            tr = TraceSeries(grid, C[:, :N] @ nd.T, w)
             ratios.append(trace_energy(tr) / denom)
-        rows.append(ratios)
     return rows
 
 

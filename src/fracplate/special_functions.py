@@ -321,10 +321,133 @@ def _residue_pair(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail(env: np.ndarray, env_prev: np.ndarray) -> np.ndarray:
+def _tail(env: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     # near alpha = 1 the envelope decays slowly and the remainder is a sum of
-    # comparable terms; bound the tail geometrically
-    return env * np.minimum(1.0 / (1.0 - env / env_prev), 1e3)
+    # comparable terms; bound the tail geometrically (ratio: env / env_prev)
+    return env * np.minimum(1.0 / (1.0 - ratio), 1e3)
+
+
+@dataclass(frozen=True)
+class _AsymptoticTable:
+    """What the algebraic series needs of one ``(alpha, beta, target)``.
+
+    Term k (``k = 1..K``, entry ``k - 1``) is ``coef * x^-k`` with the
+    sign-free envelope ``env * x^-k`` (``ratio = env_k / env_(k-1)``, 0 at
+    k = 1).  The stopping rule of :func:`_asymptotic` gives every point the
+    term count ``min(i_floor, i_conv + 1)``, with ``i_floor`` the number of
+    entries of ``floor_at`` below x and ``i_conv`` the number of entries of
+    ``conv_at`` above x; the residue pair is nonzero only below
+    ``residue_below``.
+    """
+
+    coef: np.ndarray
+    env: np.ndarray
+    ratio: np.ndarray
+    floor_at: np.ndarray  # ascending
+    conv_at: np.ndarray  # ascending
+    residue_below: float
+
+
+_ASYMPTOTIC_CACHE: dict[tuple[float, float, float], _AsymptoticTable] = {}
+
+
+def _asymptotic_table(alpha: float, beta: float, target: float) -> _AsymptoticTable:
+    """Coefficients and per-term stopping thresholds in x, cached.
+
+    At fixed k the envelope ``env_k x^-k``, the envelope ratio
+    ``ratio_k / x`` and the geometric tail bound all decrease in x, so
+    "the envelope stops decreasing at term k" (the floor) is ``x <= ratio_k``
+    and "term k converges" (envelope at most 1e-17, or tail bound below
+    ``target / 2``) is x at or above a threshold; the tail threshold is found
+    by bisection in ln x.  A point stops at the first k where either holds,
+    the floor first, so the running max of the floor thresholds and the
+    running min of the convergence thresholds give its term count.  The
+    table ends where ``Gamma(1 + alpha k - beta)`` overflows, or where every
+    x has stopped.
+    """
+    key = (alpha, beta, target)
+    hit = _ASYMPTOTIC_CACHE.get(key)
+    if hit is not None:
+        return hit
+    coef, env = [], []
+    for k in range(1, 200):
+        sign = 1.0 if k % 2 else -1.0
+        w = 1.0 + alpha * k - beta
+        if w > 0.5:
+            try:
+                c = math.gamma(w) / math.pi
+            except OverflowError:
+                break
+            coef.append(sign * _sinpi(beta - alpha * k) * c)
+        else:
+            # early terms with beta > 1 + alpha k: reflection would need the
+            # sign of Gamma(w) and degenerates at integer beta - alpha k, so
+            # form the reciprocal gamma directly (its argument is moderate)
+            c = reciprocal_gamma(beta - alpha * k)
+            coef.append(sign * c)
+            c = abs(c)
+        env.append(c)
+    env_a = np.array(env)
+    ks = np.arange(1, env_a.size + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ln_env = np.log(env_a)
+        ln_ratio = np.concatenate([[-math.inf], np.diff(ln_env)])
+        # 0 / 0 envelopes (both underflowed) never decrease: a floor
+        ln_ratio[np.isnan(ln_ratio)] = math.inf
+        conv_u = (ln_env - math.log(1e-17)) / ks
+        if target > 0.0:
+            conv_u = np.minimum(conv_u, _tail_threshold(ln_env, ln_ratio, ks, target))
+        floor_at = np.maximum.accumulate(np.exp(ln_ratio))
+        conv_at = np.minimum.accumulate(np.exp(conv_u))
+    # past the first k with conv_at <= floor_at every x has stopped
+    stop = np.flatnonzero(conv_at <= floor_at)
+    K = stop[0] + 1 if stop.size else env_a.size
+    # _residue_pair is exactly 0 where rho cos(pi/alpha) <= -745; the margin
+    # covers the rounding of x**(1/alpha)
+    cos_phi = math.cos(math.pi / alpha)
+    residue_below = math.inf
+    if cos_phi < 0.0:
+        residue_below = (745.0 / -cos_phi) ** alpha * (1.0 + 1e-9)
+    tab = _AsymptoticTable(
+        coef=np.array(coef[:K]),
+        env=env_a[:K],
+        ratio=np.exp(ln_ratio[:K]),
+        floor_at=floor_at[:K],
+        conv_at=conv_at[:K][::-1].copy(),
+        residue_below=residue_below,
+    )
+    _ASYMPTOTIC_CACHE[key] = tab
+    return tab
+
+
+def _tail_threshold(
+    ln_env: np.ndarray, ln_ratio: np.ndarray, ks: np.ndarray, target: float
+) -> np.ndarray:
+    """Per term k, the ln x above which the tail bound is below ``target / 2``.
+
+    Above the floor (``ln x > ln_ratio``) the bound decreases in x; it lies
+    between the envelope and 1e3 times it, which brackets the bisection.
+    """
+    half = math.log(0.5 * target)
+    lo = np.maximum((ln_env - half) / ks, ln_ratio)
+    hi = np.maximum(lo, (ln_env - half + math.log(1e3)) / ks)
+    live = np.isfinite(lo) & np.isfinite(hi)
+    lo, hi = np.where(live, lo, 0.0), np.where(live, hi, 0.0)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        ok = _tail(np.exp(ln_env - ks * mid), np.exp(ln_ratio - mid)) < 0.5 * target
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    return np.where(live, hi, math.inf)
+
+
+def _term_counts(tab: _AsymptoticTable, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Terms summed at each ``x = -z`` (a byte: the stable sort of them is a
+    radix sort) and whether the point converged."""
+    K = tab.coef.size
+    i_floor = np.searchsorted(tab.floor_at, x)
+    i_conv = K - np.searchsorted(tab.conv_at, x, side="right")
+    return np.minimum(i_floor, i_conv + 1).astype(np.uint8), i_conv < i_floor
 
 
 def _asymptotic(
@@ -332,63 +455,64 @@ def _asymptotic(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residue pair plus the algebraic series -sum z^-k / Gamma(beta - alpha k).
 
-    Terms are formed in log space (no Gamma overflow); stopping uses the
-    sign-free envelope Gamma(1 + alpha k - beta) / (pi |z|^k), which bounds
-    each term and detects the optimal-truncation floor.  A point converges
-    once its geometric tail bound is below ``target / 2`` or its envelope
-    is at most 1e-17; it hits the floor when the envelope grows or after
-    199 terms.  Returns ``(value, est, converged)``; a point at the floor
-    keeps the sum up to its smallest term and an infinite estimate.
+    The expansion is ``res + sum_k coef_k y^k`` with ``y = 1/|z|``; stopping
+    uses the sign-free envelope Gamma(1 + alpha k - beta) / (pi |z|^k),
+    which bounds each term and detects the optimal-truncation floor.  A
+    point converges at the first term whose geometric tail bound is below
+    ``target / 2`` or whose envelope is at most 1e-17; it hits the floor when
+    the envelope stops decreasing, or after 199 terms.  Both conditions are
+    monotone in |z| at fixed k, so each point's term count comes from two
+    searches in the per-term thresholds of :func:`_asymptotic_table`.  A
+    block of at most ``_BLOCK`` points is sorted by term count and summed
+    over shrinking suffixes, with the powers of y by repeated
+    multiplication; the residue pair is formed only where it is not below
+    the double range.  Returns ``(value, est, converged)``: ``est`` bounds
+    term magnitudes by the envelope; a point at the floor keeps the sum up
+    to its smallest term and an infinite estimate.
     """
+    tab = _asymptotic_table(alpha, beta, target)
+    K = tab.coef.size
     value = np.empty_like(z)
-    est = np.full_like(z, math.inf)
-    converged = np.zeros(z.shape, dtype=bool)
+    est = np.empty_like(z)
+    converged = np.empty(z.shape, dtype=bool)
     for lo in range(0, z.size, _BLOCK):
         x = -z[lo : lo + _BLOCK]
-        idx = np.arange(lo, lo + x.size)
-        res = _residue_pair(alpha, beta, x)
-        lnx = np.log(x)
+        n, conv = _term_counts(tab, x)
+        order = np.argsort(n, kind="stable")
+        # points [first[k]:] of the sorted block have at least k terms
+        first = np.searchsorted(n[order], np.arange(K + 2))
+        n_max = int(n[order[-1]])
+        x = x[order]
+        y = 1.0 / x
         s = np.zeros_like(x)
-        env_prev = np.full_like(x, math.inf)
-        max_mag = np.abs(res)
-        for k in range(1, 200):
-            if not idx.size:
-                break
-            sign = -1.0 if k % 2 else 1.0
-            w = 1.0 + alpha * k - beta
-            if w > 0.5:
-                env = np.exp(math.lgamma(w) - k * lnx) / math.pi
-                term = sign * _sinpi(beta - alpha * k) * env
-            else:
-                # early terms with beta > 1 + alpha k: reflection would need the
-                # sign of Gamma(w) and degenerates at integer beta - alpha k, so
-                # form the reciprocal gamma directly (its argument is moderate)
-                term = sign * reciprocal_gamma(beta - alpha * k) * np.exp(-k * lnx)
-                env = np.abs(term)
-            floor = ~(env < env_prev)
-            if floor.any():
-                value[idx[floor]] = res[floor] + s[floor]
-                idx, lnx, res, s, env_prev, max_mag, env, term = _compress(
-                    ~floor, idx, lnx, res, s, env_prev, max_mag, env, term
-                )
-            s -= term
-            np.maximum(max_mag, np.abs(term), out=max_mag)
-            conv = env <= 1e-17
-            if target > 0.0:
-                conv |= _tail(env, env_prev) < 0.5 * target
-            d = np.flatnonzero(conv)
-            if d.size:
-                v = res[d] + s[d]
-                value[idx[d]] = v
-                est[idx[d]] = 2.0 * _tail(env[d], env_prev[d]) + 1e-15 + 2e-16 * (
-                    max_mag[d] + np.abs(v)
-                )
-                converged[idx[d]] = True
-                idx, lnx, res, s, env, max_mag = _compress(
-                    ~conv, idx, lnx, res, s, env, max_mag
-                )
-            env_prev = env
-        value[idx] = res + s
+        p = y.copy()
+        term = np.empty_like(x)
+        for k in range(1, n_max + 1):
+            a = first[k]
+            np.multiply(p[a:], tab.coef[k - 1], out=term[a:])
+            s[a:] += term[a:]
+            if k < n_max:
+                b = first[k + 1]
+                p[b:] *= y[b:]
+        # p is now y^n; the per-term constants spread over the sorted points
+        counts = np.diff(first)[1:]
+        env_n = np.repeat(tab.env, counts) * p
+        ratio_n = np.repeat(tab.ratio, counts) * y
+        res = np.zeros_like(x)
+        near = x < tab.residue_below
+        if near.any():
+            res[near] = _residue_pair(alpha, beta, x[near])
+        v = res + s
+        e = (
+            2.0 * _tail(env_n, ratio_n)
+            + 1e-15
+            + 2e-16 * (np.maximum(np.abs(res), tab.env[0] * y) + np.abs(v))
+        )
+        blk = slice(lo, lo + x.size)
+        value[blk][order] = v
+        est[blk][order] = e
+        np.copyto(est[blk], math.inf, where=~conv)
+        converged[blk] = conv
     return value, est, converged
 
 
@@ -722,8 +846,12 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     The same float Taylor sum and asymptotic expansion as :func:`ml_eval`,
     run with no accuracy target so that the asymptotic optimal-truncation
     floor is accepted, plus a verified Chebyshev interpolant of the
-    evaluator in the intermediate band.  Requires alpha in (1, 2]; absolute
-    accuracy ~1e-12.
+    evaluator in the intermediate band.  In the asymptotic band each point's
+    term count comes from per-term thresholds in |z| and the residue pair is
+    formed only where it is not below the double range (see
+    :func:`_asymptotic`); the band is evaluated a block at a time, so beyond
+    the output and three masks the working memory stays block-sized.
+    Requires alpha in (1, 2]; absolute accuracy ~1e-12.
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"ml_profile requires alpha in (1, 2]: {alpha}")
@@ -732,21 +860,22 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         raise ValueError("ml_profile is defined for z <= 0 only")
     flat = z.ravel()
     out = np.empty_like(flat)
-    a = np.abs(flat)
-    zf = _profile_zf(alpha)
-    B = _profile_B(alpha)
 
-    small = a <= zf
-    big = a > B
+    small = flat >= -_profile_zf(alpha)
+    big = flat < -_profile_B(alpha)
     mid = ~small & ~big
     if small.any():
         out[small] = _taylor(alpha, beta, flat[small])[0]
     if mid.any():
         ya, yb, coef = _cheb_band(alpha, beta)
-        t = (2.0 * np.log(a[mid]) - (ya + yb)) / (yb - ya)
+        t = (2.0 * np.log(-flat[mid]) - (ya + yb)) / (yb - ya)
         out[mid] = chebyshev.chebval(t, coef)
-    if big.any():
-        out[big] = _asymptotic(alpha, beta, flat[big], target=0.0)[0]
+    for lo in range(0, flat.size, _BLOCK):
+        b = big[lo : lo + _BLOCK]
+        if b.any():
+            out[lo : lo + _BLOCK][b] = _asymptotic(
+                alpha, beta, flat[lo : lo + _BLOCK][b], target=0.0
+            )[0]
     return out.reshape(z.shape)
 
 

@@ -148,6 +148,29 @@ class TestUsageErrors:
         with pytest.raises(SystemExit, match="config file"):
             parse_config(["--config", str(path), "modes"])
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["modes", "--count", "0"], "--count >= 1"),
+            (["solve", "--modes", "0"], "--modes >= 1"),
+            (["identities", "--modes", "0"], "--modes >= 1"),
+            (["fracops", "--nodes", "0"], "--nodes >= 1"),
+            (["identities", "--nodes", "512,0"], "--nodes >= 1"),
+            (["probe", "--modes", "8,0"], "--modes >= 1"),
+            (["probe", "--time-nodes", "0"], "--time-nodes >= 1"),
+            (["probe", "--horizon", "0"], "--horizon > 0"),
+            (["solve", "--horizon", "-1"], "--horizon > 0"),
+            (["identities", "--horizon", "0"], "--horizon > 0"),
+            (["ml", "--alpha", "0", "--beta", "1", "--z", "1"], r"--alpha in \(0, 2\]"),
+            (["ml", "--alpha", "2.5", "--beta", "1", "--z", "1"], r"--alpha in \(0, 2\]"),
+            (["ml", "--alpha", "1", "--beta", "0", "--z", "1"], "--beta > 0"),
+        ],
+    )
+    def test_nonpositive_size_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit, match=message):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
     def test_range_checks_run_before_any_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("solve ran")
@@ -410,7 +433,7 @@ class TestIdentitiesCommand:
         code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "670ea3330de5cf26b978aefba31a0adfc7249eff77f6abf86eecbd0a3ce07741"
+            "d6f6f2c4d53d167ece478b229ce90ca2f129096defcab4a11ab0a2d85d8e7523"
         )
 
     def test_residuals_decrease(self, capsys):
@@ -438,6 +461,24 @@ class TestProbeCommand:
         assert out1 == out2  # byte-identical
         doc = json.loads(out1)
         assert set(doc["per_N"]) == {"8", "16"}
+
+    @pytest.mark.parametrize(
+        "domain,digest",
+        [
+            ("interval:pi",
+             "d59e23c90c016c9f4cc442ac4f36df34852d12196df4d080f94c003fed857562"),
+            ("rectangle:pixpi",
+             "725610b4180eae5dd5b4cb4d1220835a1f90a18de283c12e8099e231ea07bbe7"),
+        ],
+    )
+    def test_output_bytes_pinned(self, domain, digest, capsys):
+        code, out = _run(
+            ["probe", "--domain", domain, "--modes", "16,32,64", "--members", "3",
+             "--time-nodes", "128"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_growth_factors_agree_with_their_max(self, capsys):
         # 16 -> 32 is the schedule's only doubling, though not consecutive

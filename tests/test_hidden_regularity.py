@@ -393,6 +393,20 @@ class TestDirectInequalityProbe:
         assert [r[0] for r in rows] == [-1.0, -1.0]
         assert all(r[1] > 0.0 for r in rows)
 
+    @pytest.mark.parametrize("d", [Interval(math.pi), Rectangle(math.pi, 2.0)])
+    def test_unsorted_schedule_equals_single_n_calls(self, d):
+        # rows follow the schedule's own order, and each is bit-equal to a
+        # call with that N alone (tables and coefficients built at N only)
+        grid = TimeGrid.graded(1.0, 64, default_grading(1.5))
+        members = family_members("decay:1.5", 16, seed=7, members=3)
+        schedule = [16, 8, 12]
+        rows = trace_energy_ratios(d, 1.5, grid, members, schedule)
+        for N, row in zip(schedule, rows):
+            alone = trace_energy_ratios(
+                d, 1.5, grid, [(u0[:N], u1[:N]) for u0, u1 in members], [N]
+            )
+            assert row == alone[0]
+
     @pytest.mark.parametrize("spec, members", [("decay:1.5", 0), ("decay:1.5", -1)])
     def test_empty_family_rejected(self, spec, members):
         with pytest.raises(ValueError, match="no members"):

@@ -4,6 +4,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -240,6 +241,20 @@ class TestProfile:
     def test_positive_arguments_rejected(self):
         with pytest.raises(ValueError):
             ml_profile(1.5, 1.0, np.array([1.0]))
+
+    def test_asymptotic_band_memory_is_block_sized(self):
+        # 1M points, all in the asymptotic band: beyond the 8.4 MB output,
+        # the three route masks and one block's working arrays
+        from fracplate.special_functions import _profile_B
+
+        z = -np.geomspace(1.01 * _profile_B(1.5), 1e12, 1 << 20)
+        tracemalloc.start()
+        try:
+            out = ml_profile(1.5, 1.0, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 16e6
 
 
 class TestDerivativeIdentities:
@@ -599,6 +614,120 @@ def test_band_build_values_equal_ml_eval(alpha, beta, monkeypatch):
         got = ml_eval(MLParams(alpha, beta), float(z[i]))
         assert (got.value, got.est_abs_error) == (value[i], est[i])
         assert got.method is sf._METHODS[method[i]]
+
+
+# }}}
+
+
+# {{{ asymptotic expansion against the term-by-term loop
+
+def _asymptotic_loop(alpha, beta, z, target):
+    """The algebraic series one term at a time over the live points.
+
+    Terms in log space, the envelope compared with the previous one for the
+    floor and with 1e-17 (and the geometric tail with ``target / 2``) for
+    convergence; returns ``(value, est, converged, terms summed)``.
+    """
+    from fracplate.special_functions import _residue_pair, _sinpi
+
+    def tail(env, env_prev):
+        return env * np.minimum(1.0 / (1.0 - env / env_prev), 1e3)
+
+    x = -z
+    value = np.empty_like(x)
+    est = np.full_like(x, math.inf)
+    converged = np.zeros(x.shape, dtype=bool)
+    terms = np.full(x.shape, 199)
+    idx = np.arange(x.size)
+    res = _residue_pair(alpha, beta, x)
+    lnx = np.log(x)
+    s = np.zeros_like(x)
+    env_prev = np.full_like(x, math.inf)
+    max_mag = np.abs(res)
+    for k in range(1, 200):
+        if not idx.size:
+            break
+        sign = -1.0 if k % 2 else 1.0
+        w = 1.0 + alpha * k - beta
+        if w > 0.5:
+            env = np.exp(math.lgamma(w) - k * lnx) / math.pi
+            term = sign * _sinpi(beta - alpha * k) * env
+        else:
+            term = sign * reciprocal_gamma(beta - alpha * k) * np.exp(-k * lnx)
+            env = np.abs(term)
+        floor = ~(env < env_prev)
+        value[idx[floor]] = res[floor] + s[floor]
+        terms[idx[floor]] = k - 1
+        keep = ~floor
+        idx, lnx, res, s, env_prev, max_mag, env, term = (
+            a[keep] for a in (idx, lnx, res, s, env_prev, max_mag, env, term)
+        )
+        s -= term
+        np.maximum(max_mag, np.abs(term), out=max_mag)
+        conv = env <= 1e-17
+        if target > 0.0:
+            conv |= tail(env, env_prev) < 0.5 * target
+        d = idx[conv]
+        v = res[conv] + s[conv]
+        value[d] = v
+        est[d] = 2.0 * tail(env[conv], env_prev[conv]) + 1e-15 + 2e-16 * (
+            max_mag[conv] + np.abs(v)
+        )
+        converged[d] = True
+        terms[d] = k
+        keep = ~conv
+        idx, lnx, res, s, env, max_mag = (
+            a[keep] for a in (idx, lnx, res, s, env, max_mag)
+        )
+        env_prev = env
+    value[idx] = res + s
+    return value, est, converged, terms
+
+
+@pytest.mark.parametrize("target", [0.0, 2e-13])
+@pytest.mark.parametrize("alpha", [1.02, 1.2, 1.5, 1.8, 2.0])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 2.25, "alpha"])
+def test_asymptotic_equals_term_loop(alpha, beta, target):
+    from fracplate.special_functions import (
+        _asymptotic,
+        _asymptotic_table,
+        _profile_B,
+        _profile_zf,
+        _term_counts,
+    )
+
+    beta = alpha if beta == "alpha" else beta
+    # the ml_profile band and, below it, the rest of _eval's far range
+    z = -np.concatenate([
+        np.logspace(math.log10(_profile_B(alpha)), 12, 1500),
+        np.logspace(math.log10(_profile_zf(alpha)), math.log10(_profile_B(alpha)), 300),
+    ])
+    value, est, conv = _asymptotic(alpha, beta, z, target)
+    old_value, old_est, old_conv, old_terms = _asymptotic_loop(alpha, beta, z, target)
+    tab = _asymptotic_table(alpha, beta, target)
+    terms, conv2 = _term_counts(tab, -z)
+    assert np.array_equal(conv, conv2)
+    thresholds = np.concatenate([tab.floor_at[1:], tab.conv_at])
+    near = np.min(np.abs(np.log(-z[:, None] / thresholds)), axis=1) < 1e-10
+    assert np.all((terms == old_terms) | near)
+    assert np.all((conv == old_conv) | near)
+    same = conv == old_conv
+    assert np.all(np.abs(value - old_value)[same & conv] <= old_est[same & conv])
+    assert np.all(np.isinf(est[~conv]))
+    # the envelope bounds every term: the estimate is never below the loop's
+    assert np.all(est[same] >= old_est[same] * (1.0 - 1e-12))
+
+
+def test_asymptotic_floor_point_keeps_the_sum_to_its_smallest_term():
+    from fracplate.special_functions import _asymptotic
+
+    z = -np.logspace(math.log10(4.7**1.5), math.log10(30.0**1.5), 400)
+    value, est, conv = _asymptotic(1.5, 1.0, z, 2e-13)
+    old_value, _, old_conv, _ = _asymptotic_loop(1.5, 1.0, z, 2e-13)
+    floor = ~conv & ~old_conv
+    assert floor.sum() > 100
+    # a sum of O(1) terms: both roundings agree to a few units of 1e-16
+    assert np.all(np.abs(value - old_value)[floor] <= 1e-14)
 
 
 # }}}
