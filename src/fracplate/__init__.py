@@ -6,7 +6,8 @@ Module map:
   rules and E_{alpha,beta} evaluation with method-tagged error estimates.
 * :mod:`fracplate.spectral_domain` -- explicit hinged-biharmonic eigenpairs
   on intervals and rectangles, their value and gradient matrices at
-  quadrature nodes, fractional power norms.
+  quadrature nodes, the closed-form boundary trace factor, fractional
+  power norms.
 * :mod:`fracplate.fractional_calculus` -- Riemann-Liouville integrals, the
   Caputo pipeline, Gagliardo seminorms on (graded) time grids.
 * :mod:`fracplate.solver` -- truncated Mittag-Leffler series solutions and
@@ -61,6 +62,7 @@ from .spectral_domain import (
     ModeSet,
     Rectangle,
     SpectralCoefficients,
+    boundary_trace_factor,
     eigenmodes,
     fractional_norm,
     parse_domain,
@@ -84,6 +86,7 @@ __all__ = [
     "TraceSeries",
     "VerificationReport",
     "apriori_estimate_check",
+    "boundary_trace_factor",
     "canonical_json",
     "caputo_derivative",
     "classify",

@@ -18,6 +18,11 @@ the filtered solution directly) yields the same algebra with every field
 replaced by its per-mode ``I^beta`` filtering, at a single time or for a
 difference of two times.
 
+Boundary integrals of the probe and the identities use the closed-form
+factor of :func:`boundary_trace_factor` (no boundary nodes);
+:func:`normal_trace` samples ``d_nu u`` at boundary Gauss nodes and, with
+:func:`trace_energy`, is the quadrature oracle of that factor.
+
 The direct-inequality probe measures trace energy against the data energy
 ``||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2`` across mode schedules and data
 families.  It reports ratios and their growth, never a claimed constant:
@@ -42,6 +47,7 @@ from .spectral_domain import (
     ModeSet,
     SpectralCoefficients,
     boundary_quadrature,
+    boundary_trace_factor,
     domain_quadrature,
     eigenmodes,
     fractional_norm,
@@ -111,7 +117,8 @@ def _multiplier_terms(
     lengths ``s``: its Jacobian is ``diag(2 / s)``, its divergence
     ``sum(2 / s)`` and ``h . nu = 1`` on every edge.  The three interior
     integrals are assembled from the eigen-sum with coefficients
-    ``interior``, the boundary integral from ``boundary``.
+    ``interior`` by domain quadrature, the boundary integral from
+    ``boundary`` by the closed-form :func:`boundary_trace_factor`.
     """
     s = np.array(d.sides)
     pts, qw = domain_quadrature(d, quad_order)
@@ -125,9 +132,8 @@ def _multiplier_terms(
     jac_term = -2.0 * float(qw @ np.sum((2.0 / s) * grad_lap * grad_lap, axis=1))
     div_term = float(qw @ (np.sum(2.0 / s) * np.sum(grad_lap**2, axis=1)))
 
-    bpts, bw, normals = boundary_quadrature(d, quad_order)
-    nd = mode_normal_derivatives(modes, d, bpts, normals)
-    dnu_lap = nd @ (-(modes.mu * boundary))
+    P, bw = boundary_trace_factor(modes, d)
+    dnu_lap = P.T @ (-(modes.mu * boundary))
     bnd_term = float(bw @ dnu_lap**2)
     return lhs, bnd_term, jac_term, div_term
 
@@ -249,8 +255,11 @@ def trace_energy_ratios(
     Entry ``[i][m]`` is ``trace_energy / (||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2)``
     on the first ``N_schedule[i]`` modes with member ``m``'s data cut to that
     prefix, or -1 for zero data energy.  Modes and kernel tables are built
-    once at the largest N, and the boundary normal derivatives once per N.
-    Members are the outer loop: each member's coefficient table
+    once at the largest N, and the closed-form boundary factor ``(P, w)`` of
+    :func:`boundary_trace_factor` once per N, so the trace energy of a
+    coefficient table ``C`` is ``trapezoid((C @ P)^2 @ w, t)`` with no
+    boundary nodes (:func:`normal_trace` and :func:`trace_energy` are its
+    quadrature oracle).  Members are the outer loop: each member's table
     ``C = u0 e1 + (t e2) u1`` is formed once at the largest N, in two reused
     buffers, and every N contracts its first N columns, so no
     members x times x modes array is formed.  Each entry is computed by the
@@ -262,26 +271,23 @@ def trace_energy_ratios(
     Z = -np.outer(t**alpha, modes.lam)
     e1 = ml_profile(alpha, 1.0, Z)
     te2 = t[:, None] * ml_profile(alpha, 2.0, Z)
-    traces = []
-    for N in N_schedule:
-        sub = modes[:N]
-        pts, w, normals = boundary_quadrature(d, _boundary_order(sub))
-        traces.append((sub, mode_normal_derivatives(sub, d, pts, normals), w))
+    del Z  # freed before the two member buffers, so they do not raise the peak
+    factors = [(modes[:N], *boundary_trace_factor(modes[:N], d)) for N in N_schedule]
     rows: list[list[float]] = [[] for _ in N_schedule]
     C, u1_te2 = np.empty_like(e1), np.empty_like(te2)
     for u0_full, u1_full in members:
         np.multiply(e1, u0_full[:n_max], out=C)
         np.multiply(te2, u1_full[:n_max], out=u1_te2)
         np.add(C, u1_te2, out=C)
-        for ratios, N, (sub, nd, w) in zip(rows, N_schedule, traces):
+        for ratios, N, (sub, P, w) in zip(rows, N_schedule, factors):
             u0 = SpectralCoefficients(sub, u0_full[:N])
             u1 = SpectralCoefficients(sub, u1_full[:N])
             denom = fractional_norm(u0, 0.25) ** 2 + fractional_norm(u1, -0.25) ** 2
             if denom == 0.0:
                 ratios.append(-1.0)  # zero-energy member: skipped
                 continue
-            tr = TraceSeries(grid, C[:, :N] @ nd.T, w)
-            ratios.append(trace_energy(tr) / denom)
+            energy = float(np.trapezoid((C[:, :N] @ P) ** 2 @ w, t))
+            ratios.append(energy / denom)
     return rows
 
 

@@ -849,8 +849,9 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     evaluator in the intermediate band.  In the asymptotic band each point's
     term count comes from per-term thresholds in |z| and the residue pair is
     formed only where it is not below the double range (see
-    :func:`_asymptotic`); the band is evaluated a block at a time, so beyond
-    the output and three masks the working memory stays block-sized.
+    :func:`_asymptotic`).  Each band is evaluated a block at a time, so
+    beyond the output and the indices of the Taylor and Chebyshev points
+    the working memory stays block-sized.
     Requires alpha in (1, 2]; absolute accuracy ~1e-12.
     """
     if not 1.0 < alpha <= 2.0:
@@ -860,22 +861,26 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         raise ValueError("ml_profile is defined for z <= 0 only")
     flat = z.ravel()
     out = np.empty_like(flat)
-
-    small = flat >= -_profile_zf(alpha)
-    big = flat < -_profile_B(alpha)
-    mid = ~small & ~big
-    if small.any():
-        out[small] = _taylor(alpha, beta, flat[small])[0]
-    if mid.any():
+    taylor_edge, asymptotic_edge = _profile_zf(alpha), _profile_B(alpha)
+    # the Taylor and Chebyshev bands are gathered by index and evaluated a
+    # block of band points at a time: in probe tables they are a few points
+    # of every row, so a call per block of the table would cost more than
+    # the sums
+    small = np.flatnonzero(flat >= -taylor_edge)
+    for lo in range(0, small.size, _BLOCK):
+        i = small[lo : lo + _BLOCK]
+        out[i] = _taylor(alpha, beta, flat[i])[0]
+    mid = np.flatnonzero((flat < -taylor_edge) & (flat >= -asymptotic_edge))
+    for lo in range(0, mid.size, _BLOCK):
+        i = mid[lo : lo + _BLOCK]
         ya, yb, coef = _cheb_band(alpha, beta)
-        t = (2.0 * np.log(-flat[mid]) - (ya + yb)) / (yb - ya)
-        out[mid] = chebyshev.chebval(t, coef)
+        t = (2.0 * np.log(-flat[i]) - (ya + yb)) / (yb - ya)
+        out[i] = chebyshev.chebval(t, coef)
     for lo in range(0, flat.size, _BLOCK):
-        b = big[lo : lo + _BLOCK]
-        if b.any():
-            out[lo : lo + _BLOCK][b] = _asymptotic(
-                alpha, beta, flat[lo : lo + _BLOCK][b], target=0.0
-            )[0]
+        x = flat[lo : lo + _BLOCK]
+        big = x < -asymptotic_edge
+        if big.any():
+            out[lo : lo + _BLOCK][big] = _asymptotic(alpha, beta, x[big], target=0.0)[0]
     return out.reshape(z.shape)
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "mode_values",
     "mode_gradients",
     "mode_normal_derivatives",
+    "boundary_trace_factor",
     "parse_domain",
 ]
 
@@ -259,6 +260,38 @@ def mode_normal_derivatives(
     """Normal derivatives at boundary nodes, shape (n_points, n_modes)."""
     grads = mode_gradients(modes, d, pts)
     return np.einsum("pdm,pd->pm", grads, np.asarray(normals, dtype=float))
+
+
+def boundary_trace_factor(modes: ModeSet, d: Domain) -> tuple[np.ndarray, np.ndarray]:
+    r"""Closed-form factor ``(P, w)`` of the boundary energy of an eigen-sum.
+
+    For coefficients ``c``, ``int_bnd (d_nu sum_m c_m e_m)^2 = sum_g w_g
+    (c @ P)_g^2``; ``P`` has shape (n_modes, n_columns).  On the interval the
+    two columns are the endpoint normal derivatives (counting measure).  On
+    the rectangle sine orthogonality on each edge leaves one column per wave
+    number along the edge: on y = 0 and y = b one per ``j``, holding
+    ``k pi / b`` and ``(-1)^k k pi / b``, weight ``(a/2) c^2``; on x = 0 and
+    x = a one per ``k``, holding ``j pi / a`` and ``(-1)^j j pi / a``, weight
+    ``(b/2) c^2``, with ``c`` the shared normalization.
+    """
+    waves = _frequencies(modes, d)
+    if isinstance(d, Interval):
+        # the operations of mode_normal_derivatives at the two endpoints
+        (wave,) = waves
+        g = modes.norm_const * wave * np.cos(np.outer([0.0, d.length], wave))
+        return (g * np.array([[-1.0], [1.0]])).T, np.array([1.0, 1.0])
+    wj, wk = waves
+    j, k = modes.index.T
+    rows = np.arange(len(modes))
+    cols, blocks = [], []
+    for group, wave, sign, side in ((j, wk, k, d.a), (k, wj, j, d.b)):
+        values, col = np.unique(group, return_inverse=True)
+        per_edge = np.zeros((len(modes), 2, len(values)))
+        per_edge[rows, 0, col] = wave
+        per_edge[rows, 1, col] = np.where(sign % 2 == 1, -wave, wave)
+        cols.append(per_edge.reshape(len(modes), -1))
+        blocks.append(np.full(2 * len(values), 0.5 * side * modes.norm_const**2))
+    return np.hstack(cols), np.concatenate(blocks)
 
 
 # }}}

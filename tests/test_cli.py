@@ -468,7 +468,7 @@ class TestProbeCommand:
             ("interval:pi",
              "d59e23c90c016c9f4cc442ac4f36df34852d12196df4d080f94c003fed857562"),
             ("rectangle:pixpi",
-             "725610b4180eae5dd5b4cb4d1220835a1f90a18de283c12e8099e231ea07bbe7"),
+             "d5ae996a711bc38b82402ced29c5c5ce16b0aa1621c3727bb5352de8b017e478"),
         ],
     )
     def test_output_bytes_pinned(self, domain, digest, capsys):

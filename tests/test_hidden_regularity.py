@@ -1,6 +1,7 @@
 """Traces, multiplier identities, and the direct-inequality probe."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +26,10 @@ from fracplate.spectral_domain import (
     Rectangle,
     SpectralCoefficients,
     boundary_quadrature,
+    boundary_trace_factor,
     eigenmodes,
     fractional_norm,
+    parse_domain,
 )
 from fracplate.special_functions import MLParams, ml_eval
 
@@ -40,6 +43,20 @@ def interval_setup():
 
 def _solution(d, u0, u1, alpha=1.5, T=1.0):
     return solve(d, len(u0), alpha, u0, u1, T)
+
+
+def _data_energy(s):
+    """||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2 of a solution's data."""
+    return (
+        fractional_norm(SpectralCoefficients(s.modes, s.u0), 0.25) ** 2
+        + fractional_norm(SpectralCoefficients(s.modes, s.u1), -0.25) ** 2
+    )
+
+
+def _factor_energy(s, grid):
+    """Trace energy of a solution from the closed-form boundary factor."""
+    P, w = boundary_trace_factor(s.modes, s.domain)
+    return float(np.trapezoid((s.coefficients(grid.nodes) @ P) ** 2 @ w, grid.nodes))
 
 
 def _lifted_laplacian(s):
@@ -364,8 +381,8 @@ class TestDirectInequalityProbe:
 
     @pytest.mark.parametrize("d", [Interval(math.pi), Rectangle(math.pi, math.pi)])
     def test_equals_per_member_solutions(self, d):
-        # reference: one solve / normal_trace / trace_energy per member and N,
-        # on prefixes of the family drawn at the largest N
+        # reference: one solve and one boundary factor per member and N, on
+        # prefixes of the family drawn at the largest N
         grid = TimeGrid.graded(1.0, 128, default_grading(1.5))
         rep = direct_inequality_probe(
             d, 1.5, 1.0, "decay:1.5", [8, 16], seed=42, members=3, time_nodes=128
@@ -376,13 +393,42 @@ class TestDirectInequalityProbe:
             ratios = []
             for u0, u1 in family:
                 s = _solution(d, u0[:N], u1[:N])
-                denom = (
-                    fractional_norm(SpectralCoefficients(s.modes, s.u0), 0.25) ** 2
-                    + fractional_norm(SpectralCoefficients(s.modes, s.u1), -0.25) ** 2
-                )
-                ratios.append(trace_energy(normal_trace(s, grid)) / denom)
+                ratios.append(_factor_energy(s, grid) / _data_energy(s))
             assert row["R"] == max(ratios)
             assert row["argmax_member"] == int(np.argmax(ratios))
+
+    @pytest.mark.parametrize(
+        "spec", ["rectangle:pixpi", "rectangle:1.3x0.7", "rectangle:1x2.5"]
+    )
+    def test_ratios_agree_with_quadrature_oracle(self, spec):
+        # the probe's closed-form trace energy against boundary quadrature:
+        # one solve / normal_trace / trace_energy per member and N
+        d = parse_domain(spec)
+        grid = TimeGrid.graded(1.0, 64, default_grading(1.5))
+        members = family_members("decay:1.5", 256, seed=3, members=2)
+        schedule = [1, 16, 256]
+        rows = trace_energy_ratios(d, 1.5, grid, members, schedule)
+        for N, row in zip(schedule, rows):
+            for ratio, (u0, u1) in zip(row, members):
+                s = _solution(d, u0[:N], u1[:N])
+                oracle = trace_energy(normal_trace(s, grid)) / _data_energy(s)
+                assert ratio == pytest.approx(oracle, rel=1e-13)
+
+    def test_memory_beyond_kernel_tables(self):
+        # the two kernel tables are 4.2 MB at 129 x 2048; a gradient tensor
+        # on the 848 boundary nodes that N = 2048 would need is 28 MB
+        d = Rectangle(math.pi, math.pi)
+        grid = TimeGrid.graded(1.0, 128, default_grading(1.5))
+        members = family_members("decay:1.5", 2048, seed=5, members=2)
+        trace_energy_ratios(d, 1.5, grid, members, [16])  # warm kernel caches
+        tables = 2 * len(grid.nodes) * 2048 * 8
+        tracemalloc.start()
+        try:
+            trace_energy_ratios(d, 1.5, grid, members, [1024, 2048])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables + 16e6
 
     def test_zero_energy_member_is_skipped(self):
         d = Interval(math.pi)

@@ -242,12 +242,18 @@ class TestProfile:
         with pytest.raises(ValueError):
             ml_profile(1.5, 1.0, np.array([1.0]))
 
-    def test_asymptotic_band_memory_is_block_sized(self):
-        # 1M points, all in the asymptotic band: beyond the 8.4 MB output,
-        # the three route masks and one block's working arrays
-        from fracplate.special_functions import _profile_B
+    @pytest.mark.parametrize("band", ["taylor", "chebyshev", "asymptotic"])
+    def test_band_memory_is_block_sized(self, band):
+        # 1M points, all in one band: beyond the 8.4 MB output, at most the
+        # band's point indices (8.4 MB) and one block's working arrays
+        from fracplate.special_functions import _profile_B, _profile_zf
 
-        z = -np.geomspace(1.01 * _profile_B(1.5), 1e12, 1 << 20)
+        zf, big = _profile_zf(1.5), _profile_B(1.5)
+        z = -{
+            "taylor": np.linspace(0.0, zf, 1 << 20),
+            "chebyshev": np.geomspace(1.01 * zf, 0.99 * big, 1 << 20),
+            "asymptotic": np.geomspace(1.01 * big, 1e12, 1 << 20),
+        }[band]
         tracemalloc.start()
         try:
             out = ml_profile(1.5, 1.0, z)

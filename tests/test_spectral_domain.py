@@ -11,6 +11,7 @@ from fracplate.spectral_domain import (
     Rectangle,
     SpectralCoefficients,
     boundary_quadrature,
+    boundary_trace_factor,
     domain_quadrature,
     eigenmodes,
     fractional_norm,
@@ -357,6 +358,44 @@ class TestBoundaryQuadrature:
         nu = np.column_stack([np.sign(x - 0.5) * on_x, np.sign(y - 0.5) * on_y])
         ref = np.einsum("pdm,pd->pm", _loop_gradients(ms, d, pts), nu)
         assert np.max(np.abs(nd - ref)) <= 1e-12
+
+
+class TestBoundaryTraceFactor:
+    @pytest.mark.parametrize(
+        "spec", ["rectangle:pixpi", "rectangle:1.3x0.7", "rectangle:1x2.5"]
+    )
+    @pytest.mark.parametrize("N", [1, 16, 256])
+    def test_rectangle_energy_equals_quadrature(self, spec, N):
+        # Gauss-Legendre with 4 max(index) + 8 nodes per edge integrates the
+        # squared trace of every mode pair exactly
+        d = parse_domain(spec)
+        ms = eigenmodes(d, N)
+        P, w = boundary_trace_factor(ms, d)
+        pts, bw, normals = boundary_quadrature(d, 4 * int(ms.index.max()) + 8)
+        nd = mode_normal_derivatives(ms, d, pts, normals)
+        c = np.random.default_rng(N).standard_normal((4, N))
+        got = (c @ P) ** 2 @ w
+        ref = (c @ nd.T) ** 2 @ bw
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    def test_rectangle_columns_per_wave_number(self):
+        # one column per j on y = 0 and y = b, one per k on x = 0 and x = a
+        d = parse_domain("rectangle:pixpi")
+        ms = eigenmodes(d, 256)
+        P, w = boundary_trace_factor(ms, d)
+        n_j, n_k = (len(np.unique(col)) for col in ms.index.T)
+        assert P.shape == (256, 2 * n_j + 2 * n_k) == (256, 72)
+        assert np.all(np.count_nonzero(P, axis=1) == 4)
+        assert np.allclose(w, 2.0 / math.pi, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("N", [1, 16, 256])
+    def test_interval_equals_endpoint_normal_derivatives(self, N):
+        d = parse_domain("interval:pi")
+        ms = eigenmodes(d, N)
+        P, w = boundary_trace_factor(ms, d)
+        pts, bw, normals = boundary_quadrature(d, 1)
+        assert np.array_equal(P, mode_normal_derivatives(ms, d, pts, normals).T)
+        assert np.array_equal(w, bw)
 
 
 class TestParseDomain:

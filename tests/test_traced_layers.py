@@ -77,3 +77,32 @@ print(json.dumps(recorder.metrics()))
     name = "fractional_calculus.rl_integral_matrix"
     assert metrics[f"{name}.calls"] == 17
     assert metrics[f"{name}.distinct"] == 1
+
+
+def test_square_probe_forms_no_boundary_nodes(tmp_path):
+    # the probe's trace energy comes from the closed-form boundary factor:
+    # no boundary quadrature, gradient tensor or TraceSeries energy is traced
+    code = f"""
+import json, sys
+sys.path.insert(0, {str(SPANS.parent)!r})
+from fracplate import cli
+from spans import Recorder
+recorder = Recorder()
+recorder.install()
+argv = ["probe", "--domain", "rectangle:pixpi", "--modes", "16,32",
+        "--out", {str(tmp_path / "probe.json")!r}]
+assert cli.main(argv) == 0
+print(json.dumps(recorder.metrics()))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert metrics["hidden_regularity.direct_inequality_probe.self_s"] > 0.0
+    for name in (
+        "spectral_domain.quadrature",
+        "spectral_domain.mode_gradients",
+        "hidden_regularity.trace_energy",
+    ):
+        assert metrics[f"{name}.self_s"] == 0.0, name
