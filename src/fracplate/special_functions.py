@@ -24,8 +24,9 @@ alpha (``rho = |z|**(1/alpha)``):
   positive ``z`` past 25.  Every route gives a per-point error estimate.
 
 :func:`ml_eval` is the core on one point; :func:`ml_profile` (the solver's
-path) is the core with no accuracy target plus a verified Chebyshev cache of
-the intermediate band.  Non-finite or overflowing arguments raise at once.
+path) is the core with no accuracy target and no error estimate, plus a
+verified Chebyshev cache of the intermediate band, cut to the degree it
+needs.  Non-finite or overflowing arguments raise at once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath
 import numpy as np
 from numpy.polynomial import chebyshev
 
@@ -168,6 +168,8 @@ def _mp_gammas(alpha: float, beta: float, dps: int, upto: int) -> list:
     key = (alpha, beta, dps)
     cache = _MP_GAMMA_CACHE.setdefault(key, [])
     if len(cache) <= upto:
+        import mpmath
+
         with mpmath.workdps(dps):
             a = mpmath.mpf(alpha)
             b = mpmath.mpf(beta)
@@ -246,6 +248,8 @@ def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _taylor_mp(alpha: float, beta: float, z: float) -> tuple[float, float]:
+    import mpmath
+
     rho = abs(z) ** (1.0 / alpha) if z != 0.0 else 0.0
     lost = 0.45 * rho if z < 0.0 else 0.0
     dps = 22 + int(lost)
@@ -336,8 +340,10 @@ class _AsymptoticTable:
     k = 1).  The stopping rule of :func:`_asymptotic` gives every point the
     term count ``min(i_floor, i_conv + 1)``, with ``i_floor`` the number of
     entries of ``floor_at`` below x and ``i_conv`` the number of entries of
-    ``conv_at`` above x; the residue pair is nonzero only below
-    ``residue_below``.
+    ``conv_at`` above x; the point converged if ``i_conv < i_floor``.  Both
+    are step functions of x alone: ``terms[j]`` and ``converged[j]`` hold
+    them for the x above exactly ``j`` entries of ``breaks``.  The residue
+    pair is nonzero only below ``residue_below``.
     """
 
     coef: np.ndarray
@@ -345,6 +351,9 @@ class _AsymptoticTable:
     ratio: np.ndarray
     floor_at: np.ndarray  # ascending
     conv_at: np.ndarray  # ascending
+    breaks: np.ndarray  # ascending
+    terms: np.ndarray  # uint8, one more entry than breaks
+    converged: np.ndarray  # bool, one more entry than breaks
     residue_below: float
 
 
@@ -408,12 +417,25 @@ def _asymptotic_table(alpha: float, beta: float, target: float) -> _AsymptoticTa
     residue_below = math.inf
     if cos_phi < 0.0:
         residue_below = (745.0 / -cos_phi) ** alpha * (1.0 + 1e-9)
+    floor_at = floor_at[:K]
+    conv_at = conv_at[:K][::-1].copy()
+    # a convergence threshold c enters as the float below it: x > prev(c)
+    # exactly when x >= c, so one count of the entries below x gives both
+    # i_floor and K - i_conv; the entries below x are a prefix of the
+    # sorted table however ties are ordered
+    breaks = np.concatenate([floor_at, np.nextafter(conv_at, -math.inf)])
+    order = np.argsort(breaks)
+    i_floor = np.concatenate([[0], np.cumsum(order < K)])
+    i_conv = K - (np.arange(2 * K + 1) - i_floor)
     tab = _AsymptoticTable(
         coef=np.array(coef[:K]),
         env=env_a[:K],
         ratio=np.exp(ln_ratio[:K]),
-        floor_at=floor_at[:K],
-        conv_at=conv_at[:K][::-1].copy(),
+        floor_at=floor_at,
+        conv_at=conv_at,
+        breaks=breaks[order],
+        terms=np.minimum(i_floor, i_conv + 1).astype(np.uint8),
+        converged=i_conv < i_floor,
         residue_below=residue_below,
     )
     _ASYMPTOTIC_CACHE[key] = tab
@@ -443,11 +465,50 @@ def _tail_threshold(
 
 def _term_counts(tab: _AsymptoticTable, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Terms summed at each ``x = -z`` (a byte: the stable sort of them is a
-    radix sort) and whether the point converged."""
+    radix sort) and its step ``j`` in the table, from one search; the point
+    converged if ``tab.converged[j]``."""
+    j = np.searchsorted(tab.breaks, x)
+    return tab.terms[j], j
+
+
+def _asymptotic_sum(
+    alpha: float, beta: float, tab: _AsymptoticTable, x: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The expansion's values on one block of ``x = -z``, sorted by term count.
+
+    Each point's term count is one search in the table's breakpoints; the
+    block is sorted by it (a radix sort of bytes) and summed over shrinking
+    suffixes, with the powers of ``y = 1/x`` by repeated multiplication, and
+    the residue pair is formed only where it is not below the double range.
+    Returns ``(order, j, n, y, p, res, value)``: ``x[order]`` is the sorted
+    block, ``j`` the step of each point of the block (see
+    :func:`_term_counts`), and the rest are per sorted point (term count,
+    ``y``, ``y^n``, residue pair and ``res + sum``).
+    """
     K = tab.coef.size
-    i_floor = np.searchsorted(tab.floor_at, x)
-    i_conv = K - np.searchsorted(tab.conv_at, x, side="right")
-    return np.minimum(i_floor, i_conv + 1).astype(np.uint8), i_conv < i_floor
+    n, j = _term_counts(tab, x)
+    order = np.argsort(n, kind="stable")
+    n = n[order]
+    # points [first[k]:] of the sorted block have at least k terms
+    first = np.searchsorted(n, np.arange(K + 2))
+    n_max = int(n[-1])
+    x = x[order]
+    y = 1.0 / x
+    s = np.zeros_like(x)
+    p = y.copy()
+    term = np.empty_like(x)
+    for k in range(1, n_max + 1):
+        a = first[k]
+        np.multiply(p[a:], tab.coef[k - 1], out=term[a:])
+        s[a:] += term[a:]
+        if k < n_max:
+            b = first[k + 1]
+            p[b:] *= y[b:]
+    res = np.zeros_like(x)
+    near = x < tab.residue_below
+    if near.any():
+        res[near] = _residue_pair(alpha, beta, x[near])
+    return order, j, n, y, p, res, res + s
 
 
 def _asymptotic(
@@ -461,56 +522,30 @@ def _asymptotic(
     point converges at the first term whose geometric tail bound is below
     ``target / 2`` or whose envelope is at most 1e-17; it hits the floor when
     the envelope stops decreasing, or after 199 terms.  Both conditions are
-    monotone in |z| at fixed k, so each point's term count comes from two
-    searches in the per-term thresholds of :func:`_asymptotic_table`.  A
-    block of at most ``_BLOCK`` points is sorted by term count and summed
-    over shrinking suffixes, with the powers of y by repeated
-    multiplication; the residue pair is formed only where it is not below
-    the double range.  Returns ``(value, est, converged)``: ``est`` bounds
-    term magnitudes by the envelope; a point at the floor keeps the sum up
-    to its smallest term and an infinite estimate.
+    monotone in |z| at fixed k, so each point's term count is a step
+    function of |z| (see :func:`_asymptotic_table`).  The values come from
+    :func:`_asymptotic_sum` a block of at most ``_BLOCK`` points at a time;
+    this wrapper adds the estimate.  Returns ``(value, est, converged)``:
+    ``est`` bounds term magnitudes by the envelope; a point at the floor
+    keeps the sum up to its smallest term and an infinite estimate.
     """
     tab = _asymptotic_table(alpha, beta, target)
-    K = tab.coef.size
     value = np.empty_like(z)
     est = np.empty_like(z)
     converged = np.empty(z.shape, dtype=bool)
     for lo in range(0, z.size, _BLOCK):
-        x = -z[lo : lo + _BLOCK]
-        n, conv = _term_counts(tab, x)
-        order = np.argsort(n, kind="stable")
-        # points [first[k]:] of the sorted block have at least k terms
-        first = np.searchsorted(n[order], np.arange(K + 2))
-        n_max = int(n[order[-1]])
-        x = x[order]
-        y = 1.0 / x
-        s = np.zeros_like(x)
-        p = y.copy()
-        term = np.empty_like(x)
-        for k in range(1, n_max + 1):
-            a = first[k]
-            np.multiply(p[a:], tab.coef[k - 1], out=term[a:])
-            s[a:] += term[a:]
-            if k < n_max:
-                b = first[k + 1]
-                p[b:] *= y[b:]
-        # p is now y^n; the per-term constants spread over the sorted points
-        counts = np.diff(first)[1:]
-        env_n = np.repeat(tab.env, counts) * p
-        ratio_n = np.repeat(tab.ratio, counts) * y
-        res = np.zeros_like(x)
-        near = x < tab.residue_below
-        if near.any():
-            res[near] = _residue_pair(alpha, beta, x[near])
-        v = res + s
-        e = (
-            2.0 * _tail(env_n, ratio_n)
-            + 1e-15
-            + 2e-16 * (np.maximum(np.abs(res), tab.env[0] * y) + np.abs(v))
+        blk = slice(lo, lo + _BLOCK)
+        order, j, n, y, p, res, v = _asymptotic_sum(alpha, beta, tab, -z[blk])
+        # p is y^n: the envelope and ratio of each point's last term; at the
+        # floor (ratio up to 1) the tail bound is discarded
+        with np.errstate(divide="ignore"):
+            tail = _tail(tab.env[n - 1] * p, tab.ratio[n - 1] * y)
+        e = 2.0 * tail + 1e-15 + 2e-16 * (
+            np.maximum(np.abs(res), tab.env[0] * y) + np.abs(v)
         )
-        blk = slice(lo, lo + x.size)
         value[blk][order] = v
         est[blk][order] = e
+        conv = tab.converged[j]
         np.copyto(est[blk], math.inf, where=~conv)
         converged[blk] = conv
     return value, est, converged
@@ -801,41 +836,79 @@ def _profile_B(alpha: float) -> float:
 
 
 _CHEB_CACHE: dict[tuple[float, float], tuple[float, float, np.ndarray]] = {}
-_CHEB_DEGREE = 180
+# Chebyshev nodes of the band fit: the first fit, and the fit it falls back
+# to where the first does not resolve the band
+_CHEB_NODES = (65, 181)
+# the cut series is within this share of max(1, max |c|) of the full one
+_CHEB_CUT = 1e-13
+
+
+def _cheb_coefficients(vals: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant at the first-kind nodes.
+
+    In closed form, ``c_k = (2/n) sum_j f_j cos(k pi (j + 1/2) / n)`` with
+    ``c_0`` halved; the angle index ``k (2j + 1)`` is reduced mod 4n in
+    integers, so every cosine is taken of an exact multiple of ``pi / 2n``
+    in ``[0, 2 pi)``.
+    """
+    n = vals.size
+    k = np.arange(n)
+    cos_kj = np.cos(np.pi / (2 * n) * (np.outer(k, 2 * k + 1) % (4 * n)))
+    coef = (2.0 / n) * (cos_kj @ vals)
+    coef[0] *= 0.5
+    return coef
+
+
+def _cheb_cut(coef: np.ndarray) -> np.ndarray:
+    """The shortest head of ``coef`` whose dropped tail sums to at most
+    ``_CHEB_CUT * max(1, max |c|)``: since ``|T_k| <= 1`` on [-1, 1], that
+    sum bounds the change of the series everywhere."""
+    # tail[j] = sum_{k >= j} |c_k|, nonincreasing (sums of nonnegative terms)
+    tail = np.append(np.cumsum(np.abs(coef[::-1]))[::-1], 0.0)
+    keep = int(np.argmax(tail <= _CHEB_CUT * max(1.0, np.max(np.abs(coef)))))
+    return coef[: max(keep, 1)]
 
 
 def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
+    """Verified Chebyshev series of ``E_{alpha,beta}(-exp(y))`` on the
+    intermediate band ``[ya, yb]`` in ``y = ln |z|``, cached per order pair.
+
+    The first fit interpolates at 65 first-kind nodes, in the same core call
+    as 12 seeded random points that verify the series to 1e-11 before it is
+    trusted; the series is then cut (:func:`_cheb_cut`).  It resolves the
+    band when the cut drops at least the top eighth of its coefficients and
+    the verification passes; otherwise the band is fitted again at 181
+    nodes, cut and verified at the same points, and a failure there raises.
+    Returns ``(ya, yb, coefficients)``.
+    """
     key = (alpha, beta)
     hit = _CHEB_CACHE.get(key)
     if hit is not None:
         return hit
     ya = math.log(0.97 * _profile_zf(alpha))
     yb = math.log(1.03 * _profile_B(alpha))
-    n = _CHEB_DEGREE + 1
-    tk = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-    # one evaluator call serves the Chebyshev nodes and the 12 random points
-    # that verify the cache before it is trusted
-    ys = np.concatenate(
-        [
-            0.5 * (ya + yb) + 0.5 * (yb - ya) * tk,
-            np.random.default_rng(12345).uniform(ya, yb, 12),
-        ]
-    )
-    vals = _eval(alpha, beta, -np.exp(ys))[0]
-    # interpolation at the Chebyshev nodes in closed form,
-    # c_k = (2/n) sum_j f_j cos(k pi (j + 1/2) / n) with c_0 halved; the
-    # angle index k (2j + 1) is reduced mod 4n in integers, so every cosine
-    # is taken of an exact multiple of pi / 2n in [0, 2 pi)
-    k = np.arange(n)
-    cos_kj = np.cos(np.pi / (2 * n) * (np.outer(k, 2 * k + 1) % (4 * n)))
-    coef = (2.0 / n) * (cos_kj @ vals[:n])
-    coef[0] *= 0.5
-    got = chebyshev.chebval((2.0 * ys[n:] - (ya + yb)) / (yb - ya), coef)
+    checks = np.random.default_rng(12345).uniform(ya, yb, 12)
+
+    def nodes(n: int) -> np.ndarray:
+        tk = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        return 0.5 * (ya + yb) + 0.5 * (yb - ya) * tk
+
+    n = _CHEB_NODES[0]
+    vals = _eval(alpha, beta, -np.exp(np.concatenate([nodes(n), checks])))[0]
     ref = vals[n:]
-    if np.any(np.abs(got - ref) > 1e-11 * np.maximum(1.0, np.abs(ref))):
-        raise MLEvaluationError(
-            f"band cache verification failed for alpha={alpha}, beta={beta}"
-        )
+
+    def verified(coef: np.ndarray) -> bool:
+        got = chebyshev.chebval((2.0 * checks - (ya + yb)) / (yb - ya), coef)
+        return not np.any(np.abs(got - ref) > 1e-11 * np.maximum(1.0, np.abs(ref)))
+
+    coef = _cheb_cut(_cheb_coefficients(vals[:n]))
+    if coef.size > n - n // 8 or not verified(coef):
+        n = _CHEB_NODES[1]
+        coef = _cheb_cut(_cheb_coefficients(_eval(alpha, beta, -np.exp(nodes(n)))[0]))
+        if not verified(coef):
+            raise MLEvaluationError(
+                f"band cache verification failed for alpha={alpha}, beta={beta}"
+            )
     _CHEB_CACHE[key] = (ya, yb, coef)
     return _CHEB_CACHE[key]
 
@@ -845,11 +918,12 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 
     The same float Taylor sum and asymptotic expansion as :func:`ml_eval`,
     run with no accuracy target so that the asymptotic optimal-truncation
-    floor is accepted, plus a verified Chebyshev interpolant of the
-    evaluator in the intermediate band.  In the asymptotic band each point's
-    term count comes from per-term thresholds in |z| and the residue pair is
-    formed only where it is not below the double range (see
-    :func:`_asymptotic`).  Each band is evaluated a block at a time, so
+    floor is accepted, plus a verified Chebyshev series of the evaluator in
+    the intermediate band, its degree chosen per band (:func:`_cheb_band`).
+    The path is value-only: the asymptotic band calls
+    :func:`_asymptotic_sum`, which forms each point's term count from one
+    search and no error estimate, and the residue pair only where it is not
+    below the double range.  Each band is evaluated a block at a time, so
     beyond the output and the indices of the Taylor and Chebyshev points
     the working memory stays block-sized.
     Requires alpha in (1, 2]; absolute accuracy ~1e-12.
@@ -871,16 +945,18 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         i = small[lo : lo + _BLOCK]
         out[i] = _taylor(alpha, beta, flat[i])[0]
     mid = np.flatnonzero((flat < -taylor_edge) & (flat >= -asymptotic_edge))
-    for lo in range(0, mid.size, _BLOCK):
-        i = mid[lo : lo + _BLOCK]
+    if mid.size:
         ya, yb, coef = _cheb_band(alpha, beta)
-        t = (2.0 * np.log(-flat[i]) - (ya + yb)) / (yb - ya)
-        out[i] = chebyshev.chebval(t, coef)
+        for lo in range(0, mid.size, _BLOCK):
+            i = mid[lo : lo + _BLOCK]
+            t = (2.0 * np.log(-flat[i]) - (ya + yb)) / (yb - ya)
+            out[i] = chebyshev.chebval(t, coef)
     for lo in range(0, flat.size, _BLOCK):
-        x = flat[lo : lo + _BLOCK]
-        big = x < -asymptotic_edge
-        if big.any():
-            out[lo : lo + _BLOCK][big] = _asymptotic(alpha, beta, x[big], target=0.0)[0]
+        big = np.flatnonzero(flat[lo : lo + _BLOCK] < -asymptotic_edge)
+        if big.size:
+            tab = _asymptotic_table(alpha, beta, 0.0)
+            order, *_, v = _asymptotic_sum(alpha, beta, tab, -flat[lo + big])
+            out[lo + big[order]] = v
     return out.reshape(z.shape)
 
 
@@ -902,6 +978,8 @@ def ml_series_oracle(p: MLParams, z: float, n_terms: int, dps: int = 50) -> floa
     if z != 0.0:
         # account for cancellation so that the requested dps is effective
         dps = max(dps, int(22 + 0.45 * abs(z) ** (1.0 / p.alpha)))
+    import mpmath
+
     gammas = _mp_gammas(p.alpha, p.beta, dps, n_terms - 1)
     with mpmath.workdps(dps):
         zz = mpmath.mpf(z)

@@ -393,10 +393,10 @@ class TestSolveCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "4b287061e60b40bca856ad1d615a5a260ee5292503c80a7f1556220c279b4cc9"
+            "425c9df55687e5863ce536f4908dad69b59aedff3bd70ba736c4aac54a9d02c0"
         )
         assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
-            "c3d40c0418bcad3ebbdea26ca0b2ebe398abf965be340182c6467d16f9c82524"
+            "5bf4edfddc922588634e094ac539fc04167b5260e13110bc4cda9290d54ba2ff"
         )
 
     @pytest.mark.parametrize("nodes", ["100", "300", "511"])
@@ -433,7 +433,7 @@ class TestIdentitiesCommand:
         code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d6f6f2c4d53d167ece478b229ce90ca2f129096defcab4a11ab0a2d85d8e7523"
+            "cbb65b8ae80b507acbda464263412dc359354c7e325bb3175787808dca24fb35"
         )
 
     def test_residuals_decrease(self, capsys):
@@ -466,9 +466,9 @@ class TestProbeCommand:
         "domain,digest",
         [
             ("interval:pi",
-             "d59e23c90c016c9f4cc442ac4f36df34852d12196df4d080f94c003fed857562"),
+             "e0a7b884cfc857d0332f4aa12ea7ecc051a1c8297e7cb4c6838d561d3bed219a"),
             ("rectangle:pixpi",
-             "d5ae996a711bc38b82402ced29c5c5ce16b0aa1621c3727bb5352de8b017e478"),
+             "fb842d212f86e56f857dd9d21955fcfd67f3623f2db7f06426a24c174928e8db"),
         ],
     )
     def test_output_bytes_pinned(self, domain, digest, capsys):

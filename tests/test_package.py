@@ -37,25 +37,31 @@ def test_package_exports_come_from_one_submodule_each():
 
 # No scipy module is loaded by the CLI: Gauss-Legendre rules, the inverse
 # normal CDF and the Laplace-pair quadrature are the package's own, and scipy
-# serves only as a test oracle.
+# serves only as a test oracle.  mpmath is imported only where extended
+# precision runs: no subcommand at alpha = 1.5 loads it, except the report,
+# whose criterion 1 sums the series oracle (the report runs last).
 _IMPORT_GRAPH = """
 import sys
 
 from fracplate import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
 
-assert scipy_modules() == [], ("import", scipy_modules())
+assert modules("scipy") == [], ("import", modules("scipy"))
+assert modules("mpmath") == [], ("import", modules("mpmath"))
 for argv in ARGVS:
     assert cli.main(argv) == 0, argv
-    assert scipy_modules() == [], (argv, scipy_modules())
+    assert modules("scipy") == [], (argv, modules("scipy"))
+    if argv[0] != "report":
+        assert modules("mpmath") == [], (argv, modules("mpmath"))
 """
 
 
 def test_cli_start_up_leaves_scipy_integrate_out(tmp_path):
     argvs = [
         ["fracops"],
+        ["fracops", "--beta", "0.5", "--gamma", "2", "--grading", "3"],
         ["modes"],
         ["modes", "--domain", "rectangle:pixpi"],
         ["ml", "--alpha", "1.5", "--beta", "1", "--z=-60"],

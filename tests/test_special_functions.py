@@ -545,12 +545,13 @@ _RULE_PAIRS = [
 
 
 def _cheb_band_nodes(alpha):
-    # the arguments the band cache of `alpha` evaluates
-    from fracplate.special_functions import _CHEB_DEGREE, _profile_B, _profile_zf
+    # the arguments a degree-180 band fit of `alpha` evaluates: the band
+    # cache's fallback fit, and more nodes than its first fit uses
+    from fracplate.special_functions import _profile_B, _profile_zf
 
     ya = math.log(0.97 * _profile_zf(alpha))
     yb = math.log(1.03 * _profile_B(alpha))
-    n = _CHEB_DEGREE + 1
+    n = 181
     tk = np.cos(np.pi * (np.arange(n) + 0.5) / n)
     return -np.exp(0.5 * (ya + yb) + 0.5 * (yb - ya) * tk)
 
@@ -620,6 +621,108 @@ def test_band_build_values_equal_ml_eval(alpha, beta, monkeypatch):
         got = ml_eval(MLParams(alpha, beta), float(z[i]))
         assert (got.value, got.est_abs_error) == (value[i], est[i])
         assert got.method is sf._METHODS[method[i]]
+
+
+# }}}
+
+
+# {{{ the cut Chebyshev band
+
+_CUT_PAIRS = list(dict.fromkeys(
+    [(alpha, beta)
+     for alpha in (1.01, 1.02, 1.1, 1.3, 1.5, 1.7, 1.9, 1.99, 2.0)
+     for beta in (1.0, 2.0, alpha, 1.25, 2.25, 3.0)]
+    + [(2.0, 0.5)]
+))
+
+
+@pytest.mark.parametrize("alpha,beta", _CUT_PAIRS)
+def test_cut_band_against_degree_180_band(alpha, beta, monkeypatch):
+    # the cached band, built cold, against the uncut degree-180 interpolant
+    # (numpy's chebinterpolate at the same kind of nodes) and the evaluator
+    from fracplate import special_functions as sf
+
+    monkeypatch.setattr(sf, "_CHEB_CACHE", {})
+    zf, big = sf._profile_zf(alpha), sf._profile_B(alpha)
+    ya, yb = math.log(0.97 * zf), math.log(1.03 * big)
+    z = -np.exp(np.random.default_rng(2017).uniform(math.log(zf), math.log(big), 1000))
+    got = ml_profile(alpha, beta, z)
+    assert len(sf._CHEB_CACHE) == 1
+    ref_coef = np.polynomial.chebyshev.chebinterpolate(
+        lambda t: sf._eval(alpha, beta, -np.exp(0.5 * (ya + yb + (yb - ya) * t)))[0],
+        180,
+    )
+    ref = np.polynomial.chebyshev.chebval(
+        (2.0 * np.log(-z) - (ya + yb)) / (yb - ya), ref_coef
+    )
+    assert np.all(np.abs(got - ref) <= 2e-13 * np.maximum(1.0, np.abs(ref)))
+    e = sf._eval(alpha, beta, z)[0]
+    assert np.all(np.abs(got - e) <= np.maximum(1e-12, 1e-12 * np.abs(got)))
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 1.5, 1.25, 2.25])
+def test_band_build_is_one_call_at_65_nodes(beta, monkeypatch):
+    # at the benchmark's order the first fit resolves every band: one core
+    # call on the 65 nodes and the 12 check points, and a series cut short
+    from fracplate import special_functions as sf
+
+    sizes = []
+    inner = sf._eval
+
+    def recording(a, b, z):
+        sizes.append(z.size)
+        return inner(a, b, z)
+
+    monkeypatch.setattr(sf, "_CHEB_CACHE", {})
+    monkeypatch.setattr(sf, "_eval", recording)
+    coef = sf._cheb_band(1.5, beta)[2]
+    assert len(sizes) == 1 and sizes[0] <= 77
+    assert coef.size - 1 < 64
+
+
+def test_band_falls_back_to_181_nodes(monkeypatch):
+    # a first fit that is not resolved, or that fails its check points, is
+    # replaced by the 181-node fit, cut and verified at the same points
+    from fracplate import special_functions as sf
+
+    sizes = []
+    inner = sf._eval
+    spoil = [True]
+
+    def recording(a, b, z):
+        value, est, method = inner(a, b, z)
+        sizes.append(z.size)
+        if len(sizes) == 1 and spoil[0]:
+            value = value.copy()
+            value[-12:] += 1e-9  # the check points
+        return value, est, method
+
+    monkeypatch.setattr(sf, "_CHEB_CACHE", {})
+    monkeypatch.setattr(sf, "_eval", recording)
+    with pytest.raises(sf.MLEvaluationError, match="verification failed"):
+        sf._cheb_band(1.5, 1.0)
+    assert sizes == [77, 181]
+
+    # a first fit that passes its check points but is not cut below the top
+    # eighth of its coefficients does not resolve the band
+    sizes.clear()
+    spoil[0] = False
+    monkeypatch.setattr(sf, "_cheb_cut", lambda coef: coef)
+    coef = sf._cheb_band(1.5, 1.0)[2]
+    assert sizes == [77, 181]
+    assert coef.size == 181
+
+
+def test_cut_keeps_the_shortest_head_within_the_tail_bound():
+    from fracplate.special_functions import _cheb_cut
+
+    # max|c| = 2: the dropped tail may sum to 2e-13
+    coef = np.array([2.0, -0.5, 1e-3, 4e-14, -5e-14, 3e-14, 1e-16])
+    assert np.array_equal(_cheb_cut(coef), coef[:3])
+    # below max|c| = 1 the bound is absolute
+    assert np.array_equal(_cheb_cut(np.array([0.5, 2e-13])), [0.5, 2e-13])
+    # a series that is all tail keeps its constant
+    assert np.array_equal(_cheb_cut(np.array([1e-15, 1e-16])), [1e-15])
 
 
 # }}}
@@ -711,7 +814,8 @@ def test_asymptotic_equals_term_loop(alpha, beta, target):
     value, est, conv = _asymptotic(alpha, beta, z, target)
     old_value, old_est, old_conv, old_terms = _asymptotic_loop(alpha, beta, z, target)
     tab = _asymptotic_table(alpha, beta, target)
-    terms, conv2 = _term_counts(tab, -z)
+    terms, step = _term_counts(tab, -z)
+    conv2 = tab.converged[step]
     assert np.array_equal(conv, conv2)
     thresholds = np.concatenate([tab.floor_at[1:], tab.conv_at])
     near = np.min(np.abs(np.log(-z[:, None] / thresholds)), axis=1) < 1e-10
@@ -734,6 +838,75 @@ def test_asymptotic_floor_point_keeps_the_sum_to_its_smallest_term():
     assert floor.sum() > 100
     # a sum of O(1) terms: both roundings agree to a few units of 1e-16
     assert np.all(np.abs(value - old_value)[floor] <= 1e-14)
+
+
+def _term_counts_two_searches(tab, x):
+    """Term counts and convergence from one search in each threshold table."""
+    K = tab.coef.size
+    i_floor = np.searchsorted(tab.floor_at, x)
+    i_conv = K - np.searchsorted(tab.conv_at, x, side="right")
+    return np.minimum(i_floor, i_conv + 1).astype(np.uint8), i_conv < i_floor
+
+
+_CORE_PAIRS = [(1.02, 1.0), (1.2, 2.0), (1.5, 1.0), (1.5, 2.25), (1.8, 1.8), (2.0, 0.5)]
+
+
+@pytest.mark.parametrize("target", [0.0, 2e-13])
+@pytest.mark.parametrize("alpha,beta", _CORE_PAIRS)
+def test_merged_term_count_search_equals_two_searches(alpha, beta, target):
+    from fracplate.special_functions import _asymptotic_table, _term_counts
+
+    tab = _asymptotic_table(alpha, beta, target)
+    b = np.concatenate([tab.floor_at, tab.conv_at])
+    b = b[np.isfinite(b) & (b > 0.0)]
+    x = np.concatenate([
+        b, np.nextafter(b, 0.0), np.nextafter(b, math.inf),
+        np.geomspace(1e-3, 1e15, 5000),
+    ])
+    terms, step = _term_counts(tab, x)
+    old_terms, old_conv = _term_counts_two_searches(tab, x)
+    assert terms.dtype == np.uint8
+    assert np.array_equal(terms, old_terms)
+    assert np.array_equal(tab.converged[step], old_conv)
+
+
+@pytest.mark.parametrize("alpha,beta", _CORE_PAIRS)
+def test_value_only_core_equals_the_wrapper(alpha, beta):
+    # the core alone against the values of the estimating wrapper, on two
+    # blocks of random points of _eval's far range with the floor, the
+    # residue cut-off and the term-count thresholds among them; above the
+    # band edge the core is ml_profile's asymptotic band
+    from fracplate.special_functions import (
+        _BLOCK,
+        _asymptotic,
+        _asymptotic_sum,
+        _asymptotic_table,
+        _profile_B,
+        _profile_zf,
+    )
+
+    tab = _asymptotic_table(alpha, beta, 0.0)
+    lo_edge, edge = _profile_zf(alpha), _profile_B(alpha)
+    rng = np.random.default_rng(11)
+    special = np.concatenate([tab.floor_at, tab.conv_at, [tab.residue_below]])
+    special = special[np.isfinite(special) & (special > lo_edge)]
+    x = np.concatenate([
+        special, np.nextafter(special, 0.0), np.nextafter(special, math.inf),
+        np.exp(rng.uniform(math.log(lo_edge), math.log(1e13), _BLOCK + 3000)),
+    ])
+    x = x[x > lo_edge]
+    rng.shuffle(x)
+    value, _, conv = _asymptotic(alpha, beta, -x, 0.0)
+    assert (~conv).sum() > 100  # points at the floor
+    if math.isfinite(tab.residue_below):
+        assert np.any(x < tab.residue_below) and np.any(x >= tab.residue_below)
+    core = np.empty_like(x)
+    for lo in range(0, x.size, _BLOCK):
+        order, *_, v = _asymptotic_sum(alpha, beta, tab, x[lo : lo + _BLOCK])
+        core[lo + order] = v
+    assert np.array_equal(core, value)
+    big = x > edge
+    assert np.array_equal(ml_profile(alpha, beta, -x[big]), value[big])
 
 
 # }}}
