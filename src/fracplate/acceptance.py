@@ -370,8 +370,8 @@ def criterion_6_hidden_regularity(
     n_sweep = 16 if quick else 64
     grid = TimeGrid.graded(T, 256 if quick else 512, default_grading(alpha))
     # member n: u0 = 0, u1 = the n-th unit vector
-    sweep = [(np.zeros(n_sweep), u1) for u1 in np.eye(n_sweep)]
-    (ratios,) = trace_energy_ratios(d, alpha, grid, sweep, [n_sweep])
+    sweep = (np.zeros((n_sweep, n_sweep)), np.eye(n_sweep))
+    (ratios,) = trace_energy_ratios(d, alpha, grid, *sweep, [n_sweep])
     sweep_finite = all(math.isfinite(r) for r in ratios)
 
     schedule = [8, 16] if quick else [16, 32, 64, 128, 256]

@@ -99,7 +99,6 @@ _OPTIONS: dict[str, dict[str, tuple[Callable[[Any], Any], Any]]] = {
               "members": (_int, 8), "time_nodes": (_int, 512), "out": _PATH},
     "report": {"profile": (_profile, "full"), "seed": (_int, 42), "out": _PATH},
 }
-_ACTIONS = {"ml": "eval", "fracops": "power-rule"}  # optional action words
 
 
 def _argparse_type(convert: Callable[[Any], Any]) -> Callable[[str], Any]:
@@ -122,8 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for sub, table in _OPTIONS.items():
         p = subparsers.add_parser(sub, help=_COMMANDS[sub][1])
-        if sub in _ACTIONS:
-            p.add_argument("action", nargs="?", choices=[_ACTIONS[sub]])
         for name, (convert, default) in table.items():
             p.add_argument(
                 "--" + name.replace("_", "-"), dest=name, type=_argparse_type(convert),

@@ -7,14 +7,15 @@ reproduce the streams: member ``m`` of a family seeded with ``s`` draws from
 ``[1e-300, 1 - 1e-16]`` and maps them through the inverse standard-normal
 CDF, evaluated by Wichura's algorithm AS 241 (PPND16, Appl. Statist. 37(3),
 1988; relative error about 1e-16).  The first ``N`` become multipliers for
-``u0``, the rest for ``u1``; coefficient ``n`` is then
-``multiplier * n**(-p)``.
+row ``m`` of the ``u0`` matrix, the rest for row ``m`` of ``u1``;
+coefficient ``n`` is then ``multiplier * n**(-p)``.
 
 Only ``u0`` is nested across ``N``: requesting the family at a smaller ``N``
 yields a prefix of the same ``u0``, but ``u1`` takes draws ``[N, 2N)`` and so
 changes with ``N``.  A caller comparing several ``N`` draws once at the
-largest and truncates both vectors, as the direct-inequality probe does, so
-growth factors across an N-schedule compare like with like.
+largest and keeps the first ``N`` columns of both matrices, as the
+direct-inequality probe does, so growth factors across an N-schedule compare
+like with like.
 """
 
 from __future__ import annotations
@@ -109,27 +110,14 @@ def _gaussian_draws(seed: int, member: int, count: int) -> np.ndarray:
 
 def family_members(
     spec: str, N: int, seed: int = 42, members: int = 8
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Materialize (u0, u1) coefficient pairs on the first N modes."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u0, u1) coefficient matrices on the first N modes, one row per member."""
     kind, params = parse_family(spec)
     if kind == "single-u0":
-        out = []
-        for n in range(N):
-            u0 = np.zeros(N)
-            u0[n] = 1.0
-            out.append((u0, np.zeros(N)))
-        return out
+        return np.eye(N), np.zeros((N, N))
     if kind == "single-u1":
-        out = []
-        for n in range(N):
-            u1 = np.zeros(N)
-            u1[n] = 1.0
-            out.append((np.zeros(N), u1))
-        return out
-    p = params["p"]
-    decay = np.arange(1, N + 1, dtype=float) ** (-p)
-    out = []
-    for m in range(members):
-        g = _gaussian_draws(seed, m, 2 * N)
-        out.append((g[:N] * decay, g[N:] * decay))
-    return out
+        return np.zeros((N, N)), np.eye(N)
+    decay = np.arange(1, N + 1, dtype=float) ** (-params["p"])
+    g = np.array([_gaussian_draws(seed, m, 2 * N) for m in range(members)])
+    g = g.reshape(len(g), 2 * N)  # (0, 2N) when there are no members
+    return g[:, :N] * decay, g[:, N:] * decay

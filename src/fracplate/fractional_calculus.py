@@ -57,7 +57,6 @@ class TimeGrid:
 
     T: float
     nodes: np.ndarray
-    grading: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -78,7 +77,7 @@ class TimeGrid:
         i = np.arange(M + 1, dtype=float)
         nodes = T * (i / M) ** gamma
         nodes[-1] = T
-        return cls(T, nodes, gamma)
+        return cls(T, nodes)
 
     @classmethod
     def uniform(cls, T: float, M: int) -> "TimeGrid":
@@ -266,11 +265,12 @@ def _fornberg(x: np.ndarray, x0: np.ndarray, m: int) -> np.ndarray:
     return C[:, :, m]
 
 
-def _derivative_stencils(
-    nodes: np.ndarray, width: int = 5
-) -> tuple[np.ndarray, np.ndarray]:
+_STENCIL_WIDTH = 5  # nodes per derivative stencil: fourth order
+
+
+def _derivative_stencils(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-node 5-point Fornberg weights and stencil start offsets."""
-    n = len(nodes)
+    n, width = len(nodes), _STENCIL_WIDTH
     if n < width:
         raise ValueError(f"need at least {width} nodes for the stencil")
     lo = np.clip(np.arange(n) - width // 2, 0, n - width)

@@ -247,11 +247,13 @@ def trace_energy_ratios(
     d: Domain,
     alpha: float,
     grid: TimeGrid,
-    members: Sequence[tuple[np.ndarray, np.ndarray]],
+    u0: np.ndarray,
+    u1: np.ndarray,
     N_schedule: Sequence[int],
 ) -> list[list[float]]:
     """Trace energy over data energy for every member at every N.
 
+    Member ``m`` is row ``m`` of the coefficient matrices ``u0`` and ``u1``.
     Entry ``[i][m]`` is ``trace_energy / (||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2)``
     on the first ``N_schedule[i]`` modes with member ``m``'s data cut to that
     prefix, or -1 for zero data energy.  Modes and kernel tables are built
@@ -260,10 +262,10 @@ def trace_energy_ratios(
     coefficient table ``C`` is ``trapezoid((C @ P)^2 @ w, t)`` with no
     boundary nodes (:func:`normal_trace` and :func:`trace_energy` are its
     quadrature oracle).  Members are the outer loop: each member's table
-    ``C = u0 e1 + (t e2) u1`` is formed once at the largest N, in two reused
-    buffers, and every N contracts its first N columns, so no
-    members x times x modes array is formed.  Each entry is computed by the
-    same operations as a call with that N alone.
+    ``C = u0 e1 + (t e2) u1`` is formed once at the largest N, and every N
+    contracts its first N columns, so no members x times x modes array is
+    formed.  Each entry is computed by the same operations as a call with
+    that N alone.
     """
     n_max = max(N_schedule)
     modes = eigenmodes(d, n_max)
@@ -271,18 +273,16 @@ def trace_energy_ratios(
     Z = -np.outer(t**alpha, modes.lam)
     e1 = ml_profile(alpha, 1.0, Z)
     te2 = t[:, None] * ml_profile(alpha, 2.0, Z)
-    del Z  # freed before the two member buffers, so they do not raise the peak
+    del Z  # freed before the member tables, so they do not raise the peak
     factors = [(modes[:N], *boundary_trace_factor(modes[:N], d)) for N in N_schedule]
     rows: list[list[float]] = [[] for _ in N_schedule]
-    C, u1_te2 = np.empty_like(e1), np.empty_like(te2)
-    for u0_full, u1_full in members:
-        np.multiply(e1, u0_full[:n_max], out=C)
-        np.multiply(te2, u1_full[:n_max], out=u1_te2)
-        np.add(C, u1_te2, out=C)
+    for a, b in zip(u0, u1):
+        # += holds one temporary table; e1 * a + te2 * b would hold two
+        C = e1 * a[:n_max]
+        C += te2 * b[:n_max]
         for ratios, N, (sub, P, w) in zip(rows, N_schedule, factors):
-            u0 = SpectralCoefficients(sub, u0_full[:N])
-            u1 = SpectralCoefficients(sub, u1_full[:N])
-            denom = fractional_norm(u0, 0.25) ** 2 + fractional_norm(u1, -0.25) ** 2
+            denom = fractional_norm(SpectralCoefficients(sub, a[:N]), 0.25) ** 2
+            denom += fractional_norm(SpectralCoefficients(sub, b[:N]), -0.25) ** 2
             if denom == 0.0:
                 ratios.append(-1.0)  # zero-energy member: skipped
                 continue
@@ -318,20 +318,15 @@ def direct_inequality_probe(
         raise ValueError(f"horizon must be positive: {T}")
     schedule = sorted(int(n) for n in N_schedule)
     grid = TimeGrid.graded(T, time_nodes, default_grading(alpha))
-    members_full = family_members(family_spec, schedule[-1], seed=seed, members=members)
-    if not members_full:
+    u0, u1 = family_members(family_spec, schedule[-1], seed=seed, members=members)
+    if not len(u0):
         raise ValueError(f"family {family_spec!r} has no members (members={members})")
     table = []
-    for N, ratios in zip(
-        schedule, trace_energy_ratios(d, alpha, grid, members_full, schedule)
-    ):
-        best = 0.0
-        best_member = -1
-        for mi, ratio in enumerate(ratios):
-            if ratio > best:
-                best = ratio
-                best_member = mi
-        table.append({"N": N, "R": best, "argmax_member": best_member})
+    rows = trace_energy_ratios(d, alpha, grid, u0, u1, schedule)
+    for N, ratios in zip(schedule, rows):
+        m = int(np.argmax(ratios))  # the first largest ratio; -1: no trace energy
+        best, m = (ratios[m], m) if ratios[m] > 0.0 else (0.0, -1)
+        table.append({"N": N, "R": best, "argmax_member": m})
     rs = {row["N"]: row["R"] for row in table}
     for row in table:
         if 2 * row["N"] in rs and row["R"] > 0.0:
@@ -345,7 +340,7 @@ def direct_inequality_probe(
             "T": T,
             "family": family_spec,
             "seed": seed,
-            "members": len(members_full),
+            "members": len(u0),
             "time_nodes": time_nodes,
             "schedule": list(schedule),
         },

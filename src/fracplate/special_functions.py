@@ -965,8 +965,11 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 
 # {{{ brute-force series oracle
 
-def ml_series_oracle(p: MLParams, z: float, n_terms: int, dps: int = 50) -> float:
-    """Exact partial sum of the defining series in ``dps``-digit arithmetic.
+_ORACLE_DPS = 50  # working digits of ml_series_oracle, raised for cancellation
+
+
+def ml_series_oracle(p: MLParams, z: float, n_terms: int) -> float:
+    """Exact partial sum of the defining series in ``_ORACLE_DPS``-digit arithmetic.
 
     The Gamma argument ``alpha*k + beta`` is formed in extended precision as
     well: rounding it in double would inject O(max_term * 1e-16) noise, which
@@ -975,9 +978,8 @@ def ml_series_oracle(p: MLParams, z: float, n_terms: int, dps: int = 50) -> floa
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1: {n_terms}")
-    if z != 0.0:
-        # account for cancellation so that the requested dps is effective
-        dps = max(dps, int(22 + 0.45 * abs(z) ** (1.0 / p.alpha)))
+    # account for cancellation so that _ORACLE_DPS digits are effective
+    dps = max(_ORACLE_DPS, int(22 + 0.45 * abs(z) ** (1.0 / p.alpha)))
     import mpmath
 
     gammas = _mp_gammas(p.alpha, p.beta, dps, n_terms - 1)

@@ -134,6 +134,21 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ml", "eval", "--alpha", "1", "--beta", "1", "--z", "1"],
+            ["fracops", "power-rule", "--nodes", "64,128"],
+        ],
+    )
+    def test_action_word_is_refused(self, argv, capsys):
+        # a subcommand takes options only: a word that changes nothing is
+        # not accepted
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
     def test_missing_data_file(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
         with pytest.raises(SystemExit, match="missing.json"):
@@ -226,6 +241,21 @@ def test_readme_examples_parse():
         assert set(parse_config(argv).options) == set(cli._OPTIONS[argv[0]])
 
 
+class TestRefines:
+    def test_rise_above_round_off_is_refused(self):
+        # filtered_identity2 of identities on rectangle:pixpi, 16 modes,
+        # 512 to 4096 cells: the first step rises, so the column is refused
+        assert not cli._refines([7.93e-08, 1.40e-07, 6.71e-08, 2.34e-08])
+
+    def test_rise_at_round_off_is_accepted(self):
+        assert cli._refines([3e-14, 1e-13, 5e-14])
+        assert cli._refines([0.0, 1e-13])
+
+    def test_monotone_decay_is_accepted(self):
+        assert cli._refines([1e-3, 2.5e-4, 6.3e-5, 1.6e-5])
+        assert cli._refines([1e-3, 1e-3])
+
+
 class TestMLCommand:
     def test_value_at_zero(self, capsys):
         code, out = _run(["ml", "--alpha", "1.5", "--beta", "1", "--z", "0"], capsys)
@@ -235,10 +265,8 @@ class TestMLCommand:
         assert float(err) < 1e-12
         assert method == "TaylorSeries"
 
-    def test_explicit_eval_action(self, capsys):
-        code, out = _run(
-            ["ml", "eval", "--alpha", "1", "--beta", "1", "--z", "1"], capsys
-        )
+    def test_value_at_one(self, capsys):
+        code, out = _run(["ml", "--alpha", "1", "--beta", "1", "--z", "1"], capsys)
         assert code == 0
         assert abs(float(out.split(",")[0]) - math.e) < 1e-12
 
@@ -279,8 +307,7 @@ class TestModesCommand:
 class TestFracopsCommand:
     def test_error_column_decreases(self, capsys):
         code, out = _run(
-            ["fracops", "power-rule", "--beta", "0.5", "--gamma", "2",
-             "--nodes", "128,256,512"],
+            ["fracops", "--beta", "0.5", "--gamma", "2", "--nodes", "128,256,512"],
             capsys,
         )
         assert code == 0

@@ -44,7 +44,7 @@ class TestTimeGrid:
     def test_coarsen_preserves_grading_law(self):
         # every other node of a graded grid is the graded grid of half the cells
         g = TimeGrid.graded(1.0, 16, 2.0)
-        c = TimeGrid(1.0, g.nodes[::2], 2.0)
+        c = TimeGrid(1.0, g.nodes[::2])
         ref = TimeGrid.graded(1.0, 8, 2.0)
         assert np.allclose(c.nodes, ref.nodes, rtol=0, atol=0)
 

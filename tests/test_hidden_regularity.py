@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracplate.families import _ndtri, family_members, parse_family
+from fracplate.families import _gaussian_draws, _ndtri, family_members, parse_family
 from fracplate.fractional_calculus import TimeGrid, default_grading
 from fracplate.hidden_regularity import (
     direct_inequality_probe,
@@ -268,20 +268,47 @@ class TestFamilies:
                 parse_family(bogus)
 
     def test_single_sweeps(self):
-        mem = family_members("single-u0", 4)
-        assert len(mem) == 4
-        assert mem[2][0].tolist() == [0.0, 0.0, 1.0, 0.0]
-        assert np.all(mem[2][1] == 0.0)
+        u0, u1 = family_members("single-u0", 4)
+        assert len(u0) == 4
+        assert u0[2].tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert np.all(u1[2] == 0.0)
+
+    @pytest.mark.parametrize("spec", ["single-u0", "single-u1", "decay:1.5"])
+    def test_rows_are_the_member_vectors(self, spec):
+        # row m of each matrix is bit for bit member m built on its own: a
+        # unit vector and zeros for the sweeps, its Philox draws for decay
+        N, members = 12, 5
+        ref = []
+        if spec == "decay:1.5":
+            decay = np.arange(1, N + 1, dtype=float) ** -1.5
+            for m in range(members):
+                g = _gaussian_draws(9, m, 2 * N)
+                ref.append((g[:N] * decay, g[N:] * decay))
+        else:
+            for n in range(N):
+                unit = np.zeros(N)
+                unit[n] = 1.0
+                ref.append((unit, np.zeros(N)) if spec == "single-u0" else (np.zeros(N), unit))
+        u0, u1 = family_members(spec, N, seed=9, members=members)
+        assert u0.shape == u1.shape == (len(ref), N)
+        assert u0.dtype == u1.dtype == np.float64
+        for a, b, (ref_a, ref_b) in zip(u0, u1, ref):
+            assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize("members", [0, -1])
+    def test_no_members_is_an_empty_matrix(self, members):
+        u0, u1 = family_members("decay:1.5", 8, members=members)
+        assert u0.shape == u1.shape == (0, 8)
 
     def test_decay_reproducible_and_nested(self):
         a = family_members("decay:1.5", 16, seed=42, members=3)
         b = family_members("decay:1.5", 16, seed=42, members=3)
-        for (u0a, u1a), (u0b, u1b) in zip(a, b):
+        for (u0a, u1a), (u0b, u1b) in zip(zip(*a), zip(*b)):
             assert np.array_equal(u0a, u0b) and np.array_equal(u1a, u1b)
         # u0 at a smaller N is a prefix of u0 at a larger N; u1 is not,
         # because it takes the draws after the first N
         c = family_members("decay:1.5", 8, seed=42, members=3)
-        for (u0c, u1c), (u0a, u1a) in zip(c, a):
+        for (u0c, u1c), (u0a, u1a) in zip(zip(*c), zip(*a)):
             assert np.array_equal(u0c, u0a[:8])
             assert not np.array_equal(u1c, u1a[:8])
 
@@ -365,7 +392,7 @@ class TestDirectInequalityProbe:
         )
         # scaling all data by 7 leaves ratios unchanged: both sides quadratic;
         # realized here by the homogeneity of the ratio in the probe members
-        u0, u1 = family_members("decay:1.5", 8, seed=42, members=1)[0]
+        u0, u1 = (x[0] for x in family_members("decay:1.5", 8, seed=42, members=1))
         grid = TimeGrid.graded(1.0, 128, default_grading(1.5))
 
         def ratio(scale):
@@ -391,7 +418,7 @@ class TestDirectInequalityProbe:
         for row in rep.table:
             N = row["N"]
             ratios = []
-            for u0, u1 in family:
+            for u0, u1 in zip(*family):
                 s = _solution(d, u0[:N], u1[:N])
                 ratios.append(_factor_energy(s, grid) / _data_energy(s))
             assert row["R"] == max(ratios)
@@ -407,9 +434,9 @@ class TestDirectInequalityProbe:
         grid = TimeGrid.graded(1.0, 64, default_grading(1.5))
         members = family_members("decay:1.5", 256, seed=3, members=2)
         schedule = [1, 16, 256]
-        rows = trace_energy_ratios(d, 1.5, grid, members, schedule)
+        rows = trace_energy_ratios(d, 1.5, grid, *members, schedule)
         for N, row in zip(schedule, rows):
-            for ratio, (u0, u1) in zip(row, members):
+            for ratio, u0, u1 in zip(row, *members):
                 s = _solution(d, u0[:N], u1[:N])
                 oracle = trace_energy(normal_trace(s, grid)) / _data_energy(s)
                 assert ratio == pytest.approx(oracle, rel=1e-13)
@@ -420,22 +447,40 @@ class TestDirectInequalityProbe:
         d = Rectangle(math.pi, math.pi)
         grid = TimeGrid.graded(1.0, 128, default_grading(1.5))
         members = family_members("decay:1.5", 2048, seed=5, members=2)
-        trace_energy_ratios(d, 1.5, grid, members, [16])  # warm kernel caches
+        trace_energy_ratios(d, 1.5, grid, *members, [16])  # warm kernel caches
         tables = 2 * len(grid.nodes) * 2048 * 8
         tracemalloc.start()
         try:
-            trace_energy_ratios(d, 1.5, grid, members, [1024, 2048])
+            trace_energy_ratios(d, 1.5, grid, *members, [1024, 2048])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= tables + 16e6
 
+    def test_memory_of_member_tables(self):
+        # kernel tables e1 and t e2 plus one member table and one temporary:
+        # four tables of times x N_max; a member loop that kept the previous
+        # member's table alive while forming two products would need five
+        d = Interval(math.pi)
+        grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
+        u0, u1 = family_members("decay:1.5", 1024, members=8)
+        schedule = [256, 512, 1024]
+        trace_energy_ratios(d, 1.5, grid, u0, u1, schedule)  # warm kernel caches
+        table = len(grid.nodes) * 1024 * 8
+        tracemalloc.start()
+        try:
+            trace_energy_ratios(d, 1.5, grid, u0, u1, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * table
+
     def test_zero_energy_member_is_skipped(self):
         d = Interval(math.pi)
         grid = TimeGrid.graded(1.0, 64, default_grading(1.5))
-        zero = (np.zeros(8), np.zeros(8))
-        live = family_members("decay:1.5", 8, members=1)[0]
-        rows = trace_energy_ratios(d, 1.5, grid, [zero, live], [4, 8])
+        u0, u1 = (np.vstack([np.zeros((1, 8)), live])
+                  for live in family_members("decay:1.5", 8, members=1))
+        rows = trace_energy_ratios(d, 1.5, grid, u0, u1, [4, 8])
         assert [r[0] for r in rows] == [-1.0, -1.0]
         assert all(r[1] > 0.0 for r in rows)
 
@@ -444,14 +489,30 @@ class TestDirectInequalityProbe:
         # rows follow the schedule's own order, and each is bit-equal to a
         # call with that N alone (tables and coefficients built at N only)
         grid = TimeGrid.graded(1.0, 64, default_grading(1.5))
-        members = family_members("decay:1.5", 16, seed=7, members=3)
+        u0, u1 = family_members("decay:1.5", 16, seed=7, members=3)
         schedule = [16, 8, 12]
-        rows = trace_energy_ratios(d, 1.5, grid, members, schedule)
+        rows = trace_energy_ratios(d, 1.5, grid, u0, u1, schedule)
         for N, row in zip(schedule, rows):
-            alone = trace_energy_ratios(
-                d, 1.5, grid, [(u0[:N], u1[:N]) for u0, u1 in members], [N]
-            )
+            alone = trace_energy_ratios(d, 1.5, grid, u0[:, :N], u1[:, :N], [N])
             assert row == alone[0]
+
+    def test_best_member_is_the_first_largest_ratio(self, monkeypatch):
+        # no positive ratio gives R = 0 and member -1; a tie goes to the
+        # first member
+        from fracplate import hidden_regularity
+
+        monkeypatch.setattr(
+            hidden_regularity,
+            "trace_energy_ratios",
+            lambda *args: [[-1.0, 0.0, -1.0], [0.25, 0.5, 0.5]],
+        )
+        rep = direct_inequality_probe(
+            Interval(math.pi), 1.5, 1.0, "decay:1.5", [4, 8], members=3
+        )
+        assert [(row["R"], row["argmax_member"]) for row in rep.table] == [
+            (0.0, -1),
+            (0.5, 1),
+        ]
 
     @pytest.mark.parametrize("spec, members", [("decay:1.5", 0), ("decay:1.5", -1)])
     def test_empty_family_rejected(self, spec, members):
