@@ -20,14 +20,12 @@ Module map:
 
 from .fractional_calculus import (
     TimeGrid,
-    TimeSeries,
     caputo_derivative,
     default_grading,
     gagliardo_seminorm,
     rl_integral,
 )
 from .hidden_regularity import (
-    TraceSeries,
     direct_inequality_probe,
     filtered_identity_residual,
     normal_trace,
@@ -61,7 +59,6 @@ from .spectral_domain import (
     Interval,
     ModeSet,
     Rectangle,
-    SpectralCoefficients,
     boundary_trace_factor,
     eigenmodes,
     fractional_norm,
@@ -79,11 +76,8 @@ __all__ = [
     "MLParams",
     "ModeSet",
     "Rectangle",
-    "SpectralCoefficients",
     "SpectralSolution",
     "TimeGrid",
-    "TimeSeries",
-    "TraceSeries",
     "VerificationReport",
     "apriori_estimate_check",
     "boundary_trace_factor",

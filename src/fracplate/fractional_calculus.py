@@ -39,7 +39,6 @@ import numpy as np
 
 __all__ = [
     "TimeGrid",
-    "TimeSeries",
     "default_grading",
     "rl_integral",
     "rl_integral_matrix",
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 
-# {{{ grids and series
+# {{{ grids
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -94,19 +93,13 @@ def default_grading(alpha: float) -> float:
     return min(4.0, 2.0 / (alpha - 1.0))
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """One value per grid node; values may be scalar or vector per node."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.shape[0] != len(self.grid.nodes):
-            raise ValueError(
-                f"{self.values.shape[0]} values for {len(self.grid.nodes)} nodes"
-            )
+def _samples(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+    """``values`` as floats, refused unless the first axis has one entry per node."""
+    v = np.asarray(values, dtype=float)
+    count = v.shape[0] if v.ndim else 1
+    if count != len(grid):
+        raise ValueError(f"{count} values for {len(grid)} nodes")
+    return v
 
 
 # }}}
@@ -187,15 +180,16 @@ def _weight_tile(W: np.ndarray, t: np.ndarray, n: np.ndarray, beta: float) -> No
 
 
 def rl_integral_matrix(
-    grid: TimeGrid, beta: float, rows: Sequence[int] | np.ndarray | None = None
+    grid: TimeGrid, beta: float, rows: Sequence[int] | np.ndarray
 ) -> np.ndarray:
     """Rows of the lower-triangular W with (W @ f)(t_n) = I^beta f(t_n).
 
     Row n carries the exact moments of the kernel against the piecewise
     linear interpolant on cells 0..n-1, so it costs O(n).  ``rows`` selects
-    node indices (default: all, the full (M+1)^2 matrix); the result has
-    one row per index.  Nothing is cached: callers that need ``I^beta`` of
-    a whole series use ``rl_integral``, which applies the rows in blocks.
+    node indices (``np.arange(len(grid))`` for the full (M+1)^2 matrix); the
+    result has one row per index.  Nothing is cached: callers that need
+    ``I^beta`` of a whole series use ``rl_integral``, which applies the rows
+    in blocks.
 
     Consecutive requested rows are built together, as tiles of at most
     ``_RL_TILE_CELLS`` cells (one row when a row alone is longer).  Each
@@ -206,7 +200,7 @@ def rl_integral_matrix(
         raise ValueError(f"beta must lie in (0, 1]: {beta}")
     t = grid.nodes
     M = len(t) - 1
-    rows = np.arange(M + 1) if rows is None else np.asarray(rows, dtype=int).ravel()
+    rows = np.asarray(rows, dtype=int).ravel()
     if np.any(rows < 0) or np.any(rows > M):
         raise ValueError(f"row indices must lie in [0, {M}]")
     W = np.zeros((len(rows), M + 1))
@@ -216,18 +210,20 @@ def rl_integral_matrix(
     return W
 
 
-def rl_integral(f: TimeSeries, beta: float) -> TimeSeries:
+def rl_integral(grid: TimeGrid, values: np.ndarray, beta: float) -> np.ndarray:
     """Riemann-Liouville integral of order beta in (0, 1] on the same grid.
 
-    Values may carry any trailing shape; each component is integrated.
+    ``values`` holds one sample per node and may carry any trailing shape;
+    each component is integrated.
     """
-    n = len(f.grid)
-    v = f.values.reshape(n, -1)
-    out = np.empty_like(v)
+    v = _samples(grid, values)
+    n = len(grid)
+    flat = v.reshape(n, -1)
+    out = np.empty_like(flat)
     for lo in range(0, n, _RL_BLOCK_ROWS):
         hi = min(lo + _RL_BLOCK_ROWS, n)
-        out[lo:hi] = rl_integral_matrix(f.grid, beta, np.arange(lo, hi)) @ v
-    return TimeSeries(f.grid, out.reshape(f.values.shape))
+        out[lo:hi] = rl_integral_matrix(grid, beta, np.arange(lo, hi)) @ flat
+    return out.reshape(v.shape)
 
 
 # }}}
@@ -287,7 +283,7 @@ def grid_derivative(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     ``eps * max|w| * |f|``, which would drown the tiny graded cells near 0.
     Values may carry any trailing shape; each component is differentiated.
     """
-    v = np.asarray(values, dtype=float)
+    v = _samples(grid, values)
     W, lo = _derivative_stencils(grid.nodes)
     n, width = W.shape
     cols = v.reshape(n, -1).T
@@ -298,7 +294,9 @@ def grid_derivative(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     return d.reshape(len(cols), n).T.reshape(v.shape)
 
 
-def caputo_derivative(f: TimeSeries, alpha: float, f1_0: float | np.ndarray) -> TimeSeries:
+def caputo_derivative(
+    grid: TimeGrid, values: np.ndarray, alpha: float, f1_0: float | np.ndarray
+) -> np.ndarray:
     """Caputo derivative of order alpha in (1, 2) via d/dt I^(2-alpha)(f'-f'(0)).
 
     ``f1_0`` is the caller-supplied exact initial slope: estimating it from
@@ -309,13 +307,12 @@ def caputo_derivative(f: TimeSeries, alpha: float, f1_0: float | np.ndarray) -> 
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2): {alpha}")
-    if len(f.grid) < 7:
+    if len(grid) < 7:
         raise ValueError("need at least 7 nodes for a stable second difference")
-    fp = grid_derivative(f.grid, f.values) - np.asarray(f1_0, dtype=float)
-    inner = rl_integral(TimeSeries(f.grid, fp), 2.0 - alpha)
-    out = grid_derivative(f.grid, inner.values)
+    fp = grid_derivative(grid, values) - np.asarray(f1_0, dtype=float)
+    out = grid_derivative(grid, rl_integral(grid, fp, 2.0 - alpha))
     out[0] = np.nan
-    return TimeSeries(f.grid, out)
+    return out
 
 
 # }}}
@@ -335,7 +332,7 @@ def _pair_weights(t: np.ndarray, i: int, beta: float) -> np.ndarray:
     return num / (2.0 * beta * p)
 
 
-def gagliardo_seminorm(f: TimeSeries, beta: float) -> float:
+def gagliardo_seminorm(grid: TimeGrid, values: np.ndarray, beta: float) -> float:
     """Gagliardo seminorm over [0,T]^2 minus the nearest-neighbor band.
 
     Piecewise-constant cell values (endpoint averages) against exactly
@@ -346,8 +343,8 @@ def gagliardo_seminorm(f: TimeSeries, beta: float) -> float:
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1): {beta}")
-    t = f.grid.nodes
-    vals = f.values
+    t = grid.nodes
+    vals = _samples(grid, values)
     cells = 0.5 * (vals[1:] + vals[:-1])  # one value per cell
     M = cells.shape[0]
     total = 0.0

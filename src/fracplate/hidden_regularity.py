@@ -19,9 +19,10 @@ replaced by its per-mode ``I^beta`` filtering, at a single time or for a
 difference of two times.
 
 Boundary integrals of the probe and the identities use the closed-form
-factor of :func:`boundary_trace_factor` (no boundary nodes);
-:func:`normal_trace` samples ``d_nu u`` at boundary Gauss nodes and, with
-:func:`trace_energy`, is the quadrature oracle of that factor.
+factor of :func:`boundary_trace_factor` (no boundary nodes).
+:func:`normal_trace` returns the samples of ``d_nu u`` at boundary Gauss
+nodes and their weights, and :func:`trace_energy` integrates their square
+over the boundary and the time grid: the quadrature oracle of that factor.
 
 The direct-inequality probe measures trace energy against the data energy
 ``||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2`` across mode schedules and data
@@ -32,7 +33,6 @@ proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ from .special_functions import ml_profile
 from .spectral_domain import (
     Domain,
     ModeSet,
-    SpectralCoefficients,
     boundary_quadrature,
     boundary_trace_factor,
     domain_quadrature,
@@ -57,7 +56,6 @@ from .spectral_domain import (
 )
 
 __all__ = [
-    "TraceSeries",
     "normal_trace",
     "trace_energy",
     "static_multiplier_identity_terms",
@@ -75,28 +73,19 @@ def _boundary_order(modes: ModeSet) -> int:
     return 4 * int(modes.index.max()) + 8
 
 
-@dataclass(frozen=True)
-class TraceSeries:
-    """Boundary samples of a trace quantity on a time grid."""
-
-    grid: TimeGrid
-    samples: np.ndarray  # (n_times, n_boundary_nodes)
-    weights: np.ndarray
-
-
-def normal_trace(s: SpectralSolution, grid: TimeGrid) -> TraceSeries:
-    """Boundary trace series of ``d_nu u``, assembled per mode."""
+def normal_trace(s: SpectralSolution, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of ``d_nu u``, (n_times, n_boundary_nodes), and the boundary
+    quadrature weights; assembled per mode."""
     order = _boundary_order(s.modes)
     pts, w, normals = boundary_quadrature(s.domain, order)
     nd = mode_normal_derivatives(s.modes, s.domain, pts, normals)
-    samples = s.coefficients(grid.nodes) @ nd.T
-    return TraceSeries(grid, samples, w)
+    return s.coefficients(grid.nodes) @ nd.T, w
 
 
-def trace_energy(tr: TraceSeries) -> float:
-    """Boundary quadrature then time trapezoid of the squared trace."""
-    per_time = tr.samples**2 @ tr.weights
-    return float(np.trapezoid(per_time, tr.grid.nodes))
+def trace_energy(s: SpectralSolution, grid: TimeGrid) -> float:
+    """Boundary quadrature then time trapezoid of the squared normal trace."""
+    samples, w = normal_trace(s, grid)
+    return float(np.trapezoid(samples**2 @ w, grid.nodes))
 
 
 # }}}
@@ -107,7 +96,7 @@ def trace_energy(tr: TraceSeries) -> float:
 def _multiplier_terms(
     modes: ModeSet,
     d: Domain,
-    quad_order: int,
+    order: int,
     interior: np.ndarray,
     boundary: np.ndarray,
 ) -> tuple[float, float, float, float]:
@@ -121,7 +110,7 @@ def _multiplier_terms(
     ``boundary`` by the closed-form :func:`boundary_trace_factor`.
     """
     s = np.array(d.sides)
-    pts, qw = domain_quadrature(d, quad_order)
+    pts, qw = domain_quadrature(d, order)
     basis = mode_values(modes, d, pts)
     grads = mode_gradients(modes, d, pts)
     bilap = basis @ (modes.lam * interior)
@@ -139,25 +128,27 @@ def _multiplier_terms(
 
 
 def static_multiplier_identity_terms(
-    w: SpectralCoefficients, d: Domain, quad_order: int | None = None
+    modes: ModeSet, w: np.ndarray, d: Domain
 ) -> dict[str, float]:
-    """The four integrals of the multiplier identity for an eigen-sum w.
+    """The four integrals of the multiplier identity for w = sum_n w_n e_n.
 
-    Returns lhs = 2 int lap^2 w (h . grad lap w), the boundary term, the
-    Jacobian contraction (with its -2 sign), and the divergence term.
-    Supplying w as an eigen-sum guarantees the boundary conditions exactly.
+    ``w`` holds one coefficient per mode of ``modes``.  Returns
+    lhs = 2 int lap^2 w (h . grad lap w), the boundary term, the Jacobian
+    contraction (with its -2 sign), and the divergence term.  Supplying w as
+    an eigen-sum guarantees the boundary conditions exactly.
     """
-    if quad_order is None:
-        quad_order = _boundary_order(w.modes)
-    lhs, bnd, jac, div = _multiplier_terms(w.modes, d, quad_order, w.values, w.values)
+    w = np.asarray(w, dtype=float).reshape(-1)
+    if len(w) != len(modes):
+        raise ValueError(f"{len(modes)} modes but {len(w)} values")
+    lhs, bnd, jac, div = _multiplier_terms(modes, d, _boundary_order(modes), w, w)
     return {"lhs": lhs, "boundary": bnd, "jacobian": jac, "divergence": div}
 
 
 def static_multiplier_identity_residual(
-    w: SpectralCoefficients, d: Domain, quad_order: int | None = None
+    modes: ModeSet, w: np.ndarray, d: Domain
 ) -> float:
     """|lhs - rhs| of the static multiplier identity."""
-    t = static_multiplier_identity_terms(w, d, quad_order)
+    t = static_multiplier_identity_terms(modes, w, d)
     return abs(t["lhs"] - (t["boundary"] + t["jacobian"] + t["divergence"]))
 
 
@@ -260,12 +251,13 @@ def trace_energy_ratios(
     once at the largest N, and the closed-form boundary factor ``(P, w)`` of
     :func:`boundary_trace_factor` once per N, so the trace energy of a
     coefficient table ``C`` is ``trapezoid((C @ P)^2 @ w, t)`` with no
-    boundary nodes (:func:`normal_trace` and :func:`trace_energy` are its
-    quadrature oracle).  Members are the outer loop: each member's table
-    ``C = u0 e1 + (t e2) u1`` is formed once at the largest N, and every N
-    contracts its first N columns, so no members x times x modes array is
-    formed.  Each entry is computed by the same operations as a call with
-    that N alone.
+    boundary nodes; :func:`trace_energy` of the member's ``solve``d solution
+    is its quadrature oracle.  The data energy is :func:`fractional_norm`
+    on the first N eigenvalues ``modes.lam[:N]``.  Members are the outer
+    loop: each member's table ``C = u0 e1 + (t e2) u1`` is formed once at
+    the largest N, and every N contracts its first N columns, so no
+    members x times x modes array is formed.  Each entry is computed by the
+    same operations as a call with that N alone.
     """
     n_max = max(N_schedule)
     modes = eigenmodes(d, n_max)
@@ -274,15 +266,16 @@ def trace_energy_ratios(
     e1 = ml_profile(alpha, 1.0, Z)
     te2 = t[:, None] * ml_profile(alpha, 2.0, Z)
     del Z  # freed before the member tables, so they do not raise the peak
-    factors = [(modes[:N], *boundary_trace_factor(modes[:N], d)) for N in N_schedule]
+    factors = [boundary_trace_factor(modes[:N], d) for N in N_schedule]
     rows: list[list[float]] = [[] for _ in N_schedule]
     for a, b in zip(u0, u1):
         # += holds one temporary table; e1 * a + te2 * b would hold two
         C = e1 * a[:n_max]
         C += te2 * b[:n_max]
-        for ratios, N, (sub, P, w) in zip(rows, N_schedule, factors):
-            denom = fractional_norm(SpectralCoefficients(sub, a[:N]), 0.25) ** 2
-            denom += fractional_norm(SpectralCoefficients(sub, b[:N]), -0.25) ** 2
+        for ratios, N, (P, w) in zip(rows, N_schedule, factors):
+            lam = modes.lam[:N]
+            denom = fractional_norm(lam, a[:N], 0.25) ** 2
+            denom += fractional_norm(lam, b[:N], -0.25) ** 2
             if denom == 0.0:
                 ratios.append(-1.0)  # zero-energy member: skipped
                 continue

@@ -24,19 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .fractional_calculus import (
-    TimeGrid,
-    TimeSeries,
-    caputo_derivative,
-)
+from .fractional_calculus import TimeGrid, caputo_derivative
 from .report import VerificationReport
-from .spectral_domain import (
-    Domain,
-    ModeSet,
-    SpectralCoefficients,
-    eigenmodes,
-    fractional_norm,
-)
+from .spectral_domain import Domain, ModeSet, eigenmodes, fractional_norm
 from .special_functions import ml_profile
 
 __all__ = [
@@ -66,10 +56,6 @@ class SpectralSolution:
     @property
     def lambdas(self) -> np.ndarray:
         return self.modes.lam
-
-    @property
-    def mus(self) -> np.ndarray:
-        return self.modes.mu
 
     def coefficients(self, times: np.ndarray) -> np.ndarray:
         """Per-mode time factors c_n(t); shape (n_times, n_modes)."""
@@ -149,8 +135,8 @@ def _caputo_defects(
     slopes c_n'(0) = u1_n supplied; row 0 is NaN.
     """
     C = s.coefficients(grid.nodes)[:, positions]
-    dC = caputo_derivative(TimeSeries(grid, C), s.alpha, s.u1[positions])
-    return dC.values + s.lambdas[positions] * C
+    dC = caputo_derivative(grid, C, s.alpha, s.u1[positions])
+    return dC + s.lambdas[positions] * C
 
 
 def mode_ode_residual(
@@ -176,28 +162,23 @@ def mode_ode_residual(
     return float(worst[0]) if np.ndim(n) == 0 else [float(r) for r in worst]
 
 
-def weak_form_residual(
-    s: SpectralSolution, v: SpectralCoefficients, grid: TimeGrid
-) -> float:
+def weak_form_residual(s: SpectralSolution, v: np.ndarray, grid: TimeGrid) -> float:
     """max over interior nodes of the weak-form defect against test function v.
 
-    Per active mode the first term is d/dt I^(2-alpha)(c_n' - c_n'(0)) formed
-    on the grid; the bilinear term contracts spectrally to
-    ``sum_n lam_n c_n(t) v_n`` by orthonormality.
+    ``v`` holds the test function's coefficients in the solution's mode
+    order, one per mode.  Per nonzero ``v_n`` the first term is
+    d/dt I^(2-alpha)(c_n' - c_n'(0)) formed on the grid; the bilinear term
+    contracts spectrally to ``sum_n lam_n c_n(t) v_n`` by orthonormality.
     """
     if len(grid) < 9:
         raise ValueError("grid too coarse for the differentiation stencils")
-    active = v.values != 0.0
-    tests = v.modes.index[active]
-    # found[i, n]: active test mode i is mode n of the solution
-    found = np.all(tests[:, None, :] == s.modes.index[None, :, :], axis=2)
-    hit = np.any(found, axis=1)
-    if not np.all(hit):
-        missing = tuple(tests[np.argmin(hit)].tolist())
-        raise ValueError(f"test mode {missing} not active in the solution")
-    if not np.any(active):
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if len(v) != len(s.modes):
+        raise ValueError(f"{len(v)} test coefficients for {len(s.modes)} modes")
+    positions = np.flatnonzero(v)
+    if not positions.size:
         return 0.0
-    resid = _caputo_defects(s, np.argmax(found, axis=1), grid) @ v.values[active]
+    resid = _caputo_defects(s, positions, grid) @ v[positions]
     return float(np.nanmax(np.abs(resid[_interior_window(grid)])))
 
 
@@ -213,15 +194,12 @@ def classify(s: SpectralSolution) -> dict[str, dict[str, float]]:
     {-1/4, 0, 1/4, 1/2}; for finite truncations every norm is finite, so the
     table is the informative output (it normalizes the estimate ratios).
     """
-    u0 = SpectralCoefficients(s.modes, s.u0)
-    u1 = SpectralCoefficients(s.modes, s.u1)
+    lam = s.lambdas
     return {
-        "u0": {
-            f"theta={th}": fractional_norm(u0, th) for th in (0.25, 0.5, 0.75, 1.0)
-        },
-        "u1": {
-            f"theta={th}": fractional_norm(u1, th) for th in (-0.25, 0.0, 0.25, 0.5)
-        },
+        "u0": {f"theta={th}": fractional_norm(lam, s.u0, th)
+               for th in (0.25, 0.5, 0.75, 1.0)},
+        "u1": {f"theta={th}": fractional_norm(lam, s.u1, th)
+               for th in (-0.25, 0.0, 0.25, 0.5)},
     }
 
 
@@ -237,9 +215,7 @@ def apriori_estimate_check(s: SpectralSolution, grid: TimeGrid) -> VerificationR
     Zero data is flagged vacuous rather than reported as 0/0.
     """
     lam = s.lambdas
-    u0c = SpectralCoefficients(s.modes, s.u0)
-    u1c = SpectralCoefficients(s.modes, s.u1)
-    rhs = fractional_norm(u0c, 0.75) + fractional_norm(u1c, 0.25)
+    rhs = fractional_norm(lam, s.u0, 0.75) + fractional_norm(lam, s.u1, 0.25)
     report = VerificationReport(
         name="apriori_estimates",
         inputs={"alpha": s.alpha, "T": s.T, "modes": len(s.modes)},

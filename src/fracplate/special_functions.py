@@ -134,11 +134,7 @@ class MLEvaluation:
 
 
 class MLEvaluationError(ValueError):
-    """No strategy met the accuracy target; carries the best partial result."""
-
-    def __init__(self, message: str, partial: MLEvaluation | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """No strategy met the accuracy target."""
 
 
 # }}}
@@ -235,14 +231,12 @@ def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.nd
             i = np.flatnonzero(live)[0]
             raise MLEvaluationError(
                 f"Taylor series did not converge for alpha={alpha}, beta={beta}, "
-                f"z={za[i]}",
-                MLEvaluation(float(s[i]), math.inf, MLMethod.TAYLOR_SERIES),
+                f"z={za[i]}"
             )
     bad = np.isinf(value)
     if bad.any():
         raise MLEvaluationError(
-            f"E_{{{alpha},{beta}}}({z[bad][0]}) overflows double precision",
-            MLEvaluation(float(value[bad][0]), math.inf, MLMethod.TAYLOR_SERIES),
+            f"E_{{{alpha},{beta}}}({z[bad][0]}) overflows double precision"
         )
     return value, est
 
@@ -282,8 +276,7 @@ def _taylor_mp(alpha: float, beta: float, z: float) -> tuple[float, float]:
             k += 1
         else:
             raise MLEvaluationError(
-                f"extended Taylor did not converge (alpha={alpha}, beta={beta}, z={z})",
-                MLEvaluation(float(s), math.inf, MLMethod.TAYLOR_SERIES),
+                f"extended Taylor did not converge (alpha={alpha}, beta={beta}, z={z})"
             )
         value = float(s)
         if math.isinf(value):
@@ -796,14 +789,8 @@ def _eval(
             if conv[j] and ea[j] <= max(1e-12, 1e-12 * abs(va[j])):
                 value[i], est[i], method[i] = va[j], ea[j], _ASYMPTOTIC
                 continue
-            partial = exc.partial
-            if conv[j]:
-                partial = MLEvaluation(
-                    float(va[j]), float(ea[j]), MLMethod.ASYMPTOTIC_EXPANSION
-                )
             raise MLEvaluationError(
-                f"no strategy converged for alpha={alpha}, beta={beta}, z={z[i]}",
-                partial,
+                f"no strategy converged for alpha={alpha}, beta={beta}, z={z[i]}"
             ) from exc
     return value, est, method
 

@@ -28,7 +28,6 @@ __all__ = [
     "Rectangle",
     "Domain",
     "ModeSet",
-    "SpectralCoefficients",
     "eigenmodes",
     "fractional_norm",
     "domain_quadrature",
@@ -297,50 +296,22 @@ def boundary_trace_factor(modes: ModeSet, d: Domain) -> tuple[np.ndarray, np.nda
 # }}}
 
 
-# {{{ coefficients and norms
+# {{{ norms
 
-@dataclass(frozen=True)
-class SpectralCoefficients:
-    """A function or functional represented in the shared eigenbasis.
-
-    ``values[i]`` is the pairing with ``modes[i]``; for a functional it is the
-    duality bracket (numerically the same sequence, since finite truncations
-    always live in L^2).
-    """
-
-    modes: ModeSet
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=float).reshape(-1)
-        )
-        if len(self.modes) != len(self.values):
-            raise ValueError(
-                f"{len(self.modes)} modes but {len(self.values)} values"
-            )
-        if not isinstance(self.modes, ModeSet):
-            raise TypeError(f"modes must be a ModeSet: {type(self.modes).__name__}")
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return self.modes.lam
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def fractional_norm(c: SpectralCoefficients, theta: float) -> float:
+def fractional_norm(lam: np.ndarray, c: np.ndarray, theta: float) -> float:
     """Norm of the fractional power space of exponent ``theta``.
 
-    ``(sum lam_n^(2 theta) |c_n|^2)^(1/2)``; powers are formed as
-    ``exp(theta * log(lam))`` so dual norms do not drift.
+    ``(sum lam_n^(2 theta) |c_n|^2)^(1/2)`` for coefficients ``c`` against
+    modes of eigenvalues ``lam`` (for a functional, its duality brackets);
+    powers are formed as ``exp(theta * log(lam))`` so dual norms do not drift.
     """
-    lam = c.lambdas
+    c = np.asarray(c, dtype=float).reshape(-1)
+    if len(lam) != len(c):
+        raise ValueError(f"{len(lam)} modes but {len(c)} values")
     if len(lam) == 0:
         return 0.0
     weights = np.exp(2.0 * theta * np.log(lam)) if theta != 0.0 else 1.0
-    return float(np.sqrt(np.sum(weights * c.values**2)))
+    return float(np.sqrt(np.sum(weights * c**2)))
 
 
 # }}}

@@ -17,7 +17,7 @@ from fracplate.cli import RunConfig, main, parse_config
 from fracplate.fractional_calculus import TimeGrid, default_grading
 from fracplate.report import canonical_json
 from fracplate.solver import solve, weak_form_residual
-from fracplate.spectral_domain import Interval, SpectralCoefficients
+from fracplate.spectral_domain import Interval
 
 
 def _run(argv, capsys):
@@ -436,7 +436,7 @@ class TestSolveCommand:
         inner = fractional_calculus.rl_integral
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2])  # the order 2 - alpha
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(fractional_calculus, "rl_integral", counting)
@@ -449,7 +449,7 @@ class TestSolveCommand:
         u0 = np.arange(1, 9, dtype=float) ** -2.0
         s = solve(Interval(math.pi), 8, 1.5, u0, np.zeros(8), 1.0)
         grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
-        e1 = SpectralCoefficients(s.modes[:1], [1.0])
+        e1 = np.eye(8)[0]
         assert residuals["weak_form_e1"] == pytest.approx(
             weak_form_residual(s, e1, grid), rel=1e-9
         )
@@ -557,6 +557,14 @@ class TestReportCommand:
         doc = json.loads(out1.read_text())
         assert doc["all_passed"] is True
         assert len(doc["criteria"]) == 6
+
+    def test_quick_report_bytes_pinned(self, capsys):
+        # criteria 3-5 call the time, spectral and probe layers directly
+        code, out = _run(["report", "--profile", "quick"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6c0c2891823495efa20e30aaf757d42762d20824b4d23a8b2710e5efbe987446"
+        )
 
     def test_seed_reaches_criterion_6(self, capsys):
         docs = []

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from fracplate.fractional_calculus import (
     TimeGrid,
-    TimeSeries,
     caputo_derivative,
     default_grading,
     gagliardo_seminorm,
@@ -112,51 +111,49 @@ class TestRLIntegral:
     def test_constant_input(self):
         g = TimeGrid.graded(1.0, 256, 3.0)
         for beta in (0.25, 0.5, 1.0):
-            out = rl_integral(TimeSeries(g, np.ones(257)), beta)
+            out = rl_integral(g, np.ones(257), beta)
             exact = g.nodes**beta / math.gamma(beta + 1.0)
-            assert np.max(np.abs(out.values - exact)) < 1e-13
-            assert out.values[0] == 0.0
+            assert np.max(np.abs(out - exact)) < 1e-13
+            assert out[0] == 0.0
 
     def test_linear_input_euler_beta_oracle(self):
         # int_0^t (t-tau)^(beta-1) tau dtau = Beta(beta,2) t^(beta+1)
         g = TimeGrid.graded(1.0, 256, 3.0)
         for beta in (0.3, 0.75):
-            out = rl_integral(TimeSeries(g, g.nodes), beta)
+            out = rl_integral(g, g.nodes, beta)
             with mpmath.workdps(30):
                 scale = float(mpmath.beta(beta, 2) / mpmath.gamma(beta))
             exact = scale * g.nodes ** (beta + 1.0)
-            assert np.max(np.abs(out.values - exact)) < 1e-13
+            assert np.max(np.abs(out - exact)) < 1e-13
 
     def test_beta_one_is_running_integral(self):
         g = TimeGrid.uniform(1.0, 512)
-        out = rl_integral(TimeSeries(g, np.cos(g.nodes)), 1.0)
-        assert np.max(np.abs(out.values - np.sin(g.nodes))) < 5e-7  # O(h^2)
+        out = rl_integral(g, np.cos(g.nodes), 1.0)
+        assert np.max(np.abs(out - np.sin(g.nodes))) < 5e-7  # O(h^2)
 
     def test_power_rule(self):
         g = TimeGrid.graded(1.0, 2048, 3.0)
         for g_exp in (0.0, 1.0, 2.0):
-            out = rl_integral(TimeSeries(g, g.nodes**g_exp), 0.5)
+            out = rl_integral(g, g.nodes**g_exp, 0.5)
             exact = math.gamma(g_exp + 1.0) / math.gamma(g_exp + 1.5)
-            assert abs(out.values[-1] - exact) / exact < 1e-6
+            assert abs(out[-1] - exact) / exact < 1e-6
 
     def test_linearity(self):
         g = TimeGrid.uniform(1.0, 128)
         f1 = np.sin(3 * g.nodes)
         f2 = g.nodes**2
         a, b = 2.5, -1.25
-        lhs = rl_integral(TimeSeries(g, a * f1 + b * f2), 0.4).values
-        rhs = a * rl_integral(TimeSeries(g, f1), 0.4).values + b * rl_integral(
-            TimeSeries(g, f2), 0.4
-        ).values
+        lhs = rl_integral(g, a * f1 + b * f2, 0.4)
+        rhs = a * rl_integral(g, f1, 0.4) + b * rl_integral(g, f2, 0.4)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_semigroup_under_refinement(self):
         errs = []
         for M in (512, 1024, 2048):
             g = TimeGrid.graded(1.0, M, 3.0)
-            f = TimeSeries(g, np.cos(g.nodes))
-            two = rl_integral(rl_integral(f, 0.3), 0.4).values
-            one = rl_integral(f, 0.7).values
+            f = np.cos(g.nodes)
+            two = rl_integral(g, rl_integral(g, f, 0.3), 0.4)
+            one = rl_integral(g, f, 0.7)
             errs.append(np.max(np.abs(two - one)))
         factors = [errs[i] / errs[i + 1] for i in range(2)]
         # observed order >= 1.5 on smooth inputs
@@ -166,31 +163,31 @@ class TestRLIntegral:
         for M in (128, 600):  # 600: more than one row block
             g = TimeGrid.uniform(1.0, M)
             vals = np.column_stack([np.cos(g.nodes), g.nodes**2])
-            joint = rl_integral(TimeSeries(g, vals), 0.5).values
+            joint = rl_integral(g, vals, 0.5)
             split = np.column_stack(
-                [rl_integral(TimeSeries(g, vals[:, j]), 0.5).values for j in range(2)]
+                [rl_integral(g, vals[:, j], 0.5) for j in range(2)]
             )
             assert np.max(np.abs(joint - split)) < 1e-15
 
     def test_invalid_order(self):
         g = TimeGrid.uniform(1.0, 8)
         with pytest.raises(ValueError):
-            rl_integral(TimeSeries(g, g.nodes), 1.5)
+            rl_integral(g, g.nodes, 1.5)
 
     def test_many_trailing_axes_match_componentwise(self):
         g = TimeGrid.graded(1.0, 16, 2.0)
         vals = g.nodes[:, None, None] ** np.arange(3) * np.array([[1.0], [2.0]])
-        out = rl_integral(TimeSeries(g, vals), 0.5).values
+        out = rl_integral(g, vals, 0.5)
         assert out.shape == (17, 2, 3)
         for j in range(2):
             for k in range(3):
-                ref = rl_integral(TimeSeries(g, vals[:, j, k]), 0.5).values
+                ref = rl_integral(g, vals[:, j, k], 0.5)
                 assert np.max(np.abs(out[:, j, k] - ref)) < 1e-15
 
     @pytest.mark.parametrize("M,gamma", [(64, 1.0), (600, 3.0)])
     def test_selected_rows_equal_full_matrix_rows(self, M, gamma):
         g = TimeGrid.graded(1.0, M, gamma)
-        full = rl_integral_matrix(g, 0.3)
+        full = rl_integral_matrix(g, 0.3, np.arange(M + 1))
         rows = [M, 0, 1, M // 2, M // 2]
         assert np.array_equal(rl_integral_matrix(g, 0.3, rows), full[rows])
 
@@ -230,7 +227,7 @@ class TestRLIntegral:
             @ v.reshape(n, -1)
             for lo in range(0, n, _RL_BLOCK_ROWS)
         ]).reshape(v.shape)
-        assert np.array_equal(rl_integral(TimeSeries(g, v), 0.5).values, ref)
+        assert np.array_equal(rl_integral(g, v, 0.5), ref)
 
     @pytest.mark.parametrize("name", ["graded4.0-M700", "uniform-T2", "irregular"])
     def test_no_floating_point_exception_escapes(self, name):
@@ -238,12 +235,12 @@ class TestRLIntegral:
         # powers of negative distances); none may reach the caller
         g = _ORACLE_GRIDS[name]
         M = len(g) - 1
-        f = TimeSeries(g, np.cos(g.nodes))
+        f = np.cos(g.nodes)
         calls = [
-            lambda: rl_integral_matrix(g, 0.5),
+            lambda: rl_integral_matrix(g, 0.5, np.arange(M + 1)),
             lambda: rl_integral_matrix(g, 0.05, _row_sets(M)[1]),
-            lambda: rl_integral(f, 0.5).values,
-            lambda: rl_integral(f, 1.0).values,
+            lambda: rl_integral(g, f, 0.5),
+            lambda: rl_integral(g, f, 1.0),
         ]
         quiet = [call().tobytes() for call in calls]
         with np.errstate(all="raise"), warnings.catch_warnings():
@@ -254,10 +251,10 @@ class TestRLIntegral:
     def test_tiles_stay_small_at_4096_cells(self):
         # the 256-row block of weights is 8.4 MB; the tile's buffers add to it
         g = TimeGrid.graded(1.0, 4096, 4.0)
-        f = TimeSeries(g, np.cos(g.nodes))
+        f = np.cos(g.nodes)
         tracemalloc.start()
         try:
-            rl_integral(f, 0.5)
+            rl_integral(g, f, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -267,10 +264,10 @@ class TestRLIntegral:
         # a (grid, beta) no other test uses, so no earlier call can have
         # prepared anything for it
         g = TimeGrid.graded(1.0, 4096, 2.5)
-        f = TimeSeries(g, np.cos(g.nodes))
+        f = np.cos(g.nodes)
         tracemalloc.start()
         try:
-            rl_integral(f, 0.45)
+            rl_integral(g, f, 0.45)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,16 +278,16 @@ class TestRLIntegral:
 class TestCaputoDerivative:
     def test_linear_function_annihilated(self):
         g = TimeGrid.graded(1.0, 512, 4.0)
-        out = caputo_derivative(TimeSeries(g, g.nodes), 1.5, 1.0)
-        assert np.nanmax(np.abs(out.values[1:])) < 1e-9
+        out = caputo_derivative(g, g.nodes, 1.5, 1.0)
+        assert np.nanmax(np.abs(out[1:])) < 1e-9
 
     def test_quadratic_against_beta_integral_oracle(self):
         # dt^alpha t^2 = 2 t^(2-alpha) / Gamma(3-alpha)
         alpha = 1.5
         g = TimeGrid.graded(1.0, 1024, default_grading(alpha))
-        out = caputo_derivative(TimeSeries(g, g.nodes**2), alpha, 0.0)
+        out = caputo_derivative(g, g.nodes**2, alpha, 0.0)
         exact = 2.0 * g.nodes ** (2.0 - alpha) / math.gamma(3.0 - alpha)
-        assert np.nanmax(np.abs(out.values[1:-1] - exact[1:-1])) < 1e-4
+        assert np.nanmax(np.abs(out[1:-1] - exact[1:-1])) < 1e-4
 
     @pytest.mark.parametrize("alpha", [1.5, 1.8])
     def test_fractional_relaxation(self, alpha):
@@ -302,8 +299,8 @@ class TestCaputoDerivative:
         for M in (1024, 2048):
             g = TimeGrid.graded(1.0, M, default_grading(alpha))
             c = ml_profile(alpha, 1.0, -g.nodes**alpha)
-            out = caputo_derivative(TimeSeries(g, c), alpha, 0.0)
-            resid = out.values + c
+            out = caputo_derivative(g, c, alpha, 0.0)
+            resid = out + c
             lo = max(4, M // 32)
             errs.append(np.nanmax(np.abs(resid[lo:-1])))
         assert errs[-1] < 1e-4
@@ -312,18 +309,18 @@ class TestCaputoDerivative:
     def test_too_few_nodes_refused(self):
         g = TimeGrid.uniform(1.0, 4)
         with pytest.raises(ValueError):
-            caputo_derivative(TimeSeries(g, g.nodes), 1.5, 1.0)
+            caputo_derivative(g, g.nodes, 1.5, 1.0)
 
     def test_block_matches_columns(self):
         alpha = 1.5
         g = TimeGrid.graded(1.0, 600, default_grading(alpha))
         vals = np.column_stack([g.nodes**2, g.nodes + np.cos(g.nodes)])
-        block = caputo_derivative(TimeSeries(g, vals), alpha, np.array([0.0, 1.0]))
-        assert block.values.shape == (601, 2)
+        block = caputo_derivative(g, vals, alpha, np.array([0.0, 1.0]))
+        assert block.shape == (601, 2)
         for j, slope in enumerate((0.0, 1.0)):
-            ref = caputo_derivative(TimeSeries(g, vals[:, j]), alpha, slope).values
-            assert np.isnan(block.values[0, j])
-            np.testing.assert_allclose(block.values[1:, j], ref[1:], rtol=1e-9, atol=1e-12)
+            ref = caputo_derivative(g, vals[:, j], alpha, slope)
+            assert np.isnan(block[0, j])
+            np.testing.assert_allclose(block[1:, j], ref[1:], rtol=1e-9, atol=1e-12)
 
     def test_grid_derivative_block_bit_equal_to_columns(self):
         g = TimeGrid.graded(1.0, 600, 4.0)
@@ -378,17 +375,17 @@ def _fornberg_reference(x, x0, m):
 class TestGagliardo:
     def test_constant_vanishes(self):
         g = TimeGrid.uniform(1.0, 256)
-        assert gagliardo_seminorm(TimeSeries(g, np.ones(257)), 0.5) == 0.0
+        assert gagliardo_seminorm(g, np.ones(257), 0.5) == 0.0
 
     def test_linear_half(self):
         # analytic double integral: seminorm^2 = 2/((2-2b)(3-2b)); b=1/2 -> 1
         g = TimeGrid.uniform(1.0, 4096)
-        got = gagliardo_seminorm(TimeSeries(g, g.nodes), 0.5)
+        got = gagliardo_seminorm(g, g.nodes, 0.5)
         assert abs(got - 1.0) < 0.02
 
     def test_linear_beta_09(self):
         g = TimeGrid.uniform(1.0, 2048)
-        got = gagliardo_seminorm(TimeSeries(g, g.nodes), 0.9)
+        got = gagliardo_seminorm(g, g.nodes, 0.9)
         exact = math.sqrt(2.0 / (0.2 * 1.2))
         # strongly singular end of the range converges slowly from below
         assert got <= exact + 1e-12
@@ -396,7 +393,7 @@ class TestGagliardo:
 
     def test_linear_beta_quarter(self):
         g = TimeGrid.uniform(1.0, 2048)
-        got = gagliardo_seminorm(TimeSeries(g, g.nodes), 0.25)
+        got = gagliardo_seminorm(g, g.nodes, 0.25)
         exact = math.sqrt(2.0 / (1.5 * 2.5))
         assert abs(got - exact) / exact < 5e-3
 
@@ -405,7 +402,7 @@ class TestGagliardo:
         errs = []
         for M in (512, 1024, 2048):
             g = TimeGrid.uniform(1.0, M)
-            errs.append(abs(gagliardo_seminorm(TimeSeries(g, g.nodes), 0.5) - exact))
+            errs.append(abs(gagliardo_seminorm(g, g.nodes, 0.5) - exact))
         order = math.log2(errs[0] / errs[-1]) / 2.0
         assert order >= 0.8
 
@@ -413,43 +410,44 @@ class TestGagliardo:
         vals = []
         for M in (256, 512, 1024):
             g = TimeGrid.uniform(1.0, M)
-            vals.append(gagliardo_seminorm(TimeSeries(g, g.nodes), 0.5))
+            vals.append(gagliardo_seminorm(g, g.nodes, 0.5))
         assert vals[0] <= vals[1] <= vals[2] <= 1.0 + 1e-12
 
 
-def _l2_time_norm(f):
-    """Trapezoid L^2(0, T) norm of a sampled scalar series."""
-    return math.sqrt(float(np.trapezoid(f.values**2, f.grid.nodes)))
+def _l2_time_norm(g, f):
+    """Trapezoid L^2(0, T) norm of scalar samples f on the grid g."""
+    return math.sqrt(float(np.trapezoid(f**2, g.nodes)))
 
 
-def _hbeta_norm(f, beta):
+def _hbeta_norm(g, f, beta):
     """Time-Sobolev norm: L^2 norm plus Gagliardo seminorm."""
-    return _l2_time_norm(f) + gagliardo_seminorm(f, beta)
+    return _l2_time_norm(g, f) + gagliardo_seminorm(g, f, beta)
 
 
-def _equivalence_ratios(beta, family):
-    """||I^beta f||_{H^beta} / ||f||_{L^2} per member, on its grid and on
-    every other node of it."""
+def _equivalence_ratios(beta, g, family):
+    """||I^beta f||_{H^beta} / ||f||_{L^2} per member sampled on g, on g and
+    on every other node of it."""
     fine, coarse = [], []
+    gc = TimeGrid(g.T, g.nodes[::2])
     for f in family:
-        c = TimeSeries(TimeGrid(f.grid.T, f.grid.nodes[::2]), f.values[::2])
-        for out, g in ((fine, f), (coarse, c)):
-            out.append(_hbeta_norm(rl_integral(g, beta), beta) / _l2_time_norm(g))
+        for out, grid, v in ((fine, g, f), (coarse, gc, f[::2])):
+            hb = _hbeta_norm(grid, rl_integral(grid, v, beta), beta)
+            out.append(hb / _l2_time_norm(grid, v))
     return np.array(fine), np.array(coarse)
 
 
 class TestHbetaNorm:
     def test_zero(self):
         g = TimeGrid.uniform(1.0, 64)
-        assert _hbeta_norm(TimeSeries(g, np.zeros(65)), 0.5) == 0.0
+        assert _hbeta_norm(g, np.zeros(65), 0.5) == 0.0
 
     def test_constant_one(self):
         g = TimeGrid.uniform(1.0, 256)
-        assert _hbeta_norm(TimeSeries(g, np.ones(257)), 0.5) == pytest.approx(1.0)
+        assert _hbeta_norm(g, np.ones(257), 0.5) == pytest.approx(1.0)
 
     def test_linear_combines_both_pieces(self):
         g = TimeGrid.uniform(1.0, 4096)
-        got = _hbeta_norm(TimeSeries(g, g.nodes), 0.5)
+        got = _hbeta_norm(g, g.nodes, 0.5)
         assert got == pytest.approx(math.sqrt(1.0 / 3.0) + 1.0, rel=0.02)
 
 
@@ -459,24 +457,21 @@ class TestNormEquivalenceProbe:
 
     def test_fourier_family_spread(self):
         g = TimeGrid.uniform(1.0, 1024)
-        fam = [
-            TimeSeries(g, np.sin((k + 1) * math.pi * g.nodes)) for k in range(8)
-        ]
-        fine, coarse = _equivalence_ratios(0.25, fam)
+        fam = [np.sin((k + 1) * math.pi * g.nodes) for k in range(8)]
+        fine, coarse = _equivalence_ratios(0.25, g, fam)
         spread = fine.max() / fine.min()
         assert abs(spread - coarse.max() / coarse.min()) / spread < 0.10
         assert spread < 20.0
         # a constant member has a finite ratio
-        (const,), _ = _equivalence_ratios(0.25, [TimeSeries(g, np.ones(1025))])
+        (const,), _ = _equivalence_ratios(0.25, g, [np.ones(1025)])
         assert math.isfinite(const)
 
     @pytest.mark.parametrize("scale", [10.0, 0.1])
     def test_scaling_invariance(self, scale):
         g = TimeGrid.uniform(1.0, 512)
-        f = TimeSeries(g, np.sin(2 * math.pi * g.nodes))
-        fs = TimeSeries(g, scale * f.values)
-        (r1,), _ = _equivalence_ratios(0.25, [f])
-        (r2,), _ = _equivalence_ratios(0.25, [fs])
+        f = np.sin(2 * math.pi * g.nodes)
+        (r1,), _ = _equivalence_ratios(0.25, g, [f])
+        (r2,), _ = _equivalence_ratios(0.25, g, [scale * f])
         assert r1 == pytest.approx(r2, rel=1e-12)
 
 
@@ -490,10 +485,28 @@ def test_rl_linearity_property(beta, a, b):
     g = TimeGrid.uniform(1.0, 64)
     f1 = np.exp(-g.nodes)
     f2 = g.nodes**1.5
-    lhs = rl_integral(TimeSeries(g, a * f1 + b * f2), beta).values
+    lhs = rl_integral(g, a * f1 + b * f2, beta)
     rhs = (
-        a * rl_integral(TimeSeries(g, f1), beta).values
-        + b * rl_integral(TimeSeries(g, f2), beta).values
+        a * rl_integral(g, f1, beta)
+        + b * rl_integral(g, f2, beta)
     )
     scale = max(1.0, float(np.max(np.abs(lhs))))
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
+
+
+_TIME_OPS = {
+    "grid_derivative": grid_derivative,
+    "rl_integral": lambda g, v: rl_integral(g, v, 0.5),
+    "gagliardo_seminorm": lambda g, v: gagliardo_seminorm(g, v, 0.5),
+    "caputo_derivative": lambda g, v: caputo_derivative(g, v, 1.5, 0.0),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_TIME_OPS))
+def test_sample_count_must_match_the_grid(op):
+    # 34 samples divide into 17 nodes, so reshaping alone would accept them
+    g = TimeGrid.graded(1.0, 16, 2.0)
+    for count in (len(g) - 1, 2 * len(g)):
+        with pytest.raises(ValueError, match=f"{count} values for 17 nodes"):
+            _TIME_OPS[op](g, np.ones(count))
+    assert np.shape(_TIME_OPS[op](g, np.ones(len(g)))) in ((), (len(g),))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracplate.fractional_calculus import TimeGrid, TimeSeries, caputo_derivative
+from fracplate.fractional_calculus import TimeGrid, caputo_derivative
 from fracplate.solver import (
     apriori_estimate_check,
     classify,
@@ -17,7 +17,6 @@ from fracplate.solver import (
 from fracplate.spectral_domain import (
     Interval,
     Rectangle,
-    SpectralCoefficients,
     eigenmodes,
     mode_gradients,
     mode_values,
@@ -144,7 +143,7 @@ class TestPointwiseEvaluation:
         for M in (1024, 2048):
             grid = TimeGrid.graded(1.0, M, 4.0)
             u = s.coefficients(grid.nodes) @ e
-            dt_u = caputo_derivative(TimeSeries(grid, u), 1.5, ut0).values
+            dt_u = caputo_derivative(grid, u, 1.5, ut0)
             defects.append(np.max(np.abs(dt_u + u)[M // 32 :]))
         assert defects[1] <= 1e-4
         assert defects[0] / defects[1] >= 3.0  # second order
@@ -155,7 +154,7 @@ class TestPointwiseEvaluation:
         t, x = 0.5, 0.9
         c = s.coefficients(np.array([t]))[0]
         # grad lap u = sum c_n (-mu_n) grad e_n
-        grad_lap = mode_gradients(s.modes, d, [x])[0] @ (-s.mus * c)
+        grad_lap = mode_gradients(s.modes, d, [x])[0] @ (-s.modes.mu * c)
         expect = -c[0] * math.sqrt(2 / math.pi) * math.cos(x)
         assert grad_lap[0] == pytest.approx(expect, rel=1e-12)
 
@@ -189,37 +188,39 @@ class TestResiduals:
     def test_weak_form_single_mode(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
-        v = SpectralCoefficients(modes[:1], [1.0])
+        v = [1.0] + [0.0] * 7
         grid = TimeGrid.graded(1.0, 2048, 4.0)
         assert weak_form_residual(s, v, grid) <= 1e-2
 
     def test_weak_form_orthogonal_test_function(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [1.0, 0.5] + [0] * 6, [0] * 8, 1.0)
-        v = SpectralCoefficients(modes[5:6], [1.0])
+        v = np.eye(8)[5]
         grid = TimeGrid.graded(1.0, 512, 4.0)
         assert weak_form_residual(s, v, grid) == 0.0
 
     def test_zero_weak_residual_for_zero_solution(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [0] * 8, [0] * 8, 1.0)
-        v = SpectralCoefficients(modes[:1], [1.0])
+        v = [1.0] + [0.0] * 7
         assert weak_form_residual(s, v, TimeGrid.graded(1.0, 512, 4.0)) == 0.0
 
     def test_weak_form_on_rectangle(self):
         d = Rectangle(math.pi, math.pi)
-        modes = eigenmodes(d, 6)
         u0 = [1.0, -0.5, 0.25, 0.0, 0.0, 0.0]
         u1 = [0.0, 0.3, 0.0, -0.2, 0.0, 0.0]
         s = solve(d, 6, 1.5, u0, u1, 1.0)
-        v = SpectralCoefficients(modes[1:3], [1.0, -0.5])
+        v = [0.0, 1.0, -0.5, 0.0, 0.0, 0.0]
         r1 = weak_form_residual(s, v, TimeGrid.graded(1.0, 1024, 4.0))
         r2 = weak_form_residual(s, v, TimeGrid.graded(1.0, 2048, 4.0))
         assert r2 <= 1e-2
         assert r1 / r2 >= 2.0
-        outside = SpectralCoefficients(eigenmodes(d, 8)[7:8], [1.0])
-        with pytest.raises(ValueError, match="not active"):
-            weak_form_residual(s, outside, TimeGrid.graded(1.0, 512, 4.0))
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_weak_form_needs_one_test_coefficient_per_mode(self, length):
+        s = solve(Rectangle(math.pi, math.pi), 6, 1.5, [1.0] * 6, [0.0] * 6, 1.0)
+        with pytest.raises(ValueError, match=f"{length} test coefficients for 6"):
+            weak_form_residual(s, np.eye(length)[1], TimeGrid.graded(1.0, 512, 4.0))
 
     def test_mode_position_range_checked(self, interval_modes):
         d, modes = interval_modes
@@ -370,7 +371,9 @@ class TestRectangleSolutions:
 
         # finite positive trace energy
         grid = TimeGrid.graded(0.8, 256, 4.0)
-        assert trace_energy(normal_trace(s, grid)) > 0.0
+        samples, w = normal_trace(s, grid)
+        assert samples.shape == (len(grid), len(w))
+        assert trace_energy(s, grid) > 0.0
 
     def test_mode_residual_on_rectangle(self):
         from fracplate.spectral_domain import Rectangle

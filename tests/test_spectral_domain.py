@@ -9,7 +9,6 @@ from fracplate.spectral_domain import (
     Interval,
     ModeSet,
     Rectangle,
-    SpectralCoefficients,
     boundary_quadrature,
     boundary_trace_factor,
     domain_quadrature,
@@ -119,8 +118,6 @@ class TestEnumeration:
             ms[0]  # one mode is the slice ms[i:i + 1]
         with pytest.raises(ValueError):
             ms.lam[0] = 0.0  # read-only: slices share the arrays
-        with pytest.raises(TypeError):
-            SpectralCoefficients((ms[:1],), [1.0])
 
 
 def _loop_values(modes, d, pts):
@@ -293,46 +290,50 @@ class TestFractionalNorms:
     def test_quarter_power_fundamental(self):
         d = Interval(math.pi)
         ms = eigenmodes(d, 2)
-        c = SpectralCoefficients(ms[:1], [1.0])
-        assert fractional_norm(c, 0.25) == pytest.approx(1.0)
+        assert fractional_norm(ms.lam[:1], [1.0], 0.25) == pytest.approx(1.0)
 
     def test_quarter_power_second_mode(self):
         d = Interval(math.pi)
         ms = eigenmodes(d, 2)
-        c = SpectralCoefficients(ms[1:2], [1.0])
-        assert fractional_norm(c, 0.25) == pytest.approx(2.0)
+        assert fractional_norm(ms.lam[1:2], [1.0], 0.25) == pytest.approx(2.0)
 
     def test_h10_norm_equals_gradient_quadrature(self):
         # theta=1/4 realizes the gradient norm; compare against quadrature
         d = Interval(math.pi)
         ms = eigenmodes(d, 1)
-        c = SpectralCoefficients(ms, [1.0])
         pts, w = domain_quadrature(d, 64)
         from fracplate.spectral_domain import mode_gradients
 
         g = mode_gradients(ms, d, pts)[:, 0, 0]
         grad_norm = math.sqrt(float(w @ g**2))
-        assert fractional_norm(c, 0.25) == pytest.approx(grad_norm, abs=1e-10)
+        assert fractional_norm(ms.lam, [1.0], 0.25) == pytest.approx(grad_norm, abs=1e-10)
 
     def test_parseval(self):
         d = Interval(math.pi)
         ms = eigenmodes(d, 8)
         rng = np.random.default_rng(3)
-        c = SpectralCoefficients(ms, rng.standard_normal(8))
+        c = rng.standard_normal(8)
         pts, w = domain_quadrature(d, 64)
-        f = mode_values(ms, d, pts) @ c.values
+        f = mode_values(ms, d, pts) @ c
         l2 = math.sqrt(float(w @ f**2))
-        assert fractional_norm(c, 0.0) == pytest.approx(l2, abs=1e-9)
+        assert fractional_norm(ms.lam, c, 0.0) == pytest.approx(l2, abs=1e-9)
 
     def test_norm_monotonicity_in_theta(self):
         # requires all lam >= 1 (holds on Interval(pi))
         d = Interval(math.pi)
         ms = eigenmodes(d, 6)
         rng = np.random.default_rng(5)
-        c = SpectralCoefficients(ms, rng.standard_normal(6))
+        c = rng.standard_normal(6)
         thetas = [-0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
-        norms = [fractional_norm(c, th) for th in thetas]
+        norms = [fractional_norm(ms.lam, c, th) for th in thetas]
         assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
+
+    def test_one_value_per_mode(self):
+        lam = eigenmodes(Interval(math.pi), 3).lam
+        assert fractional_norm(lam[:0], [], 0.25) == 0.0
+        for values in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+            with pytest.raises(ValueError, match="3 modes but"):
+                fractional_norm(lam, values, 0.25)
 
 
 class TestBoundaryQuadrature:

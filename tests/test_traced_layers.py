@@ -66,7 +66,7 @@ from spans import Recorder
 recorder = Recorder()
 recorder.install()
 g = fc.TimeGrid.graded(1.0, 4096, 4.0)
-fc.rl_integral(fc.TimeSeries(g, np.cos(g.nodes)), 0.5)
+fc.rl_integral(g, np.cos(g.nodes), 0.5)
 print(json.dumps(recorder.metrics()))
 """
     proc = subprocess.run(
@@ -81,7 +81,7 @@ print(json.dumps(recorder.metrics()))
 
 def test_square_probe_forms_no_boundary_nodes(tmp_path):
     # the probe's trace energy comes from the closed-form boundary factor:
-    # no boundary quadrature, gradient tensor or TraceSeries energy is traced
+    # no boundary quadrature, gradient tensor or normal-trace energy is traced
     code = f"""
 import json, sys
 sys.path.insert(0, {str(SPANS.parent)!r})
