@@ -3,7 +3,8 @@
 Module map:
 
 * :mod:`fracplate.special_functions` -- reciprocal Gamma, Gauss-Legendre
-  rules and E_{alpha,beta} evaluation with method-tagged error estimates.
+  rules and one array evaluator of E_{alpha,beta} at plain orders, with a
+  per-point error estimate and route name.
 * :mod:`fracplate.spectral_domain` -- explicit hinged-biharmonic eigenpairs
   on intervals and rectangles, their value and gradient matrices at
   quadrature nodes, the closed-form boundary trace factor, fractional
@@ -43,10 +44,7 @@ from .solver import (
     weak_form_residual,
 )
 from .special_functions import (
-    MLEvaluation,
     MLEvaluationError,
-    MLMethod,
-    MLParams,
     ml_derivative_identity_residuals,
     ml_eval,
     ml_laplace_check,
@@ -70,10 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Domain",
     "Interval",
-    "MLEvaluation",
     "MLEvaluationError",
-    "MLMethod",
-    "MLParams",
     "ModeSet",
     "Rectangle",
     "SpectralSolution",

@@ -32,7 +32,7 @@ from .hidden_regularity import direct_inequality_probe, filtered_identity_residu
 from .report import canonical_json, fmt17
 from .solver import apriori_estimate_check, classify, mode_ode_residual, solve
 from .spectral_domain import eigenmodes, parse_domain
-from .special_functions import MLParams, ml_eval
+from .special_functions import ml_eval
 
 __all__ = ["main", "parse_config", "RunConfig"]
 
@@ -195,8 +195,8 @@ def _refines(values: Sequence[float]) -> bool:
 
 
 def _run_ml(opt: dict[str, Any]) -> int:
-    res = ml_eval(MLParams(opt["alpha"], opt["beta"]), opt["z"])
-    print(f"{fmt17(res.value)},{fmt17(res.est_abs_error)},{res.method.value}")
+    value, est, method = ml_eval(opt["alpha"], opt["beta"], opt["z"])
+    print(f"{fmt17(value)},{fmt17(est)},{method}")
     return 0
 
 

@@ -102,6 +102,15 @@ def _samples(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     return v
 
 
+def _slopes(samples: np.ndarray, f1_0: float | np.ndarray) -> np.ndarray:
+    """``f1_0`` as floats, refused unless a scalar or one slope per component
+    of ``samples`` (their shape past the node axis)."""
+    s = np.asarray(f1_0, dtype=float)
+    if s.ndim and s.shape != samples.shape[1:]:
+        raise ValueError(f"slopes of shape {s.shape} for samples {samples.shape}")
+    return s
+
+
 # }}}
 
 
@@ -301,15 +310,16 @@ def caputo_derivative(
 
     ``f1_0`` is the caller-supplied exact initial slope: estimating it from
     the samples would dominate the error budget; for values of shape
-    (M+1, k) it holds one slope per column.  The first node of the output is
-    NaN (the derivative there is not formed); remaining nodes carry the full
-    stencil accuracy.
+    (M+1, k) it is one slope per column (or one for all), and any other
+    shape is refused.  The first node of the output is NaN (the derivative
+    there is not formed); remaining nodes carry the full stencil accuracy.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2): {alpha}")
     if len(grid) < 7:
         raise ValueError("need at least 7 nodes for a stable second difference")
-    fp = grid_derivative(grid, values) - np.asarray(f1_0, dtype=float)
+    v = _samples(grid, values)
+    fp = grid_derivative(grid, v) - _slopes(v, f1_0)
     out = grid_derivative(grid, rl_integral(grid, fp, 2.0 - alpha))
     out[0] = np.nan
     return out

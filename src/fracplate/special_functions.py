@@ -21,12 +21,14 @@ alpha (``rho = |z|**(1/alpha)``):
   Gauss rule, graded toward 0 and the near-pole ridge, for all such points
   at once; for other orders the Taylor sum in guarded extended precision
   (it loses about ``rho * log10(e)`` digits), one point at a time, as for
-  positive ``z`` past 25.  Every route gives a per-point error estimate.
+  positive ``z`` past 25 or past the float sum's reach.  Every route gives
+  a per-point error estimate.
 
-:func:`ml_eval` is the core on one point; :func:`ml_profile` (the solver's
-path) is the core with no accuracy target and no error estimate, plus a
-verified Chebyshev cache of the intermediate band, cut to the degree it
-needs.  Non-finite or overflowing arguments raise at once.
+:func:`ml_eval` is that rule on an array of any shape, with plain orders
+``(alpha, beta)``; :func:`ml_profile` (the solver's path) is the same
+routes with no accuracy target and no error estimate, plus a verified
+Chebyshev cache of the intermediate band, cut to the degree it needs.
+Non-finite or overflowing arguments raise at once.
 """
 
 from __future__ import annotations
@@ -35,17 +37,11 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .report import VerificationReport
-
 __all__ = [
-    "MLParams",
-    "MLMethod",
-    "MLEvaluation",
     "MLEvaluationError",
     "reciprocal_gamma",
     "gauss_legendre",
@@ -102,35 +98,14 @@ def reciprocal_gamma(x: float) -> float:
 # }}}
 
 
-# {{{ types
+# {{{ orders and errors
 
-class MLMethod(Enum):
-    """Evaluation route actually taken by :func:`ml_eval`."""
-
-    TAYLOR_SERIES = "TaylorSeries"
-    ASYMPTOTIC_EXPANSION = "AsymptoticExpansion"
-    INTEGRAL_REPRESENTATION = "IntegralRepresentation"
-
-
-@dataclass(frozen=True)
-class MLParams:
-    """Order pair (alpha, beta) of the two-parameter Mittag-Leffler function."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive: {self.alpha}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive: {self.beta}")
-
-
-@dataclass(frozen=True)
-class MLEvaluation:
-    value: float
-    est_abs_error: float
-    method: MLMethod
+def _check_orders(alpha: float, beta: float) -> None:
+    """Refuse an order pair (alpha, beta) that is not positive."""
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive: {alpha}")
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive: {beta}")
 
 
 class MLEvaluationError(ValueError):
@@ -184,12 +159,15 @@ def _compress(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(a[keep] for a in arrays)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float Taylor sum with a per-point stop; returns (value, est).
 
     A point stops at the first term past ``k = rho / alpha`` that is below
     1e-17 of the running sum.  Points stop over a wide range of k, so the
     stopped ones are dropped only once they are half of the working arrays.
+    Where ``z^k`` overflows, or 800 terms end before the terms are small,
+    the point gets a non-finite value for the caller to route elsewhere.
     """
     value = np.empty_like(z)
     est = np.empty_like(z)
@@ -227,17 +205,8 @@ def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.nd
                     )
                     live = np.ones(n_live, dtype=bool)
             zk *= za
-        if n_live:
-            i = np.flatnonzero(live)[0]
-            raise MLEvaluationError(
-                f"Taylor series did not converge for alpha={alpha}, beta={beta}, "
-                f"z={za[i]}"
-            )
-    bad = np.isinf(value)
-    if bad.any():
-        raise MLEvaluationError(
-            f"E_{{{alpha},{beta}}}({z[bad][0]}) overflows double precision"
-        )
+        cut = idx[live]
+        value[cut] = est[cut] = np.nan
     return value, est
 
 
@@ -688,7 +657,7 @@ def _integral_rep(
     rounding of the sum and of the residue phase.  beta >= 1 + alpha is
     first lowered by :func:`_beta_reduce`.
 
-    Range: 1.02 <= alpha <= 2 (where :func:`_eval` routes it) and x >= 1.
+    Range: 1.02 <= alpha <= 2 (where :func:`ml_eval` routes it) and x >= 1.
     At every Chebyshev node of the band cache of the tested orders the
     value is within ``max(1e-13, 1e-13 |E|)`` of :func:`ml_series_oracle`
     and ``est`` bounds the error.
@@ -721,7 +690,8 @@ def _integral_rep(
 
 # {{{ evaluation
 
-_METHODS = tuple(MLMethod)
+# route names, indexed by the per-point route codes
+_METHODS = np.array(["TaylorSeries", "AsymptoticExpansion", "IntegralRepresentation"])
 _TAYLOR, _ASYMPTOTIC, _INTEGRAL = range(3)
 
 # ln E_{a,b}(z) ~ z^(1/a) + ((1-b)/a) ln z - ln a for large z > 0, up to O(1/z)
@@ -729,14 +699,26 @@ _TAYLOR, _ASYMPTOTIC, _INTEGRAL = range(3)
 _LOG_OVERFLOW = math.log(sys.float_info.max) + 2.0
 
 
-def _eval(
-    alpha: float, beta: float, z: np.ndarray
+def ml_eval(
+    alpha: float, beta: float, z: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Route each point of ``z`` and return ``(value, est, method)``.
+    """E_{alpha,beta}(z) with an a-posteriori absolute error bound per point.
 
-    ``method`` indexes :data:`_METHODS`; the routes are those of the module
-    docstring, with the asymptotic expansion accepted where it meets 2e-13.
+    ``z`` may have any shape, and ``(value, est, method)`` come back in that
+    shape: ``est`` bounds the truncation error of the route taken, and
+    ``method`` names it (``"TaylorSeries"``, ``"AsymptoticExpansion"`` or
+    ``"IntegralRepresentation"``).  The routes are those of the module
+    docstring, with the asymptotic expansion accepted where it meets 2e-13;
+    a point's result does not depend on the other points of the call.
+
+    Accuracy contract: ``|value - E| <= max(1e-12, 1e-12 |value|)`` for
+    real ``z`` in ``[-1e8, 10]`` (alpha in (0, 2]).  Raises ValueError for
+    an order that is not positive or a non-finite ``z``, and
+    :class:`MLEvaluationError` when a value overflows double precision.
     """
+    _check_orders(alpha, beta)
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=float).ravel()
     if not np.all(np.isfinite(z)):
         raise ValueError("Mittag-Leffler argument must be finite")
     value = np.empty_like(z)
@@ -763,49 +745,40 @@ def _eval(
     flt = ~zero & np.where(pos, x <= _TAYLOR_ZMAX, rho <= _FLOAT_RHO_MAX)
     if flt.any():
         value[flt], est[flt] = _taylor(alpha, beta, z[flt])
+        # where z^k overflows or 800 terms are too few (small alpha, z > 0)
+        # the float sum is non-finite and the point takes the routes past it
+        flt[flt] = np.isfinite(value[flt])
     for i in np.flatnonzero(pos & ~flt):
         value[i], est[i] = _taylor_mp(alpha, beta, float(z[i]))
 
     far = np.flatnonzero(~pos & ~zero & ~flt)
-    if not far.size:
-        return value, est, method
-    va, ea, conv = _asymptotic(alpha, beta, z[far], target=2e-13)
-    ok = conv & (ea <= np.maximum(2e-13, 1e-13 * np.abs(va)))
-    value[far[ok]], est[far[ok]], method[far[ok]] = va[ok], ea[ok], _ASYMPTOTIC
-    if 1.02 <= alpha <= 2.0:
-        rest = far[~ok]
-        value[rest], est[rest] = _integral_rep(alpha, beta, z[rest])
-        method[rest] = _INTEGRAL
-        return value, est, method
-    for j in np.flatnonzero(~ok):
-        i = far[j]
-        # alpha near or below 1 in the intermediate band: guarded Taylor is
-        # affordable there because rho stays modest
-        try:
-            value[i], est[i] = _taylor_mp(alpha, beta, float(z[i]))
-        except MLEvaluationError as exc:
-            # the asymptotic estimate can miss the tighter bar above by its
-            # own 1e-15 floor; it is still returned when it meets the contract
-            if conv[j] and ea[j] <= max(1e-12, 1e-12 * abs(va[j])):
-                value[i], est[i], method[i] = va[j], ea[j], _ASYMPTOTIC
-                continue
-            raise MLEvaluationError(
-                f"no strategy converged for alpha={alpha}, beta={beta}, z={z[i]}"
-            ) from exc
-    return value, est, method
-
-
-def ml_eval(p: MLParams, z: float) -> MLEvaluation:
-    """Evaluate E_{alpha,beta}(z) with an a-posteriori absolute error bound.
-
-    Accuracy contract: ``|value - E| <= max(1e-12, 1e-12 |value|)`` for
-    real ``z`` in ``[-1e8, 10]`` (alpha in (0, 2]); the recorded
-    ``est_abs_error`` is an upper bound for the truncation error of the
-    method actually used.  Raises ValueError for a non-finite ``z`` and
-    :class:`MLEvaluationError` when the value overflows double precision.
-    """
-    value, est, method = _eval(p.alpha, p.beta, np.array([float(z)]))
-    return MLEvaluation(float(value[0]), float(est[0]), _METHODS[method[0]])
+    if far.size:
+        va, ea, conv = _asymptotic(alpha, beta, z[far], target=2e-13)
+        ok = conv & (ea <= np.maximum(2e-13, 1e-13 * np.abs(va)))
+        value[far[ok]], est[far[ok]], method[far[ok]] = va[ok], ea[ok], _ASYMPTOTIC
+        if 1.02 <= alpha <= 2.0:
+            rest = far[~ok]
+            value[rest], est[rest] = _integral_rep(alpha, beta, z[rest])
+            method[rest] = _INTEGRAL
+        else:
+            for j in np.flatnonzero(~ok):
+                i = far[j]
+                # alpha near or below 1 in the intermediate band: guarded
+                # Taylor is affordable there because rho stays modest
+                try:
+                    value[i], est[i] = _taylor_mp(alpha, beta, float(z[i]))
+                except MLEvaluationError as exc:
+                    # the asymptotic estimate can miss the tighter bar above
+                    # by its own 1e-15 floor; it is still returned when it
+                    # meets the contract
+                    if conv[j] and ea[j] <= max(1e-12, 1e-12 * abs(va[j])):
+                        value[i], est[i], method[i] = va[j], ea[j], _ASYMPTOTIC
+                        continue
+                    raise MLEvaluationError(
+                        f"no strategy converged for alpha={alpha}, beta={beta}, "
+                        f"z={z[i]}"
+                    ) from exc
+    return value.reshape(shape), est.reshape(shape), _METHODS[method].reshape(shape)
 
 
 # }}}
@@ -860,12 +833,13 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
     """Verified Chebyshev series of ``E_{alpha,beta}(-exp(y))`` on the
     intermediate band ``[ya, yb]`` in ``y = ln |z|``, cached per order pair.
 
-    The first fit interpolates at 65 first-kind nodes, in the same core call
-    as 12 seeded random points that verify the series to 1e-11 before it is
-    trusted; the series is then cut (:func:`_cheb_cut`).  It resolves the
-    band when the cut drops at least the top eighth of its coefficients and
-    the verification passes; otherwise the band is fitted again at 181
-    nodes, cut and verified at the same points, and a failure there raises.
+    The first fit interpolates at 65 first-kind nodes, in the same
+    :func:`ml_eval` call as 12 seeded random points that verify the series
+    to 1e-11 before it is trusted; the series is then cut
+    (:func:`_cheb_cut`).  It resolves the band when the cut drops at least
+    the top eighth of its coefficients and the verification passes;
+    otherwise the band is fitted again at 181 nodes, cut and verified at the
+    same points, and a failure there raises.
     Returns ``(ya, yb, coefficients)``.
     """
     key = (alpha, beta)
@@ -881,7 +855,7 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
         return 0.5 * (ya + yb) + 0.5 * (yb - ya) * tk
 
     n = _CHEB_NODES[0]
-    vals = _eval(alpha, beta, -np.exp(np.concatenate([nodes(n), checks])))[0]
+    vals = ml_eval(alpha, beta, -np.exp(np.concatenate([nodes(n), checks])))[0]
     ref = vals[n:]
 
     def verified(coef: np.ndarray) -> bool:
@@ -891,7 +865,7 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
     coef = _cheb_cut(_cheb_coefficients(vals[:n]))
     if coef.size > n - n // 8 or not verified(coef):
         n = _CHEB_NODES[1]
-        coef = _cheb_cut(_cheb_coefficients(_eval(alpha, beta, -np.exp(nodes(n)))[0]))
+        coef = _cheb_cut(_cheb_coefficients(ml_eval(alpha, beta, -np.exp(nodes(n)))[0]))
         if not verified(coef):
             raise MLEvaluationError(
                 f"band cache verification failed for alpha={alpha}, beta={beta}"
@@ -955,7 +929,7 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 _ORACLE_DPS = 50  # working digits of ml_series_oracle, raised for cancellation
 
 
-def ml_series_oracle(p: MLParams, z: float, n_terms: int) -> float:
+def ml_series_oracle(alpha: float, beta: float, z: float, n_terms: int) -> float:
     """Exact partial sum of the defining series in ``_ORACLE_DPS``-digit arithmetic.
 
     The Gamma argument ``alpha*k + beta`` is formed in extended precision as
@@ -963,13 +937,14 @@ def ml_series_oracle(p: MLParams, z: float, n_terms: int) -> float:
     the alternating cancellation cannot remove.  Serves as the independent
     brute-force oracle for :func:`ml_eval` on moderate ``|z|``.
     """
+    _check_orders(alpha, beta)
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1: {n_terms}")
     # account for cancellation so that _ORACLE_DPS digits are effective
-    dps = max(_ORACLE_DPS, int(22 + 0.45 * abs(z) ** (1.0 / p.alpha)))
+    dps = max(_ORACLE_DPS, int(22 + 0.45 * abs(z) ** (1.0 / alpha)))
     import mpmath
 
-    gammas = _mp_gammas(p.alpha, p.beta, dps, n_terms - 1)
+    gammas = _mp_gammas(alpha, beta, dps, n_terms - 1)
     with mpmath.workdps(dps):
         zz = mpmath.mpf(z)
         total = mpmath.mpf(0)
@@ -998,11 +973,13 @@ def _fd5(f: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def ml_derivative_identity_residuals(
     alpha: float, lam: float, times: np.ndarray
-) -> VerificationReport:
-    """Check the closed-form time derivatives of the relaxation kernels.
+) -> dict[str, float]:
+    """Residuals of the closed-form time derivatives of the relaxation kernels.
 
     On each sample point the left side is differentiated with a fourth-order
-    centered stencil and compared against the closed form:
+    centered stencil and compared against the closed form; the result maps
+    ``residual_dEa``, ``residual_dtEa2`` and ``residual_dtam1Eaa`` to the
+    largest deviation of each over the sample points:
 
     * d/dt E_a(-lam t^a)             = -lam t^(a-1) E_{a,a}(-lam t^a)
     * d/dt (t E_{a,2}(-lam t^a))     = E_a(-lam t^a)
@@ -1024,44 +1001,20 @@ def ml_derivative_identity_residuals(
     ts = np.stack([t - 2 * h, t - h, t + h, t + 2 * h, t])
     z = -lam * ts**alpha
 
-    def kernel(beta: float, zr: np.ndarray) -> np.ndarray:
-        return _eval(alpha, beta, zr.ravel())[0].reshape(zr.shape)
-
-    e1 = kernel(1.0, z)
-    ea = kernel(alpha, z)
-    e2 = kernel(2.0, z[:4])
-    eam1 = kernel(alpha - 1.0, z[4])
+    e1 = ml_eval(alpha, 1.0, z)[0]
+    ea = ml_eval(alpha, alpha, z)[0]
+    e2 = ml_eval(alpha, 2.0, z[:4])[0]
+    eam1 = ml_eval(alpha, alpha - 1.0, z[4])[0]
     d1 = _fd5(e1, h)
     rhs1 = -lam * t ** (alpha - 1.0) * ea[4]
     d2 = _fd5(ts[:4] * e2, h)
     d3 = _fd5(ts[:4] ** (alpha - 1.0) * ea[:4], h)
     rhs3 = t ** (alpha - 2.0) * eam1
-    r1 = float(np.max(np.abs(d1 - rhs1)))
-    r2 = float(np.max(np.abs(d2 - e1[4])))
-    r3 = float(np.max(np.abs(d3 - rhs3)))
-
-    report = VerificationReport(
-        name="ml_derivative_identities",
-        inputs={
-            "alpha": alpha,
-            "lam": lam,
-            "t_min": float(t.min()),
-            "t_max": float(t.max()),
-            "n_times": int(t.size),
-        },
-        metrics={
-            "residual_dEa": r1,
-            "residual_dtEa2": r2,
-            "residual_dtam1Eaa": r3,
-        },
-        tolerances={
-            "residual_dEa": 1e-5,
-            "residual_dtEa2": 1e-5,
-            "residual_dtam1Eaa": 1e-5,
-        },
-    )
-    report.evaluate()
-    return report
+    return {
+        "residual_dEa": float(np.max(np.abs(d1 - rhs1))),
+        "residual_dtEa2": float(np.max(np.abs(d2 - e1[4]))),
+        "residual_dtam1Eaa": float(np.max(np.abs(d3 - rhs3))),
+    }
 
 
 # }}}
@@ -1074,7 +1027,7 @@ _LAPLACE_ORDER = 20
 _LAPLACE_HALVINGS = 60
 
 
-def ml_laplace_check(p: MLParams, lam: float, z: float) -> float:
+def ml_laplace_check(alpha: float, beta: float, lam: float, z: float) -> float:
     """Residual of the Laplace pair for the relaxation kernel.
 
     Compares ``int_0^inf exp(-z t) t^(beta-1) E_{alpha,beta}(-lam t^alpha) dt``
@@ -1085,7 +1038,7 @@ def ml_laplace_check(p: MLParams, lam: float, z: float) -> float:
     endpoint singularity), and the kernel is evaluated at all of its nodes
     with one array call.  Requires z > lam**(1/alpha).
     """
-    alpha, beta = p.alpha, p.beta
+    _check_orders(alpha, beta)
     if lam <= 0.0:
         raise ValueError(f"lam must be positive: {lam}")
     if not z > lam ** (1.0 / alpha):
@@ -1112,7 +1065,7 @@ def ml_laplace_check(p: MLParams, lam: float, z: float) -> float:
     else:
         t = s
         weight = np.exp(-z * t) * t ** (beta - 1.0)
-    val = float(np.sum(ws * weight * _eval(alpha, beta, -lam * t**alpha)[0]))
+    val = float(np.sum(ws * weight * ml_eval(alpha, beta, -lam * t**alpha)[0]))
     exact = z ** (alpha - beta) / (z**alpha + lam)
     return abs(val - exact)
 

@@ -311,6 +311,12 @@ class TestCaputoDerivative:
         with pytest.raises(ValueError):
             caputo_derivative(g, g.nodes, 1.5, 1.0)
 
+    def test_slope_per_node_refused(self):
+        # f1_0 holds one slope per component of the samples, not per node
+        g = TimeGrid.graded(1.0, 16, 2.0)
+        with pytest.raises(ValueError, match="slopes of shape"):
+            caputo_derivative(g, g.nodes, 1.5, np.arange(17.0))
+
     def test_block_matches_columns(self):
         alpha = 1.5
         g = TimeGrid.graded(1.0, 600, default_grading(alpha))

@@ -21,7 +21,7 @@ from fracplate.spectral_domain import (
     mode_gradients,
     mode_values,
 )
-from fracplate.special_functions import MLParams, ml_eval, ml_profile
+from fracplate.special_functions import ml_eval, ml_profile
 
 
 def _u(s, t, x):
@@ -41,7 +41,7 @@ class TestSolve:
         s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         t, x = 0.6, 0.9
         expect = (
-            ml_eval(MLParams(1.5, 1.0), -(t**1.5)).value
+            ml_eval(1.5, 1.0, -(t**1.5))[0]
             * math.sqrt(2 / math.pi)
             * math.sin(x)
         )
@@ -61,7 +61,7 @@ class TestSolve:
         t, x = 0.4, 0.7
         expect = (
             t
-            * ml_eval(MLParams(1.5, 2.0), -16.0 * t**1.5).value
+            * ml_eval(1.5, 2.0, -16.0 * t**1.5)[0]
             * math.sqrt(2 / math.pi)
             * math.sin(2 * x)
         )
@@ -353,8 +353,8 @@ class TestRectangleSolutions:
         t, x = 0.37, (0.4, 1.1)
         expect = 0.0
         for i, ((j, k), lam) in enumerate(zip(modes.index.tolist(), modes.lam)):
-            e1 = ml_eval(MLParams(1.7, 1.0), -lam * t**1.7).value
-            e2 = ml_eval(MLParams(1.7, 2.0), -lam * t**1.7).value
+            e1 = ml_eval(1.7, 1.0, -lam * t**1.7)[0]
+            e2 = ml_eval(1.7, 2.0, -lam * t**1.7)[0]
             # e_jk = (2 / sqrt(a b)) sin(j pi x / a) sin(k pi y / b), a = 1, b = 2
             e_jk = math.sqrt(2.0) * math.sin(j * math.pi * x[0])
             e_jk *= math.sin(k * math.pi * x[1] / 2.0)

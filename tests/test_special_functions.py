@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from fracplate.special_functions import (
-    MLMethod,
-    MLParams,
     gauss_legendre,
     ml_derivative_identity_residuals,
     ml_eval,
@@ -98,53 +96,60 @@ class TestGamma:
             assert abs(reciprocal_gamma(x) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-class TestMLParams:
-    def test_invalid_orders_rejected(self):
-        with pytest.raises(ValueError):
-            MLParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            MLParams(1.5, -1.0)
+class TestOrders:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a, b: ml_eval(a, b, 0.5),
+            lambda a, b: ml_series_oracle(a, b, 0.5, 10),
+            lambda a, b: ml_laplace_check(a, b, 1.0, 2.0),
+        ],
+        ids=["ml_eval", "ml_series_oracle", "ml_laplace_check"],
+    )
+    def test_invalid_orders_rejected(self, call):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            call(0.0, 1.0)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            call(1.5, -1.0)
 
 
 def _oracle(alpha, beta, z, n=600):
-    return ml_series_oracle(MLParams(alpha, beta), z, n)
+    return ml_series_oracle(alpha, beta, z, n)
 
 
 class TestMLEval:
     def test_value_at_zero_is_one_for_beta_one(self):
-        assert ml_eval(MLParams(1.5, 1.0), 0.0).value == pytest.approx(1.0, abs=1e-15)
+        assert ml_eval(1.5, 1.0, 0.0)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_exponential_case(self):
-        got = ml_eval(MLParams(1.0, 1.0), 1.0).value
+        got = ml_eval(1.0, 1.0, 1.0)[0]
         assert got == pytest.approx(math.e, abs=1e-12)
 
     def test_cosine_case(self):
-        got = ml_eval(MLParams(2.0, 1.0), -math.pi**2).value
+        got = ml_eval(2.0, 1.0, -math.pi**2)[0]
         assert got == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_term_scaling(self):
         # E_{a,b}(0) * Gamma(b) = 1
         for alpha in (1.1, 1.5, 1.9):
             for beta in (0.5, 1.0, 2.0, 3.0):
-                v = ml_eval(MLParams(alpha, beta), 0.0).value
+                v = ml_eval(alpha, beta, 0.0)[0]
                 assert v * math.gamma(beta) == pytest.approx(1.0, rel=1e-13)
 
     def test_oracle_agreement_deep_negative(self):
         # alpha=1.8, beta=2, z=-50: the oracle IS the partial Taylor sum
-        p = MLParams(1.8, 2.0)
         ref = _oracle(1.8, 2.0, -50.0, 10_000)
-        got = ml_eval(p, -50.0)
-        assert abs(got.value - ref) <= max(1e-12, 1e-12 * abs(got.value))
+        got = ml_eval(1.8, 2.0, -50.0)[0]
+        assert abs(got - ref) <= max(1e-12, 1e-12 * abs(got))
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5])
     def test_contract_across_methods(self, alpha, beta):
-        p = MLParams(alpha, beta)
         for z in (-5.0, -25.0, -40.0, -200.0, 3.0):
-            got = ml_eval(p, z)
+            got = ml_eval(alpha, beta, z)[0]
             if abs(z) <= 60.0:
                 ref = _oracle(alpha, beta, z, 2000)
-                assert abs(got.value - ref) <= max(1e-12, 1e-12 * abs(ref))
+                assert abs(got - ref) <= max(1e-12, 1e-12 * abs(ref))
 
     def test_error_estimate_is_honest(self):
         for alpha, beta, z in [
@@ -154,20 +159,14 @@ class TestMLEval:
             (1.5, 3.0, -40.0),
             (1.1, 0.5, 5.0),
         ]:
-            got = ml_eval(MLParams(alpha, beta), z)
+            value, est, _ = ml_eval(alpha, beta, z)
             ref = _oracle(alpha, beta, z, 4000)
-            assert abs(got.value - ref) <= max(got.est_abs_error, 1e-15)
+            assert abs(value - ref) <= max(est, 1e-15)
 
     def test_methods_are_recorded(self):
-        assert ml_eval(MLParams(1.5, 1.0), -1.0).method is MLMethod.TAYLOR_SERIES
-        assert (
-            ml_eval(MLParams(1.5, 1.0), -1e6).method
-            is MLMethod.ASYMPTOTIC_EXPANSION
-        )
-        assert (
-            ml_eval(MLParams(1.5, 1.0), -60.0).method
-            is MLMethod.INTEGRAL_REPRESENTATION
-        )
+        assert ml_eval(1.5, 1.0, -1.0)[2] == "TaylorSeries"
+        assert ml_eval(1.5, 1.0, -1e6)[2] == "AsymptoticExpansion"
+        assert ml_eval(1.5, 1.0, -60.0)[2] == "IntegralRepresentation"
 
     def test_method_cross_validation_band(self):
         # asymptotic and integral representation overlap on moderate arguments
@@ -182,47 +181,46 @@ class TestMLEval:
     def test_asymptotic_estimate_within_contract_is_returned(self):
         # the asymptotic estimate lands a hair above its 2e-13 bar here and
         # the extended-precision fallback would need far more than 320 digits
-        got = ml_eval(MLParams(1.0, 1.0), -18560.61)
-        assert got.method is MLMethod.ASYMPTOTIC_EXPANSION
-        assert abs(got.value - math.exp(-18560.61)) <= 1e-12
+        value, _, method = ml_eval(1.0, 1.0, -18560.61)
+        assert method == "AsymptoticExpansion"
+        assert abs(value - math.exp(-18560.61)) <= 1e-12
         z = -1590.4143366937894
-        got = ml_eval(MLParams(1.0, 2.0), z)
-        assert abs(got.value - (math.exp(z) - 1.0) / z) <= 1e-12
+        value = ml_eval(1.0, 2.0, z)[0]
+        assert abs(value - (math.exp(z) - 1.0) / z) <= 1e-12
         for beta in (0.5, 1.0, 1.5, 2.0):
             for alpha in np.linspace(1.0, 1.02, 11):
                 for z in (-18560.61, z, -2512.2825234898596, -16249.790806068417):
-                    got = ml_eval(MLParams(float(alpha), beta), z)
-                    assert got.est_abs_error <= max(1e-12, 1e-12 * abs(got.value))
+                    value, est, _ = ml_eval(float(alpha), beta, z)
+                    assert est <= max(1e-12, 1e-12 * abs(value))
 
     def test_monotone_bound_on_negative_axis(self):
         # |E_a(z)| <= 1 for z <= 0, a in (1,2): empirical consequence of the
         # uniform decay bound (checked, not proven)
         for alpha in (1.1, 1.5, 1.9):
-            p = MLParams(alpha, 1.0)
             for z in -np.logspace(-3, 6, 40):
-                assert abs(ml_eval(p, float(z)).value) <= 1.0 + 1e-12
+                assert abs(ml_eval(alpha, 1.0, float(z))[0]) <= 1.0 + 1e-12
 
 
 class TestSeriesOracle:
     def test_single_term(self):
-        assert ml_series_oracle(MLParams(1.0, 1.0), 0.0, 1) == 1.0
+        assert ml_series_oracle(1.0, 1.0, 0.0, 1) == 1.0
 
     def test_exponential_tail_bound(self):
-        got = ml_series_oracle(MLParams(1.0, 1.0), 1.0, 30)
+        got = ml_series_oracle(1.0, 1.0, 1.0, 30)
         assert abs(got - math.e) < 1e-15
 
     def test_cross_check_against_longer_sum(self):
-        a = ml_series_oracle(MLParams(1.5, 1.5), -4.0, 200)
-        b = ml_series_oracle(MLParams(1.5, 1.5), -4.0, 400)
+        a = ml_series_oracle(1.5, 1.5, -4.0, 200)
+        b = ml_series_oracle(1.5, 1.5, -4.0, 400)
         assert abs(a - b) < 1e-30  # fully converged at 200 terms already
 
     def test_requires_positive_terms(self):
         with pytest.raises(ValueError):
-            ml_series_oracle(MLParams(1.5, 1.0), 1.0, 0)
+            ml_series_oracle(1.5, 1.0, 1.0, 0)
 
     def test_overflow_raises_range_error(self):
         with pytest.raises(OverflowError):
-            ml_series_oracle(MLParams(1.0, 1.0), 800.0, 4000)
+            ml_series_oracle(1.0, 1.0, 800.0, 4000)
 
 
 class TestProfile:
@@ -231,7 +229,7 @@ class TestProfile:
         z = -np.logspace(-6, 7, 160)
         prof = ml_profile(alpha, beta, z)
         for i in range(0, 160, 13):
-            ref = ml_eval(MLParams(alpha, beta), float(z[i])).value
+            ref = ml_eval(alpha, beta, float(z[i]))[0]
             assert abs(prof[i] - ref) <= 1e-11 * max(1.0, abs(ref))
 
     def test_zero_argument(self):
@@ -265,17 +263,16 @@ class TestProfile:
 
 class TestDerivativeIdentities:
     def test_degenerate_lambda_zero(self):
-        rep = ml_derivative_identity_residuals(1.5, 0.0, np.geomspace(0.1, 2.0, 10))
-        assert all(v < 1e-9 for v in rep.metrics.values())
+        res = ml_derivative_identity_residuals(1.5, 0.0, np.geomspace(0.1, 2.0, 10))
+        assert all(v < 1e-9 for v in res.values())
 
     def test_moderate_lambda(self):
-        rep = ml_derivative_identity_residuals(1.5, 1.0, np.geomspace(0.1, 2.0, 15))
-        assert rep.all_passed
-        assert max(rep.metrics.values()) <= 1e-6
+        res = ml_derivative_identity_residuals(1.5, 1.0, np.geomspace(0.1, 2.0, 15))
+        assert max(res.values()) <= 1e-6
 
     def test_stiff_lambda(self):
-        rep = ml_derivative_identity_residuals(1.2, 100.0, np.geomspace(0.05, 1.0, 15))
-        assert max(rep.metrics.values()) <= 1e-5
+        res = ml_derivative_identity_residuals(1.2, 100.0, np.geomspace(0.05, 1.0, 15))
+        assert max(res.values()) <= 1e-5
 
     def test_rejects_grid_touching_zero(self):
         with pytest.raises(ValueError):
@@ -356,28 +353,27 @@ class TestGaussLegendre:
 class TestLaplaceCheck:
     def test_classic_exponential_pair(self):
         # alpha=beta=1 reduces to the transform of exp(-t)
-        assert ml_laplace_check(MLParams(1.0, 1.0), 1.0, 2.0) < 1e-9
+        assert ml_laplace_check(1.0, 1.0, 1.0, 2.0) < 1e-9
 
     @pytest.mark.parametrize(
         "alpha,beta,lam,z",
         [(1.5, 1.0, 1.0, 2.0), (1.5, 2.0, 4.0, 3.0), (1.2, 1.5, 0.5, 1.8)],
     )
     def test_transform_pairs(self, alpha, beta, lam, z):
-        assert ml_laplace_check(MLParams(alpha, beta), lam, z) <= 1e-8
+        assert ml_laplace_check(alpha, beta, lam, z) <= 1e-8
 
     def test_validity_region_enforced(self):
         with pytest.raises(ValueError):
-            ml_laplace_check(MLParams(1.5, 1.0), 8.0, 1.0)
+            ml_laplace_check(1.5, 1.0, 8.0, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
 def test_oracle_agreement_alpha_dependent_betas(alpha):
     # beta in {1, 2, alpha, alpha-1, 3} across the oracle-convergent range
     for beta in (1.0, 2.0, alpha, alpha - 1.0, 3.0):
-        p = MLParams(alpha, beta)
         for z in np.linspace(-50.0, 0.0, 9):
-            got = ml_eval(p, float(z)).value
-            ref = ml_series_oracle(p, float(z), 500)
+            got = ml_eval(alpha, beta, float(z))[0]
+            ref = ml_series_oracle(alpha, beta, float(z), 500)
             assert abs(got - ref) <= 1e-10
 
 
@@ -385,7 +381,25 @@ def test_overflow_raises_evaluation_error():
     from fracplate.special_functions import MLEvaluationError
 
     with pytest.raises(MLEvaluationError):
-        ml_eval(MLParams(1.0, 1.0), 800.0)
+        ml_eval(1.0, 1.0, 800.0)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,z",
+    [
+        (0.2, 1.0, 3.0), (0.25, 1.0, 5.0), (0.3, 1.0, 5.0), (0.3, 1.0, 7.0),
+        (0.4, 1.0, 7.0), (0.4, 1.0, 10.0), (0.5, 1.0, 9.0),
+        (0.25, 0.5, 5.0), (0.25, 2.0, 5.0), (0.25, 3.0, 5.0),
+        (0.5, 0.5, 10.0), (0.5, 1.0, 10.0), (0.5, 2.0, 10.0), (0.5, 3.0, 10.0),
+    ],
+)
+def test_positive_points_past_the_float_sum_meet_the_contract(alpha, beta, z):
+    # finite values inside the contract box where the float Taylor sum
+    # overflows z^k, or ends at 800 terms, before its terms are small
+    value, _, method = ml_eval(alpha, beta, z)
+    ref = ml_series_oracle(alpha, beta, z, 4000)
+    assert method == "TaylorSeries"
+    assert abs(value - ref) <= max(1e-12, 1e-12 * abs(ref))
 
 
 @pytest.mark.parametrize(
@@ -398,14 +412,14 @@ def test_overflow_raises_evaluation_error():
 )
 def test_order_domain_edges(alpha, beta, z):
     # orders at and below the solver range still meet the value contract
-    got = ml_eval(MLParams(alpha, beta), z)
-    ref = ml_series_oracle(MLParams(alpha, beta), z, 4000)
-    assert abs(got.value - ref) <= max(1e-12, 1e-12 * abs(ref))
+    got = ml_eval(alpha, beta, z)[0]
+    ref = ml_series_oracle(alpha, beta, z, 4000)
+    assert abs(got - ref) <= max(1e-12, 1e-12 * abs(ref))
 
 
 def test_exact_exponential_at_order_one():
-    got = ml_eval(MLParams(1.0, 1.0), -30.0)
-    assert got.value == pytest.approx(math.exp(-30.0), rel=1e-11)
+    got = ml_eval(1.0, 1.0, -30.0)[0]
+    assert got == pytest.approx(math.exp(-30.0), rel=1e-11)
 
 
 @pytest.mark.parametrize(
@@ -419,9 +433,9 @@ def test_exact_exponential_at_order_one():
     ],
 )
 def test_error_estimate_honest_near_order_one(alpha, beta, z):
-    got = ml_eval(MLParams(alpha, beta), z)
-    ref = ml_series_oracle(MLParams(alpha, beta), z, 4000)
-    assert abs(got.value - ref) <= max(got.est_abs_error, 2e-15)
+    value, est, _ = ml_eval(alpha, beta, z)
+    ref = ml_series_oracle(alpha, beta, z, 4000)
+    assert abs(value - ref) <= max(est, 2e-15)
 
 
 class TestOutOfRange:
@@ -433,12 +447,12 @@ class TestOutOfRange:
 
         monkeypatch.setattr(sf, "_taylor_mp", forbidden)
         with pytest.raises(sf.MLEvaluationError, match="overflows double precision"):
-            ml_eval(MLParams(1.5, 1.0), 1e8)
+            ml_eval(1.5, 1.0, 1e8)
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
     def test_non_finite_argument_rejected(self, z):
         with pytest.raises(ValueError, match="finite"):
-            ml_eval(MLParams(1.5, 1.0), z)
+            ml_eval(1.5, 1.0, z)
 
     def test_profile_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -456,24 +470,44 @@ class TestOutOfRange:
         assert "overflows double precision" in proc.stderr
 
 
-def test_pinned_routes_cli_bytes(capsys):
-    # every non-asymptotic route of the `ml` command, pinned by the sha256 of
-    # its concatenated output (51 TaylorSeries, 34 IntegralRepresentation)
+def _kept_ml_outputs(capsys, alphas, skip=()):
+    """The non-asymptotic outputs of the `ml` command over ``alphas`` x beta
+    {0.5, 1, 2} x 12 z values, less the ``(alpha, z)`` pairs in ``skip``."""
     from fracplate.cli import main
 
     kept = []
-    for alpha in (1.2, 1.5, 1.8):
+    for alpha in alphas:
         for beta in (0.5, 1, 2):
             for z in (0, 5, 10, -0.5, -5, -9, -20, -40, -60, -100, -1e3, -1e6):
+                if (alpha, z) in skip:
+                    continue
                 assert main(["ml", "--alpha", str(alpha), "--beta", str(beta),
                              f"--z={z}"]) == 0
                 out = capsys.readouterr().out
                 if not out.rstrip().endswith("AsymptoticExpansion"):
                     kept.append(out)
+    return kept
+
+
+def test_pinned_routes_cli_bytes(capsys):
+    # every non-asymptotic route of the `ml` command, pinned by the sha256 of
+    # its concatenated output (51 TaylorSeries, 34 IntegralRepresentation)
+    kept = _kept_ml_outputs(capsys, (1.2, 1.5, 1.8))
     assert len(kept) == 85
     assert sum(o.rstrip().endswith("IntegralRepresentation") for o in kept) == 34
     digest = hashlib.sha256("".join(kept).encode()).hexdigest()
     assert digest == "be339bcd7ea66ef984e8838b91b5ff193cd759f52da6244326edcc050a223d72"
+
+
+def test_pinned_edge_order_routes_cli_bytes(capsys):
+    # the same pin at alpha 0.5, 0.9, 1 and 2: the float and extended Taylor
+    # sums below order 1.02 (74 TaylorSeries, 9 IntegralRepresentation);
+    # alpha 0.5 at z = 10 is left out, the contract test above covers it
+    kept = _kept_ml_outputs(capsys, (0.5, 0.9, 1.0, 2.0), skip={(0.5, 10)})
+    assert len(kept) == 83
+    assert sum(o.rstrip().endswith("IntegralRepresentation") for o in kept) == 9
+    digest = hashlib.sha256("".join(kept).encode()).hexdigest()
+    assert digest == "f2c3c96804a50b44d2465bb46349cbdbda3d7d2ba22666165dad1e26c12724bb"
 
 
 _PROFILE_GRIDS = [
@@ -499,10 +533,10 @@ def test_profile_agrees_with_ml_eval(alpha, beta, z):
     big = a > _profile_B(alpha)
     assert taylor.any()
     for i in np.flatnonzero(taylor):
-        assert prof[i] == ml_eval(MLParams(alpha, beta), float(z[i])).value
+        assert prof[i] == ml_eval(alpha, beta, float(z[i]))[0]
     for i in np.flatnonzero(big):
-        ref = ml_eval(MLParams(alpha, beta), float(z[i]))
-        assert abs(prof[i] - ref.value) <= ref.est_abs_error
+        value, est, _ = ml_eval(alpha, beta, float(z[i]))
+        assert abs(prof[i] - value) <= est
 
 
 def _fd5_loop(f, t, h):
@@ -516,7 +550,7 @@ def test_derivative_identities_match_pointwise_loop(alpha, lam):
     times = np.geomspace(0.05, 1.0, 12)
 
     def e(beta, t):
-        return ml_eval(MLParams(alpha, beta), -lam * t**alpha).value
+        return ml_eval(alpha, beta, -lam * t**alpha)[0]
 
     r = [0.0, 0.0, 0.0]
     for t in times:
@@ -527,8 +561,8 @@ def test_derivative_identities_match_pointwise_loop(alpha, lam):
         r[0] = max(r[0], abs(d1 + lam * t ** (alpha - 1.0) * e(alpha, t)))
         r[1] = max(r[1], abs(d2 - e(1.0, t)))
         r[2] = max(r[2], abs(d3 - t ** (alpha - 2.0) * e(alpha - 1.0, t)))
-    rep = ml_derivative_identity_residuals(alpha, lam, times)
-    got = [rep.metrics[k] for k in ("residual_dEa", "residual_dtEa2", "residual_dtam1Eaa")]
+    res = ml_derivative_identity_residuals(alpha, lam, times)
+    got = [res[k] for k in ("residual_dEa", "residual_dtEa2", "residual_dtam1Eaa")]
     assert np.allclose(got, r, rtol=0.0, atol=1e-10)
 
 
@@ -563,7 +597,7 @@ def test_integral_rule_against_oracle_at_band_nodes(alpha, beta):
     z = _cheb_band_nodes(alpha)
     value, est = _integral_rep(alpha, beta, z)
     for i in range(z.size):
-        ref = ml_series_oracle(MLParams(alpha, beta), float(z[i]), 400)
+        ref = ml_series_oracle(alpha, beta, float(z[i]), 400)
         err = abs(value[i] - ref)
         assert err <= max(1e-13, 1e-13 * abs(ref)), (z[i], value[i], ref)
         assert err <= est[i], (z[i], err, est[i])
@@ -603,24 +637,54 @@ def test_band_build_values_equal_ml_eval(alpha, beta, monkeypatch):
     from fracplate import special_functions as sf
 
     seen = []
-    inner = sf._eval
 
     def recording(a, b, z):
-        out = inner(a, b, z)
+        out = ml_eval(a, b, z)
         seen.append((z.copy(), out))
         return out
 
     monkeypatch.delitem(sf._CHEB_CACHE, (alpha, beta), raising=False)
-    monkeypatch.setattr(sf, "_eval", recording)
+    monkeypatch.setattr(sf, "ml_eval", recording)
     sf._cheb_band(alpha, beta)
-    monkeypatch.setattr(sf, "_eval", inner)
     assert len(seen) == 1
     z, (value, est, method) = seen[0]
-    assert (method == sf._INTEGRAL).sum() > 0
+    assert (method == "IntegralRepresentation").sum() > 0
     for i in range(z.size):
-        got = ml_eval(MLParams(alpha, beta), float(z[i]))
-        assert (got.value, got.est_abs_error) == (value[i], est[i])
-        assert got.method is sf._METHODS[method[i]]
+        assert ml_eval(alpha, beta, float(z[i])) == (value[i], est[i], method[i])
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,extended,integral",
+    [(0.5, 1.0, [10.0, 26.0, -5.0], 0), (0.9, 2.0, [26.0, -5.0], 0),
+     (1.5, 1.0, [26.0], 3), (1.5, 3.0, [26.0], 3)],
+)
+def test_array_evaluator_batch_independent(
+    alpha, beta, extended, integral, monkeypatch
+):
+    # one call over every route equals the one-point calls bit for bit: z = 0,
+    # the float Taylor sum, the extended one (past z = 25, past the float
+    # sum's reach at alpha 0.5, and the intermediate band below alpha 1.02),
+    # the asymptotic expansion and the integral representation
+    from fracplate import special_functions as sf
+
+    seen = []
+    inner = sf._taylor_mp
+
+    def recording(a, b, x):
+        seen.append(x)
+        return inner(a, b, x)
+
+    monkeypatch.setattr(sf, "_taylor_mp", recording)
+    z = np.array([
+        0.0, 0.5, 3.0, 10.0, 26.0, -0.5, -5.0, -20.0, -40.0, -60.0, -1e3, -1e8,
+    ]).reshape(3, 4)
+    value, est, method = ml_eval(alpha, beta, z)
+    assert seen == extended
+    assert value.shape == est.shape == method.shape == z.shape
+    assert (method == "AsymptoticExpansion").sum() >= 2
+    assert (method == "IntegralRepresentation").sum() == integral
+    for i in np.ndindex(z.shape):
+        assert ml_eval(alpha, beta, z[i]) == (value[i], est[i], method[i])
 
 
 # }}}
@@ -649,32 +713,32 @@ def test_cut_band_against_degree_180_band(alpha, beta, monkeypatch):
     got = ml_profile(alpha, beta, z)
     assert len(sf._CHEB_CACHE) == 1
     ref_coef = np.polynomial.chebyshev.chebinterpolate(
-        lambda t: sf._eval(alpha, beta, -np.exp(0.5 * (ya + yb + (yb - ya) * t)))[0],
+        lambda t: ml_eval(alpha, beta, -np.exp(0.5 * (ya + yb + (yb - ya) * t)))[0],
         180,
     )
     ref = np.polynomial.chebyshev.chebval(
         (2.0 * np.log(-z) - (ya + yb)) / (yb - ya), ref_coef
     )
     assert np.all(np.abs(got - ref) <= 2e-13 * np.maximum(1.0, np.abs(ref)))
-    e = sf._eval(alpha, beta, z)[0]
+    e = ml_eval(alpha, beta, z)[0]
     assert np.all(np.abs(got - e) <= np.maximum(1e-12, 1e-12 * np.abs(got)))
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5, 1.25, 2.25])
 def test_band_build_is_one_call_at_65_nodes(beta, monkeypatch):
-    # at the benchmark's order the first fit resolves every band: one core
-    # call on the 65 nodes and the 12 check points, and a series cut short
+    # at the benchmark's order the first fit resolves every band: one
+    # evaluator call on the 65 nodes and the 12 check points, and a series
+    # cut short
     from fracplate import special_functions as sf
 
     sizes = []
-    inner = sf._eval
 
     def recording(a, b, z):
         sizes.append(z.size)
-        return inner(a, b, z)
+        return ml_eval(a, b, z)
 
     monkeypatch.setattr(sf, "_CHEB_CACHE", {})
-    monkeypatch.setattr(sf, "_eval", recording)
+    monkeypatch.setattr(sf, "ml_eval", recording)
     coef = sf._cheb_band(1.5, beta)[2]
     assert len(sizes) == 1 and sizes[0] <= 77
     assert coef.size - 1 < 64
@@ -686,11 +750,10 @@ def test_band_falls_back_to_181_nodes(monkeypatch):
     from fracplate import special_functions as sf
 
     sizes = []
-    inner = sf._eval
     spoil = [True]
 
     def recording(a, b, z):
-        value, est, method = inner(a, b, z)
+        value, est, method = ml_eval(a, b, z)
         sizes.append(z.size)
         if len(sizes) == 1 and spoil[0]:
             value = value.copy()
@@ -698,7 +761,7 @@ def test_band_falls_back_to_181_nodes(monkeypatch):
         return value, est, method
 
     monkeypatch.setattr(sf, "_CHEB_CACHE", {})
-    monkeypatch.setattr(sf, "_eval", recording)
+    monkeypatch.setattr(sf, "ml_eval", recording)
     with pytest.raises(sf.MLEvaluationError, match="verification failed"):
         sf._cheb_band(1.5, 1.0)
     assert sizes == [77, 181]
@@ -806,7 +869,7 @@ def test_asymptotic_equals_term_loop(alpha, beta, target):
     )
 
     beta = alpha if beta == "alpha" else beta
-    # the ml_profile band and, below it, the rest of _eval's far range
+    # the ml_profile band and, below it, the rest of ml_eval's far range
     z = -np.concatenate([
         np.logspace(math.log10(_profile_B(alpha)), 12, 1500),
         np.logspace(math.log10(_profile_zf(alpha)), math.log10(_profile_B(alpha)), 300),
@@ -873,7 +936,7 @@ def test_merged_term_count_search_equals_two_searches(alpha, beta, target):
 @pytest.mark.parametrize("alpha,beta", _CORE_PAIRS)
 def test_value_only_core_equals_the_wrapper(alpha, beta):
     # the core alone against the values of the estimating wrapper, on two
-    # blocks of random points of _eval's far range with the floor, the
+    # blocks of random points of ml_eval's far range with the floor, the
     # residue cut-off and the term-count thresholds among them; above the
     # band edge the core is ml_profile's asymptotic band
     from fracplate.special_functions import (
