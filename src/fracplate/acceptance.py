@@ -27,9 +27,8 @@ from .fractional_calculus import (
     rl_integral_matrix,
 )
 from .hidden_regularity import (
+    _refinement_residuals,
     direct_inequality_probe,
-    filtered_identity_residual,
-    filtered_identity_terms,
     static_multiplier_identity_residual,
     static_multiplier_identity_terms,
     trace_energy_ratios,
@@ -308,11 +307,10 @@ def criterion_5_multiplier_identities(quick: bool = False) -> VerificationReport
     f2 = []
     for M in Ms:
         grid = TimeGrid.graded(1.0, M, default_grading(alpha))
-        f1.append(filtered_identity_residual(s, beta, grid, M))
-        f2.append(filtered_identity_residual(s, beta, grid, M, M // 2))
-    grid = TimeGrid.graded(1.0, Ms[-1], default_grading(alpha))
-    terms = filtered_identity_terms(s, beta, grid, Ms[-1])
-    fscale = max(abs(terms["lhs_boundary"]), 1e-300)
+        one, two, boundary = _refinement_residuals(s, beta, grid)
+        f1.append(one)
+        f2.append(two)
+    fscale = max(abs(boundary), 1e-300)
     order1 = math.log2(f1[-2] / f1[-1]) if f1[-1] > 0 else 2.0
     order2 = math.log2(f2[-2] / f2[-1]) if f2[-1] > 0 else 2.0
 

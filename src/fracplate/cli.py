@@ -28,7 +28,7 @@ import numpy as np
 from .acceptance import run_all
 from .families import parse_family
 from .fractional_calculus import TimeGrid, default_grading, rl_integral_matrix
-from .hidden_regularity import direct_inequality_probe, filtered_identity_residual
+from .hidden_regularity import _refinement_residuals, direct_inequality_probe
 from .report import canonical_json, fmt17
 from .solver import apriori_estimate_check, classify, mode_ode_residual, solve
 from .spectral_domain import eigenmodes, parse_domain
@@ -295,8 +295,7 @@ def _run_identities(opt: dict[str, Any]) -> int:
     rows = []
     for M in opt["nodes"]:
         grid = TimeGrid.graded(T, M, default_grading(alpha))
-        rows.append((filtered_identity_residual(s, beta, grid, M),
-                     filtered_identity_residual(s, beta, grid, M, M // 2)))
+        rows.append(_refinement_residuals(s, beta, grid)[:2])
         lines.append(f"{M},{fmt17(rows[-1][0])},{fmt17(rows[-1][1])}")
     _emit("\n".join(lines) + "\n", opt["out"])
     return 0 if all(_refines(col) for col in zip(*rows)) else 1

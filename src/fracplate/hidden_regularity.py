@@ -26,9 +26,12 @@ over the boundary and the time grid: the quadrature oracle of that factor.
 
 The direct-inequality probe measures trace energy against the data energy
 ``||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2`` across mode schedules and data
-families.  It reports ratios and their growth, never a claimed constant:
-bounded ratios are the numerical signature of hidden regularity, not a
-proof.
+families.  It forms no member tables: each member is projected from the
+two kernel tables onto the live columns of the boundary factor, one chunk
+of modes at a time, at ``2 times x |chunk| x live columns`` multiply-adds
+per chunk (:func:`trace_energy_ratios`).  It reports ratios and their
+growth, never a claimed constant: bounded ratios are the numerical
+signature of hidden regularity, not a proof.
 """
 
 from __future__ import annotations
@@ -175,6 +178,33 @@ def _filtered_exact(s: SpectralSolution, beta: float, t: float) -> np.ndarray:
     return s.u0 * t**beta * e1b + s.u1 * t ** (1.0 + beta) * e2b
 
 
+def _filtered_terms(
+    s: SpectralSolution,
+    beta: float,
+    grid: TimeGrid,
+    C: np.ndarray,
+    t_index: int,
+    tau_index: int | None,
+) -> dict[str, float]:
+    """:func:`filtered_identity_terms` from the coefficient table ``C`` of
+    ``s`` on the grid's nodes."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1): {beta}")
+    rows = [t_index] if tau_index is None else [t_index, tau_index]
+    B = rl_integral_matrix(grid, beta, rows) @ C
+    b = B[0]
+    b_exact = _filtered_exact(s, beta, float(grid.nodes[t_index]))
+    if tau_index is not None:
+        b = b - B[1]
+        b_exact = b_exact - _filtered_exact(s, beta, float(grid.nodes[tau_index]))
+    # the filtered Caputo term is -lam b, so the equation term is the static
+    # lhs of b; the Jacobian and divergence terms change sign
+    lhs, bnd, jac, div = _multiplier_terms(
+        s.modes, s.domain, _boundary_order(s.modes), b, b_exact
+    )
+    return {"lhs_boundary": bnd, "equation": lhs, "jacobian": -jac, "divergence": -div}
+
+
 def filtered_identity_terms(
     s: SpectralSolution,
     beta: float,
@@ -193,21 +223,13 @@ def filtered_identity_terms(
     vector, so the mismatch isolates the time-discretization error of the
     quadrature route and must vanish under grid refinement.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1): {beta}")
-    rows = [t_index] if tau_index is None else [t_index, tau_index]
-    B = rl_integral_matrix(grid, beta, rows) @ s.coefficients(grid.nodes)
-    b = B[0]
-    b_exact = _filtered_exact(s, beta, float(grid.nodes[t_index]))
-    if tau_index is not None:
-        b = b - B[1]
-        b_exact = b_exact - _filtered_exact(s, beta, float(grid.nodes[tau_index]))
-    # the filtered Caputo term is -lam b, so the equation term is the static
-    # lhs of b; the Jacobian and divergence terms change sign
-    lhs, bnd, jac, div = _multiplier_terms(
-        s.modes, s.domain, _boundary_order(s.modes), b, b_exact
+    return _filtered_terms(
+        s, beta, grid, s.coefficients(grid.nodes), t_index, tau_index
     )
-    return {"lhs_boundary": bnd, "equation": lhs, "jacobian": -jac, "divergence": -div}
+
+
+def _residual(t: dict[str, float]) -> float:
+    return abs(t["lhs_boundary"] - (t["equation"] + t["jacobian"] + t["divergence"]))
 
 
 def filtered_identity_residual(
@@ -225,14 +247,37 @@ def filtered_identity_residual(
     """
     if t_index == (0 if tau_index is None else tau_index):
         return 0.0
-    t = filtered_identity_terms(s, beta, grid, t_index, tau_index)
-    return abs(t["lhs_boundary"] - (t["equation"] + t["jacobian"] + t["divergence"]))
+    return _residual(filtered_identity_terms(s, beta, grid, t_index, tau_index))
+
+
+def _refinement_residuals(
+    s: SpectralSolution, beta: float, grid: TimeGrid
+) -> tuple[float, float, float]:
+    """The filtered identity's residual at the grid's last node M, the
+    residual of its difference between M and M // 2, and its boundary term
+    at M, from one coefficient table of the grid: the values
+    :func:`filtered_identity_residual` and :func:`filtered_identity_terms`
+    give, for the grid refinements of ``identities`` and criterion 5."""
+    M = len(grid) - 1
+    C = s.coefficients(grid.nodes)
+    one = _filtered_terms(s, beta, grid, C, M, None)
+    two = _filtered_terms(s, beta, grid, C, M, M // 2)
+    return _residual(one), _residual(two), one["lhs_boundary"]
 
 
 # }}}
 
 
 # {{{ direct-inequality probe
+
+# The first column chunk of the probe contraction; every later chunk is as
+# wide as all the modes before it, so the edges are 16, 32, 64, ... whatever
+# the schedule, and a schedule of powers of two from 16 reads each R(N) at an
+# edge.  Wide chunks keep the products few and large; on a rectangle, chunks
+# of a fixed 128 modes reach almost every column of P anyway, and the partial
+# chunks below 128 would repeat work.
+_FIRST_CHUNK = 16
+
 
 def trace_energy_ratios(
     d: Domain,
@@ -247,40 +292,74 @@ def trace_energy_ratios(
     Member ``m`` is row ``m`` of the coefficient matrices ``u0`` and ``u1``.
     Entry ``[i][m]`` is ``trace_energy / (||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2)``
     on the first ``N_schedule[i]`` modes with member ``m``'s data cut to that
-    prefix, or -1 for zero data energy.  Modes and kernel tables are built
-    once at the largest N, and the closed-form boundary factor ``(P, w)`` of
-    :func:`boundary_trace_factor` once per N, so the trace energy of a
-    coefficient table ``C`` is ``trapezoid((C @ P)^2 @ w, t)`` with no
-    boundary nodes; :func:`trace_energy` of the member's ``solve``d solution
-    is its quadrature oracle.  The data energy is :func:`fractional_norm`
-    on the first N eigenvalues ``modes.lam[:N]``.  Members are the outer
-    loop: each member's table ``C = u0 e1 + (t e2) u1`` is formed once at
-    the largest N, and every N contracts its first N columns, so no
-    members x times x modes array is formed.  Each entry is computed by the
-    same operations as a call with that N alone.
+    prefix, or -1 for zero data energy.  Modes, the kernel tables ``e1`` and
+    ``e2`` and the closed-form boundary factor ``(P, w)`` of
+    :func:`boundary_trace_factor` are built once at the largest N.  The
+    coefficient table ``C = e1 a + t e2 b`` of a member ``(a, b)`` has
+    trace energy ``trapezoid((C @ P)^2 @ w, t)`` with no boundary nodes;
+    :func:`trace_energy` of the member's ``solve``d solution is its
+    quadrature oracle.  No member table is formed.  Each member is projected
+    straight from the kernel tables onto the columns of ``P`` that a chunk
+    ``c`` of modes reaches, ``S += e1[:, c] @ (a_c P_c) + t (e2[:, c] @
+    (b_c P_c))``: two products of ``times x |c| x live columns``
+    multiply-adds per chunk, into ``S`` (stored transposed, one row per
+    column of ``P``).  ``S`` at N sums the chunks below N, plus the chunk
+    up to N where N is no chunk edge.  The chunk edges do not depend on the
+    schedule, so each entry is computed by the same operations as a call
+    with that N alone.  The data energy is :func:`fractional_norm` on the
+    first N eigenvalues ``modes.lam[:N]``.
     """
     n_max = max(N_schedule)
     modes = eigenmodes(d, n_max)
     t = grid.nodes
-    Z = -np.outer(t**alpha, modes.lam)
+    Z = np.outer(-(t**alpha), modes.lam)
     e1 = ml_profile(alpha, 1.0, Z)
-    te2 = t[:, None] * ml_profile(alpha, 2.0, Z)
-    del Z  # freed before the member tables, so they do not raise the peak
-    factors = [boundary_trace_factor(modes[:N], d) for N in N_schedule]
+    e2 = ml_profile(alpha, 2.0, Z)
+    del Z
+    P, w = boundary_trace_factor(modes, d)
+
+    def chunk(lo: int, hi: int) -> tuple[slice, np.ndarray, np.ndarray]:
+        """Modes [lo, hi), the columns of P they reach, and P's block there
+        transposed."""
+        live = np.flatnonzero(P[lo:hi].any(axis=0))
+        return slice(lo, hi), live, P[lo:hi, live].T
+
+    # per schedule entry in ascending N: the chunks that end by N, the chunk
+    # up to N if N is no chunk edge, and the columns of P live at N
+    steps = []
+    lo = 0
+    for i in np.argsort(N_schedule, kind="stable"):
+        N = int(N_schedule[i])
+        whole = []
+        while (hi := max(_FIRST_CHUNK, 2 * lo)) <= N:
+            whole.append(chunk(lo, hi))
+            lo = hi
+        part = chunk(lo, N) if lo < N else None
+        steps.append((i, N, whole, part, np.flatnonzero(P[:N].any(axis=0))))
     rows: list[list[float]] = [[] for _ in N_schedule]
     for a, b in zip(u0, u1):
-        # += holds one temporary table; e1 * a + te2 * b would hold two
-        C = e1 * a[:n_max]
-        C += te2 * b[:n_max]
-        for ratios, N, (P, w) in zip(rows, N_schedule, factors):
+
+        def project(S: np.ndarray, c: slice, live: np.ndarray, Q: np.ndarray) -> None:
+            # S is stored transposed, one row per column of P, so the live
+            # columns are gathered and scattered as contiguous rows
+            S[live] += (Q * a[c]) @ e1[:, c].T + ((Q * b[c]) @ e2[:, c].T) * t
+
+        S = np.zeros((P.shape[1], len(t)))
+        for i, N, whole, part, cols in steps:
+            for c in whole:
+                project(S, *c)
             lam = modes.lam[:N]
             denom = fractional_norm(lam, a[:N], 0.25) ** 2
             denom += fractional_norm(lam, b[:N], -0.25) ** 2
             if denom == 0.0:
-                ratios.append(-1.0)  # zero-energy member: skipped
+                rows[i].append(-1.0)  # zero-energy member: skipped
                 continue
-            energy = float(np.trapezoid((C[:, :N] @ P) ** 2 @ w, t))
-            ratios.append(energy / denom)
+            S_N = S
+            if part is not None:
+                S_N = S.copy()
+                project(S_N, *part)
+            energy = float(np.trapezoid(w[cols] @ S_N[cols] ** 2, t))
+            rows[i].append(energy / denom)
     return rows
 
 

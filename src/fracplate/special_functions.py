@@ -21,8 +21,8 @@ alpha (``rho = |z|**(1/alpha)``):
   Gauss rule, graded toward 0 and the near-pole ridge, for all such points
   at once; for other orders the Taylor sum in guarded extended precision
   (it loses about ``rho * log10(e)`` digits), one point at a time, as for
-  positive ``z`` past 25 or past the float sum's reach.  Every route gives
-  a per-point error estimate.
+  positive ``z`` past 25 and any ``z`` past the float sum's reach.  Every
+  route gives a per-point error estimate.
 
 :func:`ml_eval` is that rule on an array of any shape, with plain orders
 ``(alpha, beta)``; :func:`ml_profile` (the solver's path) is the same
@@ -160,17 +160,22 @@ def _compress(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float Taylor sum with a per-point stop; returns (value, est).
+def _taylor(
+    alpha: float, beta: float, z: np.ndarray, estimate: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Float Taylor sum with a per-point stop; returns ``(value, est)``.
 
     A point stops at the first term past ``k = rho / alpha`` that is below
     1e-17 of the running sum.  Points stop over a wide range of k, so the
     stopped ones are dropped only once they are half of the working arrays.
     Where ``z^k`` overflows, or 800 terms end before the terms are small,
     the point gets a non-finite value for the caller to route elsewhere.
+    Only with ``estimate`` (:func:`ml_eval`'s path) does the loop track the
+    largest term and form ``est``; otherwise ``est`` is None, the values
+    being the same.
     """
     value = np.empty_like(z)
-    est = np.empty_like(z)
+    est = np.empty_like(z) if estimate else None
     cache = _rgamma_series(alpha, beta, 8)
     for lo in range(0, z.size, _BLOCK):
         za = z[lo : lo + _BLOCK]
@@ -179,7 +184,7 @@ def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.nd
         rho = np.abs(za) ** (1.0 / alpha)
         s = np.zeros_like(za)
         zk = np.ones_like(za)
-        max_mag = np.zeros_like(za)
+        max_mag = np.zeros_like(za) if estimate else None
         n_live = za.size
         for k in range(800):
             if not n_live:
@@ -189,24 +194,28 @@ def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.nd
             t = zk * cache[k]
             s += t
             mag = np.abs(t)
-            np.maximum(max_mag, mag, out=max_mag)
+            if estimate:
+                np.maximum(max_mag, mag, out=max_mag)
             done = live & (alpha * k > rho) & (mag <= 1e-17 * (1.0 + np.abs(s)))
             d = np.flatnonzero(done)
             if d.size:
                 value[idx[d]] = s[d]
-                est[idx[d]] = 4.0 * mag[d] + 1.5e-16 * (k + 3) * (
-                    max_mag[d] + np.abs(s[d])
-                )
+                if estimate:
+                    est[idx[d]] = 4.0 * mag[d] + 1.5e-16 * (k + 3) * (
+                        max_mag[d] + np.abs(s[d])
+                    )
                 live[d] = False
                 n_live -= d.size
                 if 2 * n_live <= live.size:
-                    idx, za, rho, s, zk, max_mag = _compress(
-                        live, idx, za, rho, s, zk, max_mag
-                    )
+                    idx, za, rho, s, zk = _compress(live, idx, za, rho, s, zk)
+                    if estimate:
+                        (max_mag,) = _compress(live, max_mag)
                     live = np.ones(n_live, dtype=bool)
             zk *= za
         cut = idx[live]
-        value[cut] = est[cut] = np.nan
+        value[cut] = np.nan
+        if estimate:
+            est[cut] = np.nan
     return value, est
 
 
@@ -221,7 +230,15 @@ def _taylor_mp(alpha: float, beta: float, z: float) -> tuple[float, float]:
             f"extended-precision Taylor would need {dps} digits "
             f"(alpha={alpha}, beta={beta}, z={z})"
         )
-    kmax = int(40 + 4.0 * (rho / alpha + dps))
+    # past k = rho / alpha the terms |z|^k / Gamma(alpha k + beta) fall; the
+    # sum stops by the first k where lgamma's growth takes them below the
+    # tolerance (about 1,000 terms at alpha = 0.02, |z| = 1), plus a margin
+    log_tol = -(dps - 6) * math.log(10.0)
+    log_z = math.log(abs(z)) if z != 0.0 else -math.inf
+    kmax = int(rho / alpha) + 1
+    while kmax * log_z - math.lgamma(alpha * kmax + beta) > log_tol:
+        kmax += 1
+    kmax += 40
     _mp_gammas(alpha, beta, dps, min(kmax, 128))
     gammas = _MP_GAMMA_CACHE[(alpha, beta, dps)]
     with mpmath.workdps(dps):
@@ -742,16 +759,18 @@ def ml_eval(
     value[zero] = v0
     est[zero] = 4e-16 * abs(v0)
 
-    flt = ~zero & np.where(pos, x <= _TAYLOR_ZMAX, rho <= _FLOAT_RHO_MAX)
+    band = ~zero & np.where(pos, x <= _TAYLOR_ZMAX, rho <= _FLOAT_RHO_MAX)
+    flt = band.copy()
     if flt.any():
-        value[flt], est[flt] = _taylor(alpha, beta, z[flt])
-        # where z^k overflows or 800 terms are too few (small alpha, z > 0)
-        # the float sum is non-finite and the point takes the routes past it
+        value[flt], est[flt] = _taylor(alpha, beta, z[flt], True)
+        # where z^k overflows or 800 terms are too few (small alpha) the
+        # float sum is non-finite and the point takes the extended sum, as
+        # positive points past the band do
         flt[flt] = np.isfinite(value[flt])
-    for i in np.flatnonzero(pos & ~flt):
+    for i in np.flatnonzero((pos | band) & ~flt):
         value[i], est[i] = _taylor_mp(alpha, beta, float(z[i]))
 
-    far = np.flatnonzero(~pos & ~zero & ~flt)
+    far = np.flatnonzero(~pos & ~zero & ~band)
     if far.size:
         va, ea, conv = _asymptotic(alpha, beta, z[far], target=2e-13)
         ok = conv & (ea <= np.maximum(2e-13, 1e-13 * np.abs(va)))
@@ -881,10 +900,11 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     run with no accuracy target so that the asymptotic optimal-truncation
     floor is accepted, plus a verified Chebyshev series of the evaluator in
     the intermediate band, its degree chosen per band (:func:`_cheb_band`).
-    The path is value-only: the asymptotic band calls
-    :func:`_asymptotic_sum`, which forms each point's term count from one
-    search and no error estimate, and the residue pair only where it is not
-    below the double range.  Each band is evaluated a block at a time, so
+    The path is value-only: the Taylor band runs :func:`_taylor` without
+    its estimate, and the asymptotic band calls :func:`_asymptotic_sum`,
+    which forms each point's term count from one search and no error
+    estimate, and the residue pair only where it is not below the double
+    range.  Each band is evaluated a block at a time, so
     beyond the output and the indices of the Taylor and Chebyshev points
     the working memory stays block-sized.
     Requires alpha in (1, 2]; absolute accuracy ~1e-12.
@@ -904,7 +924,7 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     small = np.flatnonzero(flat >= -taylor_edge)
     for lo in range(0, small.size, _BLOCK):
         i = small[lo : lo + _BLOCK]
-        out[i] = _taylor(alpha, beta, flat[i])[0]
+        out[i] = _taylor(alpha, beta, flat[i], False)[0]
     mid = np.flatnonzero((flat < -taylor_edge) & (flat >= -asymptotic_edge))
     if mid.size:
         ya, yb, coef = _cheb_band(alpha, beta)
@@ -940,8 +960,11 @@ def ml_series_oracle(alpha: float, beta: float, z: float, n_terms: int) -> float
     _check_orders(alpha, beta)
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1: {n_terms}")
-    # account for cancellation so that _ORACLE_DPS digits are effective
-    dps = max(_ORACLE_DPS, int(22 + 0.45 * abs(z) ** (1.0 / alpha)))
+    # account for the alternating cancellation of z < 0 so that _ORACLE_DPS
+    # digits are effective; positive terms do not cancel
+    dps = _ORACLE_DPS
+    if z < 0.0:
+        dps = max(dps, int(22 + 0.45 * abs(z) ** (1.0 / alpha)))
     import mpmath
 
     gammas = _mp_gammas(alpha, beta, dps, n_terms - 1)

@@ -493,9 +493,9 @@ class TestProbeCommand:
         "domain,digest",
         [
             ("interval:pi",
-             "e0a7b884cfc857d0332f4aa12ea7ecc051a1c8297e7cb4c6838d561d3bed219a"),
+             "c8d86a12faa142a455bd4b582aa622dc5b53104516fb2de1c7b182c208b016f7"),
             ("rectangle:pixpi",
-             "fb842d212f86e56f857dd9d21955fcfd67f3623f2db7f06426a24c174928e8db"),
+             "d5e37aa0ce5af9756d642767088ba84be1db5f2d8ed95299bd2607de57d348e6"),
         ],
     )
     def test_output_bytes_pinned(self, domain, digest, capsys):
@@ -563,7 +563,7 @@ class TestReportCommand:
         code, out = _run(["report", "--profile", "quick"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "6c0c2891823495efa20e30aaf757d42762d20824b4d23a8b2710e5efbe987446"
+            "0d36441f2180ae66158297fd07bf8f977a9399d5ef25584c2e2375b690dbef48"
         )
 
     def test_seed_reaches_criterion_6(self, capsys):

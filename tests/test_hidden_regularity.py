@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from fracplate.families import _gaussian_draws, _ndtri, family_members, parse_family
 from fracplate.fractional_calculus import TimeGrid, default_grading
 from fracplate.hidden_regularity import (
+    _FIRST_CHUNK,
     _multiplier_terms,
     direct_inequality_probe,
     filtered_identity_residual,
@@ -31,7 +32,7 @@ from fracplate.spectral_domain import (
     fractional_norm,
     parse_domain,
 )
-from fracplate.special_functions import ml_eval
+from fracplate.special_functions import ml_eval, ml_profile
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +54,26 @@ def _data_energy(s):
     )
 
 
-def _factor_energy(s, grid):
-    """Trace energy of a solution from the closed-form boundary factor."""
+def _projected_energy(s, grid):
+    """Trace energy of a solution from the closed-form boundary factor, in
+    the probe's contraction order: chunks of modes with edges 16, 32, 64,
+    ..., each projected from the kernel tables onto the columns of P it
+    reaches, the sum stored transposed."""
+    t = grid.nodes
+    Z = np.outer(-(t**s.alpha), s.lambdas)
+    e1, e2 = ml_profile(s.alpha, 1.0, Z), ml_profile(s.alpha, 2.0, Z)
     P, w = boundary_trace_factor(s.modes, s.domain)
-    return float(np.trapezoid((s.coefficients(grid.nodes) @ P) ** 2 @ w, grid.nodes))
+    S = np.zeros((P.shape[1], len(t)))
+    lo = 0
+    while lo < len(s.modes):
+        hi = min(max(_FIRST_CHUNK, 2 * lo), len(s.modes))
+        live = np.flatnonzero(P[lo:hi].any(axis=0))
+        Q = P[lo:hi, live].T
+        S[live] += (Q * s.u0[lo:hi]) @ e1[:, lo:hi].T + (
+            (Q * s.u1[lo:hi]) @ e2[:, lo:hi].T
+        ) * t
+        lo = hi
+    return float(np.trapezoid(w @ S**2, t))
 
 
 def _lifted_laplacian(s):
@@ -265,6 +282,33 @@ class TestFilteredIdentities:
         with pytest.raises(ValueError):
             filtered_identity_residual(s, 1.5, grid, 10)
 
+    @pytest.mark.parametrize("M", [256, 257])
+    def test_refinement_residuals_from_one_table(self, interval_setup, monkeypatch, M):
+        # identities and criterion 5 take both residuals at a grid's last
+        # node and the boundary term there from one coefficient table; each
+        # equals its separate public call
+        from fracplate import hidden_regularity
+        from fracplate.solver import SpectralSolution
+
+        d, modes = interval_setup
+        rng = np.random.default_rng(3)
+        s = _solution(d, rng.standard_normal(8) / np.arange(1, 9),
+                      rng.standard_normal(8) / np.arange(1, 9))
+        grid = TimeGrid.graded(1.0, M, 4.0)
+        expected = (
+            filtered_identity_residual(s, 0.25, grid, M),
+            filtered_identity_residual(s, 0.25, grid, M, M // 2),
+            filtered_identity_terms(s, 0.25, grid, M)["lhs_boundary"],
+        )
+        tables = []
+        coefficients = SpectralSolution.coefficients
+        monkeypatch.setattr(
+            SpectralSolution, "coefficients",
+            lambda self, t: tables.append(len(t)) or coefficients(self, t),
+        )
+        assert hidden_regularity._refinement_residuals(s, 0.25, grid) == expected
+        assert tables == [M + 1]
+
 
 class TestFamilies:
     def test_parse(self):
@@ -416,19 +460,20 @@ class TestDirectInequalityProbe:
 
     @pytest.mark.parametrize("d", [Interval(math.pi), Rectangle(math.pi, math.pi)])
     def test_equals_per_member_solutions(self, d):
-        # reference: one solve and one boundary factor per member and N, on
-        # prefixes of the family drawn at the largest N
+        # reference: one solve, kernel tables and boundary factor per member
+        # and N, on prefixes of the family drawn at the largest N; 40 takes
+        # the chunks [0, 16), [16, 32) and [32, 40)
         grid = TimeGrid.graded(1.0, 128, default_grading(1.5))
         rep = direct_inequality_probe(
-            d, 1.5, 1.0, "decay:1.5", [8, 16], seed=42, members=3, time_nodes=128
+            d, 1.5, 1.0, "decay:1.5", [8, 16, 40], seed=42, members=3, time_nodes=128
         )
-        family = family_members("decay:1.5", 16, seed=42, members=3)
+        family = family_members("decay:1.5", 40, seed=42, members=3)
         for row in rep.table:
             N = row["N"]
             ratios = []
             for u0, u1 in zip(*family):
                 s = _solution(d, u0[:N], u1[:N])
-                ratios.append(_factor_energy(s, grid) / _data_energy(s))
+                ratios.append(_projected_energy(s, grid) / _data_energy(s))
             assert row["R"] == max(ratios)
             assert row["argmax_member"] == int(np.argmax(ratios))
 
@@ -466,9 +511,9 @@ class TestDirectInequalityProbe:
         assert peak <= tables + 16e6
 
     def test_memory_of_member_tables(self):
-        # kernel tables e1 and t e2 plus one member table and one temporary:
-        # four tables of times x N_max; a member loop that kept the previous
-        # member's table alive while forming two products would need five
+        # Z and the kernel tables e1 and e2 are the only tables of times x
+        # N_max, with ml_profile's band masks on top (3.6 tables); a member
+        # table, or a t e2 table next to e2, would make four
         d = Interval(math.pi)
         grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
         u0, u1 = family_members("decay:1.5", 1024, members=8)
@@ -481,7 +526,7 @@ class TestDirectInequalityProbe:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * table
+        assert peak <= 3.75 * table
 
     def test_zero_energy_member_is_skipped(self):
         d = Interval(math.pi)
@@ -499,6 +544,18 @@ class TestDirectInequalityProbe:
         grid = TimeGrid.graded(1.0, 64, default_grading(1.5))
         u0, u1 = family_members("decay:1.5", 16, seed=7, members=3)
         schedule = [16, 8, 12]
+        rows = trace_energy_ratios(d, 1.5, grid, u0, u1, schedule)
+        for N, row in zip(schedule, rows):
+            alone = trace_energy_ratios(d, 1.5, grid, u0[:, :N], u1[:, :N], [N])
+            assert row == alone[0]
+
+    @pytest.mark.parametrize("d", [Interval(math.pi), Rectangle(math.pi, 2.0)])
+    def test_entries_between_chunk_edges_equal_single_n_calls(self, d):
+        # chunk edges 16, 32, 64: 40 and 100 end between edges, 33 just past
+        # one, 64 on one; each entry is bit-equal to a call with its N alone
+        grid = TimeGrid.graded(1.0, 64, default_grading(1.5))
+        u0, u1 = family_members("decay:1.5", 100, seed=9, members=2)
+        schedule = [100, 16, 40, 64, 33]
         rows = trace_energy_ratios(d, 1.5, grid, u0, u1, schedule)
         for N, row in zip(schedule, rows):
             alone = trace_energy_ratios(d, 1.5, grid, u0[:, :N], u1[:, :N], [N])

@@ -222,6 +222,21 @@ class TestSeriesOracle:
         with pytest.raises(OverflowError):
             ml_series_oracle(1.0, 1.0, 800.0, 4000)
 
+    def test_positive_argument_sums_in_the_base_digits(self, monkeypatch):
+        # positive terms do not cancel, so z > 0 keeps _ORACLE_DPS digits;
+        # negative z raises them for the alternating cancellation
+        from fracplate import special_functions as sf
+
+        seen = []
+        gammas = sf._mp_gammas
+        monkeypatch.setattr(
+            sf, "_mp_gammas",
+            lambda a, b, dps, upto: seen.append(dps) or gammas(a, b, dps, upto),
+        )
+        ml_series_oracle(0.25, 1.0, 5.0, 100)
+        ml_series_oracle(0.25, 1.0, -5.0, 100)
+        assert seen == [sf._ORACLE_DPS, int(22 + 0.45 * 5.0**4)]
+
 
 class TestProfile:
     @pytest.mark.parametrize("alpha,beta", [(1.2, 1.0), (1.5, 2.0), (1.8, 1.5)])
@@ -400,6 +415,43 @@ def test_positive_points_past_the_float_sum_meet_the_contract(alpha, beta, z):
     ref = ml_series_oracle(alpha, beta, z, 4000)
     assert method == "TaylorSeries"
     assert abs(value - ref) <= max(1e-12, 1e-12 * abs(ref))
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.05])
+@pytest.mark.parametrize("z", [1.0, -1.0])
+def test_small_orders_at_unit_argument_meet_the_contract(alpha, z):
+    # 1/Gamma(alpha k + 1) falls so slowly at alpha = 0.02 that the float
+    # sum's 800 terms do not finish at |z| = 1 and the extended sum needs
+    # about 1,000; the reference is the series summed in 40 digits
+    import mpmath
+
+    value, _, method = ml_eval(alpha, 1.0, z)
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(z)
+        ref = float(mpmath.fsum(x**k / mpmath.gamma(a * k + 1) for k in range(3000)))
+    assert method == "TaylorSeries"
+    assert abs(value - ref) <= max(1e-12, 1e-12 * abs(ref))
+
+
+@pytest.mark.parametrize(
+    "alpha,beta", [(1.5, 1.0), (1.5, 2.0), (1.01, 1.25), (2.0, 0.5), (0.5, 1.0)]
+)
+def test_value_only_taylor_equals_the_estimating_sum(alpha, beta):
+    # ml_profile's Taylor band skips the estimate; its values are those of
+    # ml_eval's estimating sum bit for bit, over two blocks, with z = 0 and
+    # (alpha 0.5) positive points the float sum cannot finish
+    from fracplate.special_functions import _BLOCK, _profile_zf, _taylor
+
+    rng = np.random.default_rng(5)
+    z = np.concatenate([
+        [0.0, 9.0, 10.0], -rng.uniform(0.0, _profile_zf(min(alpha, 1.5)), _BLOCK + 500)
+    ])
+    rng.shuffle(z)
+    value, est = _taylor(alpha, beta, z, True)
+    alone, none = _taylor(alpha, beta, z, False)
+    assert none is None and np.isfinite(est).sum() == np.isfinite(value).sum()
+    assert alone.tobytes() == value.tobytes()
+    assert (alpha == 0.5) == (not np.isfinite(value).all())
 
 
 @pytest.mark.parametrize(
