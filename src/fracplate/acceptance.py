@@ -371,7 +371,7 @@ def criterion_6_hidden_regularity(
         members=3 if quick else 8,
         time_nodes=256 if quick else 512,
     )
-    growth = probe.metrics["growth_factor_max"]
+    growth = probe["growth_factor_max"]
 
     metrics = {
         "sweep_not_finite": 0.0 if sweep_finite else 1.0,

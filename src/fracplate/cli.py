@@ -101,6 +101,20 @@ _OPTIONS: dict[str, dict[str, tuple[Callable[[Any], Any], Any]]] = {
 }
 
 
+# (subcommands, real option, accepts, the range a refusal names); a NaN or
+# infinite real option is refused before these
+_RANGES = [
+    (("solve", "identities", "probe"), "alpha", lambda x: 1.0 < x < 2.0, "in (1, 2)"),
+    (("solve", "identities", "probe"), "horizon", lambda x: x > 0.0, "> 0"),
+    (("ml",), "alpha", lambda x: 0.0 < x <= 2.0, "in (0, 2]"),
+    (("ml",), "beta", lambda x: x > 0.0, "> 0"),
+    (("identities",), "beta", lambda x: 0.0 < x < 1.0, "in (0, 1)"),
+    (("fracops",), "beta", lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
+    (("fracops",), "grading", lambda x: x >= 1.0, ">= 1"),
+    (("fracops",), "gamma", lambda x: x >= 0.0, ">= 0"),
+]
+
+
 def _argparse_type(convert: Callable[[Any], Any]) -> Callable[[str], Any]:
     """``convert`` with a refused value's own message as the usage error."""
     def checked(value: str) -> Any:
@@ -164,14 +178,12 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     missing = [name for name, value in options.items() if value is None]
     if missing:
         raise SystemExit(f"missing required options for {sub!r}: {', '.join(missing)}")
-    if sub in ("solve", "identities", "probe") and not 1.0 < options["alpha"] < 2.0:
-        raise SystemExit(f"alpha must lie in (1, 2): {options['alpha']}")
-    if sub == "ml" and not 0.0 < options["alpha"] <= 2.0:
-        raise SystemExit(f"ml needs --alpha in (0, 2]: {options['alpha']}")
-    if sub == "ml" and not options["beta"] > 0.0:
-        raise SystemExit(f"ml needs --beta > 0: {options['beta']}")
-    if "horizon" in options and not options["horizon"] > 0.0:
-        raise SystemExit(f"{sub} needs --horizon > 0: {options['horizon']}")
+    for name, value in options.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SystemExit(f"{sub} needs a finite --{name}: {value}")
+    for subs, name, accepts, needs in _RANGES:
+        if sub in subs and not accepts(options[name]):
+            raise SystemExit(f"{sub} needs --{name} {needs}: {options[name]}")
     for name in ("count", "modes", "nodes", "time_nodes", "members"):
         value = options.get(name)
         if value is not None and min(value if isinstance(value, list) else [value]) < 1:
@@ -190,8 +202,10 @@ def _emit(text: str, out_path: str) -> None:
 
 
 def _refines(values: Sequence[float]) -> bool:
-    """No refinement step grows a value, unless the value is at round-off."""
-    return not any(b > a and b > 1e-13 for a, b in zip(values, values[1:]))
+    """Every value is finite and no refinement step grows one above round-off."""
+    return all(map(math.isfinite, values)) and not any(
+        b > a and b > 1e-13 for a, b in zip(values, values[1:])
+    )
 
 
 def _run_ml(opt: dict[str, Any]) -> int:
@@ -263,12 +277,11 @@ def _run_solve(opt: dict[str, Any]) -> int:
         scale = max(1.0, head.lambdas[n - 1] * float(np.max(np.abs(C[:, n - 1]))))
         residuals[f"mode_{n}_scaled"] = r / scale
     residuals["weak_form_e1"] = raw[0]
-    apriori = apriori_estimate_check(s, grid)
     doc = {
         "norm_tables": classify(s),
         "truncation_tail": {"u0": s.tail_u0, "u1": s.tail_u1},
         "residuals": residuals,
-        "apriori": apriori.metrics,
+        "apriori": apriori_estimate_check(s, grid),
         "inputs": {"alpha": alpha, "modes": N, "horizon": T,
                    "time_cells": M, "domain": opt["domain"]},
     }
@@ -302,24 +315,12 @@ def _run_identities(opt: dict[str, Any]) -> int:
 
 
 def _run_probe(opt: dict[str, Any]) -> int:
-    rep = direct_inequality_probe(
+    probe = direct_inequality_probe(
         parse_domain(opt["domain"]), opt["alpha"], opt["horizon"], opt["family"],
         opt["modes"], seed=opt["seed"], members=opt["members"],
         time_nodes=opt["time_nodes"],
     )
-    growth = {f"{row['N']}->{2 * row['N']}": row["growth"]
-              for row in rep.table if "growth" in row}
-    doc = {
-        "per_N": {
-            str(row["N"]): {"R": row["R"], "argmax_member": row["argmax_member"]}
-            for row in rep.table
-        },
-        "growth_factors": growth,
-        "growth_factor_max": rep.metrics["growth_factor_max"],
-        "inputs": rep.inputs,
-        "notes": rep.notes,
-    }
-    _emit(canonical_json(doc) + "\n", opt["out"])
+    _emit(canonical_json(probe) + "\n", opt["out"])
     return 0
 
 

@@ -43,7 +43,9 @@ def parse_family(spec: str) -> tuple[str, dict[str, float]]:
     if kind == "decay":
         if len(parts) != 2:
             raise ValueError(f"decay family needs an exponent: {spec!r}")
-        return kind, {"p": float(parts[1])}
+        if not np.isfinite(p := float(parts[1])):
+            raise ValueError(f"decay exponent must be finite: {spec!r}")
+        return kind, {"p": p}
     raise ValueError(f"unknown family spec {spec!r}")
 
 

@@ -29,20 +29,19 @@ The direct-inequality probe measures trace energy against the data energy
 families.  It forms no member tables: each member is projected from the
 two kernel tables onto the live columns of the boundary factor, one chunk
 of modes at a time, at ``2 times x |chunk| x live columns`` multiply-adds
-per chunk (:func:`trace_energy_ratios`).  It reports ratios and their
-growth, never a claimed constant: bounded ratios are the numerical
-signature of hidden regularity, not a proof.
+per chunk (:func:`trace_energy_ratios`).  It returns the plain document
+``probe`` prints: ratios and their growth, never a claimed constant, for
+bounded ratios are the numerical signature of hidden regularity, not a proof.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .families import family_members
 from .fractional_calculus import TimeGrid, default_grading, rl_integral_matrix
-from .report import VerificationReport
 from .solver import SpectralSolution
 from .special_functions import ml_profile
 from .spectral_domain import (
@@ -372,17 +371,19 @@ def direct_inequality_probe(
     seed: int = 42,
     members: int = 8,
     time_nodes: int = 512,
-) -> VerificationReport:
-    """Trace energy against data energy across a mode schedule.
+) -> dict[str, Any]:
+    """Trace energy against data energy across a mode schedule: the
+    document ``probe`` prints.
 
-    For each N the probe reports ``R(N) = max over the family of
-    trace_energy / (||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2)``.  The row of every N
-    whose 2N is also scheduled carries the growth factor R(2N)/R(N) as
-    ``growth``; ``growth_factor_max`` is their max, 1.0 if there is none.
-    Bounded R is evidence for the hidden-regularity inequality; the constant
-    itself is never claimed (it is not numerically pinned by the theory).  The
-    family is drawn once at the largest N, so every N sees prefixes of the
-    same data; ``inputs["members"]`` records how many members were probed.
+    ``per_N[str(N)]`` holds ``R``, the first largest over the family of
+    ``trace_energy / (||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2)`` on the first N
+    modes, and its member ``argmax_member`` (``R = 0`` and -1 if no member
+    has trace energy).  ``growth_factors["N->2N"]`` is R(2N)/R(N) for every
+    N whose 2N is also scheduled, ``growth_factor_max`` their max (1.0 if
+    none); ``inputs`` and ``notes`` complete it.  Bounded R is evidence for
+    the hidden-regularity inequality; the constant itself is never claimed.
+    The family is drawn once at the largest N, so every N sees prefixes of
+    the same data; ``inputs["members"]`` records how many members were probed.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2): {alpha}")
@@ -393,20 +394,19 @@ def direct_inequality_probe(
     u0, u1 = family_members(family_spec, schedule[-1], seed=seed, members=members)
     if not len(u0):
         raise ValueError(f"family {family_spec!r} has no members (members={members})")
-    table = []
+    per_N = {}
     rows = trace_energy_ratios(d, alpha, grid, u0, u1, schedule)
     for N, ratios in zip(schedule, rows):
         m = int(np.argmax(ratios))  # the first largest ratio; -1: no trace energy
         best, m = (ratios[m], m) if ratios[m] > 0.0 else (0.0, -1)
-        table.append({"N": N, "R": best, "argmax_member": m})
-    rs = {row["N"]: row["R"] for row in table}
-    for row in table:
-        if 2 * row["N"] in rs and row["R"] > 0.0:
-            row["growth"] = rs[2 * row["N"]] / row["R"]
-    growth = [row["growth"] for row in table if "growth" in row]
-    report = VerificationReport(
-        name="direct_inequality_probe",
-        inputs={
+        per_N[N] = {"R": best, "argmax_member": m}
+    growth = {f"{N}->{2 * N}": per_N[2 * N]["R"] / row["R"]
+              for N, row in per_N.items() if 2 * N in per_N and row["R"] > 0.0}
+    return {
+        "per_N": {str(N): row for N, row in per_N.items()},
+        "growth_factors": growth,
+        "growth_factor_max": max(growth.values()) if growth else 1.0,
+        "inputs": {
             "domain": repr(d),
             "alpha": alpha,
             "T": T,
@@ -416,17 +416,11 @@ def direct_inequality_probe(
             "time_nodes": time_nodes,
             "schedule": list(schedule),
         },
-        table=table,
-        metrics={
-            "R_max": max(rs.values()),
-            "growth_factor_max": max(growth) if growth else 1.0,
-        },
-        notes=[
+        "notes": [
             "bounded ratios are numerical evidence only; the constant in the "
             "trace inequality is qualitative and is not reproduced"
         ],
-    )
-    return report
+    }
 
 
 # }}}

@@ -1,10 +1,11 @@
 """Verification reports and canonical (byte-deterministic) JSON output.
 
-Every probe in the library returns a :class:`VerificationReport`: a named
+Every acceptance criterion returns a :class:`VerificationReport`: a named
 bundle of scalar metrics, optional table rows, and an explicit pass/fail
-verdict for every metric that carries a declared tolerance.  Reports
-serialize through :func:`canonical_json`, which fixes key order and float
-formatting so that identical runs produce identical bytes.
+verdict for every metric that carries a declared tolerance.  Reports and the
+probes' plain documents serialize through :func:`canonical_json`, which
+fixes key order and float formatting so that identical runs produce
+identical bytes.
 """
 
 from __future__ import annotations

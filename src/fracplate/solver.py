@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .fractional_calculus import TimeGrid, caputo_derivative
-from .report import VerificationReport
 from .spectral_domain import Domain, ModeSet, eigenmodes, fractional_norm
 from .special_functions import ml_profile
 
@@ -203,27 +202,23 @@ def classify(s: SpectralSolution) -> dict[str, dict[str, float]]:
     }
 
 
-def apriori_estimate_check(s: SpectralSolution, grid: TimeGrid) -> VerificationReport:
+def apriori_estimate_check(s: SpectralSolution, grid: TimeGrid) -> dict[str, float]:
     """Empirical ratios for the strong-data a-priori estimates.
 
     LHS norms are spectral sums with trapezoid time quadrature:
 
-    * ``||dt^alpha u||_{L^2(0,T;L^2)}``  against ``||grad lap u0|| + ||grad u1||``
-    * ``||grad lap u||_{L^2(0,T;D(A^theta))}`` with theta = 1/(4 alpha)
-      (midpoint of the admissible range) against the same data norms.
+    * ``ratio_dtalpha_l2``: ``||dt^alpha u||_{L^2(0,T;L^2)}``
+    * ``ratio_gradlap_dtheta``: ``||grad lap u||_{L^2(0,T;D(A^theta))}``
+      with theta = 1/(4 alpha) (midpoint of the admissible range)
 
-    Zero data is flagged vacuous rather than reported as 0/0.
+    each against ``||grad lap u0|| + ||grad u1||``.  Zero data is flagged
+    ``{"vacuous": 1.0}`` rather than reported as 0/0.  ``solve`` prints
+    this dict as its ``apriori``.
     """
     lam = s.lambdas
     rhs = fractional_norm(lam, s.u0, 0.75) + fractional_norm(lam, s.u1, 0.25)
-    report = VerificationReport(
-        name="apriori_estimates",
-        inputs={"alpha": s.alpha, "T": s.T, "modes": len(s.modes)},
-    )
     if rhs == 0.0:
-        report.notes.append("vacuous: zero initial data")
-        report.metrics["vacuous"] = 1.0
-        return report
+        return {"vacuous": 1.0}
     C = s.coefficients(grid.nodes)
     t = grid.nodes
     theta = 1.0 / (4.0 * s.alpha)
@@ -231,10 +226,7 @@ def apriori_estimate_check(s: SpectralSolution, grid: TimeGrid) -> VerificationR
     lhs1 = math.sqrt(float(np.trapezoid(sq1, t)))
     sq2 = np.sum((lam[None, :] ** (1.5 + 2 * theta)) * C**2, axis=1)
     lhs2 = math.sqrt(float(np.trapezoid(sq2, t)))
-    report.metrics["ratio_dtalpha_l2"] = lhs1 / rhs
-    report.metrics["ratio_gradlap_dtheta"] = lhs2 / rhs
-    report.inputs["theta"] = theta
-    return report
+    return {"ratio_dtalpha_l2": lhs1 / rhs, "ratio_gradlap_dtheta": lhs2 / rhs}
 
 
 # }}}

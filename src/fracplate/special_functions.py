@@ -270,6 +270,12 @@ def _taylor_mp(alpha: float, beta: float, z: float) -> tuple[float, float]:
                 f"E_{{{alpha},{beta}}}({z}) overflows double precision"
             )
         est = float(mag) + float(max_mag) * 10.0 ** (-(dps - 2)) + 2e-16 * abs(value)
+    if z > 0.0:
+        # the positive terms past the stop fall by at least the ratio at the
+        # stop, |z| Gamma(x) / Gamma(x + alpha) (it falls in k): a geometric tail
+        x = alpha * k + beta
+        r = z * math.exp(math.lgamma(x) - math.lgamma(x + alpha))
+        est += float(mag) * r / (1.0 - r)
     return value, est
 
 

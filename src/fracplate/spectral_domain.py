@@ -47,8 +47,8 @@ class Interval:
     length: float
 
     def __post_init__(self) -> None:
-        if not self.length > 0.0:
-            raise ValueError(f"interval length must be positive: {self.length}")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"interval length must be finite, > 0: {self.length}")
 
     @property
     def dim(self) -> int:
@@ -65,8 +65,8 @@ class Rectangle:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"rectangle sides must be positive: {self.a}, {self.b}")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError(f"rectangle sides must be finite, > 0: {self.a}, {self.b}")
 
     @property
     def dim(self) -> int:

@@ -15,9 +15,10 @@ import pytest
 from fracplate import cli, fractional_calculus
 from fracplate.cli import RunConfig, main, parse_config
 from fracplate.fractional_calculus import TimeGrid, default_grading
+from fracplate.hidden_regularity import direct_inequality_probe
 from fracplate.report import canonical_json
-from fracplate.solver import solve, weak_form_residual
-from fracplate.spectral_domain import Interval
+from fracplate.solver import apriori_estimate_check, solve, weak_form_residual
+from fracplate.spectral_domain import Interval, parse_domain
 
 
 def _run(argv, capsys):
@@ -126,6 +127,10 @@ class TestUsageErrors:
             ["probe", "--family", "gauss"],
             ["modes", "--count", "2.7"],
             ["report", "--profile", "quik"],
+            ["probe", "--family", "decay:nan"],
+            ["probe", "--family", "decay:-inf"],
+            ["modes", "--domain", "rectangle:infx1"],
+            ["solve", "--domain", "interval:inf"],
         ],
     )
     def test_bad_flag_is_an_argparse_usage_error(self, argv, capsys):
@@ -179,6 +184,16 @@ class TestUsageErrors:
             (["ml", "--alpha", "0", "--beta", "1", "--z", "1"], r"--alpha in \(0, 2\]"),
             (["ml", "--alpha", "2.5", "--beta", "1", "--z", "1"], r"--alpha in \(0, 2\]"),
             (["ml", "--alpha", "1", "--beta", "0", "--z", "1"], "--beta > 0"),
+            (["ml", "--alpha", "1", "--beta", "inf", "--z", "1"], "a finite --beta"),
+            (["ml", "--alpha", "1", "--beta", "1", "--z=nan"], "a finite --z"),
+            (["probe", "--horizon", "inf"], "a finite --horizon"),
+            (["identities", "--beta", "1.5"], r"--beta in \(0, 1\)"),
+            (["identities", "--beta", "0"], r"--beta in \(0, 1\)"),
+            (["fracops", "--beta", "1.5"], r"--beta in \(0, 1\]"),
+            (["fracops", "--grading", "0.5"], "--grading >= 1"),
+            (["fracops", "--gamma", "-1.5"], "--gamma >= 0"),
+            (["fracops", "--gamma", "-0.5"], "--gamma >= 0"),
+            (["fracops", "--gamma", "nan"], "a finite --gamma"),
         ],
     )
     def test_nonpositive_size_is_a_usage_error(self, argv, message, capsys):
@@ -254,6 +269,13 @@ class TestRefines:
     def test_monotone_decay_is_accepted(self):
         assert cli._refines([1e-3, 2.5e-4, 6.3e-5, 1.6e-5])
         assert cli._refines([1e-3, 1e-3])
+
+    def test_non_finite_value_is_refused(self):
+        # fracops --gamma -0.5 and nan once printed these and exited 0
+        assert not cli._refines([math.inf, math.inf, math.inf])
+        assert not cli._refines([math.nan, math.nan])
+        assert not cli._refines([1e-3, 2.5e-4, math.nan])
+        assert not cli._refines([math.inf])
 
 
 class TestMLCommand:
@@ -426,6 +448,15 @@ class TestSolveCommand:
             "5bf4edfddc922588634e094ac539fc04167b5260e13110bc4cda9290d54ba2ff"
         )
 
+    def test_apriori_is_the_library_dict(self, tmp_path, capsys):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"u0": [0.5, -0.2, 0.1], "u1": [0.0, 0.3, 0.0]}))
+        code, out = _run(["solve", "--modes", "3", "--data", str(data)], capsys)
+        assert code == 0
+        s = solve(Interval(math.pi), 3, 1.5, [0.5, -0.2, 0.1], [0.0, 0.3, 0.0], 1.0)
+        grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
+        assert json.loads(out)["apriori"] == apriori_estimate_check(s, grid)
+
     @pytest.mark.parametrize("nodes", ["100", "300", "511"])
     def test_nodes_below_512_rejected(self, nodes, capsys):
         with pytest.raises(SystemExit, match="512"):
@@ -506,6 +537,20 @@ class TestProbeCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("domain", ["interval:pi", "rectangle:pixpi"])
+    def test_prints_the_probe_document(self, domain, capsys):
+        code, out = _run(
+            ["probe", "--domain", domain, "--modes", "8,16,32", "--members", "2",
+             "--time-nodes", "64", "--seed", "5"],
+            capsys,
+        )
+        assert code == 0
+        probe = direct_inequality_probe(
+            parse_domain(domain), 1.5, 1.0, "decay:1.5", [8, 16, 32], seed=5,
+            members=2, time_nodes=64,
+        )
+        assert out == canonical_json(probe) + "\n"
 
     def test_growth_factors_agree_with_their_max(self, capsys):
         # 16 -> 32 is the schedule's only doubling, though not consecutive

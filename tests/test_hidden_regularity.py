@@ -370,7 +370,7 @@ class TestFamilies:
         r16 = [
             direct_inequality_probe(
                 d, 1.5, 1.0, "decay:1.5", schedule, time_nodes=128
-            ).table[0]["R"]
+            )["per_N"]["16"]["R"]
             for schedule in ([16, 32], [16, 64])
         ]
         assert r16 == pytest.approx([0.34438934270703037, 0.37137662424546686], rel=1e-9)
@@ -456,7 +456,7 @@ class TestDirectInequalityProbe:
             return trace_energy(s, grid) / den
 
         assert ratio(1.0) == pytest.approx(ratio(7.0), rel=1e-12)
-        assert math.isfinite(base.metrics["R_max"])
+        assert all(math.isfinite(row["R"]) for row in base["per_N"].values())
 
     @pytest.mark.parametrize("d", [Interval(math.pi), Rectangle(math.pi, math.pi)])
     def test_equals_per_member_solutions(self, d):
@@ -468,8 +468,8 @@ class TestDirectInequalityProbe:
             d, 1.5, 1.0, "decay:1.5", [8, 16, 40], seed=42, members=3, time_nodes=128
         )
         family = family_members("decay:1.5", 40, seed=42, members=3)
-        for row in rep.table:
-            N = row["N"]
+        for key, row in rep["per_N"].items():
+            N = int(key)
             ratios = []
             for u0, u1 in zip(*family):
                 s = _solution(d, u0[:N], u1[:N])
@@ -574,10 +574,10 @@ class TestDirectInequalityProbe:
         rep = direct_inequality_probe(
             Interval(math.pi), 1.5, 1.0, "decay:1.5", [4, 8], members=3
         )
-        assert [(row["R"], row["argmax_member"]) for row in rep.table] == [
-            (0.0, -1),
-            (0.5, 1),
-        ]
+        assert rep["per_N"] == {
+            "4": {"R": 0.0, "argmax_member": -1},
+            "8": {"R": 0.5, "argmax_member": 1},
+        }
 
     @pytest.mark.parametrize("spec, members", [("decay:1.5", 0), ("decay:1.5", -1)])
     def test_empty_family_rejected(self, spec, members):
@@ -591,8 +591,8 @@ class TestDirectInequalityProbe:
         rep = direct_inequality_probe(
             d, 1.5, 1.0, "decay:1.5", [8, 16, 32], seed=42, members=4, time_nodes=256
         )
-        assert rep.metrics["growth_factor_max"] <= 1.25
-        assert all(math.isfinite(row["R"]) for row in rep.table)
+        assert rep["growth_factor_max"] <= 1.25
+        assert all(math.isfinite(row["R"]) for row in rep["per_N"].values())
 
 
 class TestTraceInvariants:
@@ -621,8 +621,8 @@ class TestTraceInvariants:
             )
             for tn in (256, 512)
         ]
-        r1 = reps[0].table[0]["R"]
-        r2 = reps[1].table[0]["R"]
+        r1 = reps[0]["per_N"]["8"]["R"]
+        r2 = reps[1]["per_N"]["8"]["R"]
         assert abs(r1 - r2) / r2 < 0.01
 
 
@@ -680,4 +680,6 @@ class TestRectangleDomain:
         rep = direct_inequality_probe(
             d, 1.5, 1.0, "decay:1.5", [4, 8], seed=42, members=2, time_nodes=128
         )
-        assert all(math.isfinite(row["R"]) and row["R"] > 0 for row in rep.table)
+        assert all(
+            math.isfinite(row["R"]) and row["R"] > 0 for row in rep["per_N"].values()
+        )

@@ -1,6 +1,7 @@
 """The package's public names: every ``__all__`` entry must resolve."""
 
 import importlib
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -33,6 +34,15 @@ def test_package_exports_come_from_one_submodule_each():
         owners = [m for m in submodules if name in getattr(m, "__all__", [])]
         assert len(owners) == 1, (name, [m.__name__ for m in owners])
         assert getattr(owners[0], name) is getattr(fracplate, name), name
+
+
+@pytest.mark.parametrize("mod_name", ["fracplate.solver", "fracplate.hidden_regularity"])
+def test_probe_layer_returns_plain_documents(mod_name):
+    # the probe layer returns what the CLI prints; VerificationReport is the
+    # acceptance gate's type only
+    module = importlib.import_module(mod_name)
+    source = pathlib.Path(module.__file__).read_text()
+    assert "VerificationReport" not in source
 
 
 # No scipy module is loaded by the CLI: Gauss-Legendre rules, the inverse

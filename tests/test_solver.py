@@ -308,14 +308,14 @@ class TestAprioriEstimates:
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [0] * 8, [0] * 8, 1.0)
         rep = apriori_estimate_check(s, TimeGrid.graded(1.0, 512, 4.0))
-        assert rep.metrics.get("vacuous") == 1.0
+        assert rep.get("vacuous") == 1.0
 
     def test_single_mode_ratio_finite(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         rep = apriori_estimate_check(s, TimeGrid.graded(1.0, 1024, 4.0))
-        assert 0.0 < rep.metrics["ratio_dtalpha_l2"] < 10.0
-        assert 0.0 < rep.metrics["ratio_gradlap_dtheta"] < 10.0
+        assert 0.0 < rep["ratio_dtalpha_l2"] < 10.0
+        assert 0.0 < rep["ratio_gradlap_dtheta"] < 10.0
 
     def test_ratio_bounded_nonincreasing_as_modes_double(self):
         # regression-locked: the empirical ratio stays bounded and trends
@@ -327,7 +327,7 @@ class TestAprioriEstimates:
             vals = np.arange(1, N + 1, dtype=float) ** -2
             s = solve(d, N, 1.5, vals, np.zeros(N), 1.0)
             rep = apriori_estimate_check(s, TimeGrid.graded(1.0, 1024, 4.0))
-            ratios.append(rep.metrics["ratio_dtalpha_l2"])
+            ratios.append(rep["ratio_dtalpha_l2"])
         assert ratios[0] >= ratios[1] >= ratios[2] > 0.0
         for got, lock in zip(ratios, locks):
             assert got == pytest.approx(lock, rel=1e-6)

@@ -417,6 +417,30 @@ def test_positive_points_past_the_float_sum_meet_the_contract(alpha, beta, z):
     assert abs(value - ref) <= max(1e-12, 1e-12 * abs(ref))
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,z", [(0.25, 1.0, 5.0), (0.3, 1.0, 7.0), (0.4, 1.0, 10.0), (0.5, 1.0, 26.0)]
+)
+def test_extended_taylor_estimate_bounds_the_positive_tail(alpha, beta, z):
+    # past the extended sum's stop the positive terms fall slowly at small
+    # alpha, so the error is their tail, several times the last term; the
+    # reference is the series summed in 40 digits to a term below 1e-45 of it
+    import mpmath
+
+    value, est, method = ml_eval(alpha, beta, z)
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(z)
+        ref, k = mpmath.mpf(0), 0
+        while True:
+            term = x**k / mpmath.gamma(a * k + beta)
+            ref += term
+            if alpha * k > z ** (1.0 / alpha) and term < 1e-45 * ref:
+                break
+            k += 1
+        err = float(abs(value - ref))
+    assert method == "TaylorSeries"
+    assert est >= err
+
+
 @pytest.mark.parametrize("alpha", [0.02, 0.05])
 @pytest.mark.parametrize("z", [1.0, -1.0])
 def test_small_orders_at_unit_argument_meet_the_contract(alpha, z):
