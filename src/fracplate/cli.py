@@ -112,6 +112,8 @@ _RANGES = [
     (("fracops",), "beta", lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
     (("fracops",), "grading", lambda x: x >= 1.0, ">= 1"),
     (("fracops",), "gamma", lambda x: x >= 0.0, ">= 0"),
+    # the exact value Gamma(gamma + 1) / Gamma(gamma + 1 + beta) stays finite
+    (("fracops",), "gamma", lambda x: x <= 169.0, "<= 169"),
 ]
 
 
@@ -190,7 +192,24 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
             raise SystemExit(f"{sub} needs --{name.replace('_', '-')} >= 1: {value}")
     if sub == "solve" and options["nodes"] < 512:
         raise SystemExit(f"solve needs --nodes >= 512: {options['nodes']}")
+    if "domain" in options:
+        _check_spectrum(sub, options)
     return RunConfig(sub, options)
+
+
+def _check_spectrum(sub: str, options: dict[str, Any]) -> None:
+    """Refuse a domain whose requested eigenvalues are not finite and
+    positive: side lengths so extreme that lam = mu^2 overflows or
+    underflows."""
+    count = options["count"] if sub == "modes" else options["modes"]
+    N = max(count) if isinstance(count, list) else count
+    with np.errstate(over="ignore"):
+        lam = eigenmodes(parse_domain(options["domain"]), N).lam
+    if not np.all(np.isfinite(lam) & (lam > 0.0)):
+        raise SystemExit(
+            f"{sub} needs a --domain whose first {N} eigenvalues are finite "
+            f"and positive: {options['domain']}"
+        )
 
 
 def _emit(text: str, out_path: str) -> None:

@@ -10,12 +10,13 @@ The Riemann-Liouville integral
 is discretized by the product-trapezoidal rule: on each cell ``f`` is
 replaced by its linear interpolant and the weakly singular moments are
 integrated exactly.  Naive sampling of the kernel near ``tau = t`` would
-destroy the rule's second-order accuracy, so never do that.  The weight rows
-are formed in 2-D tiles of requested rows, at most ``_RL_TILE_CELLS`` cells
-each: one numpy pass per formula step covers the tile, the closed-form
-moments run only on the columns where some row of the tile needs them, and
-cells above the diagonal are formed and then zeroed.  Every cell's
-arithmetic, and its order, is that of building one row at a time, so the
+destroy the rule's second-order accuracy, so never do that.  One tile kernel
+gives the two moments per unit width of every cell of a run of rows, at most
+``_RL_TILE_CELLS`` cells a tile.  Cells far from the evaluation time take
+the midpoint expansion of the kernel, one power per cell; the few next to
+the diagonal take the closed forms.  ``rl_integral`` contracts each tile as
+it is formed and ``rl_integral_matrix`` assembles rows from the same tiles.
+Every cell's arithmetic, and its order, is that of its row alone, so the
 weights do not depend on the tiling.
 
 The Caputo derivative of order ``alpha`` in (1, 2) is realized through
@@ -116,8 +117,9 @@ def _slopes(samples: np.ndarray, f1_0: float | np.ndarray) -> np.ndarray:
 
 # {{{ Riemann-Liouville integral (product trapezoidal, exact moments)
 
-_RL_BLOCK_ROWS = 256  # rl_integral's working set: this many rows of weights
-_RL_TILE_CELLS = 1 << 16  # rl_integral_matrix's tile: rows x cells, 512 KB a buffer
+_RL_TILE_CELLS = 1 << 16  # cells (rows x cells) per weight tile: 512 KB a buffer
+_FAR = 100.0  # a cell is far once its distance exceeds this many half-widths
+_FAR_TERMS = 8  # terms of the far-field series: truncation below (1/_FAR)^8
 
 
 def _closed_moments(
@@ -135,57 +137,109 @@ def _closed_moments(
     return q1 - a * qb / beta, b * qb / beta - q1
 
 
-def _series_moments(
-    a: np.ndarray, d: np.ndarray, beta: float
+def _far_coefficients(beta: float) -> tuple[list[float], list[float]]:
+    """Coefficients in rho^2 of the far-field sums E and O / rho, both
+    divided by Gamma(beta): b_k / (k + 1) for even k and b_k / (k + 2) for
+    odd k, with b_k = binom(beta - 1, k)."""
+    w0 = 1.0 / math.gamma(beta)
+    b = [1.0]
+    for k in range(1, _FAR_TERMS):
+        b.append(b[-1] * (beta - k) / k)
+    even = [w0 * b[k] / (k + 1) for k in range(0, _FAR_TERMS, 2)]
+    odd = [w0 * b[k] / (k + 2) for k in range(1, _FAR_TERMS, 2)]
+    return even, odd
+
+
+def _horner(coef: list[float], x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_i coef[i] x^i into ``out``."""
+    np.multiply(coef[-1], x, out=out)
+    for ci in coef[-2:0:-1]:
+        out += ci
+        out *= x
+    out += coef[0]
+    return out
+
+
+_TILE_BUFFERS = 6  # float buffers a tile works in, each one tile large
+
+
+def _moment_tile(
+    t: np.ndarray, n: np.ndarray, beta: float, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The moments of ``_closed_moments`` for cells far from the evaluation
-    point (d < 1e-4 a), where the closed forms cancel: the interior Taylor
-    expansion in d/a."""
-    lead = a ** (beta - 1.0) * d**2
-    r = d / a
-    r1 = (beta - 1.0) * r
-    r2 = (beta - 1.0) * (beta - 2.0) * r**2
-    return lead * (0.5 + r1 / 3.0 + r2 / 8.0), lead * (0.5 + r1 / 6.0 + r2 / 24.0)
+    """The weights per unit width of every cell of the rows ``n``.
 
+    Returns ``(Hd, Gd)`` of shape (len(n), max(n)): the moments H/d and G/d
+    of ``_closed_moments`` divided by Gamma(beta), so that row n of the
+    weight matrix is Hd on nodes 0..n-1 plus Gd on nodes 1..n.  Cells j >= n
+    lie above the diagonal and are zero.  Both are views into ``work``, a
+    (_TILE_BUFFERS, >= len(n) max(n)) array that the next tile reuses.
 
-def _weight_tile(W: np.ndarray, t: np.ndarray, n: np.ndarray, beta: float) -> None:
-    """Fill the zeroed weight rows ``W`` of nodes ``n`` as one 2-D tile.
-
-    Cell j of row n has the edges t_j, t_(j+1) at distances b = t_n - t_j
-    and a = t_n - t_(j+1).  The tile spans the widest row's m cells; a
-    shorter row's cells j >= n lie above the diagonal, where a < 0, and are
-    zeroed after the moments are formed.
+    Cell j of row n spans u = t_n - tau in [a, b] = [t_n - t_(j+1), t_n - t_j]
+    with half-width h = d/2 and midpoint distance c = a + h.  A far cell
+    (c > _FAR h) expands u^(beta-1) about c, which needs one power per cell:
+    H/d and G/d are c^(beta-1) h (E + O) and c^(beta-1) h (E - O), with
+    E = sum_(k even) b_k rho^k/(k+1), O = sum_(k odd) b_k rho^k/(k+2),
+    b_k = binom(beta-1, k), rho = h/c, and _FAR_TERMS terms.  The near
+    cells, a few next to the diagonal of each row, take the closed forms.
+    Every cell's arithmetic is that of its row alone, so the weights do not
+    depend on which rows share a tile.
     """
     m = int(n.max())
-    if m == 0:
-        return
-    a = t[n, None] - t[1 : m + 1]
+    c, rho, p, Hd, Gd, odd_sum = (w[: len(n) * m].reshape(len(n), m) for w in work)
     d = t[1 : m + 1] - t[:m]
-    series = d < 1e-4 * a  # never above the diagonal
-    # a row's first non-series cell starts its closed-form cells (row 0 has
-    # none), so columns before c0 hold series cells only; the closed form
-    # runs from c0 on, and the series overwrites it where it is used
-    c0 = int(np.argmin(series[n > 0], axis=1).min())
-    series_cols = np.flatnonzero(series.any(axis=0))
-    s1 = int(series_cols[-1]) + 1 if series_cols.size else 0
-    b = t[n, None] - t[c0:m]
-    w0 = 1.0 / math.gamma(beta)
-    Wg = np.empty(a.shape)  # the G weights, added one node to the right
-    # cells above the diagonal or served by the other form may divide by
-    # zero or go NaN; their exceptions stay here
+    h = 0.5 * d
+    np.subtract(t[n, None], t[1 : m + 1], out=c)
+    c += h
+    even, odd = _far_coefficients(beta)
+    # cells above the diagonal (c < 0) go NaN here and are zeroed below
     with np.errstate(all="ignore"):
-        H, G = _closed_moments(a[:, c0:], b, d[c0:], beta)
-        np.divide(w0 * H, d[c0:], out=W[:, c0:m])
-        np.divide(w0 * G, d[c0:], out=Wg[:, c0:])
-        if s1:
-            H, G = _series_moments(a[:, :s1], d[:s1], beta)
-            np.copyto(W[:, :s1], w0 * H / d[:s1], where=series[:, :s1])
-            np.copyto(Wg[:, :s1], w0 * G / d[:s1], where=series[:, :s1])
-    k = int(n.min())  # columns before k lie below the diagonal in every row
-    dead = np.arange(k, m) >= n[:, None]
-    W[:, k:m][dead] = 0.0
-    Wg[:, k:][dead] = 0.0
-    W[:, 1 : m + 1] += Wg
+        np.divide(h, c, out=rho)
+        np.power(c, beta, out=p)  # the one power: h c^(beta-1) = rho c^beta
+        p *= rho
+        r2 = np.multiply(rho, rho, out=Hd)
+        even_sum = _horner(even, r2, Gd)
+        _horner(odd, r2, odd_sum)
+        odd_sum *= rho
+    np.add(even_sum, odd_sum, out=Hd)
+    Hd *= p
+    even_sum -= odd_sum  # Gd, in place
+    even_sum *= p
+    # c grows with n, so a column that is far in the smallest row is far in
+    # every row; the columns from that row on hold every cell above the
+    # diagonal
+    h_far = _FAR * h
+    cols = np.flatnonzero(c[np.argmin(n)] <= h_far)
+    if cols.size:
+        live = cols < n[:, None]
+        near = live & (c[:, cols] <= h_far[cols])
+        Hs = np.where(live, Hd[:, cols], 0.0)
+        Gs = np.where(live, Gd[:, cols], 0.0)
+        r, k = np.nonzero(near)
+        j = cols[k]
+        tn = t[n[r]]
+        with np.errstate(divide="ignore"):  # the cell at a = 0 takes log(0)
+            H, G = _closed_moments(tn - t[j + 1], tn - t[j], d[j], beta)
+        w0 = 1.0 / math.gamma(beta)
+        Hs[r, k] = w0 * H / d[j]
+        Gs[r, k] = w0 * G / d[j]
+        Hd[:, cols] = Hs
+        Gd[:, cols] = Gs
+    return Hd, Gd
+
+
+def _row_tiles(grid: TimeGrid, beta: float, rows: np.ndarray):
+    """``(tile, Hd, Gd)`` of ``_moment_tile`` for runs of consecutive
+    entries of ``rows``, ``tile`` the slice of ``rows`` a run covers, each
+    at most ``_RL_TILE_CELLS`` cells (one row when a row alone is longer).
+    ``Hd`` and ``Gd`` are overwritten by the next tile."""
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1]: {beta}")
+    M = len(grid) - 1
+    step = max(1, _RL_TILE_CELLS // (M + 1))
+    work = np.empty((_TILE_BUFFERS, min(step, len(rows)) * M))
+    for lo in range(0, len(rows), step):
+        tile = slice(lo, min(lo + step, len(rows)))
+        yield (tile, *_moment_tile(grid.nodes, rows[tile], beta, work))
 
 
 def rl_integral_matrix(
@@ -193,29 +247,23 @@ def rl_integral_matrix(
 ) -> np.ndarray:
     """Rows of the lower-triangular W with (W @ f)(t_n) = I^beta f(t_n).
 
-    Row n carries the exact moments of the kernel against the piecewise
-    linear interpolant on cells 0..n-1, so it costs O(n).  ``rows`` selects
-    node indices (``np.arange(len(grid))`` for the full (M+1)^2 matrix); the
-    result has one row per index.  Nothing is cached: callers that need
-    ``I^beta`` of a whole series use ``rl_integral``, which applies the rows
-    in blocks.
-
-    Consecutive requested rows are built together, as tiles of at most
-    ``_RL_TILE_CELLS`` cells (one row when a row alone is longer).  Each
-    cell's arithmetic, and its order, is that of one row at a time, so the
-    weights are the same bits for any tiling and any row selection.
+    Row n carries the moments of the kernel against the piecewise linear
+    interpolant on cells 0..n-1, so it costs O(n).  ``rows`` selects node
+    indices (``np.arange(len(grid))`` for the full (M+1)^2 matrix); the
+    result has one row per index, assembled from the tiles that
+    ``rl_integral`` contracts.  Each cell's arithmetic is that of its row
+    alone, so the weights are the same bits for any tiling and any row
+    selection.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1]: {beta}")
-    t = grid.nodes
-    M = len(t) - 1
+    M = len(grid) - 1
     rows = np.asarray(rows, dtype=int).ravel()
     if np.any(rows < 0) or np.any(rows > M):
         raise ValueError(f"row indices must lie in [0, {M}]")
     W = np.zeros((len(rows), M + 1))
-    step = max(1, _RL_TILE_CELLS // (M + 1))
-    for lo in range(0, len(rows), step):
-        _weight_tile(W[lo : lo + step], t, rows[lo : lo + step], beta)
+    for tile, Hd, Gd in _row_tiles(grid, beta, rows):
+        m = Hd.shape[1]
+        W[tile, :m] = Hd
+        W[tile, 1 : m + 1] += Gd
     return W
 
 
@@ -223,15 +271,16 @@ def rl_integral(grid: TimeGrid, values: np.ndarray, beta: float) -> np.ndarray:
     """Riemann-Liouville integral of order beta in (0, 1] on the same grid.
 
     ``values`` holds one sample per node and may carry any trailing shape;
-    each component is integrated.
+    each component is integrated.  The weights are never assembled: each
+    tile of rows is contracted as it is formed.
     """
     v = _samples(grid, values)
     n = len(grid)
     flat = v.reshape(n, -1)
     out = np.empty_like(flat)
-    for lo in range(0, n, _RL_BLOCK_ROWS):
-        hi = min(lo + _RL_BLOCK_ROWS, n)
-        out[lo:hi] = rl_integral_matrix(grid, beta, np.arange(lo, hi)) @ flat
+    for tile, Hd, Gd in _row_tiles(grid, beta, np.arange(n)):
+        m = Hd.shape[1]
+        out[tile] = Hd @ flat[:m] + Gd @ flat[1 : m + 1]
     return out.reshape(v.shape)
 
 

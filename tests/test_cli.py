@@ -194,6 +194,18 @@ class TestUsageErrors:
             (["fracops", "--gamma", "-1.5"], "--gamma >= 0"),
             (["fracops", "--gamma", "-0.5"], "--gamma >= 0"),
             (["fracops", "--gamma", "nan"], "a finite --gamma"),
+            (["fracops", "--gamma", "200", "--nodes", "64"], "--gamma <= 169"),
+            (["fracops", "--gamma", "169.5", "--beta", "1"], "--gamma <= 169"),
+            (["modes", "--domain", "interval:1e-300", "--count", "3"],
+             "first 3 eigenvalues are finite and positive"),
+            (["modes", "--domain", "rectangle:1e-160x1", "--count", "3"],
+             "first 3 eigenvalues are finite and positive"),
+            (["solve", "--domain", "interval:1e300", "--modes", "2"],
+             "first 2 eigenvalues are finite and positive"),
+            (["identities", "--domain", "rectangle:1e200x1e200", "--modes", "2"],
+             "first 2 eigenvalues are finite and positive"),
+            (["probe", "--domain", "interval:1e-80", "--modes", "16,32"],
+             "first 32 eigenvalues are finite and positive"),
         ],
     )
     def test_nonpositive_size_is_a_usage_error(self, argv, message, capsys):
@@ -208,6 +220,25 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "solve", refuse)
         with pytest.raises(SystemExit, match="512"):
             main(["solve", "--nodes", "511"])
+        with pytest.raises(SystemExit, match="eigenvalues"):
+            main(["solve", "--domain", "interval:1e300", "--modes", "2"])
+
+    def test_gamma_refusal_runs_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the weights were built")
+
+        monkeypatch.setattr(cli, "rl_integral_matrix", refuse)
+        with pytest.raises(SystemExit, match="--gamma <= 169"):
+            main(["fracops", "--gamma", "200", "--nodes", "64"])
+
+    def test_largest_gamma_runs(self, capsys):
+        # Gamma(171) is the largest the exact value needs, at beta = 1
+        code, out = _run(
+            ["fracops", "--gamma", "169", "--beta", "1", "--nodes", "64,128"], capsys
+        )
+        errors = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert len(errors) == 2 and all(map(math.isfinite, errors))
+        assert code == 0
 
 
 class _Recording(dict):
@@ -345,7 +376,7 @@ class TestFracopsCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "de0c98a2b46e7a681e8ff36dad94dcc437a7f8bd14ed50a7b294a3dc019f1459"
+            "f57f41356992fb6b6bbbb5c204fe2d7a66da9891ceac00e6d285bd51566163e6"
         )
 
 
@@ -442,7 +473,7 @@ class TestSolveCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "425c9df55687e5863ce536f4908dad69b59aedff3bd70ba736c4aac54a9d02c0"
+            "2700f821551acc5e8d5907eeccadbacd6682ff9042986e044cfcf55c0d27c954"
         )
         assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
             "5bf4edfddc922588634e094ac539fc04167b5260e13110bc4cda9290d54ba2ff"
@@ -491,7 +522,7 @@ class TestIdentitiesCommand:
         code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "cbb65b8ae80b507acbda464263412dc359354c7e325bb3175787808dca24fb35"
+            "e4321fa587a49f09b94a87acc673132357557c72a4af2462b14183afd0296b6f"
         )
 
     def test_residuals_decrease(self, capsys):
@@ -608,7 +639,7 @@ class TestReportCommand:
         code, out = _run(["report", "--profile", "quick"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0d36441f2180ae66158297fd07bf8f977a9399d5ef25584c2e2375b690dbef48"
+            "7bf4e6f8fa50042ae19b1e34b7b39e3441b2a9b7aeaf1a2b2334384cef8206e2"
         )
 
     def test_seed_reaches_criterion_6(self, capsys):

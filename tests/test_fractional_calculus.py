@@ -19,7 +19,7 @@ from fracplate.fractional_calculus import (
     rl_integral,
     rl_integral_matrix,
 )
-from fracplate.fractional_calculus import _RL_BLOCK_ROWS, _derivative_stencils
+from fracplate.fractional_calculus import _derivative_stencils
 from fracplate import fractional_calculus
 
 
@@ -49,41 +49,77 @@ class TestTimeGrid:
 
 
 def _reference_moments(a, b, d, beta):
-    """The exact cell moments, one row at a time: the closed form on every
-    cell, overwritten by the series where d < 1e-4 a."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logr = np.log1p(-d / b)
-        qb = -np.expm1(beta * logr) * b**beta
-        qb1 = -np.expm1((beta + 1.0) * logr) * b ** (beta + 1.0)
-    H = qb1 / (beta + 1.0) - a * qb / beta
-    G = b * qb / beta - qb1 / (beta + 1.0)
-    series = d < 1e-4 * a
-    if np.any(series):
-        aa = a[series]
-        dd = d[series]
-        lead = aa ** (beta - 1.0) * dd**2
-        r = dd / aa
-        H[series] = lead * (
-            0.5 + (beta - 1.0) * r / 3.0 + (beta - 1.0) * (beta - 2.0) * r**2 / 8.0
-        )
-        G[series] = lead * (
-            0.5 + (beta - 1.0) * r / 6.0 + (beta - 1.0) * (beta - 2.0) * r**2 / 24.0
-        )
-    return H, G
-
-
-def _reference_rows(grid, beta, rows):
-    """rl_integral_matrix built by a Python loop over the requested rows."""
-    t = grid.nodes
-    W = np.zeros((len(rows), len(t)))
+    """Both weights per unit width of each cell of one row, divided by
+    Gamma(beta): the far-field series where the midpoint distance c = a + h
+    exceeds 100 half-widths h, the closed form elsewhere."""
     w0 = 1.0 / math.gamma(beta)
+    bk = [1.0]  # binom(beta - 1, k)
+    for k in range(1, 8):
+        bk.append(bk[-1] * (beta - k) / k)
+    e = [w0 * bk[k] / (k + 1) for k in (0, 2, 4, 6)]
+    o = [w0 * bk[k] / (k + 2) for k in (1, 3, 5, 7)]
+    h = 0.5 * d
+    c = a + h
+    rho = h / c
+    p = c**beta * rho
+    r2 = rho * rho
+    E = ((e[3] * r2 + e[2]) * r2 + e[1]) * r2 + e[0]
+    O = (((o[3] * r2 + o[2]) * r2 + o[1]) * r2 + o[0]) * rho
+    Hd = (E + O) * p
+    Gd = (E - O) * p
+    near = c <= 100.0 * h
+    with np.errstate(divide="ignore"):
+        logr = np.log1p(-d[near] / b[near])
+    bn, an = b[near], a[near]
+    qb = -np.expm1(beta * logr) * bn**beta
+    qb1 = -np.expm1((beta + 1.0) * logr) * bn ** (beta + 1.0)
+    Hd[near] = w0 * (qb1 / (beta + 1.0) - an * qb / beta) / d[near]
+    Gd[near] = w0 * (bn * qb / beta - qb1 / (beta + 1.0)) / d[near]
+    return Hd, Gd
+
+
+def _reference_tile(grid, beta, rows):
+    """The (Hd, Gd) tile of ``rows``, built by a Python loop over the rows."""
+    t = grid.nodes
+    m = max(rows)
+    Hd = np.zeros((len(rows), m))
+    Gd = np.zeros((len(rows), m))
     for r, n in enumerate(rows):
         dl = t[n] - t[:n]
         dr = t[n] - t[1 : n + 1]
         dx = t[1 : n + 1] - t[:n]
-        H, G = _reference_moments(dr, dl, dx, beta)
-        W[r, :n] += w0 * H / dx
-        W[r, 1 : n + 1] += w0 * G / dx
+        Hd[r, :n], Gd[r, :n] = _reference_moments(dr, dl, dx, beta)
+    return Hd, Gd
+
+
+def _reference_rows(grid, beta, rows):
+    """rl_integral_matrix built by a Python loop over the requested rows."""
+    W = np.zeros((len(rows), len(grid)))
+    if len(rows):
+        Hd, Gd = _reference_tile(grid, beta, rows)
+        m = Hd.shape[1]
+        W[:, :m] += Hd
+        W[:, 1 : m + 1] += Gd
+    return W
+
+
+def _exact_rows(grid, beta, rows):
+    """Weight rows from the exact moments at 60 digits (nodes and beta taken
+    as the floats they are)."""
+    W = np.zeros((len(rows), len(grid)))
+    with mpmath.workdps(60):
+        B = mpmath.mpf(beta)
+        t = [mpmath.mpf(float(x)) for x in grid.nodes]
+        scale = 1 / mpmath.gamma(B)
+        for r, n in enumerate(rows):
+            w = [mpmath.mpf(0)] * (n + 1)
+            for j in range(n):
+                a, b, d = t[n] - t[j + 1], t[n] - t[j], t[j + 1] - t[j]
+                qb = b**B - a**B
+                q1 = (b ** (B + 1) - a ** (B + 1)) / (B + 1)
+                w[j] += (q1 - a * qb / B) / d
+                w[j + 1] += (b * qb / B - q1) / d
+            W[r, : n + 1] = [float(x * scale) for x in w]
     return W
 
 
@@ -218,16 +254,36 @@ class TestRLIntegral:
                 )
 
     @pytest.mark.parametrize("shape", [(), (64,)])
-    def test_rl_integral_bit_equal_to_reference_blocks(self, shape):
+    def test_rl_integral_bit_equal_to_reference_tiles(self, shape):
+        # each tile of rows is contracted as it is formed, never assembled
         g = TimeGrid.graded(1.0, 700, 4.0)
         n = len(g)
         v = np.random.default_rng(5).standard_normal((n, *shape))
-        ref = np.concatenate([
-            _reference_rows(g, 0.5, np.arange(lo, min(lo + _RL_BLOCK_ROWS, n)))
-            @ v.reshape(n, -1)
-            for lo in range(0, n, _RL_BLOCK_ROWS)
-        ]).reshape(v.shape)
+        flat = v.reshape(n, -1)
+        step = fractional_calculus._RL_TILE_CELLS // n
+        parts = []
+        for lo in range(0, n, step):
+            Hd, Gd = _reference_tile(g, 0.5, range(lo, min(lo + step, n)))
+            m = Hd.shape[1]
+            parts.append(Hd @ flat[:m] + Gd @ flat[1 : m + 1])
+        ref = np.concatenate(parts).reshape(v.shape)
         assert np.array_equal(rl_integral(g, v, 0.5), ref)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize(
+        "grid",
+        [TimeGrid.graded(1.0, 1024, 4.0), TimeGrid.graded(1.0, 700, 2.5),
+         _ORACLE_GRIDS["irregular"]],
+        ids=["graded4-M1024", "graded2.5-M700", "irregular"],
+    )
+    def test_weights_match_exact_moments(self, grid, beta):
+        M = len(grid) - 1
+        rows = [M // 10, 2 * M // 3, M]
+        exact = _exact_rows(grid, beta, rows)
+        W = rl_integral_matrix(grid, beta, rows)
+        live = exact != 0.0
+        assert np.array_equal(W != 0.0, live)
+        assert np.max(np.abs(W[live] - exact[live]) / np.abs(exact[live])) <= 5e-14
 
     @pytest.mark.parametrize("name", ["graded4.0-M700", "uniform-T2", "irregular"])
     def test_no_floating_point_exception_escapes(self, name):
@@ -249,7 +305,7 @@ class TestRLIntegral:
         assert strict == quiet
 
     def test_tiles_stay_small_at_4096_cells(self):
-        # the 256-row block of weights is 8.4 MB; the tile's buffers add to it
+        # no weight row is assembled: the tile's six 512 KB buffers are 3.1 MB
         g = TimeGrid.graded(1.0, 4096, 4.0)
         f = np.cos(g.nodes)
         tracemalloc.start()
@@ -258,7 +314,7 @@ class TestRLIntegral:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16e6
+        assert peak <= 4e6
 
     def test_memory_bounded_at_4096_cells(self):
         # a (grid, beta) no other test uses, so no earlier call can have

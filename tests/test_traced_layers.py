@@ -54,9 +54,10 @@ def test_ml_profile_hook_counts_match_the_band_edges(alpha):
     assert rec.counters[f"{name}.points_mid"] == mid
 
 
-def test_rl_integral_counts_its_row_blocks_not_its_tiles():
-    # the traced counters see one rl_integral_matrix call per 256-row block
-    # and one (grid, beta); run in a child so this process stays unwrapped
+def test_rl_integral_builds_no_weight_rows():
+    # rl_integral contracts its tiles itself, so the traced counters see no
+    # rl_integral_matrix call from it, and one call per direct request of
+    # rows; run in a child so this process stays unwrapped
     code = f"""
 import json, sys
 sys.path.insert(0, {str(SPANS.parent)!r})
@@ -67,16 +68,21 @@ recorder = Recorder()
 recorder.install()
 g = fc.TimeGrid.graded(1.0, 4096, 4.0)
 fc.rl_integral(g, np.cos(g.nodes), 0.5)
-print(json.dumps(recorder.metrics()))
+before = recorder.metrics()
+fc.rl_integral_matrix(g, 0.5, [4096, 2048])
+print(json.dumps([before, recorder.metrics()]))
 """
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout.splitlines()[-1])
+    before, after = json.loads(proc.stdout.splitlines()[-1])
     name = "fractional_calculus.rl_integral_matrix"
-    assert metrics[f"{name}.calls"] == 17
-    assert metrics[f"{name}.distinct"] == 1
+    assert before[f"{name}.calls"] == 0
+    assert before[f"{name}.distinct"] == 0
+    assert before["fractional_calculus.rl_integral.self_s"] > 0.0
+    assert after[f"{name}.calls"] == 1
+    assert after[f"{name}.distinct"] == 1
 
 
 def test_square_probe_forms_no_boundary_nodes(tmp_path):
