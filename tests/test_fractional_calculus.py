@@ -63,10 +63,10 @@ def _reference_moments(a, b, d, beta):
     rho = h / c
     p = c**beta * rho
     r2 = rho * rho
-    E = ((e[3] * r2 + e[2]) * r2 + e[1]) * r2 + e[0]
-    O = (((o[3] * r2 + o[2]) * r2 + o[1]) * r2 + o[0]) * rho
-    Hd = (E + O) * p
-    Gd = (E - O) * p
+    even_sum = ((e[3] * r2 + e[2]) * r2 + e[1]) * r2 + e[0]
+    odd_sum = (((o[3] * r2 + o[2]) * r2 + o[1]) * r2 + o[0]) * rho
+    Hd = (even_sum + odd_sum) * p
+    Gd = (even_sum - odd_sum) * p
     near = c <= 100.0 * h
     with np.errstate(divide="ignore"):
         logr = np.log1p(-d[near] / b[near])
