@@ -30,7 +30,7 @@ from .families import parse_family
 from .fractional_calculus import TimeGrid, default_grading, rl_integral_matrix
 from .hidden_regularity import _refinement_residuals, direct_inequality_probe
 from .report import canonical_json, fmt17
-from .solver import apriori_estimate_check, classify, mode_ode_residual, solve
+from .solver import _mode_residuals, apriori_estimate_check, classify, solve
 from .spectral_domain import eigenmodes, parse_domain
 from .special_functions import ml_eval
 
@@ -290,7 +290,7 @@ def _run_solve(opt: dict[str, Any]) -> int:
     k = min(N, 3)
     head = solve(d, k, alpha, u0, u1, T)
     C = head.coefficients(grid.nodes)
-    raw = mode_ode_residual(head, range(1, k + 1), grid)
+    raw = [float(r) for r in _mode_residuals(head, np.arange(k), grid, C)]
     residuals = {}
     for n, r in enumerate(raw, 1):
         scale = max(1.0, head.lambdas[n - 1] * float(np.max(np.abs(C[:, n - 1]))))

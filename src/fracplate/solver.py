@@ -126,16 +126,27 @@ def _interior_window(grid: TimeGrid) -> slice:
 
 
 def _caputo_defects(
-    s: SpectralSolution, positions: np.ndarray, grid: TimeGrid
+    s: SpectralSolution, positions: np.ndarray, grid: TimeGrid, C: np.ndarray
 ) -> np.ndarray:
     """dt^alpha c_n + lam_n c_n on the grid for 0-based mode positions; (M+1, k).
 
-    One discrete Caputo pipeline over the whole block, with the exact initial
-    slopes c_n'(0) = u1_n supplied; row 0 is NaN.
+    ``C`` is the coefficient table ``s.coefficients(grid.nodes)``, which
+    callers that also need it for other purposes form once.  One discrete
+    Caputo pipeline over the whole block, with the exact initial slopes
+    c_n'(0) = u1_n supplied; row 0 is NaN.
     """
-    C = s.coefficients(grid.nodes)[:, positions]
+    C = C[:, positions]
     dC = caputo_derivative(grid, C, s.alpha, s.u1[positions])
     return dC + s.lambdas[positions] * C
+
+
+def _mode_residuals(
+    s: SpectralSolution, positions: np.ndarray, grid: TimeGrid, C: np.ndarray
+) -> np.ndarray:
+    """``mode_ode_residual`` for 0-based positions, one per position, from
+    the coefficient table ``C`` of ``_caputo_defects``."""
+    resid = _caputo_defects(s, positions, grid, C)[_interior_window(grid)]
+    return np.nanmax(np.abs(resid), axis=0)
 
 
 def mode_ode_residual(
@@ -156,8 +167,7 @@ def mode_ode_residual(
     bad = (positions < 1) | (positions > len(s.modes))
     if np.any(bad):
         raise ValueError(f"mode {positions[bad][0]} is not part of the solution")
-    resid = _caputo_defects(s, positions - 1, grid)[_interior_window(grid)]
-    worst = np.nanmax(np.abs(resid), axis=0)
+    worst = _mode_residuals(s, positions - 1, grid, s.coefficients(grid.nodes))
     return float(worst[0]) if np.ndim(n) == 0 else [float(r) for r in worst]
 
 
@@ -177,7 +187,8 @@ def weak_form_residual(s: SpectralSolution, v: np.ndarray, grid: TimeGrid) -> fl
     positions = np.flatnonzero(v)
     if not positions.size:
         return 0.0
-    resid = _caputo_defects(s, positions, grid) @ v[positions]
+    C = s.coefficients(grid.nodes)
+    resid = _caputo_defects(s, positions, grid, C) @ v[positions]
     return float(np.nanmax(np.abs(resid[_interior_window(grid)])))
 
 

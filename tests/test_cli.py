@@ -17,7 +17,12 @@ from fracplate.cli import RunConfig, main, parse_config
 from fracplate.fractional_calculus import TimeGrid, default_grading
 from fracplate.hidden_regularity import direct_inequality_probe
 from fracplate.report import canonical_json
-from fracplate.solver import apriori_estimate_check, solve, weak_form_residual
+from fracplate.solver import (
+    SpectralSolution,
+    apriori_estimate_check,
+    solve,
+    weak_form_residual,
+)
 from fracplate.spectral_domain import Interval, parse_domain
 
 
@@ -517,6 +522,23 @@ class TestSolveCommand:
         )
 
 
+    def test_one_coefficient_table_per_solution(self, tmp_path, monkeypatch, capsys):
+        # the residual scales and the Caputo block share the head solution's
+        # table on the grid; apriori forms the full solution's
+        tables = []
+        coefficients = SpectralSolution.coefficients
+
+        def counting(self, times):
+            tables.append((len(self.modes), len(times)))
+            return coefficients(self, times)
+
+        monkeypatch.setattr(SpectralSolution, "coefficients", counting)
+        out_file = tmp_path / "report.json"
+        code, _ = _run(["solve", "--modes", "8", "--out", str(out_file)], capsys)
+        assert code == 0
+        assert sorted(tables) == [(3, 513), (8, 513)]
+
+
 class TestIdentitiesCommand:
     def test_output_bytes_pinned(self, capsys):
         code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
@@ -639,7 +661,7 @@ class TestReportCommand:
         code, out = _run(["report", "--profile", "quick"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "7bf4e6f8fa50042ae19b1e34b7b39e3441b2a9b7aeaf1a2b2334384cef8206e2"
+            "4353fa028b325ab0120e04971b51856536148b78866173d005f37ca251fd1004"
         )
 
     def test_seed_reaches_criterion_6(self, capsys):

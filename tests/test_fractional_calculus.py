@@ -138,6 +138,19 @@ def _oracle_grids():
 _ORACLE_GRIDS = _oracle_grids()
 
 
+def _product(W, f):
+    """W @ f, summed in extended precision where the platform has it, so
+    that the reference adds little rounding of its own."""
+    return (W.astype(np.longdouble) @ f.astype(np.longdouble)).astype(float)
+
+
+def _test_columns(grid):
+    """cos t, t^1.5 and a seeded normal draw, one column each."""
+    t = grid.nodes
+    normal = np.random.default_rng(5).standard_normal(len(t))
+    return np.column_stack([np.cos(t), t**1.5, normal])
+
+
 def _row_sets(M):
     """All rows; unsorted with duplicates, 0 and M; one row; none."""
     return [np.arange(M + 1), [M, 0, M // 2, 1, M, 0, M // 3, M - 1], [M // 2], []]
@@ -253,22 +266,6 @@ class TestRLIntegral:
                     rl_integral_matrix(g, 0.25, rows), _reference_rows(g, 0.25, rows)
                 )
 
-    @pytest.mark.parametrize("shape", [(), (64,)])
-    def test_rl_integral_bit_equal_to_reference_tiles(self, shape):
-        # each tile of rows is contracted as it is formed, never assembled
-        g = TimeGrid.graded(1.0, 700, 4.0)
-        n = len(g)
-        v = np.random.default_rng(5).standard_normal((n, *shape))
-        flat = v.reshape(n, -1)
-        step = fractional_calculus._RL_TILE_CELLS // n
-        parts = []
-        for lo in range(0, n, step):
-            Hd, Gd = _reference_tile(g, 0.5, range(lo, min(lo + step, n)))
-            m = Hd.shape[1]
-            parts.append(Hd @ flat[:m] + Gd @ flat[1 : m + 1])
-        ref = np.concatenate(parts).reshape(v.shape)
-        assert np.array_equal(rl_integral(g, v, 0.5), ref)
-
     @pytest.mark.parametrize("beta", [0.05, 0.25, 0.5, 0.75, 1.0])
     @pytest.mark.parametrize(
         "grid",
@@ -284,6 +281,61 @@ class TestRLIntegral:
         live = exact != 0.0
         assert np.array_equal(W != 0.0, live)
         assert np.max(np.abs(W[live] - exact[live]) / np.abs(exact[live])) <= 5e-14
+
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize(
+        "grid",
+        [TimeGrid.graded(1.0, 1024, 4.0), TimeGrid.graded(1.0, 700, 2.5),
+         _ORACLE_GRIDS["irregular"]],
+        ids=["graded4-M1024", "graded2.5-M700", "irregular"],
+    )
+    def test_rl_integral_within_rounding_of_exact_rows(self, grid, beta):
+        # the treecode's far field is exact to below one ulp, so I^beta f
+        # stays within rounding of the exact weights applied to f
+        M = len(grid) - 1
+        rows = [M // 10, 2 * M // 3, M]
+        exact = _exact_rows(grid, beta, rows)
+        for f in _test_columns(grid).T:
+            err = np.abs(rl_integral(grid, f, beta)[rows] - _product(exact, f))
+            assert np.all(err <= 2e-15 * (np.abs(exact) @ np.abs(f)))
+
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("name", sorted(_ORACLE_GRIDS))
+    def test_rl_integral_matches_assembled_rows(self, name, beta):
+        # shallow trees (M = 5, 31, 33: one or two leaves) included
+        g = _ORACLE_GRIDS[name]
+        W = rl_integral_matrix(g, beta, np.arange(len(g)))
+        f = _test_columns(g)
+        err = np.abs(rl_integral(g, f, beta) - _product(W, f))
+        assert np.all(err <= 2e-15 * (np.abs(W) @ np.abs(f)))
+
+    def test_far_terms_meet_their_tail_bound(self):
+        # the dropped tail eta^p / (1 - eta) is below 2^-53, one term fewer
+        # would not be
+        eta, p = fractional_calculus._ETA, fractional_calculus._TERMS
+        assert eta**p / (1.0 - eta) <= 2.0**-53 < eta ** (p - 1) / (1.0 - eta)
+
+    def test_band_cells_grow_linearly(self, monkeypatch):
+        # per-cell weights only in the band next to each row: a fall-back to
+        # the whole lower triangle would take about 2048 (M+1) cells
+        cells = []
+        kernel = fractional_calculus._moment_tile
+        closed = fractional_calculus._closed_moments
+
+        def counted_kernel(t, n, j, beta):
+            Hd, Gd = kernel(t, n, j, beta)
+            cells.append(Hd.size)
+            return Hd, Gd
+
+        def counted_closed(a, b, d, beta):
+            cells.append(a.size)
+            return closed(a, b, d, beta)
+
+        monkeypatch.setattr(fractional_calculus, "_moment_tile", counted_kernel)
+        monkeypatch.setattr(fractional_calculus, "_closed_moments", counted_closed)
+        g = TimeGrid.graded(1.0, 4096, 4.0)
+        rl_integral(g, np.cos(g.nodes), 0.5)
+        assert 0 < sum(cells) <= 256 * len(g)
 
     @pytest.mark.parametrize("name", ["graded4.0-M700", "uniform-T2", "irregular"])
     def test_no_floating_point_exception_escapes(self, name):
@@ -305,7 +357,7 @@ class TestRLIntegral:
         assert strict == quiet
 
     def test_tiles_stay_small_at_4096_cells(self):
-        # no weight row is assembled: the tile's six 512 KB buffers are 3.1 MB
+        # no weight row is assembled; band cells and far terms go in batches
         g = TimeGrid.graded(1.0, 4096, 4.0)
         f = np.cos(g.nodes)
         tracemalloc.start()
