@@ -26,10 +26,16 @@ over the boundary and the time grid: the quadrature oracle of that factor.
 
 The direct-inequality probe measures trace energy against the data energy
 ``||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2`` across mode schedules and data
-families.  It forms no member tables: each member is projected from the
-two kernel tables onto the live columns of the boundary factor, one chunk
-of modes at a time, at ``2 times x |chunk| x live columns`` multiply-adds
-per chunk (:func:`trace_energy_ratios`).  It returns the plain document
+families.  It forms no member tables and no full kernel table: the kernels
+``E_{alpha,beta}(-t^alpha lam_n)`` go through ``ml_profile`` only on a
+staircase of whole chunks of modes, the rows where ``t^alpha lam_lo`` is
+below the far-form edge ``X(alpha)`` (1e3 up to alpha = 1.5, 7e9 at
+1.999).  Above it they are the ``K``-term algebraic series
+``sum_k c_k x^-k`` (K = 9 down to 2), within 3.2e-15 of ``ml_profile``,
+whose terms are a function of ``t`` times one of ``lam``.  Each member is
+projected onto the live columns of the boundary factor a chunk at a time:
+a product with the chunk's box and a rank-``K`` product above it
+(:func:`trace_energy_ratios`).  It returns the plain document
 ``probe`` prints: ratios and their growth, never a claimed constant, for
 bounded ratios are the numerical signature of hidden regularity, not a proof.
 """
@@ -43,7 +49,7 @@ import numpy as np
 from .families import family_members
 from .fractional_calculus import TimeGrid, default_grading, rl_integral_matrix
 from .solver import SpectralSolution
-from .special_functions import ml_profile
+from .special_functions import _far_form, ml_profile
 from .spectral_domain import (
     Domain,
     ModeSet,
@@ -272,9 +278,11 @@ def _refinement_residuals(
 # The first column chunk of the probe contraction; every later chunk is as
 # wide as all the modes before it, so the edges are 16, 32, 64, ... whatever
 # the schedule, and a schedule of powers of two from 16 reads each R(N) at an
-# edge.  Wide chunks keep the products few and large; on a rectangle, chunks
-# of a fixed 128 modes reach almost every column of P anyway, and the partial
-# chunks below 128 would repeat work.
+# edge.  A chunk is also the step of the kernel staircase: its rows where
+# t^alpha lam_lo is below the far-form edge X come from ml_profile, the rest
+# from the far form.  Wide chunks keep the products few and large; on a
+# rectangle, chunks of a fixed 128 modes reach almost every column of P
+# anyway, and the partial chunks below 128 would repeat work.
 _FIRST_CHUNK = 16
 
 
@@ -291,37 +299,75 @@ def trace_energy_ratios(
     Member ``m`` is row ``m`` of the coefficient matrices ``u0`` and ``u1``.
     Entry ``[i][m]`` is ``trace_energy / (||u0||_{H^1_0}^2 + ||u1||_{H^-1}^2)``
     on the first ``N_schedule[i]`` modes with member ``m``'s data cut to that
-    prefix, or -1 for zero data energy.  Modes, the kernel tables ``e1`` and
-    ``e2`` and the closed-form boundary factor ``(P, w)`` of
-    :func:`boundary_trace_factor` are built once at the largest N.  The
-    coefficient table ``C = e1 a + t e2 b`` of a member ``(a, b)`` has
-    trace energy ``trapezoid((C @ P)^2 @ w, t)`` with no boundary nodes;
+    prefix, or -1 for zero data energy.  Modes and the closed-form boundary
+    factor ``(P, w)`` of :func:`boundary_trace_factor` are built once at the
+    largest N.  The coefficient table ``C = e1 a + t e2 b`` of a member
+    ``(a, b)``, with the kernel tables ``e1 = E_{alpha,1}(-t^alpha lam)`` and
+    ``e2 = E_{alpha,2}(-t^alpha lam)``, has trace energy
+    ``trapezoid((C @ P)^2 @ w, t)`` with no boundary nodes;
     :func:`trace_energy` of the member's ``solve``d solution is its
-    quadrature oracle.  No member table is formed.  Each member is projected
-    straight from the kernel tables onto the columns of ``P`` that a chunk
-    ``c`` of modes reaches, ``S += e1[:, c] @ (a_c P_c) + t (e2[:, c] @
-    (b_c P_c))``: two products of ``times x |c| x live columns``
-    multiply-adds per chunk, into ``S`` (stored transposed, one row per
-    column of ``P``).  ``S`` at N sums the chunks below N, plus the chunk
-    up to N where N is no chunk edge.  The chunk edges do not depend on the
-    schedule, so each entry is computed by the same operations as a call
-    with that N alone.  The data energy is :func:`fractional_norm` on the
-    first N eigenvalues ``modes.lam[:N]``.
+    quadrature oracle.  No member table and no full kernel table is formed.
+
+    The modes fall in chunks ``c = [lo, hi)`` with edges 16, 32, 64, ....
+    A chunk's box is its rows below ``r_c``, the first row with
+    ``t^alpha >= X / lam_lo``; one :func:`ml_profile` call per order
+    evaluates every box.  Past ``r_c`` every mode of the chunk has
+    ``x = t^alpha lam_n >= X`` (the modes are sorted by ``lam``), where
+    ``E_{alpha,beta}(-x)`` is the ``K``-term series ``sum_k c_k x^-k`` to
+    rounding (:func:`_far_form`; ``X`` is the larger edge of the two
+    orders).  With ``x^-k = (t^alpha lam_lo)^-k (lam_lo / lam_n)^k`` each
+    term is a factor of ``lam`` times one of ``t``, so the far rows of a
+    member's projection are ``(Q a_c) @ L @ G1 + (Q b_c) @ L @ G2``, with
+    ``L[n, k] = (lam_lo / lam_n)^k`` and ``G`` the ``c_k (t^alpha
+    lam_lo)^-k`` of each order (times ``t`` for ``e2``).  ``Q`` is the block
+    of ``P`` at the columns the chunk reaches, transposed; the box rows are
+    ``(Q a_c) @ e1_box^T + t ((Q b_c) @ e2_box^T)``.  Both go into ``S``
+    (stored transposed, one row per column of ``P``).  ``S`` at N sums the
+    chunks below N, plus the chunk up to N where N is no chunk edge.  The
+    chunk edges and ``r_c`` do not depend on the schedule, so each entry is
+    computed by the same operations as a call with that N alone.  Near
+    alpha = 2 ``X`` is past every ``t^alpha lam`` and the boxes are the
+    whole table.  The data energy is :func:`fractional_norm` on the first N
+    eigenvalues ``modes.lam[:N]``.
     """
     n_max = max(N_schedule)
     modes = eigenmodes(d, n_max)
+    lam = modes.lam
     t = grid.nodes
-    Z = np.outer(-(t**alpha), modes.lam)
-    e1 = ml_profile(alpha, 1.0, Z)
-    e2 = ml_profile(alpha, 2.0, Z)
-    del Z
+    ta = t**alpha
+    (X1, c1), (X2, c2) = _far_form(alpha, 1.0), _far_form(alpha, 2.0)
+    X = max(X1, X2)
+    K1, K2 = len(c1), len(c2)
+    ks = np.arange(1, max(K1, K2) + 1)
     P, w = boundary_trace_factor(modes, d)
 
-    def chunk(lo: int, hi: int) -> tuple[slice, np.ndarray, np.ndarray]:
+    # the staircase: chunk [lo, hi) and its first far row
+    spans = []
+    lo = 0
+    while lo < n_max:
+        hi = min(max(_FIRST_CHUNK, 2 * lo), n_max)
+        spans.append((lo, hi, int(np.searchsorted(ta, X / lam[lo]))))
+        lo = hi
+    z = np.concatenate([np.outer(-ta[:r], lam[lo:hi]).ravel() for lo, hi, r in spans])
+    e1, e2 = ml_profile(alpha, 1.0, z), ml_profile(alpha, 2.0, z)
+    del z
+    # per chunk start: r_c, the two boxes, and the far factors L and G
+    kernel = {}
+    at = 0
+    for lo, hi, r in spans:
+        box = slice(at, at + r * (hi - lo))
+        at = box.stop
+        L = (lam[lo] / lam[lo:hi, None]) ** ks
+        U = (1.0 / (ta[r:] * lam[lo])) ** ks[:, None]
+        G = np.vstack([c1[:, None] * U[:K1], c2[:, None] * U[:K2] * t[r:]])
+        shape = (r, hi - lo)
+        kernel[lo] = (r, e1[box].reshape(shape), e2[box].reshape(shape), L, G)
+
+    def chunk(lo: int, hi: int) -> tuple[int, int, np.ndarray, np.ndarray]:
         """Modes [lo, hi), the columns of P they reach, and P's block there
         transposed."""
         live = np.flatnonzero(P[lo:hi].any(axis=0))
-        return slice(lo, hi), live, P[lo:hi, live].T
+        return lo, hi, live, P[lo:hi, live].T
 
     # per schedule entry in ascending N: the chunks that end by N, the chunk
     # up to N if N is no chunk edge, and the columns of P live at N
@@ -338,18 +384,25 @@ def trace_energy_ratios(
     rows: list[list[float]] = [[] for _ in N_schedule]
     for a, b in zip(u0, u1):
 
-        def project(S: np.ndarray, c: slice, live: np.ndarray, Q: np.ndarray) -> None:
+        def project(
+            S: np.ndarray, lo: int, hi: int, live: np.ndarray, Q: np.ndarray
+        ) -> None:
             # S is stored transposed, one row per column of P, so the live
             # columns are gathered and scattered as contiguous rows
-            S[live] += (Q * a[c]) @ e1[:, c].T + ((Q * b[c]) @ e2[:, c].T) * t
+            r, box1, box2, L, G = kernel[lo]
+            n = hi - lo
+            Qa, Qb = Q * a[lo:hi], Q * b[lo:hi]
+            S[live, :r] += Qa @ box1[:, :n].T + (Qb @ box2[:, :n].T) * t[:r]
+            if r < len(t):
+                S[live, r:] += np.hstack([Qa @ L[:n, :K1], Qb @ L[:n, :K2]]) @ G
 
         S = np.zeros((P.shape[1], len(t)))
         for i, N, whole, part, cols in steps:
             for c in whole:
                 project(S, *c)
-            lam = modes.lam[:N]
-            denom = fractional_norm(lam, a[:N], 0.25) ** 2
-            denom += fractional_norm(lam, b[:N], -0.25) ** 2
+            lam_N = lam[:N]
+            denom = fractional_norm(lam_N, a[:N], 0.25) ** 2
+            denom += fractional_norm(lam_N, b[:N], -0.25) ** 2
             if denom == 0.0:
                 rows[i].append(-1.0)  # zero-energy member: skipped
                 continue

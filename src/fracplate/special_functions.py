@@ -536,6 +536,59 @@ def _asymptotic(
     return value, est, converged
 
 
+# the far form starts at x = 1e3 at the earliest
+_FAR_MIN = 1e3
+_FAR_CACHE: dict[tuple[float, float], tuple[float, np.ndarray]] = {}
+
+
+def _far_form(alpha: float, beta: float) -> tuple[float, np.ndarray]:
+    """``(X, coef)``: for every ``x >= X``, ``E_{alpha,beta}(-x)`` is the
+    algebraic series ``sum_k coef[k-1] x^-k`` alone, to rounding; cached.
+
+    ``X`` is the least x from 1e3 on past which the residue-pair envelope
+    ``(2/alpha) rho^(1-beta) exp(rho cos(pi/alpha))``, ``rho = x^(1/alpha)``,
+    is at most ``2^-53 |c_1| / x``: rounding relative to the series' leading
+    term, not to 1, for ``c_1 = 1/Gamma(beta - alpha)`` vanishes as alpha
+    goes to 2 at beta = 1.  The log of that ratio is
+    ``(1 + alpha - beta) ln rho + rho cos(pi/alpha)`` plus a constant, which
+    rises up to one peak in rho and falls past it, so ``X`` is either 1e3 or
+    the crossing past the peak, found by bisection.  ``coef`` holds the
+    ``K`` coefficients of :func:`_asymptotic_table` at target 0 that
+    :func:`ml_profile` sums at ``X``.  ``X`` is infinite where no x
+    qualifies: ``cos(pi/alpha) >= 0`` (alpha = 2) or ``c_1 = 0``.
+    """
+    key = (alpha, beta)
+    hit = _FAR_CACHE.get(key)
+    if hit is not None:
+        return hit
+    tab = _asymptotic_table(alpha, beta, 0.0)
+    c1 = abs(float(tab.coef[0]))
+    cos_phi = math.cos(math.pi / alpha)
+    X = math.inf
+    if c1 > 0.0 and cos_phi < 0.0:
+        power = 1.0 + alpha - beta
+        bound = -53.0 * math.log(2.0) - math.log(2.0 / (alpha * c1))
+
+        def excess(rho: float) -> float:
+            return power * math.log(rho) + rho * cos_phi - bound
+
+        lo = max(_FAR_MIN ** (1.0 / alpha), power / -cos_phi)
+        if excess(lo) <= 0.0:
+            X = _FAR_MIN
+        else:
+            hi = 2.0 * lo
+            while excess(hi) > 0.0:
+                lo, hi = hi, 2.0 * hi
+            for _ in range(64):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if excess(mid) <= 0.0 else (mid, hi)
+            # a margin over the rounding of X**(1/alpha)
+            X = (hi * (1.0 + 1e-12)) ** alpha
+    K = int(tab.terms[np.searchsorted(tab.breaks, X)])
+    _FAR_CACHE[key] = (X, tab.coef[:K])
+    return _FAR_CACHE[key]
+
+
 # }}}
 
 

@@ -591,6 +591,25 @@ class TestProbeCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "domain,modes,digest",
+        [
+            ("rectangle:pixpi", "256,512,1024,2048,4096",
+             "82c511fdd09fe15ad64ddb137f86b0adb035cbf9c0d6610dc3f5e7a3c47b1356"),
+            ("interval:pi", "1024,2048,4096,8192",
+             "614039c1ca1e05de2e417eeb1345bc462e7dc5315ed5b8258864d3c58d1c7d92"),
+        ],
+    )
+    def test_large_probe_bytes_pinned(self, domain, modes, digest, capsys):
+        # most of these kernel tables lie above the staircase, in the far form
+        code, out = _run(
+            ["probe", "--domain", domain, "--modes", modes, "--alpha", "1.5",
+             "--members", "8", "--time-nodes", "512", "--seed", "7"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("domain", ["interval:pi", "rectangle:pixpi"])
     def test_prints_the_probe_document(self, domain, capsys):
         code, out = _run(

@@ -511,9 +511,9 @@ class TestDirectInequalityProbe:
         assert peak <= tables + 16e6
 
     def test_memory_of_member_tables(self):
-        # Z and the kernel tables e1 and e2 are the only tables of times x
-        # N_max, with ml_profile's band masks on top (3.6 tables); a member
-        # table, or a t e2 table next to e2, would make four
+        # the kernel boxes below the staircase are 11% of the two tables of
+        # times x N_max, and the probe peaks at 0.7 tables; a member table,
+        # with full kernel tables, would make four
         d = Interval(math.pi)
         grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
         u0, u1 = family_members("decay:1.5", 1024, members=8)
@@ -593,6 +593,93 @@ class TestDirectInequalityProbe:
         )
         assert rep["growth_factor_max"] <= 1.25
         assert all(math.isfinite(row["R"]) for row in rep["per_N"].values())
+
+
+def _full_table_ratios(d, alpha, grid, u0, u1, schedule):
+    """trace_energy_ratios from full ml_profile tables at every N and the
+    dense projection of each member's coefficient table onto P."""
+    t = grid.nodes
+    modes = eigenmodes(d, max(schedule))
+    P, w = boundary_trace_factor(modes, d)
+    rows = []
+    for N in schedule:
+        lam = modes.lam[:N]
+        Z = np.outer(-(t**alpha), lam)
+        e1, e2 = ml_profile(alpha, 1.0, Z), ml_profile(alpha, 2.0, Z)
+        row = []
+        for a, b in zip(u0[:, :N], u1[:, :N]):
+            C = e1 * a + (e2 * b) * t[:, None]
+            energy = float(np.trapezoid((C @ P[:N]) ** 2 @ w, t))
+            denom = fractional_norm(lam, a, 0.25) ** 2
+            denom += fractional_norm(lam, b, -0.25) ** 2
+            row.append(energy / denom)
+        rows.append(row)
+    return rows
+
+
+def _counting_ml_profile(monkeypatch):
+    """Route the probe's ml_profile calls through a wrapper; returns the list
+    of their point counts."""
+    from fracplate import hidden_regularity
+
+    sizes = []
+
+    def counting(alpha, beta, z):
+        sizes.append(np.size(z))
+        return ml_profile(alpha, beta, z)
+
+    monkeypatch.setattr(hidden_regularity, "ml_profile", counting)
+    return sizes
+
+
+class TestKernelStaircase:
+    # the probe evaluates ml_profile on a staircase of whole chunks and the
+    # K-term far form above it
+
+    @pytest.mark.parametrize("horizon", [0.01, 1.0, 10.0])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9, 1.99])
+    @pytest.mark.parametrize("spec", ["interval:pi", "rectangle:pixpi"])
+    def test_equals_full_table_oracle(self, spec, alpha, horizon, monkeypatch):
+        d = parse_domain(spec)
+        grid = TimeGrid.graded(horizon, 128, default_grading(alpha))
+        u0, u1 = family_members("decay:1.5", 256, seed=4, members=3)
+        schedule = [16, 40, 256]
+        sizes = _counting_ml_profile(monkeypatch)
+        rows = trace_energy_ratios(d, alpha, grid, u0, u1, schedule)
+        oracle = _full_table_ratios(d, alpha, grid, u0, u1, schedule)
+        for row, ref in zip(rows, oracle):
+            assert np.allclose(row, ref, rtol=1e-14, atol=0.0)
+        # the far form serves the long horizon at moderate alpha
+        if horizon == 10.0 and alpha <= 1.9:
+            assert sizes[0] < len(grid.nodes) * 256
+
+    def test_ml_profile_sees_only_the_staircase(self, monkeypatch):
+        # one call per order, on at most 15% of the two kernel tables: a probe
+        # that fell back to full tables would pass the oracle but fail here
+        d = Interval(math.pi)
+        grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
+        u0, u1 = family_members("decay:1.5", 1024, members=2)
+        sizes = _counting_ml_profile(monkeypatch)
+        trace_energy_ratios(d, 1.5, grid, u0, u1, [256, 512, 1024])
+        assert len(sizes) == 2
+        assert sum(sizes) <= 0.15 * 2 * len(grid.nodes) * 1024
+
+    def test_memory_below_half_a_table(self):
+        # at N = 8192 the boxes are 3% of the kernel tables, and no times x N
+        # array is formed
+        d = Interval(math.pi)
+        grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
+        u0, u1 = family_members("decay:1.5", 8192, members=2)
+        schedule = [1024, 8192]
+        trace_energy_ratios(d, 1.5, grid, u0, u1, schedule)  # warm kernel caches
+        table = len(grid.nodes) * 8192 * 8
+        tracemalloc.start()
+        try:
+            trace_energy_ratios(d, 1.5, grid, u0, u1, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * table
 
 
 class TestTraceInvariants:

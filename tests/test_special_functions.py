@@ -1049,3 +1049,42 @@ def test_value_only_core_equals_the_wrapper(alpha, beta):
 
 
 # }}}
+
+
+# {{{ far form
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+@pytest.mark.parametrize("alpha", [1.01, 1.2, 1.5, 1.8, 1.9, 1.99, 1.999])
+def test_far_form_is_the_profile_to_rounding(alpha, beta):
+    # from X on the K-term algebraic series alone is ml_profile to rounding,
+    # relative to the value: the residue pair is below half an ulp of the
+    # leading term there, also where c_1 = 1/Gamma(beta - alpha) is small
+    from fracplate.special_functions import _far_form
+
+    X, coef = _far_form(alpha, beta)
+    assert X >= 1e3 and coef.size >= 2
+    rho = X ** (1.0 / alpha)
+    envelope = (2.0 / alpha) * rho ** (1.0 - beta)
+    envelope *= math.exp(rho * math.cos(math.pi / alpha))
+    assert envelope <= 2.0**-53 * abs(coef[0]) / X
+    x = np.logspace(math.log10(X), math.log10(X) + 12.0, 4000)
+    y = 1.0 / x
+    far = np.zeros_like(x)
+    p = np.ones_like(x)
+    for c in coef:
+        p *= y
+        far += c * p
+    ref = ml_profile(alpha, beta, -x)
+    assert np.max(np.abs(far - ref) / np.abs(ref)) <= 4e-15
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_far_form_is_empty_at_alpha_two(beta):
+    # E_{2,1}(-x) = cos(sqrt(x)) and E_{2,2}(-x) = sin(sqrt(x)) / sqrt(x) never
+    # reduce to the algebraic series: no x is far
+    from fracplate.special_functions import _far_form
+
+    assert _far_form(2.0, beta)[0] == math.inf
+
+
+# }}}
