@@ -27,14 +27,21 @@ from .fractional_calculus import (
     rl_integral_matrix,
 )
 from .hidden_regularity import (
-    _refinement_residuals,
     direct_inequality_probe,
+    filtered_identity_residual,
+    filtered_identity_terms,
     static_multiplier_identity_residual,
     static_multiplier_identity_terms,
     trace_energy_ratios,
 )
 from .report import VerificationReport
-from .solver import _mode_residuals, lift, solve, weak_form_residual
+from .solver import (
+    lift,
+    mode_ode_residual,
+    mode_residual_scale,
+    solve,
+    weak_form_residual,
+)
 from .spectral_domain import Interval, Rectangle, eigenmodes
 from .special_functions import (
     ml_derivative_identity_residuals,
@@ -216,13 +223,13 @@ def criterion_4_solver_residuals(quick: bool = False) -> VerificationReport:
     # carries every tested mode, one Caputo block per grid
     active = [1.0] * n_active + [0.0] * (8 - n_active)
     s = _interval_solution(alpha, active, [0.5 * a for a in active])
+    grids = [TimeGrid.graded(1.0, M, gamma) for M in Ms]
+    tested = range(1, n_active + 1)
     res = []
-    for M in Ms:
-        grid = TimeGrid.graded(1.0, M, gamma)
+    for grid in grids:
         C = s.coefficients(grid.nodes)
-        peak = np.max(np.abs(C[:, :n_active]), axis=0)
-        scale = np.maximum(1.0, s.lambdas[:n_active] * peak)
-        res.append(_mode_residuals(s, np.arange(n_active), grid, C) / scale)
+        scale = mode_residual_scale(s, tested, C)
+        res.append(mode_ode_residual(s, tested, grid, C) / scale)
     for coarse, fine in zip(res[-2], res[-1]):
         order = math.log2(coarse / fine) if fine > 0 else 2.0
         worst_scaled = max(worst_scaled, float(fine))
@@ -232,10 +239,7 @@ def criterion_4_solver_residuals(quick: bool = False) -> VerificationReport:
     u1 = [0.0, 0.3, -0.2, 0.1, 0.0, 0.0, 0.0, 0.0]
     s = _interval_solution(alpha, u0, u1)
     v = [1.0, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    weak = []
-    for M in Ms:
-        grid = TimeGrid.graded(1.0, M, gamma)
-        weak.append(weak_form_residual(s, v, grid))
+    weak = [weak_form_residual(s, v, g, s.coefficients(g.nodes)) for g in grids]
     weak_order = math.log2(weak[-2] / weak[-1]) if weak[-1] > 0 else 2.0
 
     c0 = s.coefficients(np.array([0.0]))[0]
@@ -308,9 +312,10 @@ def criterion_5_multiplier_identities(quick: bool = False) -> VerificationReport
     f2 = []
     for M in Ms:
         grid = TimeGrid.graded(1.0, M, default_grading(alpha))
-        one, two, boundary = _refinement_residuals(s, beta, grid)
-        f1.append(one)
-        f2.append(two)
+        C = s.coefficients(grid.nodes)
+        f1.append(filtered_identity_residual(s, beta, grid, C, M))
+        f2.append(filtered_identity_residual(s, beta, grid, C, M, M // 2))
+    boundary = filtered_identity_terms(s, beta, grid, C, M)["lhs_boundary"]
     fscale = max(abs(boundary), 1e-300)
     order1 = math.log2(f1[-2] / f1[-1]) if f1[-1] > 0 else 2.0
     order2 = math.log2(f2[-2] / f2[-1]) if f2[-1] > 0 else 2.0

@@ -28,9 +28,15 @@ import numpy as np
 from .acceptance import run_all
 from .families import parse_family
 from .fractional_calculus import TimeGrid, default_grading, rl_integral_matrix
-from .hidden_regularity import _refinement_residuals, direct_inequality_probe
+from .hidden_regularity import direct_inequality_probe, filtered_identity_residual
 from .report import canonical_json, fmt17
-from .solver import _mode_residuals, apriori_estimate_check, classify, solve
+from .solver import (
+    apriori_estimate_check,
+    classify,
+    mode_ode_residual,
+    mode_residual_scale,
+    solve,
+)
 from .spectral_domain import eigenmodes, parse_domain
 from .special_functions import ml_eval
 
@@ -285,22 +291,19 @@ def _run_solve(opt: dict[str, Any]) -> int:
     u0, u1 = _load_data(opt["data"], N)
     s = solve(d, N, alpha, u0, u1, T)
     grid = TimeGrid.graded(T, M, default_grading(alpha))
-    # one Caputo block on the first k modes; their coefficient columns equal
-    # the full solution's, and against e_1 the weak-form defect is mode 1's
-    k = min(N, 3)
-    head = solve(d, k, alpha, u0, u1, T)
-    C = head.coefficients(grid.nodes)
-    raw = [float(r) for r in _mode_residuals(head, np.arange(k), grid, C)]
-    residuals = {}
-    for n, r in enumerate(raw, 1):
-        scale = max(1.0, head.lambdas[n - 1] * float(np.max(np.abs(C[:, n - 1]))))
-        residuals[f"mode_{n}_scaled"] = r / scale
+    # one table serves every check; against e_1 the weak-form defect is mode 1's
+    C = s.coefficients(grid.nodes)
+    heads = range(1, min(N, 3) + 1)
+    raw = mode_ode_residual(s, heads, grid, C)
+    scales = mode_residual_scale(s, heads, C)
+    residuals = {f"mode_{n}_scaled": r / scale
+                 for n, r, scale in zip(heads, raw, scales)}
     residuals["weak_form_e1"] = raw[0]
     doc = {
         "norm_tables": classify(s),
         "truncation_tail": {"u0": s.tail_u0, "u1": s.tail_u1},
         "residuals": residuals,
-        "apriori": apriori_estimate_check(s, grid),
+        "apriori": apriori_estimate_check(s, grid, C),
         "inputs": {"alpha": alpha, "modes": N, "horizon": T,
                    "time_cells": M, "domain": opt["domain"]},
     }
@@ -315,7 +318,7 @@ def _run_solve(opt: dict[str, Any]) -> int:
                     for th in (0.0, 0.25, 0.5, 0.75)]
             rows.append(",".join([fmt17(t)] + [fmt17(x) for x in vals]))
         _emit("\n".join(rows) + "\n", opt["csv_out"])
-    return 0
+    return 0 if all(map(math.isfinite, residuals.values())) else 1
 
 
 def _run_identities(opt: dict[str, Any]) -> int:
@@ -327,7 +330,9 @@ def _run_identities(opt: dict[str, Any]) -> int:
     rows = []
     for M in opt["nodes"]:
         grid = TimeGrid.graded(T, M, default_grading(alpha))
-        rows.append(_refinement_residuals(s, beta, grid)[:2])
+        C = s.coefficients(grid.nodes)
+        rows.append([filtered_identity_residual(s, beta, grid, C, M, tau)
+                     for tau in (None, M // 2)])
         lines.append(f"{M},{fmt17(rows[-1][0])},{fmt17(rows[-1][1])}")
     _emit("\n".join(lines) + "\n", opt["out"])
     return 0 if all(_refines(col) for col in zip(*rows)) else 1

@@ -183,18 +183,28 @@ def _filtered_exact(s: SpectralSolution, beta: float, t: float) -> np.ndarray:
     return s.u0 * t**beta * e1b + s.u1 * t ** (1.0 + beta) * e2b
 
 
-def _filtered_terms(
+def filtered_identity_terms(
     s: SpectralSolution,
     beta: float,
     grid: TimeGrid,
     C: np.ndarray,
     t_index: int,
-    tau_index: int | None,
+    tau_index: int | None = None,
 ) -> dict[str, float]:
-    """:func:`filtered_identity_terms` from the coefficient table ``C`` of
-    ``s`` on the grid's nodes."""
+    """Terms of the fractional-filtered multiplier identity.
+
+    The boundary side is assembled from the exactly filtered coefficients
+    (closed-form kernels), the interior side from the product-trapezoidal
+    filtering ``b_n = I^beta(c_n)`` of ``C = s.coefficients(grid.nodes)``
+    at the one or two nodes used (exact weight rows, O(M) each), with the
+    filtered Caputo term evaluated through the equation as ``-lam_n b_n``
+    (exact for the series solution).  The identity holds exactly for any
+    coefficient vector, so the mismatch isolates the time-discretization
+    error of the quadrature route and must vanish under grid refinement.
+    """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1): {beta}")
+    s.check_table(grid, C)
     rows = [t_index] if tau_index is None else [t_index, tau_index]
     B = rl_integral_matrix(grid, beta, rows) @ C
     b = B[0]
@@ -210,64 +220,25 @@ def _filtered_terms(
     return {"lhs_boundary": bnd, "equation": lhs, "jacobian": -jac, "divergence": -div}
 
 
-def filtered_identity_terms(
-    s: SpectralSolution,
-    beta: float,
-    grid: TimeGrid,
-    t_index: int,
-    tau_index: int | None = None,
-) -> dict[str, float]:
-    """Terms of the fractional-filtered multiplier identity.
-
-    The boundary side is assembled from the exactly filtered coefficients
-    (closed-form kernels), the interior side from the product-trapezoidal
-    filtering ``b_n = I^beta(c_n)`` at the one or two nodes used (exact
-    weight rows, O(M) each), with the filtered Caputo term evaluated
-    through the equation as ``-lam_n b_n`` (exact for the series
-    solution).  The identity holds exactly for any coefficient
-    vector, so the mismatch isolates the time-discretization error of the
-    quadrature route and must vanish under grid refinement.
-    """
-    return _filtered_terms(
-        s, beta, grid, s.coefficients(grid.nodes), t_index, tau_index
-    )
-
-
-def _residual(t: dict[str, float]) -> float:
-    return abs(t["lhs_boundary"] - (t["equation"] + t["jacobian"] + t["divergence"]))
-
-
 def filtered_identity_residual(
     s: SpectralSolution,
     beta: float,
     grid: TimeGrid,
+    C: np.ndarray,
     t_index: int,
     tau_index: int | None = None,
 ) -> float:
     """|lhs - rhs| of the filtered identity at ``t_index``, or of its
-    difference between ``t_index`` and ``tau_index``.
+    difference between ``t_index`` and ``tau_index``, on the table ``C``.
 
     0 exactly at t = 0 for one time and at t = tau for two times, where every
     filtered term vanishes.
     """
+    s.check_table(grid, C)
     if t_index == (0 if tau_index is None else tau_index):
         return 0.0
-    return _residual(filtered_identity_terms(s, beta, grid, t_index, tau_index))
-
-
-def _refinement_residuals(
-    s: SpectralSolution, beta: float, grid: TimeGrid
-) -> tuple[float, float, float]:
-    """The filtered identity's residual at the grid's last node M, the
-    residual of its difference between M and M // 2, and its boundary term
-    at M, from one coefficient table of the grid: the values
-    :func:`filtered_identity_residual` and :func:`filtered_identity_terms`
-    give, for the grid refinements of ``identities`` and criterion 5."""
-    M = len(grid) - 1
-    C = s.coefficients(grid.nodes)
-    one = _filtered_terms(s, beta, grid, C, M, None)
-    two = _filtered_terms(s, beta, grid, C, M, M // 2)
-    return _residual(one), _residual(two), one["lhs_boundary"]
+    t = filtered_identity_terms(s, beta, grid, C, t_index, tau_index)
+    return abs(t["lhs_boundary"] - (t["equation"] + t["jacobian"] + t["divergence"]))
 
 
 # }}}

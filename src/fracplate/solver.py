@@ -14,6 +14,11 @@ the Mittag-Leffler kernels, and time grids exist only to measure residuals
 and norms.  The residual probes push sampled coefficients through the
 discrete Caputo pipeline and compare against ``-lambda_n c_n``, which is the
 numerical meaning of "solves the equation".
+
+The checks on a time grid take the table ``C = s.coefficients(grid.nodes)``,
+formed once by the caller, and refuse a table of another shape:
+``mode_ode_residual(s, n, grid, C)``, ``weak_form_residual(s, v, grid, C)``
+and ``apriori_estimate_check(s, grid, C)``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ __all__ = [
     "solve",
     "lift",
     "mode_ode_residual",
+    "mode_residual_scale",
     "weak_form_residual",
     "classify",
     "apriori_estimate_check",
@@ -77,6 +83,11 @@ class SpectralSolution:
         return (-lam[None, :] * self.u0[None, :]) * tpow[:, None] * ea + self.u1[
             None, :
         ] * e1
+
+    def check_table(self, grid: TimeGrid, C: np.ndarray) -> None:
+        """Refuse a table ``C`` not shaped like ``self.coefficients(grid.nodes)``."""
+        if np.shape(C) != (need := (len(grid), len(self.modes))):
+            raise ValueError(f"coefficient table of shape {np.shape(C)}; need {need}")
 
 
 def solve(
@@ -130,27 +141,16 @@ def _caputo_defects(
 ) -> np.ndarray:
     """dt^alpha c_n + lam_n c_n on the grid for 0-based mode positions; (M+1, k).
 
-    ``C`` is the coefficient table ``s.coefficients(grid.nodes)``, which
-    callers that also need it for other purposes form once.  One discrete
-    Caputo pipeline over the whole block, with the exact initial slopes
-    c_n'(0) = u1_n supplied; row 0 is NaN.
+    One discrete Caputo pipeline over the block of ``C``'s columns, with the
+    exact initial slopes c_n'(0) = u1_n supplied; row 0 is NaN.
     """
     C = C[:, positions]
     dC = caputo_derivative(grid, C, s.alpha, s.u1[positions])
     return dC + s.lambdas[positions] * C
 
 
-def _mode_residuals(
-    s: SpectralSolution, positions: np.ndarray, grid: TimeGrid, C: np.ndarray
-) -> np.ndarray:
-    """``mode_ode_residual`` for 0-based positions, one per position, from
-    the coefficient table ``C`` of ``_caputo_defects``."""
-    resid = _caputo_defects(s, positions, grid, C)[_interior_window(grid)]
-    return np.nanmax(np.abs(resid), axis=0)
-
-
 def mode_ode_residual(
-    s: SpectralSolution, n: int | Sequence[int], grid: TimeGrid
+    s: SpectralSolution, n: int | Sequence[int], grid: TimeGrid, C: np.ndarray
 ) -> float | list[float]:
     """max over interior nodes of |dt^alpha c_n + lam_n c_n|.
 
@@ -167,11 +167,25 @@ def mode_ode_residual(
     bad = (positions < 1) | (positions > len(s.modes))
     if np.any(bad):
         raise ValueError(f"mode {positions[bad][0]} is not part of the solution")
-    worst = _mode_residuals(s, positions - 1, grid, s.coefficients(grid.nodes))
+    s.check_table(grid, C)
+    resid = _caputo_defects(s, positions - 1, grid, C)[_interior_window(grid)]
+    worst = np.nanmax(np.abs(resid), axis=0)
     return float(worst[0]) if np.ndim(n) == 0 else [float(r) for r in worst]
 
 
-def weak_form_residual(s: SpectralSolution, v: np.ndarray, grid: TimeGrid) -> float:
+def mode_residual_scale(
+    s: SpectralSolution, n: Sequence[int], C: np.ndarray
+) -> np.ndarray:
+    """``max(1, lam_n max_t |c_n(t)|)`` per 1-based position in ``n`` on the
+    table ``C``: the scale of mode n's equation terms and of its residual."""
+    positions = np.asarray(n, dtype=int) - 1
+    peak = np.max(np.abs(C[:, positions]), axis=0)
+    return np.maximum(1.0, s.lambdas[positions] * peak)
+
+
+def weak_form_residual(
+    s: SpectralSolution, v: np.ndarray, grid: TimeGrid, C: np.ndarray
+) -> float:
     """max over interior nodes of the weak-form defect against test function v.
 
     ``v`` holds the test function's coefficients in the solution's mode
@@ -184,10 +198,10 @@ def weak_form_residual(s: SpectralSolution, v: np.ndarray, grid: TimeGrid) -> fl
     v = np.asarray(v, dtype=float).reshape(-1)
     if len(v) != len(s.modes):
         raise ValueError(f"{len(v)} test coefficients for {len(s.modes)} modes")
+    s.check_table(grid, C)
     positions = np.flatnonzero(v)
     if not positions.size:
         return 0.0
-    C = s.coefficients(grid.nodes)
     resid = _caputo_defects(s, positions, grid, C) @ v[positions]
     return float(np.nanmax(np.abs(resid[_interior_window(grid)])))
 
@@ -213,7 +227,9 @@ def classify(s: SpectralSolution) -> dict[str, dict[str, float]]:
     }
 
 
-def apriori_estimate_check(s: SpectralSolution, grid: TimeGrid) -> dict[str, float]:
+def apriori_estimate_check(
+    s: SpectralSolution, grid: TimeGrid, C: np.ndarray
+) -> dict[str, float]:
     """Empirical ratios for the strong-data a-priori estimates.
 
     LHS norms are spectral sums with trapezoid time quadrature:
@@ -226,11 +242,11 @@ def apriori_estimate_check(s: SpectralSolution, grid: TimeGrid) -> dict[str, flo
     ``{"vacuous": 1.0}`` rather than reported as 0/0.  ``solve`` prints
     this dict as its ``apriori``.
     """
+    s.check_table(grid, C)
     lam = s.lambdas
     rhs = fractional_norm(lam, s.u0, 0.75) + fractional_norm(lam, s.u1, 0.25)
     if rhs == 0.0:
         return {"vacuous": 1.0}
-    C = s.coefficients(grid.nodes)
     t = grid.nodes
     theta = 1.0 / (4.0 * s.alpha)
     sq1 = np.sum((lam[None, :] ** 2) * C**2, axis=1)

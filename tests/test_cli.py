@@ -491,7 +491,8 @@ class TestSolveCommand:
         assert code == 0
         s = solve(Interval(math.pi), 3, 1.5, [0.5, -0.2, 0.1], [0.0, 0.3, 0.0], 1.0)
         grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
-        assert json.loads(out)["apriori"] == apriori_estimate_check(s, grid)
+        C = s.coefficients(grid.nodes)
+        assert json.loads(out)["apriori"] == apriori_estimate_check(s, grid, C)
 
     @pytest.mark.parametrize("nodes", ["100", "300", "511"])
     def test_nodes_below_512_rejected(self, nodes, capsys):
@@ -518,13 +519,13 @@ class TestSolveCommand:
         grid = TimeGrid.graded(1.0, 512, default_grading(1.5))
         e1 = np.eye(8)[0]
         assert residuals["weak_form_e1"] == pytest.approx(
-            weak_form_residual(s, e1, grid), rel=1e-9
+            weak_form_residual(s, e1, grid, s.coefficients(grid.nodes)), rel=1e-9
         )
 
 
     def test_one_coefficient_table_per_solution(self, tmp_path, monkeypatch, capsys):
-        # the residual scales and the Caputo block share the head solution's
-        # table on the grid; apriori forms the full solution's
+        # the residual scales, the Caputo block and apriori share the
+        # solution's one table on the grid
         tables = []
         coefficients = SpectralSolution.coefficients
 
@@ -536,7 +537,24 @@ class TestSolveCommand:
         out_file = tmp_path / "report.json"
         code, _ = _run(["solve", "--modes", "8", "--out", str(out_file)], capsys)
         assert code == 0
-        assert sorted(tables) == [(3, 513), (8, 513)]
+        assert tables == [(8, 513)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("horizon, code", [("1e-100", 1), ("1e-30", 0)])
+    def test_non_finite_residual_fails(self, horizon, code, tmp_path):
+        # at T = 1e-100 the Caputo pipeline's grid spacing underflows and
+        # every residual is NaN: the document is still written, and the exit
+        # code reports it
+        out_file = tmp_path / "report.json"
+        argv = ["solve", "--horizon", horizon, "--modes", "3", "--nodes", "512",
+                "--out", str(out_file)]
+        assert main(argv) == code
+        residuals = json.loads(out_file.read_text())["residuals"]
+        assert len(residuals) == 4
+        # the encoder writes a NaN as the string "nan"
+        finite = [not isinstance(r, str) and math.isfinite(r)
+                  for r in residuals.values()]
+        assert finite == [code == 0] * 4
 
 
 class TestIdentitiesCommand:

@@ -237,20 +237,23 @@ class TestFilteredIdentities:
         d, modes = interval_setup
         s = _solution(d, [1.0] + [0.0] * 7, [0.0] * 8)
         grid = TimeGrid.graded(1.0, 512, 4.0)
-        assert filtered_identity_residual(s, 0.25, grid, 0) == 0.0
+        C = s.coefficients(grid.nodes)
+        assert filtered_identity_residual(s, 0.25, grid, C, 0) == 0.0
 
     def test_zero_data(self, interval_setup):
         d, modes = interval_setup
         s = _solution(d, [0.0] * 8, [0.0] * 8)
         grid = TimeGrid.graded(1.0, 512, 4.0)
-        assert filtered_identity_residual(s, 0.25, grid, 512) < 1e-300
+        C = s.coefficients(grid.nodes)
+        assert filtered_identity_residual(s, 0.25, grid, C, 512) < 1e-300
 
     def test_single_mode_within_contract(self, interval_setup):
         d, modes = interval_setup
         s = _solution(d, [1.0] + [0.0] * 7, [0.0] * 8)
         grid = TimeGrid.graded(1.0, 2048, 4.0)
-        r = filtered_identity_residual(s, 0.25, grid, 2048)
-        terms = filtered_identity_terms(s, 0.25, grid, 2048)
+        C = s.coefficients(grid.nodes)
+        r = filtered_identity_residual(s, 0.25, grid, C, 2048)
+        terms = filtered_identity_terms(s, 0.25, grid, C, 2048)
         assert r <= 1e-3 * max(abs(terms["lhs_boundary"]), 1e-300)
 
     def test_decays_under_refinement(self, interval_setup):
@@ -261,7 +264,8 @@ class TestFilteredIdentities:
         res = []
         for M in (512, 1024, 2048):
             grid = TimeGrid.graded(1.0, M, 4.0)
-            res.append(filtered_identity_residual(s, 0.25, grid, M))
+            C = s.coefficients(grid.nodes)
+            res.append(filtered_identity_residual(s, 0.25, grid, C, M))
         assert res[0] > res[1] > res[2]
         assert math.log2(res[1] / res[2]) >= 1.0
 
@@ -269,9 +273,10 @@ class TestFilteredIdentities:
         d, modes = interval_setup
         s = _solution(d, [0.5, -0.3] + [0.0] * 6, [0.1, 0.2] + [0.0] * 6)
         grid = TimeGrid.graded(1.0, 1024, 4.0)
-        assert filtered_identity_residual(s, 0.25, grid, 700, 700) == 0.0
-        r = filtered_identity_residual(s, 0.25, grid, 1024, 512)
-        r_swap = filtered_identity_residual(s, 0.25, grid, 512, 1024)
+        C = s.coefficients(grid.nodes)
+        assert filtered_identity_residual(s, 0.25, grid, C, 700, 700) == 0.0
+        r = filtered_identity_residual(s, 0.25, grid, C, 1024, 512)
+        r_swap = filtered_identity_residual(s, 0.25, grid, C, 512, 1024)
         assert r == pytest.approx(r_swap, rel=1e-12)
         assert r < 1e-2
 
@@ -280,14 +285,14 @@ class TestFilteredIdentities:
         s = _solution(d, [1.0] + [0.0] * 7, [0.0] * 8)
         grid = TimeGrid.graded(1.0, 512, 4.0)
         with pytest.raises(ValueError):
-            filtered_identity_residual(s, 1.5, grid, 10)
+            filtered_identity_residual(s, 1.5, grid, s.coefficients(grid.nodes), 10)
 
     @pytest.mark.parametrize("M", [256, 257])
     def test_refinement_residuals_from_one_table(self, interval_setup, monkeypatch, M):
         # identities and criterion 5 take both residuals at a grid's last
-        # node and the boundary term there from one coefficient table; each
-        # equals its separate public call
-        from fracplate import hidden_regularity
+        # node and the boundary term there from one coefficient table; the
+        # public functions form none of their own, and each value equals
+        # its call on a table of its own
         from fracplate.solver import SpectralSolution
 
         d, modes = interval_setup
@@ -295,19 +300,47 @@ class TestFilteredIdentities:
         s = _solution(d, rng.standard_normal(8) / np.arange(1, 9),
                       rng.standard_normal(8) / np.arange(1, 9))
         grid = TimeGrid.graded(1.0, M, 4.0)
-        expected = (
-            filtered_identity_residual(s, 0.25, grid, M),
-            filtered_identity_residual(s, 0.25, grid, M, M // 2),
-            filtered_identity_terms(s, 0.25, grid, M)["lhs_boundary"],
-        )
+
+        def values(table):
+            return (
+                filtered_identity_residual(s, 0.25, grid, table(), M),
+                filtered_identity_residual(s, 0.25, grid, table(), M, M // 2),
+                filtered_identity_terms(s, 0.25, grid, table(), M)["lhs_boundary"],
+            )
+
+        expected = values(lambda: s.coefficients(grid.nodes))
         tables = []
         coefficients = SpectralSolution.coefficients
         monkeypatch.setattr(
             SpectralSolution, "coefficients",
             lambda self, t: tables.append(len(t)) or coefficients(self, t),
         )
-        assert hidden_regularity._refinement_residuals(s, 0.25, grid) == expected
+        C = s.coefficients(grid.nodes)
+        assert values(lambda: C) == expected
         assert tables == [M + 1]
+
+    @pytest.mark.parametrize("shape", [(512, 8), (513, 7), (8, 513), (513,)])
+    @pytest.mark.parametrize("t_index, tau_index", [(512, None), (0, None), (9, 9)])
+    @pytest.mark.parametrize("identity", ["terms", "residual"])
+    def test_table_shape_refused_before_any_work(
+        self, interval_setup, monkeypatch, identity, t_index, tau_index, shape
+    ):
+        # at t = 0, or at t = tau, the residual would return 0 without work,
+        # so the shape is checked first
+        from fracplate import hidden_regularity
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work before the table's shape was checked")
+
+        for name in ("rl_integral_matrix", "_filtered_exact", "_multiplier_terms"):
+            monkeypatch.setattr(hidden_regularity, name, no_work)
+        d, modes = interval_setup
+        s = _solution(d, [1.0] + [0.0] * 7, [0.0] * 8)
+        grid = TimeGrid.graded(1.0, 512, 4.0)
+        fn = {"terms": filtered_identity_terms,
+              "residual": filtered_identity_residual}[identity]
+        with pytest.raises(ValueError, match=r"table of shape .* need \(513, 8\)"):
+            fn(s, 0.25, grid, np.zeros(shape), t_index, tau_index)
 
 
 class TestFamilies:
@@ -757,8 +790,9 @@ class TestRectangleDomain:
         res = []
         for M in (512, 1024):
             grid = TimeGrid.graded(1.0, M, 4.0)
-            res.append(filtered_identity_residual(s, 0.25, grid, M))
-        terms = filtered_identity_terms(s, 0.25, TimeGrid.graded(1.0, 1024, 4.0), 1024)
+            C = s.coefficients(grid.nodes)
+            res.append(filtered_identity_residual(s, 0.25, grid, C, M))
+        terms = filtered_identity_terms(s, 0.25, grid, C, 1024)
         assert res[1] <= 1e-3 * max(abs(terms["lhs_boundary"]), 1e-300)
         assert res[0] > res[1]
 

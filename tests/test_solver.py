@@ -11,6 +11,7 @@ from fracplate.solver import (
     classify,
     lift,
     mode_ode_residual,
+    mode_residual_scale,
     solve,
     weak_form_residual,
 )
@@ -164,13 +165,14 @@ class TestResiduals:
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [0] * 8, [0] * 8, 1.0)
         grid = TimeGrid.graded(1.0, 512, 4.0)
-        assert mode_ode_residual(s, 1, grid) == 0.0
+        assert mode_ode_residual(s, 1, grid, s.coefficients(grid.nodes)) == 0.0
 
     def test_fundamental_mode_contract(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
-        r1 = mode_ode_residual(s, 1, TimeGrid.graded(1.0, 1024, 4.0))
-        r2 = mode_ode_residual(s, 1, TimeGrid.graded(1.0, 2048, 4.0))
+        r1, r2 = (mode_ode_residual(s, 1, g, s.coefficients(g.nodes))
+                  for g in (TimeGrid.graded(1.0, 1024, 4.0),
+                            TimeGrid.graded(1.0, 2048, 4.0)))
         assert r2 <= 5e-3
         assert r1 / r2 >= 2.0  # halving under refinement
 
@@ -181,29 +183,30 @@ class TestResiduals:
         s = solve(d, 8, 1.5, u0, [0] * 8, 1.0)
         grid = TimeGrid.graded(1.0, 2048, 4.0)
         lam = modes.lam[4]
-        c = s.coefficients(grid.nodes)[:, 4]
-        scale = max(1.0, lam * float(np.max(np.abs(c))))
-        assert mode_ode_residual(s, 5, grid) <= 5e-3 * scale
+        C = s.coefficients(grid.nodes)
+        scale = max(1.0, lam * float(np.max(np.abs(C[:, 4]))))
+        assert mode_ode_residual(s, 5, grid, C) <= 5e-3 * scale
 
     def test_weak_form_single_mode(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
         v = [1.0] + [0.0] * 7
         grid = TimeGrid.graded(1.0, 2048, 4.0)
-        assert weak_form_residual(s, v, grid) <= 1e-2
+        assert weak_form_residual(s, v, grid, s.coefficients(grid.nodes)) <= 1e-2
 
     def test_weak_form_orthogonal_test_function(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [1.0, 0.5] + [0] * 6, [0] * 8, 1.0)
         v = np.eye(8)[5]
         grid = TimeGrid.graded(1.0, 512, 4.0)
-        assert weak_form_residual(s, v, grid) == 0.0
+        assert weak_form_residual(s, v, grid, s.coefficients(grid.nodes)) == 0.0
 
     def test_zero_weak_residual_for_zero_solution(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [0] * 8, [0] * 8, 1.0)
         v = [1.0] + [0.0] * 7
-        assert weak_form_residual(s, v, TimeGrid.graded(1.0, 512, 4.0)) == 0.0
+        grid = TimeGrid.graded(1.0, 512, 4.0)
+        assert weak_form_residual(s, v, grid, s.coefficients(grid.nodes)) == 0.0
 
     def test_weak_form_on_rectangle(self):
         d = Rectangle(math.pi, math.pi)
@@ -211,16 +214,18 @@ class TestResiduals:
         u1 = [0.0, 0.3, 0.0, -0.2, 0.0, 0.0]
         s = solve(d, 6, 1.5, u0, u1, 1.0)
         v = [0.0, 1.0, -0.5, 0.0, 0.0, 0.0]
-        r1 = weak_form_residual(s, v, TimeGrid.graded(1.0, 1024, 4.0))
-        r2 = weak_form_residual(s, v, TimeGrid.graded(1.0, 2048, 4.0))
+        r1, r2 = (weak_form_residual(s, v, g, s.coefficients(g.nodes))
+                  for g in (TimeGrid.graded(1.0, 1024, 4.0),
+                            TimeGrid.graded(1.0, 2048, 4.0)))
         assert r2 <= 1e-2
         assert r1 / r2 >= 2.0
 
     @pytest.mark.parametrize("length", [5, 7])
     def test_weak_form_needs_one_test_coefficient_per_mode(self, length):
         s = solve(Rectangle(math.pi, math.pi), 6, 1.5, [1.0] * 6, [0.0] * 6, 1.0)
+        grid = TimeGrid.graded(1.0, 512, 4.0)
         with pytest.raises(ValueError, match=f"{length} test coefficients for 6"):
-            weak_form_residual(s, np.eye(length)[1], TimeGrid.graded(1.0, 512, 4.0))
+            weak_form_residual(s, np.eye(length)[1], grid, s.coefficients(grid.nodes))
 
     def test_mode_position_range_checked(self, interval_modes):
         d, modes = interval_modes
@@ -228,7 +233,7 @@ class TestResiduals:
         grid = TimeGrid.graded(1.0, 512, 4.0)
         for n in (0, 9, [1, 9]):
             with pytest.raises(ValueError, match="not part of the solution"):
-                mode_ode_residual(s, n, grid)
+                mode_ode_residual(s, n, grid, s.coefficients(grid.nodes))
 
     def test_positions_block_matches_scalar_calls(self, interval_modes):
         d, modes = interval_modes
@@ -236,10 +241,48 @@ class TestResiduals:
         u1 = [0.0, 0.3, -0.2] + [0.0] * 5
         s = solve(d, 8, 1.5, u0, u1, 1.0)
         grid = TimeGrid.graded(1.0, 1024, 4.0)
-        block = mode_ode_residual(s, [1, 2, 3], grid)
-        scalar = [mode_ode_residual(s, n, grid) for n in (1, 2, 3)]
+        C = s.coefficients(grid.nodes)
+        block = mode_ode_residual(s, [1, 2, 3], grid, C)
+        scalar = [mode_ode_residual(s, n, grid, C) for n in (1, 2, 3)]
         assert all(isinstance(r, float) for r in block + scalar)
         assert block == pytest.approx(scalar, rel=1e-6)
+
+    def test_residual_scale_is_the_largest_equation_term(self, interval_modes):
+        d, modes = interval_modes
+        s = solve(d, 8, 1.5, [2.0, -0.5, 1e-6] + [0.0] * 5, [0.0] * 8, 1.0)
+        grid = TimeGrid.graded(1.0, 512, 4.0)
+        C = s.coefficients(grid.nodes)
+        peak = np.max(np.abs(C), axis=0)
+        # lam_n max |c_n| for the first two modes, the floor 1 for the third
+        expect = [modes.lam[0] * peak[0], modes.lam[1] * peak[1], 1.0]
+        assert expect[0] > 1.0 and expect[1] > 1.0
+        assert list(mode_residual_scale(s, [1, 2, 3], C)) == expect
+
+    @pytest.mark.parametrize("shape", [(512, 8), (513, 7), (8, 513), (513,)])
+    @pytest.mark.parametrize("data", [0.0, 1.0])
+    @pytest.mark.parametrize("probe", ["mode", "weak", "apriori"])
+    def test_table_shape_refused_before_any_work(
+        self, interval_modes, monkeypatch, probe, data, shape
+    ):
+        # zero data or a zero test function would return early, so the
+        # shape is checked first
+        from fracplate import solver
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work before the table's shape was checked")
+
+        monkeypatch.setattr(solver, "caputo_derivative", no_work)
+        monkeypatch.setattr(solver, "fractional_norm", no_work)
+        d, modes = interval_modes
+        s = solve(d, 8, 1.5, [data] + [0.0] * 7, [0.0] * 8, 1.0)
+        grid = TimeGrid.graded(1.0, 512, 4.0)
+        call = {
+            "mode": lambda C: mode_ode_residual(s, 1, grid, C),
+            "weak": lambda C: weak_form_residual(s, [data] + [0.0] * 7, grid, C),
+            "apriori": lambda C: apriori_estimate_check(s, grid, C),
+        }[probe]
+        with pytest.raises(ValueError, match=r"table of shape .* need \(513, 8\)"):
+            call(np.zeros(shape))
 
 
 class TestLifting:
@@ -307,13 +350,15 @@ class TestAprioriEstimates:
     def test_vacuous_for_zero_data(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [0] * 8, [0] * 8, 1.0)
-        rep = apriori_estimate_check(s, TimeGrid.graded(1.0, 512, 4.0))
+        grid = TimeGrid.graded(1.0, 512, 4.0)
+        rep = apriori_estimate_check(s, grid, s.coefficients(grid.nodes))
         assert rep.get("vacuous") == 1.0
 
     def test_single_mode_ratio_finite(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [1.0] + [0] * 7, [0] * 8, 1.0)
-        rep = apriori_estimate_check(s, TimeGrid.graded(1.0, 1024, 4.0))
+        grid = TimeGrid.graded(1.0, 1024, 4.0)
+        rep = apriori_estimate_check(s, grid, s.coefficients(grid.nodes))
         assert 0.0 < rep["ratio_dtalpha_l2"] < 10.0
         assert 0.0 < rep["ratio_gradlap_dtheta"] < 10.0
 
@@ -322,11 +367,12 @@ class TestAprioriEstimates:
         # down as the truncation doubles, which is the estimate's signature
         locks = [0.3906831731696096, 0.311751468447686, 0.2481085847546335]
         d = Interval(math.pi)
+        grid = TimeGrid.graded(1.0, 1024, 4.0)
         ratios = []
         for N in (16, 32, 64):
             vals = np.arange(1, N + 1, dtype=float) ** -2
             s = solve(d, N, 1.5, vals, np.zeros(N), 1.0)
-            rep = apriori_estimate_check(s, TimeGrid.graded(1.0, 1024, 4.0))
+            rep = apriori_estimate_check(s, grid, s.coefficients(grid.nodes))
             ratios.append(rep["ratio_dtalpha_l2"])
         assert ratios[0] >= ratios[1] >= ratios[2] > 0.0
         for got, lock in zip(ratios, locks):
@@ -384,5 +430,5 @@ class TestRectangleSolutions:
         s = solve(d, 4, 1.5, u0, [0.0] * 4, 1.0)
         grid = TimeGrid.graded(1.0, 1024, 4.0)
         lam = modes.lam[0]  # 4 on the pi x pi square
-        r = mode_ode_residual(s, 1, grid)
+        r = mode_ode_residual(s, 1, grid, s.coefficients(grid.nodes))
         assert r <= 5e-3 * max(1.0, lam)

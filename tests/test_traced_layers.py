@@ -112,3 +112,30 @@ print(json.dumps(recorder.metrics()))
         "hidden_regularity.trace_energy",
     ):
         assert metrics[f"{name}.self_s"] == 0.0, name
+
+
+def test_identities_and_solve_trace_their_residuals(tmp_path):
+    # both commands reach the residuals and the filtered identity through
+    # the public functions the traced run wraps, and solve forms one
+    # coefficient table on its grid
+    code = f"""
+import json, sys
+sys.path.insert(0, {str(SPANS.parent)!r})
+from fracplate import cli
+from spans import Recorder
+recorder = Recorder()
+recorder.install()
+out = {str(tmp_path)!r}
+assert cli.main(["identities", "--nodes", "512,1024", "--out", out + "/i.csv"]) == 0
+assert cli.main(["solve", "--modes", "8", "--nodes", "512", "--out", out + "/s.json"]) == 0
+print(json.dumps(recorder.metrics()))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert metrics["hidden_regularity.filtered_identity_terms.calls"] > 0
+    assert metrics["solver.residuals.self_s"] > 0.0
+    # one table per identities grid, one for solve
+    assert metrics["solver.coefficients.calls"] == 3
