@@ -25,9 +25,22 @@ alpha (``rho = |z|**(1/alpha)``):
   route gives a per-point error estimate.
 
 :func:`ml_eval` is that rule on an array of any shape, with plain orders
-``(alpha, beta)``; :func:`ml_profile` (the solver's path) is the same
-routes with no accuracy target and no error estimate, plus a verified
-Chebyshev cache of the intermediate band, cut to the degree it needs.
+``(alpha, beta)``.  :func:`ml_profile` (the solver's path, alpha in
+(1, 2]) is value-only, with four ranges of ``x = -z`` and no error
+estimate:
+
+* the Taylor band ``x <= ln(100)^alpha``: ``1/Gamma(beta) + z S(z)``,
+  ``S`` one verified Chebyshev series in z of ``E_{alpha,alpha+beta}``
+  fitted to the float Taylor sum and cut at its coefficient plateau
+  (``standardChop``, Aurentz and Trefethen, ACM TOMS 43(4), 2017);
+* the intermediate band up to ``33^alpha``: a verified Chebyshev series in
+  ``ln x`` of :func:`ml_eval`, cut to the degree it needs;
+* up to the far-form edge ``X`` (1e3 at alpha = 1.5): the asymptotic
+  expansion with no accuracy target;
+* past ``X``: the expansion's K-term algebraic series alone (Gorenflo,
+  Loutchko and Luchko, FCAA 5, 2002), which is the expansion to rounding
+  there.
+
 Non-finite or overflowing arguments raise at once.
 """
 
@@ -160,22 +173,19 @@ def _compress(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _taylor(
-    alpha: float, beta: float, z: np.ndarray, estimate: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float Taylor sum with a per-point stop; returns ``(value, est)``.
 
     A point stops at the first term past ``k = rho / alpha`` that is below
     1e-17 of the running sum.  Points stop over a wide range of k, so the
     stopped ones are dropped only once they are half of the working arrays.
     Where ``z^k`` overflows, or 800 terms end before the terms are small,
-    the point gets a non-finite value for the caller to route elsewhere.
-    Only with ``estimate`` (:func:`ml_eval`'s path) does the loop track the
-    largest term and form ``est``; otherwise ``est`` is None, the values
-    being the same.
+    the point gets a non-finite value (and estimate) for the caller to
+    route elsewhere.  ``est`` bounds the last term and the rounding of the
+    sum from the largest term.
     """
     value = np.empty_like(z)
-    est = np.empty_like(z) if estimate else None
+    est = np.empty_like(z)
     cache = _rgamma_series(alpha, beta, 8)
     for lo in range(0, z.size, _BLOCK):
         za = z[lo : lo + _BLOCK]
@@ -184,7 +194,7 @@ def _taylor(
         rho = np.abs(za) ** (1.0 / alpha)
         s = np.zeros_like(za)
         zk = np.ones_like(za)
-        max_mag = np.zeros_like(za) if estimate else None
+        max_mag = np.zeros_like(za)
         n_live = za.size
         for k in range(800):
             if not n_live:
@@ -194,28 +204,25 @@ def _taylor(
             t = zk * cache[k]
             s += t
             mag = np.abs(t)
-            if estimate:
-                np.maximum(max_mag, mag, out=max_mag)
+            np.maximum(max_mag, mag, out=max_mag)
             done = live & (alpha * k > rho) & (mag <= 1e-17 * (1.0 + np.abs(s)))
             d = np.flatnonzero(done)
             if d.size:
                 value[idx[d]] = s[d]
-                if estimate:
-                    est[idx[d]] = 4.0 * mag[d] + 1.5e-16 * (k + 3) * (
-                        max_mag[d] + np.abs(s[d])
-                    )
+                est[idx[d]] = 4.0 * mag[d] + 1.5e-16 * (k + 3) * (
+                    max_mag[d] + np.abs(s[d])
+                )
                 live[d] = False
                 n_live -= d.size
                 if 2 * n_live <= live.size:
-                    idx, za, rho, s, zk = _compress(live, idx, za, rho, s, zk)
-                    if estimate:
-                        (max_mag,) = _compress(live, max_mag)
+                    idx, za, rho, s, zk, max_mag = _compress(
+                        live, idx, za, rho, s, zk, max_mag
+                    )
                     live = np.ones(n_live, dtype=bool)
             zk *= za
         cut = idx[live]
         value[cut] = np.nan
-        if estimate:
-            est[cut] = np.nan
+        est[cut] = np.nan
     return value, est
 
 
@@ -589,6 +596,16 @@ def _far_form(alpha: float, beta: float) -> tuple[float, np.ndarray]:
     return _FAR_CACHE[key]
 
 
+def _far_sum(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_k coef[k-1] x^-k`` by Horner in ``y = 1/x``."""
+    y = 1.0 / x
+    s = np.full_like(y, coef[-1])
+    for c in coef[-2::-1]:
+        s *= y
+        s += c
+    return s * y
+
+
 # }}}
 
 
@@ -821,7 +838,7 @@ def ml_eval(
     band = ~zero & np.where(pos, x <= _TAYLOR_ZMAX, rho <= _FLOAT_RHO_MAX)
     flt = band.copy()
     if flt.any():
-        value[flt], est[flt] = _taylor(alpha, beta, z[flt], True)
+        value[flt], est[flt] = _taylor(alpha, beta, z[flt])
         # where z^k overflows or 800 terms are too few (small alpha) the
         # float sum is non-finite and the point takes the extended sum, as
         # positive points past the band do
@@ -862,9 +879,9 @@ def ml_eval(
 # }}}
 
 
-# {{{ vectorized profile with Chebyshev band cache
+# {{{ vectorized profile with Chebyshev band caches
 
-# band edges: float Taylor below _profile_zf, asymptotic above _profile_B
+# band edges: the Taylor band up to _profile_zf, asymptotic above _profile_B
 def _profile_zf(alpha: float) -> float:
     return _FLOAT_RHO_MAX**alpha
 
@@ -879,6 +896,25 @@ _CHEB_CACHE: dict[tuple[float, float], tuple[float, float, np.ndarray]] = {}
 _CHEB_NODES = (65, 181)
 # the cut series is within this share of max(1, max |c|) of the full one
 _CHEB_CUT = 1e-13
+_TAYLOR_CACHE: dict[tuple[float, float], np.ndarray] = {}
+# Chebyshev nodes of the Taylor band fit
+_TAYLOR_NODES = 65
+
+
+def _first_kind_nodes(n: int) -> np.ndarray:
+    """The n Chebyshev points of the first kind on [-1, 1], descending."""
+    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
+
+
+def _check_points(lo: float, hi: float) -> np.ndarray:
+    """The 12 seeded random points on [lo, hi] that verify a band's fit."""
+    return np.random.default_rng(12345).uniform(lo, hi, 12)
+
+
+def _verified(got: np.ndarray, ref: np.ndarray) -> bool:
+    """Whether a fitted series meets its check values to 1e-11, relative
+    above 1 and absolute below."""
+    return not np.any(np.abs(got - ref) > 1e-11 * np.maximum(1.0, np.abs(ref)))
 
 
 def _cheb_coefficients(vals: np.ndarray) -> np.ndarray:
@@ -907,6 +943,88 @@ def _cheb_cut(coef: np.ndarray) -> np.ndarray:
     return coef[: max(keep, 1)]
 
 
+def _standard_chop(coef: np.ndarray) -> np.ndarray:
+    """The head of ``coef`` that ends where its coefficients reach a plateau
+    of relative noise ``tol`` (double precision's epsilon): ``standardChop``
+    of Aurentz and Trefethen, ACM TOMS 43(4) (2017), in 0-based indices.
+
+    The normalized envelope ``env[j] = max_{k >= j} |c_k| / max |c|``
+    reaches a plateau at the first j whose envelope is zero or falls by
+    less than the factor ``r = 3 (1 - ln env[j] / ln tol)`` up to
+    ``j2 = round(1.25 j + 5)`` (1-based); the cut is then where
+    ``log10 env`` plus a line rising by ``-log10(tol) / 3`` over the
+    plateau's reach is least.  With fewer than 17 coefficients, or no
+    plateau, all are kept.
+    """
+    tol = 2.0**-52
+    n = coef.size
+    if n < 17:
+        return coef
+    env = np.maximum.accumulate(np.abs(coef)[::-1])[::-1]
+    if env[0] == 0.0:
+        return coef[:1]
+    env = env / env[0]
+    for j in range(1, n):
+        # 1-based j + 1 and round-half-up of 1.25 (j + 1) + 5, made 0-based
+        j2 = int(1.25 * (j + 1) + 5.5) - 1
+        if j2 >= n:
+            return coef
+        e1, e2 = env[j], env[j2]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            plateau = j - 1
+            break
+    if env[plateau] == 0.0:
+        return coef[: plateau + 1]
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.count_nonzero(env >= floor))
+    if j3 <= j2:
+        j2 = j3
+        env[j2] = floor
+    cc = np.log10(env[: j2 + 1]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2 + 1)
+    return coef[: max(int(np.argmin(cc)), 1)]
+
+
+def _taylor_band(alpha: float, beta: float) -> np.ndarray:
+    """Verified Chebyshev coefficients of ``S = E_{alpha,alpha+beta}`` on the
+    Taylor band ``z in [-zf, 0]`` in ``t = 1 + 2 z / zf``, cached per order
+    pair; :func:`_taylor_band_value` forms ``E_{alpha,beta}(z) =
+    1/Gamma(beta) + z S(z)`` from them.
+
+    The series interpolates :func:`_taylor`'s values of ``S`` at 65
+    first-kind nodes and is cut at its coefficient plateau
+    (:func:`_standard_chop`: 11 to 18 coefficients for alpha in
+    [1.01, 2]).  12 seeded random points of the band then check the
+    assembled ``E_{alpha,beta}`` against :func:`_taylor` to 1e-11, and a
+    failure raises.  The split keeps ``1/Gamma(beta)`` out of the fit, so
+    ``z = 0`` returns it exactly and, near 0, the fit's error is scaled
+    down by ``|z|``.
+    """
+    key = (alpha, beta)
+    hit = _TAYLOR_CACHE.get(key)
+    if hit is not None:
+        return hit
+    zf = _profile_zf(alpha)
+    nodes = 0.5 * zf * (_first_kind_nodes(_TAYLOR_NODES) - 1.0)
+    coef = _standard_chop(_cheb_coefficients(_taylor(alpha, alpha + beta, nodes)[0]))
+    checks = _check_points(-zf, 0.0)
+    got = _taylor_band_value(alpha, beta, coef, checks)
+    if not _verified(got, _taylor(alpha, beta, checks)[0]):
+        raise MLEvaluationError(
+            f"Taylor band verification failed for alpha={alpha}, beta={beta}"
+        )
+    _TAYLOR_CACHE[key] = coef
+    return coef
+
+
+def _taylor_band_value(
+    alpha: float, beta: float, coef: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """``1/Gamma(beta) + z S(z)`` on points of the Taylor band, ``S`` the
+    series of :func:`_taylor_band`."""
+    t = 1.0 + (2.0 / _profile_zf(alpha)) * z
+    return reciprocal_gamma(beta) + z * chebyshev.chebval(t, coef)
+
+
 def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
     """Verified Chebyshev series of ``E_{alpha,beta}(-exp(y))`` on the
     intermediate band ``[ya, yb]`` in ``y = ln |z|``, cached per order pair.
@@ -926,19 +1044,18 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
         return hit
     ya = math.log(0.97 * _profile_zf(alpha))
     yb = math.log(1.03 * _profile_B(alpha))
-    checks = np.random.default_rng(12345).uniform(ya, yb, 12)
+    checks = _check_points(ya, yb)
 
     def nodes(n: int) -> np.ndarray:
-        tk = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        return 0.5 * (ya + yb) + 0.5 * (yb - ya) * tk
+        return 0.5 * (ya + yb) + 0.5 * (yb - ya) * _first_kind_nodes(n)
 
     n = _CHEB_NODES[0]
     vals = ml_eval(alpha, beta, -np.exp(np.concatenate([nodes(n), checks])))[0]
     ref = vals[n:]
 
     def verified(coef: np.ndarray) -> bool:
-        got = chebyshev.chebval((2.0 * checks - (ya + yb)) / (yb - ya), coef)
-        return not np.any(np.abs(got - ref) > 1e-11 * np.maximum(1.0, np.abs(ref)))
+        t = (2.0 * checks - (ya + yb)) / (yb - ya)
+        return _verified(chebyshev.chebval(t, coef), ref)
 
     coef = _cheb_cut(_cheb_coefficients(vals[:n]))
     if coef.size > n - n // 8 or not verified(coef):
@@ -955,18 +1072,32 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
 def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """Vectorized E_{alpha,beta} on the closed negative axis (z <= 0).
 
-    The same float Taylor sum and asymptotic expansion as :func:`ml_eval`,
-    run with no accuracy target so that the asymptotic optimal-truncation
-    floor is accepted, plus a verified Chebyshev series of the evaluator in
-    the intermediate band, its degree chosen per band (:func:`_cheb_band`).
-    The path is value-only: the Taylor band runs :func:`_taylor` without
-    its estimate, and the asymptotic band calls :func:`_asymptotic_sum`,
-    which forms each point's term count from one search and no error
-    estimate, and the residue pair only where it is not below the double
-    range.  Each band is evaluated a block at a time, so
-    beyond the output and the indices of the Taylor and Chebyshev points
-    the working memory stays block-sized.
-    Requires alpha in (1, 2]; absolute accuracy ~1e-12.
+    Four ranges of ``x = -z``, value-only:
+
+    * the Taylor band ``x <= ln(100)^alpha``: ``1/Gamma(beta) + z S(z)``,
+      ``S`` a verified Chebyshev series in z of ``E_{alpha,alpha+beta}``
+      (:func:`_taylor_band`), from ``E_{a,b}(z) = 1/Gamma(b) + z
+      E_{a,a+b}(z)``.  ``z = 0`` gives ``1/Gamma(beta)`` exactly; on the
+      tested orders the band is within 5e-14 absolute of
+      :func:`ml_series_oracle`, and within 2 ulps of it for
+      ``|z| <= 1e-2``;
+    * the intermediate band up to ``33^alpha``: a verified Chebyshev series
+      in ``ln x`` of :func:`ml_eval`, its degree chosen per band
+      (:func:`_cheb_band`);
+    * from ``33^alpha`` below the far-form edge ``X``: the asymptotic
+      expansion of :func:`ml_eval` with no accuracy target, so that its
+      optimal-truncation floor is accepted, summed by
+      :func:`_asymptotic_sum` (each point's term count from one search, no
+      error estimate, the residue pair only where it is not below the
+      double range);
+    * past both ``33^alpha`` and ``X``: the K-term algebraic series of
+      :func:`_far_form` by Horner in ``1/x`` (:func:`_far_sum`), which is
+      the expansion there to rounding.
+
+    A point's value does not depend on the other points of the call.  Each
+    band is evaluated a block at a time, so beyond the output and the
+    indices of the Taylor and Chebyshev points the working memory stays
+    block-sized.  Requires alpha in (1, 2]; absolute accuracy ~1e-12.
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"ml_profile requires alpha in (1, 2]: {alpha}")
@@ -981,9 +1112,11 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     # of every row, so a call per block of the table would cost more than
     # the sums
     small = np.flatnonzero(flat >= -taylor_edge)
-    for lo in range(0, small.size, _BLOCK):
-        i = small[lo : lo + _BLOCK]
-        out[i] = _taylor(alpha, beta, flat[i], False)[0]
+    if small.size:
+        coef = _taylor_band(alpha, beta)
+        for lo in range(0, small.size, _BLOCK):
+            i = small[lo : lo + _BLOCK]
+            out[i] = _taylor_band_value(alpha, beta, coef, flat[i])
     mid = np.flatnonzero((flat < -taylor_edge) & (flat >= -asymptotic_edge))
     if mid.size:
         ya, yb, coef = _cheb_band(alpha, beta)
@@ -992,11 +1125,20 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
             t = (2.0 * np.log(-flat[i]) - (ya + yb)) / (yb - ya)
             out[i] = chebyshev.chebval(t, coef)
     for lo in range(0, flat.size, _BLOCK):
-        big = np.flatnonzero(flat[lo : lo + _BLOCK] < -asymptotic_edge)
-        if big.size:
+        blk = flat[lo : lo + _BLOCK]
+        big = blk < -asymptotic_edge
+        if not big.any():
+            continue
+        X, far_coef = _far_form(alpha, beta)
+        past = blk <= -X
+        near = np.flatnonzero(big & ~past)
+        if near.size:
             tab = _asymptotic_table(alpha, beta, 0.0)
-            order, *_, v = _asymptotic_sum(alpha, beta, tab, -flat[lo + big])
-            out[lo + big[order]] = v
+            order, *_, v = _asymptotic_sum(alpha, beta, tab, -blk[near])
+            out[lo + near[order]] = v
+        far = np.flatnonzero(big & past)
+        if far.size:
+            out[lo + far] = _far_sum(far_coef, -blk[far])
     return out.reshape(z.shape)
 
 

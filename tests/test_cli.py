@@ -478,10 +478,10 @@ class TestSolveCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "2700f821551acc5e8d5907eeccadbacd6682ff9042986e044cfcf55c0d27c954"
+            "0be8141287845e38507e9209bdcbfe01649ea30a81d41a114307af1f63eefd3f"
         )
         assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
-            "5bf4edfddc922588634e094ac539fc04167b5260e13110bc4cda9290d54ba2ff"
+            "8d29995a8824fb60fd2214184b6ceeb125564cbd424aba6dcf49828d1f807bef"
         )
 
     def test_apriori_is_the_library_dict(self, tmp_path, capsys):
@@ -562,7 +562,7 @@ class TestIdentitiesCommand:
         code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "e4321fa587a49f09b94a87acc673132357557c72a4af2462b14183afd0296b6f"
+            "a5496546a2275afe5b848a40c08b8c7b51fd0b1e0defd64c699f16467c057e6a"
         )
 
     def test_residuals_decrease(self, capsys):
@@ -595,7 +595,7 @@ class TestProbeCommand:
         "domain,digest",
         [
             ("interval:pi",
-             "c8d86a12faa142a455bd4b582aa622dc5b53104516fb2de1c7b182c208b016f7"),
+             "0dd66f984ba2a0feb1bdb9f4f6a4569a3a139a075bc34e3c1a3b4ae690e07a01"),
             ("rectangle:pixpi",
              "d5e37aa0ce5af9756d642767088ba84be1db5f2d8ed95299bd2607de57d348e6"),
         ],
@@ -613,9 +613,9 @@ class TestProbeCommand:
         "domain,modes,digest",
         [
             ("rectangle:pixpi", "256,512,1024,2048,4096",
-             "82c511fdd09fe15ad64ddb137f86b0adb035cbf9c0d6610dc3f5e7a3c47b1356"),
+             "8bece7a2e5a4ec7da21d94cbd289170035b6cb483d3701b410d19653c1254558"),
             ("interval:pi", "1024,2048,4096,8192",
-             "614039c1ca1e05de2e417eeb1345bc462e7dc5315ed5b8258864d3c58d1c7d92"),
+             "377568d055a5f26720478e1b39967c7e416970a5ba13a32f6d15f076b98d051e"),
         ],
     )
     def test_large_probe_bytes_pinned(self, domain, modes, digest, capsys):
@@ -698,7 +698,7 @@ class TestReportCommand:
         code, out = _run(["report", "--profile", "quick"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "4353fa028b325ab0120e04971b51856536148b78866173d005f37ca251fd1004"
+            "0434caa9e5f29fbf9b02913e763013f80193f442206f6c65b486a4d785a36e23"
         )
 
     def test_seed_reaches_criterion_6(self, capsys):

@@ -458,27 +458,6 @@ def test_small_orders_at_unit_argument_meet_the_contract(alpha, z):
 
 
 @pytest.mark.parametrize(
-    "alpha,beta", [(1.5, 1.0), (1.5, 2.0), (1.01, 1.25), (2.0, 0.5), (0.5, 1.0)]
-)
-def test_value_only_taylor_equals_the_estimating_sum(alpha, beta):
-    # ml_profile's Taylor band skips the estimate; its values are those of
-    # ml_eval's estimating sum bit for bit, over two blocks, with z = 0 and
-    # (alpha 0.5) positive points the float sum cannot finish
-    from fracplate.special_functions import _BLOCK, _profile_zf, _taylor
-
-    rng = np.random.default_rng(5)
-    z = np.concatenate([
-        [0.0, 9.0, 10.0], -rng.uniform(0.0, _profile_zf(min(alpha, 1.5)), _BLOCK + 500)
-    ])
-    rng.shuffle(z)
-    value, est = _taylor(alpha, beta, z, True)
-    alone, none = _taylor(alpha, beta, z, False)
-    assert none is None and np.isfinite(est).sum() == np.isfinite(value).sum()
-    assert alone.tobytes() == value.tobytes()
-    assert (alpha == 0.5) == (not np.isfinite(value).all())
-
-
-@pytest.mark.parametrize(
     "alpha,beta,z",
     [
         (0.8, 1.0, -30.0), (1.0, 1.0, -30.0), (2.0, 1.5, -50.0), (0.5, 2.0, -10.0),
@@ -586,14 +565,18 @@ def test_pinned_edge_order_routes_cli_bytes(capsys):
     assert digest == "f2c3c96804a50b44d2465bb46349cbdbda3d7d2ba22666165dad1e26c12724bb"
 
 
+# every grid has points in the Taylor band and past the far-form edge X
 _PROFILE_GRIDS = [
     (alpha, beta, -np.logspace(-6, 7, 160))
     for alpha, beta in [(1.2, 1.0), (1.5, 2.0), (1.8, 1.5)]
-] + [(1.5, 2.0, np.array([0.0, -1.0]))]
+] + [(1.5, 2.0, np.array([0.0, -1.0, -1e5]))]
 
 
 @pytest.mark.parametrize("alpha,beta,z", _PROFILE_GRIDS)
 def test_profile_batch_independent(alpha, beta, z):
+    from fracplate.special_functions import _far_form
+
+    assert np.any(-z >= _far_form(alpha, beta)[0])
     prof = ml_profile(alpha, beta, z)
     alone = np.array([ml_profile(alpha, beta, z[i : i + 1])[0] for i in range(z.size)])
     assert np.array_equal(prof, alone)
@@ -601,18 +584,54 @@ def test_profile_batch_independent(alpha, beta, z):
 
 @pytest.mark.parametrize("alpha,beta,z", _PROFILE_GRIDS)
 def test_profile_agrees_with_ml_eval(alpha, beta, z):
+    # the Taylor band against the exact partial sum, the asymptotic band
+    # against the evaluator's own error bound
     from fracplate.special_functions import _profile_B, _profile_zf
 
     prof = ml_profile(alpha, beta, z)
     a = np.abs(z)
-    taylor = a < _profile_zf(alpha)
+    taylor = a <= _profile_zf(alpha)
     big = a > _profile_B(alpha)
     assert taylor.any()
     for i in np.flatnonzero(taylor):
-        assert prof[i] == ml_eval(alpha, beta, float(z[i]))[0]
+        assert abs(prof[i] - ml_series_oracle(alpha, beta, float(z[i]), 150)) <= 5e-14
     for i in np.flatnonzero(big):
         value, est, _ = ml_eval(alpha, beta, float(z[i]))
         assert abs(prof[i] - value) <= est
+
+
+_TAYLOR_BAND_ALPHAS = [1.01, 1.2, 1.5, 1.8, 1.9, 1.99, 2.0]
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.25, 2.0, 2.25, None])
+@pytest.mark.parametrize("alpha", _TAYLOR_BAND_ALPHAS)
+def test_taylor_band_against_the_series_oracle(alpha, beta):
+    # 1/Gamma(beta) + z S(z) over the whole band, its edge included, within
+    # 5e-14 absolute of the exact partial sum (None: beta = alpha)
+    from fracplate.special_functions import _profile_zf
+
+    beta = alpha if beta is None else beta
+    zf = _profile_zf(alpha)
+    z = -np.concatenate([np.linspace(0.0, zf, 24), zf * np.geomspace(1e-6, 0.5, 6)])
+    prof = ml_profile(alpha, beta, z)
+    ref = np.array([ml_series_oracle(alpha, beta, float(v), 150) for v in z])
+    assert np.max(np.abs(prof - ref)) <= 5e-14
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.5, 1.0), (1.5, 2.0), (1.01, 1.0)])
+def test_taylor_band_near_zero_to_two_ulps(alpha, beta):
+    # with 1/Gamma(beta) split off the fit, its error is scaled by |z|: a
+    # fit of E_{alpha,beta} itself is 5-8 ulps off here
+    z = -np.logspace(-10, -2, 60)
+    prof = ml_profile(alpha, beta, z)
+    ref = np.array([ml_series_oracle(alpha, beta, float(v), 40) for v in z])
+    assert np.all(np.abs(prof - ref) <= 2.0 * np.spacing(np.abs(ref)))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.25, 2.0, 2.25])
+@pytest.mark.parametrize("alpha", _TAYLOR_BAND_ALPHAS)
+def test_profile_at_zero_is_the_reciprocal_gamma(alpha, beta):
+    assert ml_profile(alpha, beta, np.array([0.0]))[0] == reciprocal_gamma(beta)
 
 
 def _fd5_loop(f, t, h):
@@ -864,6 +883,24 @@ def test_cut_keeps_the_shortest_head_within_the_tail_bound():
     assert np.array_equal(_cheb_cut(np.array([1e-15, 1e-16])), [1e-15])
 
 
+def test_standard_chop_cuts_at_the_plateau():
+    from fracplate.special_functions import _standard_chop
+
+    # exact trailing zeros: the nonzero head
+    coef = np.zeros(65)
+    coef[:3] = [1.0, -0.5, 0.25]
+    assert np.array_equal(_standard_chop(coef), coef[:3])
+    # decay to a plateau of rounding noise: the cut is at its start, and
+    # what it drops is noise
+    noise = 1e-17 * np.random.default_rng(3).standard_normal(65)
+    coef = 10.0 ** -np.arange(65.0) + noise
+    head = _standard_chop(coef)
+    assert 14 <= head.size <= 18 and np.max(np.abs(coef[head.size :])) <= 1e-14
+    # no plateau within the coefficients, or too few of them: all are kept
+    assert _standard_chop(0.9 ** np.arange(65.0)).size == 65
+    assert _standard_chop(coef[:16]).size == 16
+
+
 # }}}
 
 
@@ -1013,13 +1050,14 @@ def test_merged_term_count_search_equals_two_searches(alpha, beta, target):
 def test_value_only_core_equals_the_wrapper(alpha, beta):
     # the core alone against the values of the estimating wrapper, on two
     # blocks of random points of ml_eval's far range with the floor, the
-    # residue cut-off and the term-count thresholds among them; above the
-    # band edge the core is ml_profile's asymptotic band
+    # residue cut-off and the term-count thresholds among them; from the
+    # band edge up to the far-form edge X the core is ml_profile's band
     from fracplate.special_functions import (
         _BLOCK,
         _asymptotic,
         _asymptotic_sum,
         _asymptotic_table,
+        _far_form,
         _profile_B,
         _profile_zf,
     )
@@ -1044,8 +1082,9 @@ def test_value_only_core_equals_the_wrapper(alpha, beta):
         order, *_, v = _asymptotic_sum(alpha, beta, tab, x[lo : lo + _BLOCK])
         core[lo + order] = v
     assert np.array_equal(core, value)
-    big = x > edge
-    assert np.array_equal(ml_profile(alpha, beta, -x[big]), value[big])
+    band = (x > edge) & (x < _far_form(alpha, beta)[0])
+    assert band.sum() > 100
+    assert np.array_equal(ml_profile(alpha, beta, -x[band]), value[band])
 
 
 # }}}
@@ -1056,10 +1095,16 @@ def test_value_only_core_equals_the_wrapper(alpha, beta):
 @pytest.mark.parametrize("beta", [1.0, 2.0])
 @pytest.mark.parametrize("alpha", [1.01, 1.2, 1.5, 1.8, 1.9, 1.99, 1.999])
 def test_far_form_is_the_profile_to_rounding(alpha, beta):
-    # from X on the K-term algebraic series alone is ml_profile to rounding,
-    # relative to the value: the residue pair is below half an ulp of the
-    # leading term there, also where c_1 = 1/Gamma(beta - alpha) is small
-    from fracplate.special_functions import _far_form
+    # from X on the K-term algebraic series alone is the asymptotic band's
+    # expansion to rounding, relative to the value: the residue pair is below
+    # half an ulp of the leading term there, also where
+    # c_1 = 1/Gamma(beta - alpha) is small; ml_profile sums it by Horner
+    from fracplate.special_functions import (
+        _asymptotic_sum,
+        _asymptotic_table,
+        _far_form,
+        _profile_B,
+    )
 
     X, coef = _far_form(alpha, beta)
     assert X >= 1e3 and coef.size >= 2
@@ -1074,8 +1119,13 @@ def test_far_form_is_the_profile_to_rounding(alpha, beta):
     for c in coef:
         p *= y
         far += c * p
-    ref = ml_profile(alpha, beta, -x)
+    order, *_, v = _asymptotic_sum(alpha, beta, _asymptotic_table(alpha, beta, 0.0), x)
+    ref = np.empty_like(x)
+    ref[order] = v
     assert np.max(np.abs(far - ref) / np.abs(ref)) <= 4e-15
+    past = x > _profile_B(alpha)
+    prof = ml_profile(alpha, beta, -x[past])
+    assert np.max(np.abs(prof - ref[past]) / np.abs(ref[past])) <= 4e-15
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0])
