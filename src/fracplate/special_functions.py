@@ -12,10 +12,10 @@ on the negative real axis.  One rule routes each point there, for every
 alpha (``rho = |z|**(1/alpha)``):
 
 * the float Taylor sum while its alternating cancellation is mild
-  (``rho <= ln 100``);
+  (``rho <= ln 100``), over a ``live`` mask of the points still summing;
 * else the algebraic large-argument expansion plus the conjugate-pole
   residue pair, where its optimal-truncation floor ``exp(-rho)`` is below
-  the target accuracy;
+  the target accuracy, each term summed on one slice of a sorted block;
 * else, for ``1.02 <= alpha <= 2``, a branch-cut integral representation
   (the residue pair plus a smooth Laplace-type kernel): one fixed composite
   Gauss rule, graded toward 0 and the near-pole ridge, for all such points
@@ -167,38 +167,30 @@ def _mp_gammas(alpha: float, beta: float, dps: int, upto: int) -> list:
 _BLOCK = 1 << 14
 
 
-def _compress(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The entries of each per-point array that stay in the active set."""
-    return tuple(a[keep] for a in arrays)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float Taylor sum with a per-point stop; returns ``(value, est)``.
 
     A point stops at the first term past ``k = rho / alpha`` that is below
-    1e-17 of the running sum.  Points stop over a wide range of k, so the
-    stopped ones are dropped only once they are half of the working arrays.
-    Where ``z^k`` overflows, or 800 terms end before the terms are small,
-    the point gets a non-finite value (and estimate) for the caller to
-    route elsewhere.  ``est`` bounds the last term and the rounding of the
-    sum from the largest term.
+    1e-17 of the running sum; a ``live`` mask over the block marks the
+    points still summing, and the stopped ones keep being summed unread
+    until the last stops.  Where ``z^k`` overflows, or 800 terms end before
+    the terms are small, the point gets a non-finite value (and estimate)
+    for the caller to route elsewhere.  ``est`` bounds the last term and the
+    rounding of the sum from the largest term.
     """
     value = np.empty_like(z)
     est = np.empty_like(z)
     cache = _rgamma_series(alpha, beta, 8)
     for lo in range(0, z.size, _BLOCK):
         za = z[lo : lo + _BLOCK]
-        idx = np.arange(lo, lo + za.size)
+        v, e = value[lo : lo + _BLOCK], est[lo : lo + _BLOCK]
         live = np.ones(za.size, dtype=bool)
         rho = np.abs(za) ** (1.0 / alpha)
         s = np.zeros_like(za)
         zk = np.ones_like(za)
         max_mag = np.zeros_like(za)
-        n_live = za.size
         for k in range(800):
-            if not n_live:
-                break
             if k >= len(cache):
                 _rgamma_series(alpha, beta, k + 16)
             t = zk * cache[k]
@@ -208,21 +200,14 @@ def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.nd
             done = live & (alpha * k > rho) & (mag <= 1e-17 * (1.0 + np.abs(s)))
             d = np.flatnonzero(done)
             if d.size:
-                value[idx[d]] = s[d]
-                est[idx[d]] = 4.0 * mag[d] + 1.5e-16 * (k + 3) * (
-                    max_mag[d] + np.abs(s[d])
-                )
+                v[d] = s[d]
+                e[d] = 4.0 * mag[d] + 1.5e-16 * (k + 3) * (max_mag[d] + np.abs(s[d]))
                 live[d] = False
-                n_live -= d.size
-                if 2 * n_live <= live.size:
-                    idx, za, rho, s, zk, max_mag = _compress(
-                        live, idx, za, rho, s, zk, max_mag
-                    )
-                    live = np.ones(n_live, dtype=bool)
+                if not live.any():
+                    break
             zk *= za
-        cut = idx[live]
-        value[cut] = np.nan
-        est[cut] = np.nan
+        v[live] = np.nan
+        e[live] = np.nan
     return value, est
 
 
@@ -329,23 +314,19 @@ class _AsymptoticTable:
 
     Term k (``k = 1..K``, entry ``k - 1``) is ``coef * x^-k`` with the
     sign-free envelope ``env * x^-k`` (``ratio = env_k / env_(k-1)``, 0 at
-    k = 1).  The stopping rule of :func:`_asymptotic` gives every point the
-    term count ``min(i_floor, i_conv + 1)``, with ``i_floor`` the number of
-    entries of ``floor_at`` below x and ``i_conv`` the number of entries of
-    ``conv_at`` above x; the point converged if ``i_conv < i_floor``.  Both
-    are step functions of x alone: ``terms[j]`` and ``converged[j]`` hold
-    them for the x above exactly ``j`` entries of ``breaks``.  The residue
-    pair is nonzero only below ``residue_below``.
+    k = 1).  The stopping rule of :func:`_asymptotic` sums term k at the x
+    above ``floor_at[k-1]`` and below ``conv_at[k-2]``: the floor thresholds
+    rise with k and the convergence thresholds fall, so these ranges are
+    nested, each inside the last.  A point that stops after n terms
+    converged if ``x >= conv_at[n-1]``.  The residue pair is nonzero only
+    below ``residue_below``.
     """
 
     coef: np.ndarray
     env: np.ndarray
     ratio: np.ndarray
-    floor_at: np.ndarray  # ascending
-    conv_at: np.ndarray  # ascending
-    breaks: np.ndarray  # ascending
-    terms: np.ndarray  # uint8, one more entry than breaks
-    converged: np.ndarray  # bool, one more entry than breaks
+    floor_at: np.ndarray  # nondecreasing in k
+    conv_at: np.ndarray  # nonincreasing in k
     residue_below: float
 
 
@@ -409,25 +390,12 @@ def _asymptotic_table(alpha: float, beta: float, target: float) -> _AsymptoticTa
     residue_below = math.inf
     if cos_phi < 0.0:
         residue_below = (745.0 / -cos_phi) ** alpha * (1.0 + 1e-9)
-    floor_at = floor_at[:K]
-    conv_at = conv_at[:K][::-1].copy()
-    # a convergence threshold c enters as the float below it: x > prev(c)
-    # exactly when x >= c, so one count of the entries below x gives both
-    # i_floor and K - i_conv; the entries below x are a prefix of the
-    # sorted table however ties are ordered
-    breaks = np.concatenate([floor_at, np.nextafter(conv_at, -math.inf)])
-    order = np.argsort(breaks)
-    i_floor = np.concatenate([[0], np.cumsum(order < K)])
-    i_conv = K - (np.arange(2 * K + 1) - i_floor)
     tab = _AsymptoticTable(
         coef=np.array(coef[:K]),
         env=env_a[:K],
         ratio=np.exp(ln_ratio[:K]),
-        floor_at=floor_at,
-        conv_at=conv_at,
-        breaks=breaks[order],
-        terms=np.minimum(i_floor, i_conv + 1).astype(np.uint8),
-        converged=i_conv < i_floor,
+        floor_at=floor_at[:K],
+        conv_at=conv_at[:K],
         residue_below=residue_below,
     )
     _ASYMPTOTIC_CACHE[key] = tab
@@ -455,52 +423,36 @@ def _tail_threshold(
     return np.where(live, hi, math.inf)
 
 
-def _term_counts(tab: _AsymptoticTable, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Terms summed at each ``x = -z`` (a byte: the stable sort of them is a
-    radix sort) and its step ``j`` in the table, from one search; the point
-    converged if ``tab.converged[j]``."""
-    j = np.searchsorted(tab.breaks, x)
-    return tab.terms[j], j
-
-
 def _asymptotic_sum(
     alpha: float, beta: float, tab: _AsymptoticTable, x: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The expansion's values on one block of ``x = -z``, sorted by term count.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The expansion's values at ascending ``x = -z``.
 
-    Each point's term count is one search in the table's breakpoints; the
-    block is sorted by it (a radix sort of bytes) and summed over shrinking
-    suffixes, with the powers of ``y = 1/x`` by repeated multiplication, and
-    the residue pair is formed only where it is not below the double range.
-    Returns ``(order, j, n, y, p, res, value)``: ``x[order]`` is the sorted
-    block, ``j`` the step of each point of the block (see
-    :func:`_term_counts`), and the rest are per sorted point (term count,
-    ``y``, ``y^n``, residue pair and ``res + sum``).
+    Term k is summed at the x above ``tab.floor_at[k-1]`` and, from k = 2
+    on, below ``tab.conv_at[k-2]``; these ranges are nested, so on sorted x
+    each term is added to one slice inside the last, with the powers of
+    ``y = 1/x`` by repeated multiplication, and the residue pair is formed
+    only on the prefix where it is not below the double range.  Returns
+    ``(value, n, p, res)`` per point: ``res + sum``, the term count, ``y^n``
+    and the residue pair.
     """
-    K = tab.coef.size
-    n, j = _term_counts(tab, x)
-    order = np.argsort(n, kind="stable")
-    n = n[order]
-    # points [first[k]:] of the sorted block have at least k terms
-    first = np.searchsorted(n, np.arange(K + 2))
-    n_max = int(n[-1])
-    x = x[order]
     y = 1.0 / x
     s = np.zeros_like(x)
-    p = y.copy()
-    term = np.empty_like(x)
-    for k in range(1, n_max + 1):
-        a = first[k]
-        np.multiply(p[a:], tab.coef[k - 1], out=term[a:])
-        s[a:] += term[a:]
-        if k < n_max:
-            b = first[k + 1]
-            p[b:] *= y[b:]
+    p = np.ones_like(x)
+    n = np.zeros(x.shape, dtype=np.intp)
+    lo = np.searchsorted(x, tab.floor_at, side="right")
+    hi = np.searchsorted(x, np.append(math.inf, tab.conv_at[:-1]))
+    for k, (c, a, b) in enumerate(zip(tab.coef, lo, hi), 1):
+        if a >= b:
+            break
+        p[a:b] *= y[a:b]
+        s[a:b] += p[a:b] * c
+        n[a:b] = k
     res = np.zeros_like(x)
-    near = x < tab.residue_below
-    if near.any():
-        res[near] = _residue_pair(alpha, beta, x[near])
-    return order, j, n, y, p, res, res + s
+    near = np.searchsorted(x, tab.residue_below)
+    if near:
+        res[:near] = _residue_pair(alpha, beta, x[:near])
+    return res + s, n, p, res
 
 
 def _asymptotic(
@@ -514,20 +466,22 @@ def _asymptotic(
     point converges at the first term whose geometric tail bound is below
     ``target / 2`` or whose envelope is at most 1e-17; it hits the floor when
     the envelope stops decreasing, or after 199 terms.  Both conditions are
-    monotone in |z| at fixed k, so each point's term count is a step
-    function of |z| (see :func:`_asymptotic_table`).  The values come from
-    :func:`_asymptotic_sum` a block of at most ``_BLOCK`` points at a time;
-    this wrapper adds the estimate.  Returns ``(value, est, converged)``:
-    ``est`` bounds term magnitudes by the envelope; a point at the floor
-    keeps the sum up to its smallest term and an infinite estimate.
+    monotone in |z| at fixed k, so the points that sum each term are a
+    range of |z| (see :func:`_asymptotic_table`).  Each block of at most
+    ``_BLOCK`` points is sorted and summed by :func:`_asymptotic_sum`; this
+    wrapper adds the estimate.  Returns ``(value, est, converged)``: ``est``
+    bounds term magnitudes by the envelope; a point at the floor keeps the
+    sum up to its smallest term and an infinite estimate.
     """
     tab = _asymptotic_table(alpha, beta, target)
     value = np.empty_like(z)
     est = np.empty_like(z)
     converged = np.empty(z.shape, dtype=bool)
     for lo in range(0, z.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        order, j, n, y, p, res, v = _asymptotic_sum(alpha, beta, tab, -z[blk])
+        order = lo + np.argsort(-z[lo : lo + _BLOCK])
+        x = -z[order]
+        v, n, p, res = _asymptotic_sum(alpha, beta, tab, x)
+        y = 1.0 / x
         # p is y^n: the envelope and ratio of each point's last term; at the
         # floor (ratio up to 1) the tail bound is discarded
         with np.errstate(divide="ignore"):
@@ -535,11 +489,10 @@ def _asymptotic(
         e = 2.0 * tail + 1e-15 + 2e-16 * (
             np.maximum(np.abs(res), tab.env[0] * y) + np.abs(v)
         )
-        value[blk][order] = v
-        est[blk][order] = e
-        conv = tab.converged[j]
-        np.copyto(est[blk], math.inf, where=~conv)
-        converged[blk] = conv
+        conv = x >= tab.conv_at[n - 1]
+        value[order] = v
+        est[order] = np.where(conv, e, math.inf)
+        converged[order] = conv
     return value, est, converged
 
 
@@ -591,7 +544,7 @@ def _far_form(alpha: float, beta: float) -> tuple[float, np.ndarray]:
                 lo, hi = (lo, mid) if excess(mid) <= 0.0 else (mid, hi)
             # a margin over the rounding of X**(1/alpha)
             X = (hi * (1.0 + 1e-12)) ** alpha
-    K = int(tab.terms[np.searchsorted(tab.breaks, X)])
+    K = min(np.count_nonzero(tab.floor_at < X), np.count_nonzero(tab.conv_at > X) + 1)
     _FAR_CACHE[key] = (X, tab.coef[:K])
     return _FAR_CACHE[key]
 
@@ -1087,9 +1040,9 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     * from ``33^alpha`` below the far-form edge ``X``: the asymptotic
       expansion of :func:`ml_eval` with no accuracy target, so that its
       optimal-truncation floor is accepted, summed by
-      :func:`_asymptotic_sum` (each point's term count from one search, no
-      error estimate, the residue pair only where it is not below the
-      double range);
+      :func:`_asymptotic_sum` on the sorted block (each term added to one
+      slice, nested inside the last term's, no error estimate, the residue
+      pair only where it is not below the double range);
     * past both ``33^alpha`` and ``X``: the K-term algebraic series of
       :func:`_far_form` by Horner in ``1/x`` (:func:`_far_sum`), which is
       the expansion there to rounding.
@@ -1134,8 +1087,9 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         near = np.flatnonzero(big & ~past)
         if near.size:
             tab = _asymptotic_table(alpha, beta, 0.0)
-            order, *_, v = _asymptotic_sum(alpha, beta, tab, -blk[near])
-            out[lo + near[order]] = v
+            x = -blk[near]
+            order = np.argsort(x)
+            out[lo + near[order]] = _asymptotic_sum(alpha, beta, tab, x[order])[0]
         far = np.flatnonzero(big & past)
         if far.size:
             out[lo + far] = _far_sum(far_coef, -blk[far])

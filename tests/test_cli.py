@@ -228,6 +228,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit, match="eigenvalues"):
             main(["solve", "--domain", "interval:1e300", "--modes", "2"])
 
+    def test_repeated_probe_modes_are_refused_before_any_work(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # per_N has one entry per N: a repeated N would print a schedule
+        # longer than its results
+        def refuse(*args, **kwargs):
+            raise AssertionError("the probe ran")
+
+        monkeypatch.setattr(cli, "direct_inequality_probe", refuse)
+        with pytest.raises(SystemExit, match="distinct --modes"):
+            main(["probe", "--modes", "16,16"])
+        with pytest.raises(SystemExit, match="distinct --modes"):
+            main(_config(tmp_path, {"modes": [16, 32, 16]}) + ["probe"])
+        assert capsys.readouterr().out == ""
+
     def test_gamma_refusal_runs_before_any_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the weights were built")

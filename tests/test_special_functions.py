@@ -525,9 +525,10 @@ class TestOutOfRange:
         assert "overflows double precision" in proc.stderr
 
 
-def _kept_ml_outputs(capsys, alphas, skip=()):
+def _kept_ml_outputs(capsys, alphas, skip=(), asymptotic=False):
     """The non-asymptotic outputs of the `ml` command over ``alphas`` x beta
-    {0.5, 1, 2} x 12 z values, less the ``(alpha, z)`` pairs in ``skip``."""
+    {0.5, 1, 2} x 12 z values, less the ``(alpha, z)`` pairs in ``skip``; with
+    ``asymptotic`` the complement, the AsymptoticExpansion outputs."""
     from fracplate.cli import main
 
     kept = []
@@ -539,7 +540,7 @@ def _kept_ml_outputs(capsys, alphas, skip=()):
                 assert main(["ml", "--alpha", str(alpha), "--beta", str(beta),
                              f"--z={z}"]) == 0
                 out = capsys.readouterr().out
-                if not out.rstrip().endswith("AsymptoticExpansion"):
+                if out.rstrip().endswith("AsymptoticExpansion") == asymptotic:
                     kept.append(out)
     return kept
 
@@ -563,6 +564,20 @@ def test_pinned_edge_order_routes_cli_bytes(capsys):
     assert sum(o.rstrip().endswith("IntegralRepresentation") for o in kept) == 9
     digest = hashlib.sha256("".join(kept).encode()).hexdigest()
     assert digest == "f2c3c96804a50b44d2465bb46349cbdbda3d7d2ba22666165dad1e26c12724bb"
+
+
+@pytest.mark.parametrize("alphas,skip,count,digest", [
+    ((1.2, 1.5, 1.8), (), 23,
+     "dc525802633823c81cd9cdf64b2d4330f2769de0d12c237a101a76648fd0ff8b"),
+    ((0.5, 0.9, 1.0, 2.0), {(0.5, 10)}, 58,
+     "77efc9aea19c838769dd12695bb72144895b5ce46ef56f9b4846d7264e14594c"),
+])
+def test_pinned_asymptotic_cli_bytes(capsys, alphas, skip, count, digest):
+    # the AsymptoticExpansion outputs that the two pins above leave out, over
+    # the same grids: the expansion's values, estimates and convergence
+    kept = _kept_ml_outputs(capsys, alphas, skip, asymptotic=True)
+    assert len(kept) == count
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest
 
 
 # every grid has points in the Taylor band and past the far-form edge X
@@ -975,10 +990,10 @@ def _asymptotic_loop(alpha, beta, z, target):
 def test_asymptotic_equals_term_loop(alpha, beta, target):
     from fracplate.special_functions import (
         _asymptotic,
+        _asymptotic_sum,
         _asymptotic_table,
         _profile_B,
         _profile_zf,
-        _term_counts,
     )
 
     beta = alpha if beta == "alpha" else beta
@@ -990,9 +1005,10 @@ def test_asymptotic_equals_term_loop(alpha, beta, target):
     value, est, conv = _asymptotic(alpha, beta, z, target)
     old_value, old_est, old_conv, old_terms = _asymptotic_loop(alpha, beta, z, target)
     tab = _asymptotic_table(alpha, beta, target)
-    terms, step = _term_counts(tab, -z)
-    conv2 = tab.converged[step]
-    assert np.array_equal(conv, conv2)
+    order = np.argsort(-z)
+    terms = np.empty(z.size, dtype=np.intp)
+    terms[order] = _asymptotic_sum(alpha, beta, tab, -z[order])[1]
+    assert np.array_equal(conv, -z >= tab.conv_at[terms - 1])
     thresholds = np.concatenate([tab.floor_at[1:], tab.conv_at])
     near = np.min(np.abs(np.log(-z[:, None] / thresholds)), axis=1) < 1e-10
     assert np.all((terms == old_terms) | near)
@@ -1016,12 +1032,14 @@ def test_asymptotic_floor_point_keeps_the_sum_to_its_smallest_term():
     assert np.all(np.abs(value - old_value)[floor] <= 1e-14)
 
 
-def _term_counts_two_searches(tab, x):
-    """Term counts and convergence from one search in each threshold table."""
-    K = tab.coef.size
-    i_floor = np.searchsorted(tab.floor_at, x)
-    i_conv = K - np.searchsorted(tab.conv_at, x, side="right")
-    return np.minimum(i_floor, i_conv + 1).astype(np.uint8), i_conv < i_floor
+def _term_counts_two_thresholds(tab, x):
+    """Term counts and convergence by the two-threshold rule: with
+    ``i_floor = #(floor_at < x)`` and ``i_conv = #(conv_at > x)``, a point
+    sums ``min(i_floor, i_conv + 1)`` terms and converged if
+    ``i_conv < i_floor``."""
+    i_floor = np.count_nonzero(tab.floor_at[None, :] < x[:, None], axis=1)
+    i_conv = np.count_nonzero(tab.conv_at[None, :] > x[:, None], axis=1)
+    return np.minimum(i_floor, i_conv + 1), i_conv < i_floor
 
 
 _CORE_PAIRS = [(1.02, 1.0), (1.2, 2.0), (1.5, 1.0), (1.5, 2.25), (1.8, 1.8), (2.0, 0.5)]
@@ -1029,21 +1047,22 @@ _CORE_PAIRS = [(1.02, 1.0), (1.2, 2.0), (1.5, 1.0), (1.5, 2.25), (1.8, 1.8), (2.
 
 @pytest.mark.parametrize("target", [0.0, 2e-13])
 @pytest.mark.parametrize("alpha,beta", _CORE_PAIRS)
-def test_merged_term_count_search_equals_two_searches(alpha, beta, target):
-    from fracplate.special_functions import _asymptotic_table, _term_counts
+def test_term_count_slices_equal_two_threshold_rule(alpha, beta, target):
+    # every threshold, its two float neighbours and a geometric sweep: the
+    # nested slices of the sorted points sum each point's count of terms
+    from fracplate.special_functions import _asymptotic_sum, _asymptotic_table
 
     tab = _asymptotic_table(alpha, beta, target)
     b = np.concatenate([tab.floor_at, tab.conv_at])
     b = b[np.isfinite(b) & (b > 0.0)]
-    x = np.concatenate([
+    x = np.sort(np.concatenate([
         b, np.nextafter(b, 0.0), np.nextafter(b, math.inf),
         np.geomspace(1e-3, 1e15, 5000),
-    ])
-    terms, step = _term_counts(tab, x)
-    old_terms, old_conv = _term_counts_two_searches(tab, x)
-    assert terms.dtype == np.uint8
+    ]))
+    terms = _asymptotic_sum(alpha, beta, tab, x)[1]
+    old_terms, old_conv = _term_counts_two_thresholds(tab, x)
     assert np.array_equal(terms, old_terms)
-    assert np.array_equal(tab.converged[step], old_conv)
+    assert np.array_equal(x >= tab.conv_at[terms - 1], old_conv)
 
 
 @pytest.mark.parametrize("alpha,beta", _CORE_PAIRS)
@@ -1073,15 +1092,19 @@ def test_value_only_core_equals_the_wrapper(alpha, beta):
     ])
     x = x[x > lo_edge]
     rng.shuffle(x)
-    value, _, conv = _asymptotic(alpha, beta, -x, 0.0)
+    value, est, conv = _asymptotic(alpha, beta, -x, 0.0)
     assert (~conv).sum() > 100  # points at the floor
     if math.isfinite(tab.residue_below):
         assert np.any(x < tab.residue_below) and np.any(x >= tab.residue_below)
     core = np.empty_like(x)
     for lo in range(0, x.size, _BLOCK):
-        order, *_, v = _asymptotic_sum(alpha, beta, tab, x[lo : lo + _BLOCK])
-        core[lo + order] = v
+        order = lo + np.argsort(x[lo : lo + _BLOCK])
+        core[order] = _asymptotic_sum(alpha, beta, tab, x[order])[0]
     assert np.array_equal(core, value)
+    # each block is sorted inside the kernel: other blocks, same bits
+    back = _asymptotic(alpha, beta, -x[::-1], 0.0)
+    for got, want in zip(back, (value, est, conv)):
+        assert got.tobytes() == want[::-1].tobytes()
     band = (x > edge) & (x < _far_form(alpha, beta)[0])
     assert band.sum() > 100
     assert np.array_equal(ml_profile(alpha, beta, -x[band]), value[band])
@@ -1119,9 +1142,7 @@ def test_far_form_is_the_profile_to_rounding(alpha, beta):
     for c in coef:
         p *= y
         far += c * p
-    order, *_, v = _asymptotic_sum(alpha, beta, _asymptotic_table(alpha, beta, 0.0), x)
-    ref = np.empty_like(x)
-    ref[order] = v
+    ref = _asymptotic_sum(alpha, beta, _asymptotic_table(alpha, beta, 0.0), x)[0]
     assert np.max(np.abs(far - ref) / np.abs(ref)) <= 4e-15
     past = x > _profile_B(alpha)
     prof = ml_profile(alpha, beta, -x[past])
