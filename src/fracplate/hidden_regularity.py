@@ -255,6 +255,12 @@ def filtered_identity_residual(
 # rectangle, chunks of a fixed 128 modes reach almost every column of P
 # anyway, and the partial chunks below 128 would repeat work.
 _FIRST_CHUNK = 16
+# Kernel arguments per ml_profile call of the probe's boxes: the boxes at
+# 513 times x 1024 modes (56k points per order at alpha = 1.5, 90k on a
+# 256-mode rectangle) take one call, while near alpha = 2, where the boxes
+# are the whole table, the arguments and ml_profile's working arrays stay
+# below a fixed size beside the two kernel tables.
+_BOX_POINTS = 1 << 17
 
 
 def trace_energy_ratios(
@@ -281,8 +287,10 @@ def trace_energy_ratios(
 
     The modes fall in chunks ``c = [lo, hi)`` with edges 16, 32, 64, ....
     A chunk's box is its rows below ``r_c``, the first row with
-    ``t^alpha >= X / lam_lo``; one :func:`ml_profile` call per order
-    evaluates every box.  Past ``r_c`` every mode of the chunk has
+    ``t^alpha >= X / lam_lo``; :func:`ml_profile` evaluates the boxes in
+    runs of consecutive chunks of at most ``_BOX_POINTS`` points, one call
+    per order and run, and a larger box alone, in pieces of whole rows of at
+    most that size.  Past ``r_c`` every mode of the chunk has
     ``x = t^alpha lam_n >= X`` (the modes are sorted by ``lam``), where
     ``E_{alpha,beta}(-x)`` is the ``K``-term series ``sum_k c_k x^-k`` to
     rounding (:func:`_far_form`; ``X`` is the larger edge of the two
@@ -319,20 +327,46 @@ def trace_energy_ratios(
         hi = min(max(_FIRST_CHUNK, 2 * lo), n_max)
         spans.append((lo, hi, int(np.searchsorted(ta, X / lam[lo]))))
         lo = hi
-    z = np.concatenate([np.outer(-ta[:r], lam[lo:hi]).ravel() for lo, hi, r in spans])
-    e1, e2 = ml_profile(alpha, 1.0, z), ml_profile(alpha, 2.0, z)
-    del z
+    # the boxes: a run of whole chunks of at most _BOX_POINTS points takes
+    # one ml_profile call per order, and a larger chunk is evaluated alone,
+    # a piece of at most _BOX_POINTS points (one row at least) at a time
+    boxes = {}
+
+    def evaluate(run: list[tuple[int, int, int]]) -> None:
+        z = np.concatenate([np.outer(-ta[:r], lam[lo:hi]).ravel() for lo, hi, r in run])
+        e1, e2 = ml_profile(alpha, 1.0, z), ml_profile(alpha, 2.0, z)
+        at = 0
+        for lo, hi, r in run:
+            box = slice(at, at + r * (hi - lo))
+            at = box.stop
+            boxes[lo] = (e1[box].reshape(r, hi - lo), e2[box].reshape(r, hi - lo))
+
+    run, size = [], 0
+    for lo, hi, r in spans:
+        if size + r * (hi - lo) > _BOX_POINTS and run:
+            evaluate(run)
+            run, size = [], 0
+        if r * (hi - lo) <= _BOX_POINTS:
+            run.append((lo, hi, r))
+            size += r * (hi - lo)
+            continue
+        box1, box2 = np.empty((r, hi - lo)), np.empty((r, hi - lo))
+        step = max(1, _BOX_POINTS // (hi - lo))
+        for r0 in range(0, r, step):
+            rows = slice(r0, min(r0 + step, r))
+            z = np.outer(-ta[rows], lam[lo:hi])
+            box1[rows] = ml_profile(alpha, 1.0, z)
+            box2[rows] = ml_profile(alpha, 2.0, z)
+        boxes[lo] = (box1, box2)
+    if run:
+        evaluate(run)
     # per chunk start: r_c, the two boxes, and the far factors L and G
     kernel = {}
-    at = 0
     for lo, hi, r in spans:
-        box = slice(at, at + r * (hi - lo))
-        at = box.stop
         L = (lam[lo] / lam[lo:hi, None]) ** ks
         U = (1.0 / (ta[r:] * lam[lo])) ** ks[:, None]
         G = np.vstack([c1[:, None] * U[:K1], c2[:, None] * U[:K2] * t[r:]])
-        shape = (r, hi - lo)
-        kernel[lo] = (r, e1[box].reshape(shape), e2[box].reshape(shape), L, G)
+        kernel[lo] = (r, *boxes.pop(lo), L, G)
 
     def chunk(lo: int, hi: int) -> tuple[int, int, np.ndarray, np.ndarray]:
         """Modes [lo, hi), the columns of P they reach, and P's block there

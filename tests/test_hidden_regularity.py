@@ -714,6 +714,31 @@ class TestKernelStaircase:
             tracemalloc.stop()
         assert peak <= 0.5 * table
 
+    def test_box_memory_near_order_two_is_bounded(self, monkeypatch):
+        # at alpha = 1.999 the boxes are half of the kernel tables (2048
+        # modes, 513 times), in chunks of up to 513 x 1024 points; beside the
+        # two boxes the probe holds at most 40 bytes per point of the budget
+        # (the arguments, ml_profile's output and working arrays, 5.2 MB).
+        # Boxes evaluated in one piece held 6.9 MB.
+        from fracplate import hidden_regularity
+
+        d = Interval(math.pi)
+        grid = TimeGrid.graded(1.0, 512, default_grading(1.999))
+        u0, u1 = family_members("decay:1.5", 2048, members=2)
+        sizes = _counting_ml_profile(monkeypatch)
+        trace_energy_ratios(d, 1.999, grid, u0, u1, [16, 2048])
+        assert max(sizes) <= hidden_regularity._BOX_POINTS
+        boxes = 8 * sum(sizes)
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            trace_energy_ratios(d, 1.999, grid, u0, u1, [16, 2048])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert boxes >= 0.5 * 2 * len(grid.nodes) * 2048 * 8
+        assert peak <= boxes + 40 * hidden_regularity._BOX_POINTS
+
 
 class TestTraceInvariants:
     def test_per_mode_trace_factorization(self, interval_setup):
