@@ -196,9 +196,11 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         value = options.get(name)
         if value is not None and min(value if isinstance(value, list) else [value]) < 1:
             raise SystemExit(f"{sub} needs --{name.replace('_', '-')} >= 1: {value}")
-    if sub == "probe" and len(set(options["modes"])) < len(options["modes"]):
-        # per_N is keyed by N: a repeated N would print one entry for two
-        raise SystemExit(f"probe needs distinct --modes entries: {options['modes']}")
+    # probe's per_N is keyed by N, so a repeated N would print one entry for
+    # two; a refinement study that repeats a grid compares a row with itself
+    listed = {"probe": "modes", "fracops": "nodes", "identities": "nodes"}.get(sub)
+    if listed and len(set(options[listed])) < len(options[listed]):
+        raise SystemExit(f"{sub} needs distinct --{listed} entries: {options[listed]}")
     if sub == "solve" and options["nodes"] < 512:
         raise SystemExit(f"solve needs --nodes >= 512: {options['nodes']}")
     if "domain" in options:

@@ -34,7 +34,9 @@ estimate:
   fitted to the float Taylor sum and cut at its coefficient plateau
   (``standardChop``, Aurentz and Trefethen, ACM TOMS 43(4), 2017);
 * the intermediate band up to ``33^alpha``: a verified Chebyshev series in
-  ``ln x`` of :func:`ml_eval`, cut to the degree it needs;
+  ``ln x``, cut to the degree it needs, fitted to one value-only pass of
+  the branch-cut integral (the values of :func:`ml_eval`'s integral
+  route, without its estimate);
 * up to the far-form edge ``X`` (1e3 at alpha = 1.5): the asymptotic
   expansion with no accuracy target;
 * past ``X``: the expansion's K-term algebraic series alone (Gorenflo,
@@ -168,22 +170,37 @@ _BLOCK = 1 << 14
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _taylor(
+    alpha: float, beta: float | np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Float Taylor sum with a per-point stop; returns ``(value, est)``.
 
-    A point stops at the first term past ``k = rho / alpha`` that is below
-    1e-17 of the running sum; a ``live`` mask over the block marks the
-    points still summing, and the stopped ones keep being summed unread
-    until the last stops.  Where ``z^k`` overflows, or 800 terms end before
-    the terms are small, the point gets a non-finite value (and estimate)
-    for the caller to route elsewhere.  ``est`` bounds the last term and the
-    rounding of the sum from the largest term.
+    ``beta`` is one order, or an array of orders like ``z``: one pass then
+    sums several series ``E_{alpha,beta}`` at once, each point with the
+    reciprocal gammas of its own beta.  A point stops at the first term
+    past ``k = rho / alpha`` that is below 1e-17 of the running sum; a
+    ``live`` mask over the block marks the points still summing, and the
+    stopped ones keep being summed unread until the last stops.  Where
+    ``z^k`` overflows, or 800 terms end before the terms are small, the
+    point gets a non-finite value (and estimate) for the caller to route
+    elsewhere.  ``est`` bounds the last term and the rounding of the sum
+    from the largest term.
     """
     value = np.empty_like(z)
     est = np.empty_like(z)
-    cache = _rgamma_series(alpha, beta, 8)
+    if np.ndim(beta):
+        betas, which = np.unique(beta, return_inverse=True)
+    else:
+        betas, which = [beta], 0
+
+    def gammas(upto: int) -> np.ndarray:
+        # row j: 1/Gamma(alpha k + betas[j]) for k = 0..upto
+        return np.array([_rgamma_series(alpha, b, upto)[: upto + 1] for b in betas])
+
+    rg = gammas(8)
     for lo in range(0, z.size, _BLOCK):
         za = z[lo : lo + _BLOCK]
+        row = which if np.ndim(which) == 0 else which[lo : lo + _BLOCK]
         v, e = value[lo : lo + _BLOCK], est[lo : lo + _BLOCK]
         live = np.ones(za.size, dtype=bool)
         rho = np.abs(za) ** (1.0 / alpha)
@@ -191,9 +208,9 @@ def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.nd
         zk = np.ones_like(za)
         max_mag = np.zeros_like(za)
         for k in range(800):
-            if k >= len(cache):
-                _rgamma_series(alpha, beta, k + 16)
-            t = zk * cache[k]
+            if k >= rg.shape[1]:
+                rg = gammas(k + 16)
+            t = zk * rg[row, k]
             s += t
             mag = np.abs(t)
             np.maximum(max_mag, mag, out=max_mag)
@@ -626,19 +643,6 @@ _GL_NODES, _GL_WEIGHTS = gauss_legendre(16)
 _CUT_ROWS = 256
 
 
-def _beta_reduce(
-    alpha: float, beta: float, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lower beta by alpha via E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z.
-
-    Only used for |z| >= 1 where the division is contractive.
-    """
-    value, est = _integral_rep(alpha, beta - alpha, z)
-    rg = reciprocal_gamma(beta - alpha)
-    out = (value - rg) / z
-    return out, (est + 2e-15 * abs(rg)) / np.abs(z) + 2e-16 * np.abs(out)
-
-
 def _cut_breaks(alpha: float) -> np.ndarray:
     """Panel breakpoints of the scaled cut integral on [0, 64].
 
@@ -685,12 +689,40 @@ def _cut_rule(
     return s, w.ravel() * num / den
 
 
-def _integral_rep(
-    alpha: float, beta: float, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residue pair plus branch-cut integral on an array of z <= -1.
+def _cut_sums(
+    rho: np.ndarray, s: np.ndarray, *weights: np.ndarray
+) -> list[np.ndarray]:
+    """``sum_j w_j exp(-rho s_j)`` per point for each weight vector ``w``,
+    with the exponentials of a block of ``_CUT_ROWS`` points formed once."""
+    sums = [np.empty_like(rho) for _ in weights]
+    for lo in range(0, rho.size, _CUT_ROWS):
+        rows = slice(lo, lo + _CUT_ROWS)
+        e = np.exp(-rho[rows, None] * s)
+        for out, w in zip(sums, weights):
+            out[rows] = (w * e).sum(axis=1)
+    return sums
 
-    With x = -z and s = r**(1/alpha) the cut integral reads
+
+def _fine_pass(
+    alpha: float, beta: float, x: np.ndarray, mag: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """One pass of the fine rule at ``x = -z >= 1``, beta < 1 + alpha.
+
+    Returns ``(value, rho, scale, sums)`` with ``value = res + scale *
+    sums[0]``: ``sums[0]`` is the rule's sum and, with ``mag``, ``sums[1]``
+    the sum of ``|terms|`` from the same exponentials.
+    """
+    s, w = _cut_rule(alpha, beta, _cut_breaks(alpha))
+    rho = x ** (1.0 / alpha)
+    sums = _cut_sums(rho, s, w, np.abs(w)) if mag else _cut_sums(rho, s, w)
+    scale = rho ** (alpha - beta + 1.0) / (math.pi * x)
+    return _residue_pair(alpha, beta, x) + scale * sums[0], rho, scale, sums
+
+
+def _integral_value(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """Residue pair plus branch-cut integral at ``x = -z >= 1``, value-only.
+
+    With s = r**(1/alpha) the cut integral reads
 
         (1/pi) * int_0^inf exp(-s) s^(alpha-beta)
                  * (s^alpha sin(pi beta) - x sin(pi (alpha-beta)))
@@ -698,36 +730,43 @@ def _integral_rep(
 
     scaling s by rho = x**(1/alpha) leaves ``x`` only in ``exp(-rho s)``,
     so one fixed composite rule (:func:`_cut_breaks`, :func:`_cut_rule`)
-    serves every point.  The value takes the rule; ``est`` adds the gap to
-    the rule on every other breakpoint (the nested coarse level) and the
-    rounding of the sum and of the residue phase.  beta >= 1 + alpha is
-    first lowered by :func:`_beta_reduce`.
+    serves every point, in one pass of exponentials (:func:`_fine_pass`).
+    beta >= 1 + alpha is first lowered by alpha, via ``E_{a,b}(z) =
+    (E_{a,b-a}(z) - 1/Gamma(b-a)) / z`` (contractive for |z| >= 1).
+    :func:`_integral_rep` puts the error estimate on top of these values.
 
-    Range: 1.02 <= alpha <= 2 (where :func:`ml_eval` routes it) and x >= 1.
-    At every Chebyshev node of the band cache of the tested orders the
-    value is within ``max(1e-13, 1e-13 |E|)`` of :func:`ml_series_oracle`
-    and ``est`` bounds the error.
+    Range: 1 < alpha <= 2 and x >= 1.  At every Chebyshev node of the band
+    cache of the tested orders (alpha from 1.0001 to 2) the value is within
+    ``max(1e-13, 1e-13 |E|)`` of :func:`ml_series_oracle`.
     """
     if beta >= 1.0 + alpha - 1e-9:
-        return _beta_reduce(alpha, beta, z)
+        rg = reciprocal_gamma(beta - alpha)
+        return (_integral_value(alpha, beta - alpha, x) - rg) / -x
+    return _fine_pass(alpha, beta, x, mag=False)[0]
+
+
+def _integral_rep(
+    alpha: float, beta: float, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_integral_value` on an array of z <= -1, with an error estimate.
+
+    The value is the fine pass's, bit for bit; ``est`` adds the gap to the
+    rule on every other breakpoint (the nested coarse level) and the
+    rounding of the sum and of the residue phase.  For beta >= 1 + alpha
+    the value and estimate at beta - alpha are lowered.  At every Chebyshev
+    node of the band cache of the tested orders ``est`` bounds the error.
+    """
+    if beta >= 1.0 + alpha - 1e-9:
+        value, est = _integral_rep(alpha, beta - alpha, z)
+        rg = reciprocal_gamma(beta - alpha)
+        out = (value - rg) / z
+        return out, (est + 2e-15 * abs(rg)) / np.abs(z) + 2e-16 * np.abs(out)
+    value, rho, scale, (total, mag) = _fine_pass(alpha, beta, -z, mag=True)
     fine = _cut_breaks(alpha)
     s_c, w_c = _cut_rule(alpha, beta, np.append(fine[:-1:2], fine[-1]))
-    s, w = _cut_rule(alpha, beta, fine)
-    x = -z
-    rho = x ** (1.0 / alpha)
-    coarse, value, mag = (np.empty_like(x) for _ in range(3))
-    for lo in range(0, x.size, _CUT_ROWS):
-        rows = slice(lo, lo + _CUT_ROWS)
-        r = rho[rows, None]
-        coarse[rows] = (w_c * np.exp(-r * s_c)).sum(axis=1)
-        terms = w * np.exp(-r * s)
-        value[rows] = terms.sum(axis=1)
-        mag[rows] = np.abs(terms).sum(axis=1)
-    scale = rho ** (alpha - beta + 1.0) / (math.pi * x)
-    res = _residue_pair(alpha, beta, x)
+    (coarse,) = _cut_sums(rho, s_c, w_c)
     amp = (2.0 / alpha) * rho ** (1.0 - beta) * np.exp(rho * math.cos(math.pi / alpha))
-    est = scale * (np.abs(value - coarse) + 2e-15 * mag) + 1e-15 * (1.0 + rho) * amp
-    value = res + scale * value
+    est = scale * (np.abs(total - coarse) + 2e-15 * mag) + 1e-15 * (1.0 + rho) * amp
     return value, est + 2e-16 * np.abs(value)
 
 
@@ -943,14 +982,15 @@ def _taylor_band(alpha: float, beta: float) -> np.ndarray:
     pair; :func:`_taylor_band_value` forms ``E_{alpha,beta}(z) =
     1/Gamma(beta) + z S(z)`` from them.
 
-    The series interpolates :func:`_taylor`'s values of ``S`` at 65
-    first-kind nodes and is cut at its coefficient plateau
-    (:func:`_standard_chop`: 11 to 18 coefficients for alpha in
-    [1.01, 2]).  12 seeded random points of the band then check the
-    assembled ``E_{alpha,beta}`` against :func:`_taylor` to 1e-11, and a
-    failure raises.  The split keeps ``1/Gamma(beta)`` out of the fit, so
-    ``z = 0`` returns it exactly and, near 0, the fit's error is scaled
-    down by ``|z|``.
+    One :func:`_taylor` pass sums ``S`` at 65 first-kind nodes and
+    ``E_{alpha,beta}`` at 12 seeded random points of the band, each point
+    with the reciprocal gammas of its own order.  The series interpolates
+    ``S`` and is cut at its coefficient plateau (:func:`_standard_chop`: 11
+    to 18 coefficients for alpha in [1.01, 2]); the assembled
+    ``E_{alpha,beta}`` is then checked against the Taylor sum at the 12
+    points to 1e-11, and a failure raises.  The split keeps
+    ``1/Gamma(beta)`` out of the fit, so ``z = 0`` returns it exactly and,
+    near 0, the fit's error is scaled down by ``|z|``.
     """
     key = (alpha, beta)
     hit = _TAYLOR_CACHE.get(key)
@@ -958,10 +998,13 @@ def _taylor_band(alpha: float, beta: float) -> np.ndarray:
         return hit
     zf = _profile_zf(alpha)
     nodes = 0.5 * zf * (_first_kind_nodes(_TAYLOR_NODES) - 1.0)
-    coef = _standard_chop(_cheb_coefficients(_taylor(alpha, alpha + beta, nodes)[0]))
     checks = _check_points(-zf, 0.0)
+    # S at the nodes and E at the checks in one pass
+    betas = np.repeat([alpha + beta, beta], [nodes.size, checks.size])
+    vals = _taylor(alpha, betas, np.concatenate([nodes, checks]))[0]
+    coef = _standard_chop(_cheb_coefficients(vals[: nodes.size]))
     got = _taylor_band_value(alpha, beta, coef, checks)
-    if not _verified(got, _taylor(alpha, beta, checks)[0]):
+    if not _verified(got, vals[nodes.size :]):
         raise MLEvaluationError(
             f"Taylor band verification failed for alpha={alpha}, beta={beta}"
         )
@@ -983,12 +1026,14 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
     intermediate band ``[ya, yb]`` in ``y = ln |z|``, cached per order pair.
 
     The first fit interpolates at 65 first-kind nodes, in the same
-    :func:`ml_eval` call as 12 seeded random points that verify the series
-    to 1e-11 before it is trusted; the series is then cut
-    (:func:`_cheb_cut`).  It resolves the band when the cut drops at least
-    the top eighth of its coefficients and the verification passes;
-    otherwise the band is fitted again at 181 nodes, cut and verified at the
-    same points, and a failure there raises.
+    value-only pass of the branch-cut integral (:func:`_integral_value`)
+    as 12 seeded random points that verify the series to 1e-11 before it
+    is trusted; the series is then cut (:func:`_cheb_cut`).  No
+    :func:`ml_eval` call, estimate or asymptotic table is made.  The fit
+    resolves the band when the cut drops at least the top eighth of its
+    coefficients and the verification passes; otherwise the band is fitted
+    again at 181 nodes, cut and verified at the same points, and a failure
+    there raises.
     Returns ``(ya, yb, coefficients)``.
     """
     key = (alpha, beta)
@@ -1003,7 +1048,7 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
         return 0.5 * (ya + yb) + 0.5 * (yb - ya) * _first_kind_nodes(n)
 
     n = _CHEB_NODES[0]
-    vals = ml_eval(alpha, beta, -np.exp(np.concatenate([nodes(n), checks])))[0]
+    vals = _integral_value(alpha, beta, np.exp(np.concatenate([nodes(n), checks])))
     ref = vals[n:]
 
     def verified(coef: np.ndarray) -> bool:
@@ -1013,7 +1058,8 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
     coef = _cheb_cut(_cheb_coefficients(vals[:n]))
     if coef.size > n - n // 8 or not verified(coef):
         n = _CHEB_NODES[1]
-        coef = _cheb_cut(_cheb_coefficients(ml_eval(alpha, beta, -np.exp(nodes(n)))[0]))
+        vals = _integral_value(alpha, beta, np.exp(nodes(n)))
+        coef = _cheb_cut(_cheb_coefficients(vals))
         if not verified(coef):
             raise MLEvaluationError(
                 f"band cache verification failed for alpha={alpha}, beta={beta}"
@@ -1035,7 +1081,8 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
       :func:`ml_series_oracle`, and within 2 ulps of it for
       ``|z| <= 1e-2``;
     * the intermediate band up to ``33^alpha``: a verified Chebyshev series
-      in ``ln x`` of :func:`ml_eval`, its degree chosen per band
+      in ``ln x`` of the branch-cut integral's value-only pass
+      (:func:`_integral_value`), its degree chosen per band
       (:func:`_cheb_band`);
     * from ``33^alpha`` below the far-form edge ``X``: the asymptotic
       expansion of :func:`ml_eval` with no accuracy target, so that its

@@ -243,6 +243,29 @@ class TestUsageErrors:
             main(_config(tmp_path, {"modes": [16, 32, 16]}) + ["probe"])
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "sub,runner,argv,config",
+        [
+            ("fracops", "rl_integral_matrix", ["--nodes", "64,64"],
+             {"nodes": [64, 128, 64]}),
+            ("identities", "solve",
+             ["--modes", "4", "--nodes", "512,512"], {"nodes": [512, 1024, 512]}),
+        ],
+    )
+    def test_repeated_refinement_nodes_are_refused_before_any_work(
+        self, sub, runner, argv, config, monkeypatch, tmp_path, capsys
+    ):
+        # a refinement row repeated would be compared with itself
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{sub} ran")
+
+        monkeypatch.setattr(cli, runner, refuse)
+        with pytest.raises(SystemExit, match="distinct --nodes"):
+            main([sub] + argv)
+        with pytest.raises(SystemExit, match="distinct --nodes"):
+            main(_config(tmp_path, config) + [sub])
+        assert capsys.readouterr().out == ""
+
     def test_gamma_refusal_runs_before_any_work(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the weights were built")
@@ -496,7 +519,7 @@ class TestSolveCommand:
             "0be8141287845e38507e9209bdcbfe01649ea30a81d41a114307af1f63eefd3f"
         )
         assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
-            "8d29995a8824fb60fd2214184b6ceeb125564cbd424aba6dcf49828d1f807bef"
+            "5aa6d408832a89e0b83d92c1ceb0140dc4fddf17f15e689d3c0e764b51b50c38"
         )
 
     def test_apriori_is_the_library_dict(self, tmp_path, capsys):
@@ -577,7 +600,7 @@ class TestIdentitiesCommand:
         code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "a5496546a2275afe5b848a40c08b8c7b51fd0b1e0defd64c699f16467c057e6a"
+            "504f101ba3b5fc757a52d75c6157615851f1c970a1e9e925f1c8c927b0fa861c"
         )
 
     def test_residuals_decrease(self, capsys):
@@ -610,9 +633,9 @@ class TestProbeCommand:
         "domain,digest",
         [
             ("interval:pi",
-             "0dd66f984ba2a0feb1bdb9f4f6a4569a3a139a075bc34e3c1a3b4ae690e07a01"),
+             "f0db99e1941a90eb0c20d09c527dbbd3a1b7919dcf4d78b6212c732752bddfb8"),
             ("rectangle:pixpi",
-             "d5e37aa0ce5af9756d642767088ba84be1db5f2d8ed95299bd2607de57d348e6"),
+             "5b3825697e2af079864b5228b25f48cc7d1498bb4cfd2646c25df35168964a02"),
         ],
     )
     def test_output_bytes_pinned(self, domain, digest, capsys):
@@ -628,9 +651,9 @@ class TestProbeCommand:
         "domain,modes,digest",
         [
             ("rectangle:pixpi", "256,512,1024,2048,4096",
-             "8bece7a2e5a4ec7da21d94cbd289170035b6cb483d3701b410d19653c1254558"),
+             "bb7a0372bedc0a27606e1ec73d72d12d7342160718c26a951c6360f8a8e9c108"),
             ("interval:pi", "1024,2048,4096,8192",
-             "377568d055a5f26720478e1b39967c7e416970a5ba13a32f6d15f076b98d051e"),
+             "b45d5b16b1073c8c97fac84eaa02cd9a7e269e8b7cd12ed7c260e345fdc4b999"),
         ],
     )
     def test_large_probe_bytes_pinned(self, domain, modes, digest, capsys):
@@ -713,7 +736,7 @@ class TestReportCommand:
         code, out = _run(["report", "--profile", "quick"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0434caa9e5f29fbf9b02913e763013f80193f442206f6c65b486a4d785a36e23"
+            "82785e0df777f24d5da43b7e735b76b28deaf788627df67cba459e42e01957a8"
         )
 
     def test_seed_reaches_criterion_6(self, capsys):

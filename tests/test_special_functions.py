@@ -685,6 +685,9 @@ _RULE_PAIRS = [
     # edge shapes: close to order 1 with beta past 1 + alpha, and order 2
     # with beta below 1
     (1.03, 2.5), (1.04, 3.43), (2.0, 0.5),
+    # below alpha = 1.02, where ml_eval takes the extended Taylor sum but the
+    # band cache takes the cut integral
+    (1.01, 1.0), (1.01, 2.0), (1.005, 1.005), (1.0001, 1.0),
 ]
 
 
@@ -740,27 +743,72 @@ def test_integral_rule_batch_independent(alpha, beta):
         assert v1[0] == value[i] and e1[0] == est[i]
 
 
-@pytest.mark.parametrize("alpha,beta", [(1.2, 1.0), (1.8, 2.0)])
-def test_band_build_values_equal_ml_eval(alpha, beta, monkeypatch):
-    # the Chebyshev build and ml_eval are the same array code: every value
-    # the build fits or verifies equals ml_eval at the same argument
+def _recording_integral_value(monkeypatch):
+    """Route the band build's value-only integral pass through a wrapper;
+    returns the list of its ``(x, value)`` pairs."""
     from fracplate import special_functions as sf
 
     seen = []
+    inner = sf._integral_value
 
-    def recording(a, b, z):
-        out = ml_eval(a, b, z)
-        seen.append((z.copy(), out))
-        return out
+    def recording(a, b, x):
+        value = inner(a, b, x)
+        seen.append((x.copy(), value))
+        return value
+
+    monkeypatch.setattr(sf, "_integral_value", recording)
+    return seen
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.2, 1.0), (1.8, 2.0)])
+def test_band_build_values_equal_ml_eval(alpha, beta, monkeypatch):
+    # the Chebyshev build takes the value of ml_eval's integral route: every
+    # value it fits or verifies equals _integral_rep's at the same argument,
+    # which is ml_eval's value where ml_eval takes that route
+    from fracplate import special_functions as sf
 
     monkeypatch.delitem(sf._CHEB_CACHE, (alpha, beta), raising=False)
-    monkeypatch.setattr(sf, "ml_eval", recording)
+    seen = _recording_integral_value(monkeypatch)
     sf._cheb_band(alpha, beta)
+    monkeypatch.undo()
     assert len(seen) == 1
-    z, (value, est, method) = seen[0]
-    assert (method == "IntegralRepresentation").sum() > 0
-    for i in range(z.size):
-        assert ml_eval(alpha, beta, float(z[i])) == (value[i], est[i], method[i])
+    x, value = seen[0]
+    assert x.size == 77
+    integral = 0
+    for i in range(x.size):
+        z = np.array([-x[i]])
+        assert sf._integral_rep(alpha, beta, z)[0][0] == value[i]
+        v, _, method = ml_eval(alpha, beta, z)
+        if method[0] == "IntegralRepresentation":
+            integral += 1
+            assert v[0] == value[i]
+    assert integral > 0
+
+
+def test_cold_profile_calls_no_evaluator(monkeypatch):
+    # building the Taylor band, the intermediate band and the far form
+    # takes neither ml_eval nor the asymptotic table at ml_eval's target
+    from fracplate import special_functions as sf
+
+    def forbidden(*args):
+        raise AssertionError("ml_eval must not run")
+
+    targets = []
+    inner = sf._asymptotic_table
+
+    def recording(a, b, target):
+        targets.append(target)
+        return inner(a, b, target)
+
+    for cache in ("_CHEB_CACHE", "_TAYLOR_CACHE", "_ASYMPTOTIC_CACHE", "_FAR_CACHE"):
+        monkeypatch.setattr(sf, cache, {})
+    monkeypatch.setattr(sf, "ml_eval", forbidden)
+    monkeypatch.setattr(sf, "_asymptotic_table", recording)
+    z = -np.geomspace(1e-3, 1e6, 400)
+    for beta in (1.0, 2.0):
+        assert np.all(np.isfinite(ml_profile(1.5, beta, z)))
+    assert len(sf._CHEB_CACHE) == len(sf._TAYLOR_CACHE) == len(sf._FAR_CACHE) == 2
+    assert targets and set(targets) == {0.0}
 
 
 @pytest.mark.parametrize(
@@ -837,20 +885,14 @@ def test_cut_band_against_degree_180_band(alpha, beta, monkeypatch):
 @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5, 1.25, 2.25])
 def test_band_build_is_one_call_at_65_nodes(beta, monkeypatch):
     # at the benchmark's order the first fit resolves every band: one
-    # evaluator call on the 65 nodes and the 12 check points, and a series
+    # value-only pass on the 65 nodes and the 12 check points, and a series
     # cut short
     from fracplate import special_functions as sf
 
-    sizes = []
-
-    def recording(a, b, z):
-        sizes.append(z.size)
-        return ml_eval(a, b, z)
-
     monkeypatch.setattr(sf, "_CHEB_CACHE", {})
-    monkeypatch.setattr(sf, "ml_eval", recording)
+    seen = _recording_integral_value(monkeypatch)
     coef = sf._cheb_band(1.5, beta)[2]
-    assert len(sizes) == 1 and sizes[0] <= 77
+    assert len(seen) == 1 and seen[0][0].size <= 77
     assert coef.size - 1 < 64
 
 
@@ -861,17 +903,17 @@ def test_band_falls_back_to_181_nodes(monkeypatch):
 
     sizes = []
     spoil = [True]
+    inner = sf._integral_value
 
-    def recording(a, b, z):
-        value, est, method = ml_eval(a, b, z)
-        sizes.append(z.size)
+    def recording(a, b, x):
+        value = inner(a, b, x)
+        sizes.append(x.size)
         if len(sizes) == 1 and spoil[0]:
-            value = value.copy()
             value[-12:] += 1e-9  # the check points
-        return value, est, method
+        return value
 
     monkeypatch.setattr(sf, "_CHEB_CACHE", {})
-    monkeypatch.setattr(sf, "ml_eval", recording)
+    monkeypatch.setattr(sf, "_integral_value", recording)
     with pytest.raises(sf.MLEvaluationError, match="verification failed"):
         sf._cheb_band(1.5, 1.0)
     assert sizes == [77, 181]
