@@ -351,7 +351,10 @@ def trace_energy_ratios(
             size += r * (hi - lo)
             continue
         box1, box2 = np.empty((r, hi - lo)), np.empty((r, hi - lo))
+        # rows shared evenly by the fewest pieces within the budget, so no
+        # piece is a remnant of a row or two
         step = max(1, _BOX_POINTS // (hi - lo))
+        step = -(-r // -(-r // step))
         for r0 in range(0, r, step):
             rows = slice(r0, min(r0 + step, r))
             z = np.outer(-ta[rows], lam[lo:hi])
