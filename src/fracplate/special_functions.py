@@ -136,6 +136,9 @@ class MLEvaluationError(ValueError):
 _RGAMMA_SERIES_CACHE: dict[tuple[float, float], list[float]] = {}
 # extended-precision Gamma(alpha k + beta) per working precision
 _MP_GAMMA_CACHE: dict[tuple[float, float, int], list] = {}
+# entries kept by each per-pair cache below (least recently used evicted);
+# an entry is a pure function of its key, so a rebuilt one is bit-identical
+_PAIR_CACHE_SIZE = 64
 
 # alternating-sum amplification allowed on the float path: exp(rho) <= 1e2
 _FLOAT_RHO_MAX = math.log(100.0)
@@ -347,9 +350,7 @@ class _AsymptoticTable:
     residue_below: float
 
 
-_ASYMPTOTIC_CACHE: dict[tuple[float, float, float], _AsymptoticTable] = {}
-
-
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def _asymptotic_table(alpha: float, beta: float, target: float) -> _AsymptoticTable:
     """Coefficients and per-term stopping thresholds in x, cached.
 
@@ -364,10 +365,6 @@ def _asymptotic_table(alpha: float, beta: float, target: float) -> _AsymptoticTa
     table ends where ``Gamma(1 + alpha k - beta)`` overflows, or where every
     x has stopped.
     """
-    key = (alpha, beta, target)
-    hit = _ASYMPTOTIC_CACHE.get(key)
-    if hit is not None:
-        return hit
     coef, env = [], []
     for k in range(1, 200):
         sign = 1.0 if k % 2 else -1.0
@@ -407,7 +404,7 @@ def _asymptotic_table(alpha: float, beta: float, target: float) -> _AsymptoticTa
     residue_below = math.inf
     if cos_phi < 0.0:
         residue_below = (745.0 / -cos_phi) ** alpha * (1.0 + 1e-9)
-    tab = _AsymptoticTable(
+    return _AsymptoticTable(
         coef=np.array(coef[:K]),
         env=env_a[:K],
         ratio=np.exp(ln_ratio[:K]),
@@ -415,8 +412,6 @@ def _asymptotic_table(alpha: float, beta: float, target: float) -> _AsymptoticTa
         conv_at=conv_at[:K],
         residue_below=residue_below,
     )
-    _ASYMPTOTIC_CACHE[key] = tab
-    return tab
 
 
 def _tail_threshold(
@@ -515,9 +510,9 @@ def _asymptotic(
 
 # the far form starts at x = 1e3 at the earliest
 _FAR_MIN = 1e3
-_FAR_CACHE: dict[tuple[float, float], tuple[float, np.ndarray]] = {}
 
 
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def _far_form(alpha: float, beta: float) -> tuple[float, np.ndarray]:
     """``(X, coef)``: for every ``x >= X``, ``E_{alpha,beta}(-x)`` is the
     algebraic series ``sum_k coef[k-1] x^-k`` alone, to rounding; cached.
@@ -534,10 +529,6 @@ def _far_form(alpha: float, beta: float) -> tuple[float, np.ndarray]:
     :func:`ml_profile` sums at ``X``.  ``X`` is infinite where no x
     qualifies: ``cos(pi/alpha) >= 0`` (alpha = 2) or ``c_1 = 0``.
     """
-    key = (alpha, beta)
-    hit = _FAR_CACHE.get(key)
-    if hit is not None:
-        return hit
     tab = _asymptotic_table(alpha, beta, 0.0)
     c1 = abs(float(tab.coef[0]))
     cos_phi = math.cos(math.pi / alpha)
@@ -562,8 +553,7 @@ def _far_form(alpha: float, beta: float) -> tuple[float, np.ndarray]:
             # a margin over the rounding of X**(1/alpha)
             X = (hi * (1.0 + 1e-12)) ** alpha
     K = min(np.count_nonzero(tab.floor_at < X), np.count_nonzero(tab.conv_at > X) + 1)
-    _FAR_CACHE[key] = (X, tab.coef[:K])
-    return _FAR_CACHE[key]
+    return X, tab.coef[:K]
 
 
 def _far_sum(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -882,13 +872,11 @@ def _profile_B(alpha: float) -> float:
     return 33.0**alpha
 
 
-_CHEB_CACHE: dict[tuple[float, float], tuple[float, float, np.ndarray]] = {}
 # Chebyshev nodes of the band fit: the first fit, and the fit it falls back
 # to where the first does not resolve the band
 _CHEB_NODES = (65, 181)
 # the cut series is within this share of max(1, max |c|) of the full one
 _CHEB_CUT = 1e-13
-_TAYLOR_CACHE: dict[tuple[float, float], np.ndarray] = {}
 # Chebyshev nodes of the Taylor band fit
 _TAYLOR_NODES = 65
 
@@ -976,6 +964,7 @@ def _standard_chop(coef: np.ndarray) -> np.ndarray:
     return coef[: max(int(np.argmin(cc)), 1)]
 
 
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def _taylor_band(alpha: float, beta: float) -> np.ndarray:
     """Verified Chebyshev coefficients of ``S = E_{alpha,alpha+beta}`` on the
     Taylor band ``z in [-zf, 0]`` in ``t = 1 + 2 z / zf``, cached per order
@@ -992,10 +981,6 @@ def _taylor_band(alpha: float, beta: float) -> np.ndarray:
     ``1/Gamma(beta)`` out of the fit, so ``z = 0`` returns it exactly and,
     near 0, the fit's error is scaled down by ``|z|``.
     """
-    key = (alpha, beta)
-    hit = _TAYLOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     zf = _profile_zf(alpha)
     nodes = 0.5 * zf * (_first_kind_nodes(_TAYLOR_NODES) - 1.0)
     checks = _check_points(-zf, 0.0)
@@ -1008,7 +993,6 @@ def _taylor_band(alpha: float, beta: float) -> np.ndarray:
         raise MLEvaluationError(
             f"Taylor band verification failed for alpha={alpha}, beta={beta}"
         )
-    _TAYLOR_CACHE[key] = coef
     return coef
 
 
@@ -1021,6 +1005,7 @@ def _taylor_band_value(
     return reciprocal_gamma(beta) + z * chebyshev.chebval(t, coef)
 
 
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
     """Verified Chebyshev series of ``E_{alpha,beta}(-exp(y))`` on the
     intermediate band ``[ya, yb]`` in ``y = ln |z|``, cached per order pair.
@@ -1036,10 +1021,6 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
     there raises.
     Returns ``(ya, yb, coefficients)``.
     """
-    key = (alpha, beta)
-    hit = _CHEB_CACHE.get(key)
-    if hit is not None:
-        return hit
     ya = math.log(0.97 * _profile_zf(alpha))
     yb = math.log(1.03 * _profile_B(alpha))
     checks = _check_points(ya, yb)
@@ -1064,8 +1045,7 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
             raise MLEvaluationError(
                 f"band cache verification failed for alpha={alpha}, beta={beta}"
             )
-    _CHEB_CACHE[key] = (ya, yb, coef)
-    return _CHEB_CACHE[key]
+    return ya, yb, coef
 
 
 def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:

@@ -691,6 +691,25 @@ _RULE_PAIRS = [
 ]
 
 
+# the per-pair caches of ml_profile, least recently used first out
+_PAIR_CACHES = ("_cheb_band", "_taylor_band", "_far_form", "_asymptotic_table")
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty per-pair caches for the test, emptied again after it, so that
+    nothing built under the test's patches serves a later test."""
+    from fracplate import special_functions as sf
+
+    # held here: a test may patch the module's names before the teardown
+    caches = [getattr(sf, name) for name in _PAIR_CACHES]
+    for cache in caches:
+        cache.cache_clear()
+    yield sf
+    for cache in caches:
+        cache.cache_clear()
+
+
 def _cheb_band_nodes(alpha):
     # the arguments a degree-180 band fit of `alpha` evaluates: the band
     # cache's fallback fit, and more nodes than its first fit uses
@@ -716,19 +735,18 @@ def test_integral_rule_against_oracle_at_band_nodes(alpha, beta):
         assert err <= est[i], (z[i], err, est[i])
 
 
-def test_band_build_needs_no_extended_precision(monkeypatch):
+def test_band_build_needs_no_extended_precision(monkeypatch, cold_caches):
     # every band node the float Taylor sum refuses goes to the array routes
-    from fracplate import special_functions as sf
+    sf = cold_caches
 
     def forbidden(*args):
         raise AssertionError("extended-precision Taylor must not run")
 
     monkeypatch.setattr(sf, "_taylor_mp", forbidden)
-    monkeypatch.setattr(sf, "_CHEB_CACHE", {})
     for alpha, beta in [(1.5, 1.0), (1.5, 2.0), (1.5, 1.25), (1.5, 2.25),
                         (1.02, 1.0), (2.0, 1.5)]:
         sf._cheb_band(alpha, beta)
-    assert len(sf._CHEB_CACHE) == 6
+    assert sf._cheb_band.cache_info().currsize == 6
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.02, 1.0), (1.5, 2.25), (1.5, 3.0)])
@@ -761,13 +779,11 @@ def _recording_integral_value(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.2, 1.0), (1.8, 2.0)])
-def test_band_build_values_equal_ml_eval(alpha, beta, monkeypatch):
+def test_band_build_values_equal_ml_eval(alpha, beta, monkeypatch, cold_caches):
     # the Chebyshev build takes the value of ml_eval's integral route: every
     # value it fits or verifies equals _integral_rep's at the same argument,
     # which is ml_eval's value where ml_eval takes that route
-    from fracplate import special_functions as sf
-
-    monkeypatch.delitem(sf._CHEB_CACHE, (alpha, beta), raising=False)
+    sf = cold_caches
     seen = _recording_integral_value(monkeypatch)
     sf._cheb_band(alpha, beta)
     monkeypatch.undo()
@@ -785,10 +801,10 @@ def test_band_build_values_equal_ml_eval(alpha, beta, monkeypatch):
     assert integral > 0
 
 
-def test_cold_profile_calls_no_evaluator(monkeypatch):
+def test_cold_profile_calls_no_evaluator(monkeypatch, cold_caches):
     # building the Taylor band, the intermediate band and the far form
     # takes neither ml_eval nor the asymptotic table at ml_eval's target
-    from fracplate import special_functions as sf
+    sf = cold_caches
 
     def forbidden(*args):
         raise AssertionError("ml_eval must not run")
@@ -800,15 +816,34 @@ def test_cold_profile_calls_no_evaluator(monkeypatch):
         targets.append(target)
         return inner(a, b, target)
 
-    for cache in ("_CHEB_CACHE", "_TAYLOR_CACHE", "_ASYMPTOTIC_CACHE", "_FAR_CACHE"):
-        monkeypatch.setattr(sf, cache, {})
     monkeypatch.setattr(sf, "ml_eval", forbidden)
     monkeypatch.setattr(sf, "_asymptotic_table", recording)
     z = -np.geomspace(1e-3, 1e6, 400)
     for beta in (1.0, 2.0):
         assert np.all(np.isfinite(ml_profile(1.5, beta, z)))
-    assert len(sf._CHEB_CACHE) == len(sf._TAYLOR_CACHE) == len(sf._FAR_CACHE) == 2
+    for name in ("_cheb_band", "_taylor_band", "_far_form"):
+        assert getattr(sf, name).cache_info().currsize == 2
     assert targets and set(targets) == {0.0}
+
+
+def test_pair_caches_are_bounded():
+    # a sweep over more orders than the bound: every per-pair cache keeps at
+    # most _PAIR_CACHE_SIZE entries, and an evicted pair rebuilds bit for bit
+    from fracplate import special_functions as sf
+
+    z = -np.geomspace(1e-3, 1e6, 60)
+    alphas = np.linspace(1.05, 1.95, sf._PAIR_CACHE_SIZE + 16)
+    first = ml_profile(float(alphas[0]), 1.0, z)
+    for alpha in alphas[1:]:
+        ml_profile(float(alpha), 1.0, z)
+    for name in _PAIR_CACHES:
+        info = getattr(sf, name).cache_info()
+        assert info.maxsize == sf._PAIR_CACHE_SIZE
+        assert info.currsize == sf._PAIR_CACHE_SIZE, name
+    misses = sf._cheb_band.cache_info().misses
+    again = ml_profile(float(alphas[0]), 1.0, z)
+    assert sf._cheb_band.cache_info().misses == misses + 1
+    assert np.array_equal(again, first)
 
 
 @pytest.mark.parametrize(
@@ -859,17 +894,15 @@ _CUT_PAIRS = list(dict.fromkeys(
 
 
 @pytest.mark.parametrize("alpha,beta", _CUT_PAIRS)
-def test_cut_band_against_degree_180_band(alpha, beta, monkeypatch):
+def test_cut_band_against_degree_180_band(alpha, beta, cold_caches):
     # the cached band, built cold, against the uncut degree-180 interpolant
     # (numpy's chebinterpolate at the same kind of nodes) and the evaluator
-    from fracplate import special_functions as sf
-
-    monkeypatch.setattr(sf, "_CHEB_CACHE", {})
+    sf = cold_caches
     zf, big = sf._profile_zf(alpha), sf._profile_B(alpha)
     ya, yb = math.log(0.97 * zf), math.log(1.03 * big)
     z = -np.exp(np.random.default_rng(2017).uniform(math.log(zf), math.log(big), 1000))
     got = ml_profile(alpha, beta, z)
-    assert len(sf._CHEB_CACHE) == 1
+    assert sf._cheb_band.cache_info().currsize == 1
     ref_coef = np.polynomial.chebyshev.chebinterpolate(
         lambda t: ml_eval(alpha, beta, -np.exp(0.5 * (ya + yb + (yb - ya) * t)))[0],
         180,
@@ -883,23 +916,21 @@ def test_cut_band_against_degree_180_band(alpha, beta, monkeypatch):
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5, 1.25, 2.25])
-def test_band_build_is_one_call_at_65_nodes(beta, monkeypatch):
+def test_band_build_is_one_call_at_65_nodes(beta, monkeypatch, cold_caches):
     # at the benchmark's order the first fit resolves every band: one
     # value-only pass on the 65 nodes and the 12 check points, and a series
     # cut short
-    from fracplate import special_functions as sf
-
-    monkeypatch.setattr(sf, "_CHEB_CACHE", {})
+    sf = cold_caches
     seen = _recording_integral_value(monkeypatch)
     coef = sf._cheb_band(1.5, beta)[2]
     assert len(seen) == 1 and seen[0][0].size <= 77
     assert coef.size - 1 < 64
 
 
-def test_band_falls_back_to_181_nodes(monkeypatch):
+def test_band_falls_back_to_181_nodes(monkeypatch, cold_caches):
     # a first fit that is not resolved, or that fails its check points, is
     # replaced by the 181-node fit, cut and verified at the same points
-    from fracplate import special_functions as sf
+    sf = cold_caches
 
     sizes = []
     spoil = [True]
@@ -912,7 +943,6 @@ def test_band_falls_back_to_181_nodes(monkeypatch):
             value[-12:] += 1e-9  # the check points
         return value
 
-    monkeypatch.setattr(sf, "_CHEB_CACHE", {})
     monkeypatch.setattr(sf, "_integral_value", recording)
     with pytest.raises(sf.MLEvaluationError, match="verification failed"):
         sf._cheb_band(1.5, 1.0)
