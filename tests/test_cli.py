@@ -516,10 +516,10 @@ class TestSolveCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0be8141287845e38507e9209bdcbfe01649ea30a81d41a114307af1f63eefd3f"
+            "f7987e92bb8dd46d32ae5f35e72146eeb88f6beecabf0ae2f04574f8b9b7e80e"
         )
         assert hashlib.sha256(csv_file.read_bytes()).hexdigest() == (
-            "5aa6d408832a89e0b83d92c1ceb0140dc4fddf17f15e689d3c0e764b51b50c38"
+            "5ebbe3bcbf14592a7ad7f8e08ffcb34a59c8caef131d7355359620b19b33c8e5"
         )
 
     def test_apriori_is_the_library_dict(self, tmp_path, capsys):
@@ -600,7 +600,7 @@ class TestIdentitiesCommand:
         code, out = _run(["identities", "--nodes", "512,1024,2048"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "504f101ba3b5fc757a52d75c6157615851f1c970a1e9e925f1c8c927b0fa861c"
+            "bd2107938fa1d21603681c2eefbec1310a055ae636a3d6cf175f3c487e8db3f8"
         )
 
     def test_residuals_decrease(self, capsys):
@@ -633,9 +633,9 @@ class TestProbeCommand:
         "domain,digest",
         [
             ("interval:pi",
-             "f0db99e1941a90eb0c20d09c527dbbd3a1b7919dcf4d78b6212c732752bddfb8"),
+             "0d8e16d7f4466bd8faa0a93e5df3ef6cc6ade2a1f263de519a47562a01dd7e5f"),
             ("rectangle:pixpi",
-             "5b3825697e2af079864b5228b25f48cc7d1498bb4cfd2646c25df35168964a02"),
+             "ca384887cb53248fe9603b24286a3767e8cd8c5193f84f4b688e6a8d3dc6db3a"),
         ],
     )
     def test_output_bytes_pinned(self, domain, digest, capsys):
@@ -651,9 +651,9 @@ class TestProbeCommand:
         "domain,modes,digest",
         [
             ("rectangle:pixpi", "256,512,1024,2048,4096",
-             "bb7a0372bedc0a27606e1ec73d72d12d7342160718c26a951c6360f8a8e9c108"),
+             "addb73d7e1f93a68e9646d0e5bde44fdd728a6817131b1b9eda2807c67ac5a9b"),
             ("interval:pi", "1024,2048,4096,8192",
-             "b45d5b16b1073c8c97fac84eaa02cd9a7e269e8b7cd12ed7c260e345fdc4b999"),
+             "64c8db29fc9c3e8da9c421bc6fc59ccd3aa596ba986f4554cee75850706b7af4"),
         ],
     )
     def test_large_probe_bytes_pinned(self, domain, modes, digest, capsys):
@@ -736,7 +736,7 @@ class TestReportCommand:
         code, out = _run(["report", "--profile", "quick"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "82785e0df777f24d5da43b7e735b76b28deaf788627df67cba459e42e01957a8"
+            "7d2e85766ea2a3ca4d47562887ae511fb23d96a1b44354fe93eeb50f218a1bd8"
         )
 
     def test_seed_reaches_criterion_6(self, capsys):

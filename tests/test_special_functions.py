@@ -711,8 +711,8 @@ def cold_caches():
 
 
 def _cheb_band_nodes(alpha):
-    # the arguments a degree-180 band fit of `alpha` evaluates: the band
-    # cache's fallback fit, and more nodes than its first fit uses
+    # the 181 first-kind nodes of a degree-180 fit of `alpha`'s band, more
+    # than the band cache's 97
     from fracplate.special_functions import _profile_B, _profile_zf
 
     ya = math.log(0.97 * _profile_zf(alpha))
@@ -763,15 +763,22 @@ def test_integral_rule_batch_independent(alpha, beta):
 
 def _recording_integral_value(monkeypatch):
     """Route the band build's value-only integral pass through a wrapper;
-    returns the list of its ``(x, value)`` pairs."""
+    returns the list of its ``(x, value)`` pairs.  The pass's own call at a
+    lowered beta (beta >= 1 + alpha) is part of the pass, not another."""
     from fracplate import special_functions as sf
 
     seen = []
+    depth = [0]
     inner = sf._integral_value
 
     def recording(a, b, x):
-        value = inner(a, b, x)
-        seen.append((x.copy(), value))
+        depth[0] += 1
+        try:
+            value = inner(a, b, x)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            seen.append((x.copy(), value))
         return value
 
     monkeypatch.setattr(sf, "_integral_value", recording)
@@ -789,7 +796,7 @@ def test_band_build_values_equal_ml_eval(alpha, beta, monkeypatch, cold_caches):
     monkeypatch.undo()
     assert len(seen) == 1
     x, value = seen[0]
-    assert x.size == 77
+    assert x.size == 109
     integral = 0
     for i in range(x.size):
         z = np.array([-x[i]])
@@ -894,15 +901,21 @@ _CUT_PAIRS = list(dict.fromkeys(
 
 
 @pytest.mark.parametrize("alpha,beta", _CUT_PAIRS)
-def test_cut_band_against_degree_180_band(alpha, beta, cold_caches):
-    # the cached band, built cold, against the uncut degree-180 interpolant
-    # (numpy's chebinterpolate at the same kind of nodes) and the evaluator
+def test_cut_band_against_degree_180_band(alpha, beta, monkeypatch, cold_caches):
+    # the cached band, built cold in one pass of 97 nodes and 12 check
+    # points and cut below 97 coefficients, against the uncut degree-180
+    # interpolant (numpy's chebinterpolate at the same kind of nodes) and
+    # the evaluator
     sf = cold_caches
     zf, big = sf._profile_zf(alpha), sf._profile_B(alpha)
     ya, yb = math.log(0.97 * zf), math.log(1.03 * big)
     z = -np.exp(np.random.default_rng(2017).uniform(math.log(zf), math.log(big), 1000))
+    seen = _recording_integral_value(monkeypatch)
     got = ml_profile(alpha, beta, z)
+    monkeypatch.undo()
+    assert [x.size for x, _ in seen] == [109]
     assert sf._cheb_band.cache_info().currsize == 1
+    assert sf._cheb_band(alpha, beta)[2].size < 97
     ref_coef = np.polynomial.chebyshev.chebinterpolate(
         lambda t: ml_eval(alpha, beta, -np.exp(0.5 * (ya + yb + (yb - ya) * t)))[0],
         180,
@@ -916,58 +929,48 @@ def test_cut_band_against_degree_180_band(alpha, beta, cold_caches):
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5, 1.25, 2.25])
-def test_band_build_is_one_call_at_65_nodes(beta, monkeypatch, cold_caches):
-    # at the benchmark's order the first fit resolves every band: one
-    # value-only pass on the 65 nodes and the 12 check points, and a series
-    # cut short
+def test_band_build_is_one_call_at_97_nodes(beta, monkeypatch, cold_caches):
+    # at the benchmark's order: one value-only pass on the 97 nodes and the
+    # 12 check points, and a series cut well short of 97 coefficients
     sf = cold_caches
     seen = _recording_integral_value(monkeypatch)
     coef = sf._cheb_band(1.5, beta)[2]
-    assert len(seen) == 1 and seen[0][0].size <= 77
-    assert coef.size - 1 < 64
+    assert len(seen) == 1 and seen[0][0].size == 109
+    assert coef.size <= 60
 
 
-def test_band_falls_back_to_181_nodes(monkeypatch, cold_caches):
-    # a first fit that is not resolved, or that fails its check points, is
-    # replaced by the 181-node fit, cut and verified at the same points
+def test_band_verification_failure_raises(monkeypatch, cold_caches):
+    # a fit that misses its check points raises after its one pass
     sf = cold_caches
-
     sizes = []
-    spoil = [True]
     inner = sf._integral_value
 
-    def recording(a, b, x):
+    def spoiled(a, b, x):
         value = inner(a, b, x)
         sizes.append(x.size)
-        if len(sizes) == 1 and spoil[0]:
-            value[-12:] += 1e-9  # the check points
+        value[-12:] += 1e-9  # the check points
         return value
 
-    monkeypatch.setattr(sf, "_integral_value", recording)
+    monkeypatch.setattr(sf, "_integral_value", spoiled)
     with pytest.raises(sf.MLEvaluationError, match="verification failed"):
         sf._cheb_band(1.5, 1.0)
-    assert sizes == [77, 181]
-
-    # a first fit that passes its check points but is not cut below the top
-    # eighth of its coefficients does not resolve the band
-    sizes.clear()
-    spoil[0] = False
-    monkeypatch.setattr(sf, "_cheb_cut", lambda coef: coef)
-    coef = sf._cheb_band(1.5, 1.0)[2]
-    assert sizes == [77, 181]
-    assert coef.size == 181
+    assert sizes == [109]
 
 
-def test_cut_keeps_the_shortest_head_within_the_tail_bound():
-    from fracplate.special_functions import _cheb_cut
+@pytest.mark.parametrize("alpha,beta,tol", [
+    (1.5, 1.0, 1e-15), (1.5, 1.25, 1e-15), (1.5, 2.0, 1e-15), (1.5, 2.25, 1e-15),
+    (1.2, 1.0, 2.5e-14), (1.9, 1.0, 2.5e-14), (1.99, 1.0, 2.5e-14),
+])
+def test_intermediate_band_against_the_series_oracle(alpha, beta, tol):
+    # the band over its whole range against the exact partial sum, at 40
+    # log-uniform points
+    from fracplate.special_functions import _profile_B, _profile_zf
 
-    # max|c| = 2: the dropped tail may sum to 2e-13
-    coef = np.array([2.0, -0.5, 1e-3, 4e-14, -5e-14, 3e-14, 1e-16])
-    assert np.array_equal(_cheb_cut(coef), coef[:3])
-    # below max|c| = 1 the bound is absolute
-    assert np.array_equal(_cheb_cut(np.array([0.5, 2e-13])), [0.5, 2e-13])
-    # a series that is all tail keeps its constant
-    assert np.array_equal(_cheb_cut(np.array([1e-15, 1e-16])), [1e-15])
+    lo, hi = math.log(_profile_zf(alpha)), math.log(_profile_B(alpha))
+    z = -np.exp(np.random.default_rng(40).uniform(lo, hi, 40))
+    prof = ml_profile(alpha, beta, z)
+    ref = np.array([ml_series_oracle(alpha, beta, float(v), 900) for v in z])
+    assert np.max(np.abs(prof - ref)) <= tol
 
 
 def test_standard_chop_cuts_at_the_plateau():
