@@ -310,7 +310,9 @@ def _residue_pair(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     factor = (1.0 if alpha == 1.0 else 2.0) / alpha
     rho = x ** (1.0 / alpha)
     phi = math.pi / alpha
-    damp = rho * math.cos(phi)
+    # cos(pi / 2) rounds to 6.1e-17: at alpha = 2 the poles are undamped,
+    # and exp(rho * 6.1e-17) would grow without bound
+    damp = rho * (0.0 if alpha == 2.0 else math.cos(phi))
     live = damp > -745.0
     rho = rho[live]
     out[live] = (

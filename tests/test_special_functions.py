@@ -563,14 +563,14 @@ def test_pinned_edge_order_routes_cli_bytes(capsys):
     assert len(kept) == 83
     assert sum(o.rstrip().endswith("IntegralRepresentation") for o in kept) == 9
     digest = hashlib.sha256("".join(kept).encode()).hexdigest()
-    assert digest == "f2c3c96804a50b44d2465bb46349cbdbda3d7d2ba22666165dad1e26c12724bb"
+    assert digest == "8c3374ed11c0738abc5f87bbdedc40a57429465f07c946ea4c0ed68cc2ae95b1"
 
 
 @pytest.mark.parametrize("alphas,skip,count,digest", [
     ((1.2, 1.5, 1.8), (), 23,
      "dc525802633823c81cd9cdf64b2d4330f2769de0d12c237a101a76648fd0ff8b"),
     ((0.5, 0.9, 1.0, 2.0), {(0.5, 10)}, 58,
-     "77efc9aea19c838769dd12695bb72144895b5ce46ef56f9b4846d7264e14594c"),
+     "6d18c1e6cbf5882d632ec9a6cf4d8b58d513eb65a443afa672ac23ce89e37dc1"),
 ])
 def test_pinned_asymptotic_cli_bytes(capsys, alphas, skip, count, digest):
     # the AsymptoticExpansion outputs that the two pins above leave out, over
@@ -1231,6 +1231,21 @@ def test_far_form_is_empty_at_alpha_two(beta):
     from fracplate.special_functions import _far_form
 
     assert _far_form(2.0, beta)[0] == math.inf
+
+
+def test_order_two_is_cos_and_sinc_to_rounding():
+    # at alpha = 2 the residue pair is undamped: cos(pi / 2) rounds to
+    # 6.1e-17, and a damping factor exp(rho * 6.1e-17) would be 6.1e-13 off
+    # at z = -1e8 and overflow past z = -1.3e38
+    x = np.linspace(1e-3, 1e4, 20001) ** 2
+    root = np.sqrt(x)
+    for evaluate in (ml_profile, lambda a, b, z: ml_eval(a, b, z)[0]):
+        assert np.max(np.abs(evaluate(2.0, 1.0, -x) - np.cos(root))) <= 1e-13
+        assert np.max(np.abs(evaluate(2.0, 2.0, -x) - np.sin(root) / root)) <= 1e-14
+    z = -np.logspace(8.0, 300.0, 60)
+    with np.errstate(all="raise"):
+        far = ml_profile(2.0, 1.0, z)
+    assert np.array_equal(far, np.cos(np.sqrt(-z)))
 
 
 # }}}
