@@ -1052,12 +1052,18 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     band is evaluated a block at a time, so beyond the output and the
     indices of the Taylor and Chebyshev points the working memory stays
     block-sized.  Requires alpha in (1, 2]; absolute accuracy ~1e-12.
+    Raises ValueError for a non-finite or positive ``z``, as :func:`ml_eval`
+    does for a non-finite one.
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"ml_profile requires alpha in (1, 2]: {alpha}")
     z = np.asarray(z, dtype=float)
-    if z.size and not np.max(z) <= 0.0:
-        raise ValueError("ml_profile is defined for z <= 0 only")
+    if z.size:
+        lo, hi = np.min(z), np.max(z)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("Mittag-Leffler argument must be finite")
+        if hi > 0.0:
+            raise ValueError("ml_profile is defined for z <= 0 only")
     flat = z.ravel()
     out = np.empty_like(flat)
     taylor_edge, asymptotic_edge = _profile_zf(alpha), _profile_B(alpha)

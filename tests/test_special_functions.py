@@ -513,6 +513,13 @@ class TestOutOfRange:
         with pytest.raises(ValueError):
             ml_profile(1.5, 1.0, np.array([-1.0, math.nan]))
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_profile_rejects_non_finite_argument(self, z):
+        # with ml_eval's error, wherever the point sits in the array
+        for args in ([z], [-1.0, z], [z, -1e6, 0.0]):
+            with pytest.raises(ValueError, match="argument must be finite"):
+                ml_profile(1.5, 1.0, np.array(args))
+
     def test_cli_exits_nonzero_on_overflow(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fracplate.cli", "ml",
