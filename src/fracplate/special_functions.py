@@ -727,9 +727,9 @@ def _integral_value(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     (E_{a,b-a}(z) - 1/Gamma(b-a)) / z`` (contractive for |z| >= 1).
     :func:`_integral_rep` puts the error estimate on top of these values.
 
-    Range: 1 < alpha <= 2 and x >= 1.  At every Chebyshev node of the band
-    cache of the tested orders (alpha from 1.0001 to 2) the value is within
-    ``max(1e-13, 1e-13 |E|)`` of :func:`ml_series_oracle`.
+    Range: 1 < alpha <= 2 and x >= 1.  At the 181 first-kind nodes of the
+    intermediate band of each tested order (alpha from 1.0001 to 2) the
+    value is within ``max(1e-13, 1e-13 |E|)`` of :func:`ml_series_oracle`.
     """
     if beta >= 1.0 + alpha - 1e-9:
         rg = reciprocal_gamma(beta - alpha)
@@ -745,8 +745,9 @@ def _integral_rep(
     The value is the fine pass's, bit for bit; ``est`` adds the gap to the
     rule on every other breakpoint (the nested coarse level) and the
     rounding of the sum and of the residue phase.  For beta >= 1 + alpha
-    the value and estimate at beta - alpha are lowered.  At every Chebyshev
-    node of the band cache of the tested orders ``est`` bounds the error.
+    the value and estimate at beta - alpha are lowered.  At the 181 band
+    nodes per tested order of :func:`_integral_value` ``est`` bounds the
+    error.
     """
     if beta >= 1.0 + alpha - 1e-9:
         value, est = _integral_rep(alpha, beta - alpha, z)
