@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +133,6 @@ class MLEvaluationError(ValueError):
 
 # {{{ Taylor paths
 
-# float-path reciprocal gammas 1/Gamma(alpha k + beta), grown on demand
-_RGAMMA_SERIES_CACHE: dict[tuple[float, float], list[float]] = {}
 # extended-precision Gamma(alpha k + beta) per working precision
 _MP_GAMMA_CACHE: dict[tuple[float, float, int], list] = {}
 # entries kept by each per-pair cache below (least recently used evicted);
@@ -143,14 +142,6 @@ _PAIR_CACHE_SIZE = 64
 # alternating-sum amplification allowed on the float path: exp(rho) <= 1e2
 _FLOAT_RHO_MAX = math.log(100.0)
 _TAYLOR_ZMAX = 25.0
-
-
-def _rgamma_series(alpha: float, beta: float, upto: int) -> list[float]:
-    cache = _RGAMMA_SERIES_CACHE.setdefault((alpha, beta), [])
-    while len(cache) <= upto:
-        k = len(cache)
-        cache.append(reciprocal_gamma(alpha * k + beta))
-    return cache
 
 
 def _mp_gammas(alpha: float, beta: float, dps: int, upto: int) -> list:
@@ -173,15 +164,13 @@ _BLOCK = 1 << 14
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _taylor(
-    alpha: float, beta: float | np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Float Taylor sum with a per-point stop; returns ``(value, est)``.
+def _taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float Taylor sum of ``E_{alpha,beta}`` with a per-point stop; returns
+    ``(value, est)``.
 
-    ``beta`` is one order, or an array of orders like ``z``: one pass then
-    sums several series ``E_{alpha,beta}`` at once, each point with the
-    reciprocal gammas of its own beta.  A point stops at the first term
-    past ``k = rho / alpha`` that is below 1e-17 of the running sum; a
+    The reciprocal gammas ``1/Gamma(alpha k + beta)`` grow in a list local
+    to the call, one per term the sum reaches.  A point stops at the first
+    term past ``k = rho / alpha`` that is below 1e-17 of the running sum; a
     ``live`` mask over the block marks the points still summing, and the
     stopped ones keep being summed unread until the last stops.  Where
     ``z^k`` overflows, or 800 terms end before the terms are small, the
@@ -191,19 +180,9 @@ def _taylor(
     """
     value = np.empty_like(z)
     est = np.empty_like(z)
-    if np.ndim(beta):
-        betas, which = np.unique(beta, return_inverse=True)
-    else:
-        betas, which = [beta], 0
-
-    def gammas(upto: int) -> np.ndarray:
-        # row j: 1/Gamma(alpha k + betas[j]) for k = 0..upto
-        return np.array([_rgamma_series(alpha, b, upto)[: upto + 1] for b in betas])
-
-    rg = gammas(8)
+    rg: list[float] = []
     for lo in range(0, z.size, _BLOCK):
         za = z[lo : lo + _BLOCK]
-        row = which if np.ndim(which) == 0 else which[lo : lo + _BLOCK]
         v, e = value[lo : lo + _BLOCK], est[lo : lo + _BLOCK]
         live = np.ones(za.size, dtype=bool)
         rho = np.abs(za) ** (1.0 / alpha)
@@ -211,9 +190,9 @@ def _taylor(
         zk = np.ones_like(za)
         max_mag = np.zeros_like(za)
         for k in range(800):
-            if k >= rg.shape[1]:
-                rg = gammas(k + 16)
-            t = zk * rg[row, k]
+            if k == len(rg):
+                rg.append(reciprocal_gamma(alpha * k + beta))
+            t = zk * rg[k]
             s += t
             mag = np.abs(t)
             np.maximum(max_mag, mag, out=max_mag)
@@ -881,22 +860,6 @@ _TAYLOR_NODES = 65
 _CHEB_NODES = 97
 
 
-def _first_kind_nodes(n: int) -> np.ndarray:
-    """The n Chebyshev points of the first kind on [-1, 1], descending."""
-    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
-
-
-def _check_points(lo: float, hi: float) -> np.ndarray:
-    """The 12 seeded random points on [lo, hi] that verify a band's fit."""
-    return np.random.default_rng(12345).uniform(lo, hi, 12)
-
-
-def _verified(got: np.ndarray, ref: np.ndarray) -> bool:
-    """Whether a fitted series meets its check values to 1e-11, relative
-    above 1 and absolute below."""
-    return not np.any(np.abs(got - ref) > 1e-11 * np.maximum(1.0, np.abs(ref)))
-
-
 def _cheb_coefficients(vals: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of the interpolant at the first-kind nodes.
 
@@ -954,6 +917,29 @@ def _standard_chop(coef: np.ndarray) -> np.ndarray:
     return coef[: max(int(np.argmin(cc)), 1)]
 
 
+def _chebfit(
+    f: Callable[[np.ndarray], np.ndarray], n: int, tol: float, what: str
+) -> np.ndarray:
+    """Verified Chebyshev coefficients of ``f`` on [-1, 1], cut at their
+    coefficient plateau.
+
+    One call of ``f`` evaluates the ``n`` first-kind nodes (descending) and
+    12 seeded random check points.  The series interpolates the nodes
+    (:func:`_cheb_coefficients`) and is cut by :func:`_standard_chop`; it
+    must then meet ``f`` at the check points to ``tol``, relative above 1
+    and absolute below, or :class:`MLEvaluationError` is raised.
+    """
+    nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    checks = np.random.default_rng(12345).uniform(-1.0, 1.0, 12)
+    vals = f(np.concatenate([nodes, checks]))
+    coef = _standard_chop(_cheb_coefficients(vals[:n]))
+    ref = vals[n:]
+    miss = np.abs(chebyshev.chebval(checks, coef) - ref)
+    if np.any(miss > tol * np.maximum(1.0, np.abs(ref))):
+        raise MLEvaluationError(f"{what} verification failed")
+    return coef
+
+
 @functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def _taylor_band(alpha: float, beta: float) -> np.ndarray:
     """Verified Chebyshev coefficients of ``S = E_{alpha,alpha+beta}`` on the
@@ -961,29 +947,19 @@ def _taylor_band(alpha: float, beta: float) -> np.ndarray:
     pair; :func:`_taylor_band_value` forms ``E_{alpha,beta}(z) =
     1/Gamma(beta) + z S(z)`` from them.
 
-    One :func:`_taylor` pass sums ``S`` at 65 first-kind nodes and
-    ``E_{alpha,beta}`` at 12 seeded random points of the band, each point
-    with the reciprocal gammas of its own order.  The series interpolates
-    ``S`` and is cut at its coefficient plateau (:func:`_standard_chop`: 11
-    to 18 coefficients for alpha in [1.01, 2]); the assembled
-    ``E_{alpha,beta}`` is then checked against the Taylor sum at the 12
-    points to 1e-11, and a failure raises.  The split keeps
-    ``1/Gamma(beta)`` out of the fit, so ``z = 0`` returns it exactly and,
-    near 0, the fit's error is scaled down by ``|z|``.
+    :func:`_chebfit` of one :func:`_taylor` pass of ``S`` at 65 first-kind
+    nodes and 12 check points, cut at its coefficient plateau (11 to 18
+    coefficients for alpha in [1.01, 2]) and checked to ``1e-11 / zf``, so
+    that ``|z|`` times the check's miss stays below 1e-11 on the band.  The
+    split keeps ``1/Gamma(beta)`` out of the fit, so ``z = 0`` returns it
+    exactly and, near 0, the fit's error is scaled down by ``|z|``.
     """
     zf = _profile_zf(alpha)
-    nodes = 0.5 * zf * (_first_kind_nodes(_TAYLOR_NODES) - 1.0)
-    checks = _check_points(-zf, 0.0)
-    # S at the nodes and E at the checks in one pass
-    betas = np.repeat([alpha + beta, beta], [nodes.size, checks.size])
-    vals = _taylor(alpha, betas, np.concatenate([nodes, checks]))[0]
-    coef = _standard_chop(_cheb_coefficients(vals[: nodes.size]))
-    got = _taylor_band_value(alpha, beta, coef, checks)
-    if not _verified(got, vals[nodes.size :]):
-        raise MLEvaluationError(
-            f"Taylor band verification failed for alpha={alpha}, beta={beta}"
-        )
-    return coef
+    return _chebfit(
+        lambda t: _taylor(alpha, alpha + beta, 0.5 * zf * (t - 1.0))[0],
+        _TAYLOR_NODES, 1e-11 / zf,
+        f"Taylor band (alpha={alpha}, beta={beta})",
+    )
 
 
 def _taylor_band_value(
@@ -1000,25 +976,22 @@ def _cheb_band(alpha: float, beta: float) -> tuple[float, float, np.ndarray]:
     """Verified Chebyshev series of ``E_{alpha,beta}(-exp(y))`` on the
     intermediate band ``[ya, yb]`` in ``y = ln |z|``, cached per order pair.
 
-    One value-only pass of the branch-cut integral (:func:`_integral_value`)
-    evaluates 97 first-kind nodes and 12 seeded random points.  The series
-    interpolates the nodes and is cut at its coefficient plateau
-    (:func:`_standard_chop`: at most 60 coefficients on the tested orders,
-    alpha from 1.0001 to 2); it is then checked against the 12 points to
-    1e-11, and a failure raises.  No :func:`ml_eval` call, estimate or
-    asymptotic table is made.  Returns ``(ya, yb, coefficients)``.
+    :func:`_chebfit` of one value-only pass of the branch-cut integral
+    (:func:`_integral_value`) at 97 first-kind nodes and 12 check points,
+    cut at its coefficient plateau (at most 60 coefficients on the tested
+    orders, alpha from 1.0001 to 2) and checked to 1e-11.  No
+    :func:`ml_eval` call, estimate or asymptotic table is made.  Returns
+    ``(ya, yb, coefficients)``.
     """
     ya = math.log(0.97 * _profile_zf(alpha))
     yb = math.log(1.03 * _profile_B(alpha))
-    nodes = 0.5 * (ya + yb) + 0.5 * (yb - ya) * _first_kind_nodes(_CHEB_NODES)
-    checks = _check_points(ya, yb)
-    vals = _integral_value(alpha, beta, np.exp(np.concatenate([nodes, checks])))
-    coef = _standard_chop(_cheb_coefficients(vals[:_CHEB_NODES]))
-    got = chebyshev.chebval((2.0 * checks - (ya + yb)) / (yb - ya), coef)
-    if not _verified(got, vals[_CHEB_NODES:]):
-        raise MLEvaluationError(
-            f"band cache verification failed for alpha={alpha}, beta={beta}"
-        )
+    coef = _chebfit(
+        lambda t: _integral_value(
+            alpha, beta, np.exp(0.5 * (ya + yb) + 0.5 * (yb - ya) * t)
+        ),
+        _CHEB_NODES, 1e-11,
+        f"intermediate band (alpha={alpha}, beta={beta})",
+    )
     return ya, yb, coef
 
 

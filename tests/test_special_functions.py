@@ -964,6 +964,25 @@ def test_band_verification_failure_raises(monkeypatch, cold_caches):
     assert sizes == [109]
 
 
+def test_taylor_band_verification_failure_raises(monkeypatch, cold_caches):
+    # the Taylor band goes through the same fit: a spoiled check value of
+    # its one pass (65 nodes, 12 check points) raises
+    sf = cold_caches
+    sizes = []
+    inner = sf._taylor
+
+    def spoiled(a, b, z):
+        value, est = inner(a, b, z)
+        sizes.append(z.size)
+        value[-12:] += 1e-9  # the check points
+        return value, est
+
+    monkeypatch.setattr(sf, "_taylor", spoiled)
+    with pytest.raises(sf.MLEvaluationError, match="verification failed"):
+        sf._taylor_band(1.5, 1.0)
+    assert sizes == [77]
+
+
 @pytest.mark.parametrize("alpha,beta,tol", [
     (1.5, 1.0, 1e-15), (1.5, 1.25, 1e-15), (1.5, 2.0, 1e-15), (1.5, 2.25, 1e-15),
     (1.2, 1.0, 2.5e-14), (1.9, 1.0, 2.5e-14), (1.99, 1.0, 2.5e-14),
