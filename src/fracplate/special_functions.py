@@ -31,19 +31,24 @@ estimate:
 
 * the Taylor band ``x <= ln(100)^alpha``: ``1/Gamma(beta) + z S(z)``,
   ``S`` one verified Chebyshev series in z of ``E_{alpha,alpha+beta}``
-  fitted to the float Taylor sum and cut at its coefficient plateau
-  (``standardChop``, Aurentz and Trefethen, ACM TOMS 43(4), 2017);
+  fitted to one float Taylor pass of that order and cut at its
+  coefficient plateau (``standardChop``, Aurentz and Trefethen, ACM TOMS
+  43(4), 2017);
 * the intermediate band up to ``33^alpha``: a verified Chebyshev series in
   ``ln x`` fitted to one value-only pass of the branch-cut integral (the
   values of :func:`ml_eval`'s integral route, without its estimate) and
-  cut at its coefficient plateau by the same ``standardChop``;
+  cut at its coefficient plateau by the same ``standardChop``; one
+  routine, :func:`_chebfit`, fits, cuts and checks both bands;
 * up to the far-form edge ``X`` (1e3 at alpha = 1.5): the asymptotic
   expansion with no accuracy target;
 * past ``X``: the expansion's K-term algebraic series alone (Gorenflo,
   Loutchko and Luchko, FCAA 5, 2002), which is the expansion to rounding
   there.
 
-Non-finite or overflowing arguments raise at once.
+Every per-order object is local to one call or in an ``lru_cache`` of
+``_PAIR_CACHE_SIZE`` entries whose arrays are read-only: memory stays
+bounded however many orders a process meets.  Non-finite or overflowing
+arguments raise at once.
 """
 
 from __future__ import annotations
@@ -133,8 +138,6 @@ class MLEvaluationError(ValueError):
 
 # {{{ Taylor paths
 
-# extended-precision Gamma(alpha k + beta) per working precision
-_MP_GAMMA_CACHE: dict[tuple[float, float, int], list] = {}
 # entries kept by each per-pair cache below (least recently used evicted);
 # an entry is a pure function of its key, so a rebuilt one is bit-identical
 _PAIR_CACHE_SIZE = 64
@@ -144,18 +147,23 @@ _FLOAT_RHO_MAX = math.log(100.0)
 _TAYLOR_ZMAX = 25.0
 
 
-def _mp_gammas(alpha: float, beta: float, dps: int, upto: int) -> list:
-    key = (alpha, beta, dps)
-    cache = _MP_GAMMA_CACHE.setdefault(key, [])
-    if len(cache) <= upto:
-        import mpmath
+def _shared(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, as every array a per-pair cache returns is:
+    each caller gets the same array."""
+    a.setflags(write=False)
+    return a
 
-        with mpmath.workdps(dps):
-            a = mpmath.mpf(alpha)
-            b = mpmath.mpf(beta)
-            for k in range(len(cache), upto + 1):
-                cache.append(mpmath.gamma(a * k + b))
-    return cache
+
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
+def _mp_gammas(alpha: float, beta: float, dps: int, count: int) -> tuple:
+    """``Gamma(alpha k + beta)`` for ``k < count`` in ``dps``-digit
+    arithmetic, the argument formed in that precision too; cached."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        b = mpmath.mpf(beta)
+        return tuple(mpmath.gamma(a * k + b) for k in range(count))
 
 
 # points per pass of the array kernels: a block's working arrays stay small
@@ -230,8 +238,8 @@ def _taylor_mp(alpha: float, beta: float, z: float) -> tuple[float, float]:
     while kmax * log_z - math.lgamma(alpha * kmax + beta) > log_tol:
         kmax += 1
     kmax += 40
-    _mp_gammas(alpha, beta, dps, min(kmax, 128))
-    gammas = _MP_GAMMA_CACHE[(alpha, beta, dps)]
+    # a power of two from kmax + 1 on: nearby points share one cache entry
+    gammas = _mp_gammas(alpha, beta, dps, 1 << kmax.bit_length())
     with mpmath.workdps(dps):
         zz = mpmath.mpf(z)
         s = mpmath.mpf(0)
@@ -240,8 +248,6 @@ def _taylor_mp(alpha: float, beta: float, z: float) -> tuple[float, float]:
         max_mag = mpmath.mpf(0)
         k = 0
         while k <= kmax:
-            if k >= len(gammas):
-                _mp_gammas(alpha, beta, dps, k + 32)
             t = zk / gammas[k]
             s += t
             mag = abs(t)
@@ -386,11 +392,11 @@ def _asymptotic_table(alpha: float, beta: float, target: float) -> _AsymptoticTa
     if cos_phi < 0.0:
         residue_below = (745.0 / -cos_phi) ** alpha * (1.0 + 1e-9)
     return _AsymptoticTable(
-        coef=np.array(coef[:K]),
-        env=env_a[:K],
-        ratio=np.exp(ln_ratio[:K]),
-        floor_at=floor_at[:K],
-        conv_at=conv_at[:K],
+        coef=_shared(np.array(coef[:K])),
+        env=_shared(env_a[:K]),
+        ratio=_shared(np.exp(ln_ratio[:K])),
+        floor_at=_shared(floor_at[:K]),
+        conv_at=_shared(conv_at[:K]),
         residue_below=residue_below,
     )
 
@@ -560,7 +566,7 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p1, p0
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the ``order``-point rule on [-1, 1].
 
@@ -598,9 +604,7 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes[:m], weights[:m] = -x, w
     # for odd n the middle entry is written twice, the second time as +0.0
     nodes[n - m:], weights[n - m:] = x[::-1], w[::-1]
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _shared(nodes), _shared(weights)
 
 
 # }}}
@@ -937,22 +941,21 @@ def _chebfit(
     miss = np.abs(chebyshev.chebval(checks, coef) - ref)
     if np.any(miss > tol * np.maximum(1.0, np.abs(ref))):
         raise MLEvaluationError(f"{what} verification failed")
-    return coef
+    return _shared(coef)
 
 
 @functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def _taylor_band(alpha: float, beta: float) -> np.ndarray:
     """Verified Chebyshev coefficients of ``S = E_{alpha,alpha+beta}`` on the
     Taylor band ``z in [-zf, 0]`` in ``t = 1 + 2 z / zf``, cached per order
-    pair; :func:`_taylor_band_value` forms ``E_{alpha,beta}(z) =
-    1/Gamma(beta) + z S(z)`` from them.
+    pair: :func:`ml_profile` forms ``E_{alpha,beta}(z) = 1/Gamma(beta) +
+    z S(z)`` from them, so ``z = 0`` gives ``1/Gamma(beta)`` exactly and,
+    near 0, the fit's error is scaled down by ``|z|``.
 
     :func:`_chebfit` of one :func:`_taylor` pass of ``S`` at 65 first-kind
     nodes and 12 check points, cut at its coefficient plateau (11 to 18
     coefficients for alpha in [1.01, 2]) and checked to ``1e-11 / zf``, so
-    that ``|z|`` times the check's miss stays below 1e-11 on the band.  The
-    split keeps ``1/Gamma(beta)`` out of the fit, so ``z = 0`` returns it
-    exactly and, near 0, the fit's error is scaled down by ``|z|``.
+    that ``|z|`` times the check's miss is at most 1e-11 on the band.
     """
     zf = _profile_zf(alpha)
     return _chebfit(
@@ -960,15 +963,6 @@ def _taylor_band(alpha: float, beta: float) -> np.ndarray:
         _TAYLOR_NODES, 1e-11 / zf,
         f"Taylor band (alpha={alpha}, beta={beta})",
     )
-
-
-def _taylor_band_value(
-    alpha: float, beta: float, coef: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """``1/Gamma(beta) + z S(z)`` on points of the Taylor band, ``S`` the
-    series of :func:`_taylor_band`."""
-    t = 1.0 + (2.0 / _profile_zf(alpha)) * z
-    return reciprocal_gamma(beta) + z * chebyshev.chebval(t, coef)
 
 
 @functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
@@ -1002,16 +996,17 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 
     * the Taylor band ``x <= ln(100)^alpha``: ``1/Gamma(beta) + z S(z)``,
       ``S`` a verified Chebyshev series in z of ``E_{alpha,alpha+beta}``
-      (:func:`_taylor_band`), from ``E_{a,b}(z) = 1/Gamma(b) + z
-      E_{a,a+b}(z)``.  ``z = 0`` gives ``1/Gamma(beta)`` exactly; on the
-      tested orders the band is within 5e-14 absolute of
-      :func:`ml_series_oracle`, and within 2 ulps of it for
-      ``|z| <= 1e-2``;
+      fitted to one Taylor pass of that order (:func:`_taylor_band`), from
+      ``E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z)``.  ``z = 0`` gives
+      ``1/Gamma(beta)`` exactly; on the tested orders the band is within
+      5e-14 absolute of :func:`ml_series_oracle`, and within 2 ulps of it
+      for ``|z| <= 1e-2``;
     * the intermediate band up to ``33^alpha``: a verified Chebyshev series
       in ``ln x`` of the branch-cut integral's value-only pass
       (:func:`_integral_value`), cut at its coefficient plateau
-      (:func:`_cheb_band`); on the tested orders it is within 2.5e-14 of
-      :func:`ml_series_oracle`, and within 1e-15 at alpha = 1.5;
+      (:func:`_cheb_band`, by the same :func:`_chebfit`); on the tested
+      orders it is within 2.5e-14 of :func:`ml_series_oracle`, and within
+      1e-15 at alpha = 1.5;
     * from ``33^alpha`` below the far-form edge ``X``: the asymptotic
       expansion of :func:`ml_eval` with no accuracy target, so that its
       optimal-truncation floor is accepted, summed by
@@ -1047,10 +1042,11 @@ def ml_profile(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     # the sums
     small = np.flatnonzero(flat >= -taylor_edge)
     if small.size:
-        coef = _taylor_band(alpha, beta)
+        coef, rg = _taylor_band(alpha, beta), reciprocal_gamma(beta)
         for lo in range(0, small.size, _BLOCK):
             i = small[lo : lo + _BLOCK]
-            out[i] = _taylor_band_value(alpha, beta, coef, flat[i])
+            zi = flat[i]
+            out[i] = rg + zi * chebyshev.chebval(1.0 + (2.0 / taylor_edge) * zi, coef)
     mid = np.flatnonzero((flat < -taylor_edge) & (flat >= -asymptotic_edge))
     if mid.size:
         ya, yb, coef = _cheb_band(alpha, beta)
@@ -1103,7 +1099,7 @@ def ml_series_oracle(alpha: float, beta: float, z: float, n_terms: int) -> float
         dps = max(dps, int(22 + 0.45 * abs(z) ** (1.0 / alpha)))
     import mpmath
 
-    gammas = _mp_gammas(alpha, beta, dps, n_terms - 1)
+    gammas = _mp_gammas(alpha, beta, dps, n_terms)
     with mpmath.workdps(dps):
         zz = mpmath.mpf(z)
         total = mpmath.mpf(0)

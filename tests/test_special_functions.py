@@ -1,5 +1,6 @@
 """Reciprocal Gamma and Mittag-Leffler evaluation against independent oracles."""
 
+import functools
 import hashlib
 import math
 import subprocess
@@ -372,7 +373,9 @@ class TestLaplaceCheck:
 
     @pytest.mark.parametrize(
         "alpha,beta,lam,z",
-        [(1.5, 1.0, 1.0, 2.0), (1.5, 2.0, 4.0, 3.0), (1.2, 1.5, 0.5, 1.8)],
+        [(1.5, 1.0, 1.0, 2.0), (1.5, 2.0, 4.0, 3.0), (1.2, 1.5, 0.5, 1.8),
+         # beta < 1: the rule in u = t^beta
+         (1.5, 0.5, 1.0, 3.0), (1.5, 0.75, 1.0, 3.0)],
     )
     def test_transform_pairs(self, alpha, beta, lam, z):
         assert ml_laplace_check(alpha, beta, lam, z) <= 1e-8
@@ -858,6 +861,70 @@ def test_pair_caches_are_bounded():
     again = ml_profile(float(alphas[0]), 1.0, z)
     assert sf._cheb_band.cache_info().misses == misses + 1
     assert np.array_equal(again, first)
+    # the extended-precision Gammas and the Gauss-Legendre rules are bounded
+    # by the same size
+    for alpha in alphas:
+        ml_series_oracle(float(alpha), 1.0, -1.0, 4)
+    for order in range(1, sf._PAIR_CACHE_SIZE + 17):
+        gauss_legendre(order)
+    for cache in (sf._mp_gammas, sf.gauss_legendre):
+        info = cache.cache_info()
+        assert info.maxsize == info.currsize == sf._PAIR_CACHE_SIZE
+
+
+def _held_memory(calls, marks):
+    """The traced memory held after each of ``marks`` calls from ``calls``."""
+    held = {}
+    tracemalloc.start()
+    try:
+        for i, call in enumerate(calls, 1):
+            call()
+            if i in marks:
+                held[i] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return [held[i] for i in marks]
+
+
+def test_profile_memory_is_flat_over_orders():
+    # a long-lived process keeps no per-order state beyond the bounded
+    # caches: profiles of 300 orders at two betas hold what 100 orders do
+    z = -np.geomspace(1e-3, 1e6, 60)
+    alphas = np.random.default_rng(300).uniform(1.01, 1.99, 300)
+
+    def profiles(alpha):
+        for beta in (1.0, 2.0):
+            ml_profile(alpha, beta, z)
+
+    calls = [functools.partial(profiles, float(a)) for a in alphas]
+    after_100, after_300 = _held_memory(calls, (100, 300))
+    assert abs(after_300 - after_100) <= 0.25e6
+
+
+def test_oracle_memory_is_flat_over_orders():
+    # the oracle's extended-precision Gammas are bounded the same way (100
+    # terms: an unbounded cache would hold 1.2 MB more after 150 orders)
+    alphas = np.random.default_rng(150).uniform(1.01, 1.99, 150)
+    calls = [
+        functools.partial(ml_series_oracle, float(a), 1.0, -10.0, 100) for a in alphas
+    ]
+    after_100, after_150 = _held_memory(calls, (100, 150))
+    assert abs(after_150 - after_100) <= 0.25e6
+
+
+def test_cached_kernel_arrays_are_read_only():
+    # every array a per-pair cache returns is shared by all its callers, so
+    # a write into one would move every later value of its order pair
+    from fracplate import special_functions as sf
+
+    tab = sf._asymptotic_table(1.5, 1.0, 0.0)
+    arrays = [
+        tab.coef, tab.env, tab.ratio, tab.floor_at, tab.conv_at,
+        sf._far_form(1.5, 1.0)[1], sf._taylor_band(1.5, 1.0), sf._cheb_band(1.5, 1.0)[2],
+    ]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] += 1.0
 
 
 @pytest.mark.parametrize(
@@ -1015,6 +1082,8 @@ def test_standard_chop_cuts_at_the_plateau():
     # no plateau within the coefficients, or too few of them: all are kept
     assert _standard_chop(0.9 ** np.arange(65.0)).size == 65
     assert _standard_chop(coef[:16]).size == 16
+    # an all-zero series keeps one coefficient
+    assert np.array_equal(_standard_chop(np.zeros(65)), np.zeros(1))
 
 
 # }}}
