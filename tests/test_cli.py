@@ -54,6 +54,10 @@ class TestParseConfig:
         assert cfg.options["alpha"] == 1.7  # flag wins
         assert cfg.options["modes"] == 4  # file fills the rest
 
+    def test_missing_required_options_rejected(self):
+        with pytest.raises(SystemExit, match="missing required options"):
+            parse_config(["ml", "--alpha", "1.5"])
+
     def test_unknown_config_keys_rejected(self, tmp_path):
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({"bogus_key": 1}))

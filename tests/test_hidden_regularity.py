@@ -280,6 +280,20 @@ class TestFilteredIdentities:
         assert r == pytest.approx(r_swap, rel=1e-12)
         assert r < 1e-2
 
+    def test_two_time_terms_from_time_zero_are_the_one_time_terms(
+        self, interval_setup
+    ):
+        # tau = 0 (the exact filter at t = 0) subtracts zeros: every term is
+        # the one-time term at M to rounding; the product of two weight rows
+        # can round the row at M an ulp apart from the one-row product
+        d, modes = interval_setup
+        s = _solution(d, [0.5, -0.3] + [0.0] * 6, [0.1, 0.2] + [0.0] * 6)
+        grid = TimeGrid.graded(1.0, 512, 4.0)
+        C = s.coefficients(grid.nodes)
+        one = filtered_identity_terms(s, 0.25, grid, C, 512)
+        two = filtered_identity_terms(s, 0.25, grid, C, 512, 0)
+        assert two == pytest.approx(one, rel=1e-15, abs=0.0)
+
     def test_beta_domain_enforced(self, interval_setup):
         d, modes = interval_setup
         s = _solution(d, [1.0] + [0.0] * 7, [0.0] * 8)

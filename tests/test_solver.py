@@ -201,6 +201,12 @@ class TestResiduals:
         grid = TimeGrid.graded(1.0, 512, 4.0)
         assert weak_form_residual(s, v, grid, s.coefficients(grid.nodes)) == 0.0
 
+    def test_zero_test_function_has_no_weak_residual(self, interval_modes):
+        d, modes = interval_modes
+        s = solve(d, 8, 1.5, [1.0, 0.5] + [0] * 6, [0] * 8, 1.0)
+        grid = TimeGrid.graded(1.0, 512, 4.0)
+        assert weak_form_residual(s, np.zeros(8), grid, s.coefficients(grid.nodes)) == 0.0
+
     def test_zero_weak_residual_for_zero_solution(self, interval_modes):
         d, modes = interval_modes
         s = solve(d, 8, 1.5, [0] * 8, [0] * 8, 1.0)
